@@ -17,7 +17,7 @@ import numpy as np
 
 from . import errata
 from .errors import InvalidEntity, Spin42Error
-from .forms import Q6, g_form, projectivize, q_bilinear, q_form
+from .forms import DEFAULT_TOL, Q6, g_form, projectivize, q_bilinear, q_form
 from .isotropic import (
     isotropic_plane,
     null_to_spinor_plane,
@@ -36,7 +36,6 @@ from .liesphere import (
 from .spin import SpinElement, covering_matrix, is_su22, vector_action
 from .suites import SUITE_ORDER, run_suites
 
-_DEFAULT_TOL = 1e-9
 _GENERATOR = "numpy-pcg64"
 
 
@@ -167,7 +166,7 @@ def verify(suite, seed, count, tol, json_only):
     suite on stdout; exit 0 iff every suite passed."""
     if count < 1:
         raise click.UsageError("--count must be >= 1")
-    tol = _DEFAULT_TOL if tol is None else tol
+    tol = DEFAULT_TOL if tol is None else tol
     _emit({"generator": _GENERATOR, "seed": seed, "count": count,
            "tol": tol, "suite": suite})
     results = run_suites(suite, seed=seed, count=count, tol=tol)
@@ -197,10 +196,11 @@ def verify(suite, seed, count, tol, json_only):
 def embed(entity_json, tol):
     """Map an entity (point/sphere/plane/infinity JSON) to its canonical
     projective null class."""
+    tol = DEFAULT_TOL if tol is None else tol
     obj = _parse_json(entity_json)
     try:
         ent = _entity_from_json(obj)
-        cls = lie_embed(ent)
+        cls = lie_embed(ent, tol)
         _emit({"class": cls.rep, "null_residual": abs(q_form(cls.rep))})
     except Spin42Error as exc:
         _contract(exc)
@@ -211,7 +211,7 @@ def embed(entity_json, tol):
 @click.option("--tol", type=float, default=None, envvar="CMK_TOL")
 def invert(line_json, tol):
     """Conformal inversion of a projective null class (6-array JSON)."""
-    tol = _DEFAULT_TOL if tol is None else tol
+    tol = DEFAULT_TOL if tol is None else tol
     x = _vec6_from_json(_parse_json(line_json))
     try:
         cls = conformal_inversion(projectivize(x, tol))
@@ -228,7 +228,7 @@ def invert(line_json, tol):
 def correspond(direction, payload_json, tol):
     """Correspondences: null 6-vector -> spinor plane; isotropic plane ->
     spinor line; spinor line -> isotropic plane."""
-    tol = _DEFAULT_TOL if tol is None else tol
+    tol = DEFAULT_TOL if tol is None else tol
     payload = _parse_json(payload_json)
     try:
         if direction == "null-to-plane":
@@ -276,7 +276,7 @@ def act(matrix_json, vec6_json, tol):
     """Act on a 6-vector by a group element (4x4 complex matrix JSON,
     entries as numbers or [re, im] pairs); also returns the 6x6 covering
     matrix and its Q-residual."""
-    tol = _DEFAULT_TOL if tol is None else tol
+    tol = DEFAULT_TOL if tol is None else tol
     m = _complex_array(_parse_json(matrix_json), (4, 4))
     x = _vec6_from_json(_parse_json(vec6_json))
     if not is_su22(m, max(tol, 1e-8)):
@@ -306,7 +306,7 @@ def myth_report(samples, seed, tol, json_only):
     light-cone image."""
     if samples < 1:
         raise click.UsageError("--samples must be >= 1")
-    tol = _DEFAULT_TOL if tol is None else tol
+    tol = DEFAULT_TOL if tol is None else tol
     report = fixed_sphere_probe(samples, rng=np.random.default_rng(seed))
     _emit({
         "sample_count": report.sample_count,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,21 +43,35 @@ GAMMA = np.array([
 GAMMA.setflags(write=False)
 
 
+@lru_cache(maxsize=None)
+def perm_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The permutations of range(n) as rows, in lexicographic order (the
+    identity first), and the sign of each, (-1)^(number of inversions).
+    This is the package's one source of permutation signs."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    inversions = np.zeros(len(perms), dtype=int)
+    for a, b in itertools.combinations(range(n), 2):
+        inversions += perms[:, a] > perms[:, b]
+    signs = 1.0 - 2.0 * (inversions % 2)
+    perms.setflags(write=False)
+    signs.setflags(write=False)
+    return perms, signs
+
+
 def _levi_civita4() -> np.ndarray:
+    perms, signs = perm_table(4)
     eps = np.zeros((4, 4, 4, 4))
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        p = list(perm)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if p[a] > p[b]:
-                    sign = -sign
-        eps[perm] = sign
+    eps[tuple(perms.T)] = signs
     return eps
 
 
 EPS4 = _levi_civita4()
 EPS4.setflags(write=False)
+
+
+def table_sum(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_alpha x^alpha table[alpha] for a 6x4x4 table, as one matmul."""
+    return (x @ table.reshape(6, 16)).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -109,7 +123,7 @@ def antilinear_adjoint(a: AntilinearOp) -> AntilinearOp:
 def x_matrix(x) -> AntilinearOp:
     """The antilinear operator of a 6-vector, X = sum_alpha x^alpha Gamma_alpha."""
     x = as_vec6(x)
-    return AntilinearOp(np.tensordot(x, GAMMA, axes=(0, 0)))
+    return AntilinearOp(table_sum(x, GAMMA))
 
 
 def vector_from_op(a: AntilinearOp, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -120,34 +134,45 @@ def vector_from_op(a: AntilinearOp, tol: float = DEFAULT_TOL) -> np.ndarray:
     closed form x^a = Re tr(m Gamma_a^dagger) / 4 and the residual check
     is sharp.  Raises NotInGammaSpan when the residual exceeds tolerance.
     """
-    coeffs = np.real(np.einsum("ij,aij->a", a.m, np.conj(GAMMA))) / 4.0
-    fit = np.tensordot(coeffs, GAMMA, axes=(0, 0))
-    residual = float(np.max(np.abs(a.m - fit)))
-    scale = max(1.0, float(np.max(np.abs(a.m))))
-    if residual > tol * scale:
+    return gamma_coeffs(np.asarray(a.m), tol)[0]
+
+
+@lru_cache(maxsize=None)
+def _gamma_rows() -> tuple[np.ndarray, np.ndarray]:
+    """GAMMA as a 6 x 16 matrix of flattened generators, and its conjugate
+    transpose, which maps a flattened operator to its Frobenius pairings."""
+    rows = GAMMA.reshape(6, 16)
+    return rows, np.ascontiguousarray(rows.conj().T)
+
+
+def gamma_coeffs(ms: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """vector_from_op on a stack of n operator matrices (n x 4 x 4, or one
+    4 x 4 matrix as n = 1) at once, returning the n x 6 coefficients.
+    Each matrix's residual is judged against its own scale, max(1, max |m|)."""
+    rows, rows_h = _gamma_rows()
+    flat = ms.reshape(-1, 16)
+    coeffs = (flat @ rows_h).real / 4.0
+    residual = np.abs(flat - coeffs @ rows).max(axis=1)
+    bad = residual > tol * np.maximum(1.0, np.abs(flat).max(axis=1))
+    if bad.any():
+        first = float(residual[bad][0])
         raise NotInGammaSpan(
-            f"operator is not a real generator combination (residual {residual:g})"
+            f"operator is not a real generator combination (residual {first:g})"
         )
     return coeffs
 
 
 def det4(m: np.ndarray) -> complex:
-    """4x4 determinant by direct permutation expansion.
+    """4x4 determinant by the Leibniz expansion over the permutation
+    table: one gather of the 24 diagonals m[r, perm(r)], their products,
+    and one signed sum.
 
-    Exact on the {0,+-1,+-i} lattice of the generator tables (no LU
-    rounding), and perfectly adequate numerically at this size.
+    Exact on the {0,+-1,+-i} lattice of the generator tables (every
+    product and partial sum is a small Gaussian integer, so there is no
+    LU rounding), and perfectly adequate numerically at this size.
     """
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        p = list(perm)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if p[a] > p[b]:
-                    sign = -sign
-        term = m[0, perm[0]] * m[1, perm[1]] * m[2, perm[2]] * m[3, perm[3]]
-        total += sign * term
-    return total
+    perms, signs = perm_table(4)
+    return complex(np.prod(m[np.arange(4), perms], axis=1) @ signs)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,3 @@ def entries() -> list[dict]:
 def notes(topic: str | None = None) -> list[str]:
     """The note strings, optionally filtered by topic."""
     return [e["note"] for e in entries() if topic is None or e["topic"] == topic]
-
-
-def ids(topic: str | None = None) -> list[str]:
-    return [e["id"] for e in entries() if topic is None or e["topic"] == topic]

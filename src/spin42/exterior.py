@@ -29,7 +29,7 @@ from math import factorial
 
 import numpy as np
 
-from .clifford import SIGMA
+from .clifford import SIGMA, perm_table, table_sum
 from .errors import (
     GradeMismatch,
     GradeOverflow,
@@ -65,53 +65,92 @@ def vector(v) -> KVector:
 
 def basis_kvector(indices) -> KVector:
     """Wedge of basis spinor directions, 1-based indices."""
-    out = scalar(1.0)
+    idx = []
     for i in indices:
         if not 1 <= i <= 4:
             raise IndexOutOfRange(f"basis index {i} outside 1..4")
-        e = np.zeros(4, dtype=complex)
-        e[i - 1] = 1.0
-        out = wedge(out, vector(e))
-    return out
+        if len(idx) == 4:
+            raise GradeOverflow("grades 4+1 exceed 4")
+        idx.append(i - 1)
+    k = len(idx)
+    comps = np.zeros(4 ** k, dtype=complex)
+    if len(set(idx)) == k:
+        # +1 at the given index order, signed over its permutations
+        perms, signs = perm_table(k)
+        comps[np.array(idx, dtype=np.intp)[perms] @ _place_values(k)] = signs
+    return KVector(k, comps.reshape((4,) * k))
 
 
-def _antisymmetrize(t: np.ndarray) -> np.ndarray:
-    n = t.ndim
-    if n <= 1:
-        return t
-    out = np.zeros_like(t)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        p = list(perm)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if p[a] > p[b]:
-                    sign = -sign
-        out += sign * np.transpose(t, perm)
-    return out / factorial(n)
+def _combos(k: int):
+    return list(itertools.combinations(range(4), k))
+
+
+@lru_cache(maxsize=None)
+def _place_values(k: int) -> np.ndarray:
+    """Flat-index weight of each of the k axes of a (4,)*k tensor."""
+    weights = 4 ** np.arange(k - 1, -1, -1)
+    weights.setflags(write=False)
+    return weights
+
+
+@lru_cache(maxsize=None)
+def _positions(k: int) -> np.ndarray:
+    """Flat positions in a (4,)*k tensor of every permutation of every
+    increasing index combination: entry [c, s] is combination c permuted
+    by row s of perm_table(k).  Column 0 (the identity) holds the
+    increasing-index monomials themselves."""
+    perms, _ = perm_table(k)
+    combos = np.array(_combos(k), dtype=np.intp)
+    pos = combos[:, perms] @ _place_values(k)
+    pos.setflags(write=False)
+    return pos
+
+
+def _coeffs_of(kv: KVector) -> np.ndarray:
+    return kv.comps.reshape(-1)[_positions(kv.k)[:, 0]]
+
+
+def _from_coeffs(k: int, coeffs) -> KVector:
+    """The antisymmetric grade-k tensor with the given coefficients on the
+    increasing-index monomials: each coefficient is scattered, signed, to
+    every permutation of its indices."""
+    coeffs = np.asarray(coeffs)
+    _, signs = perm_table(k)
+    comps = np.zeros(4 ** k, dtype=coeffs.dtype)
+    comps[_positions(k)] = np.multiply.outer(coeffs, signs)
+    return KVector(k, comps.reshape((4,) * k))
 
 
 def wedge(a: KVector, b: KVector) -> KVector:
     """Graded product with the determinant normalization:
-    (v ^ w)^{ij} = v^i w^j - v^j w^i for vectors."""
+    (v ^ w)^{ij} = v^i w^j - v^j w^i for vectors.
+
+    Each increasing-index coefficient is the signed sum of the outer
+    product over the permutations of its indices, divided by p! q!."""
     p, q = a.k, b.k
     if p + q > 4:
         raise GradeOverflow(f"grades {p}+{q} exceed 4")
-    t = np.tensordot(a.comps, b.comps, axes=0)
-    coef = factorial(p + q) / (factorial(p) * factorial(q))
-    return KVector(p + q, coef * _antisymmetrize(t))
+    t = np.multiply.outer(a.comps, b.comps).reshape(-1)
+    _, signs = perm_table(p + q)
+    coeffs = t[_positions(p + q)] @ signs / (factorial(p) * factorial(q))
+    return _from_coeffs(p + q, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _g_weight(k: int) -> np.ndarray:
+    """G_DIAG on each of k axes, multiplied out: a (4,)*k tensor of +-1."""
+    weight = np.ones(())
+    for _ in range(k):
+        weight = np.multiply.outer(weight, G_DIAG)
+    weight.setflags(write=False)
+    return weight
 
 
 def herm_inner(a: KVector, b: KVector) -> complex:
     """(a | b) = (1/k!) G_{i1 j1} ... G_{ik jk} a^{i...} conj(b^{j...})."""
     if a.k != b.k:
         raise GradeMismatch(f"grades {a.k} and {b.k} differ")
-    if a.k == 0:
-        return complex(a.comps * np.conj(b.comps))
-    weight = np.ones(())
-    for _ in range(a.k):
-        weight = np.multiply.outer(weight, G_DIAG)
-    return complex(np.sum(a.comps * weight * np.conj(b.comps)) / factorial(a.k))
+    return complex(np.vdot(b.comps, _g_weight(a.k) * a.comps)) / factorial(a.k)
 
 
 def basis_bivector(alpha: int) -> KVector:
@@ -121,30 +160,6 @@ def basis_bivector(alpha: int) -> KVector:
     if not 1 <= alpha <= 6:
         raise IndexOutOfRange(f"bivector index {alpha} outside 1..6")
     return KVector(2, SIGMA[alpha - 1] / _SQRT2)
-
-
-def _combos(k: int):
-    return list(itertools.combinations(range(4), k))
-
-
-def _coeffs_of(kv: KVector) -> np.ndarray:
-    return np.array([kv.comps[c] for c in _combos(kv.k)], dtype=complex)
-
-
-def _from_coeffs(k: int, coeffs) -> KVector:
-    comps = np.zeros((4,) * k, dtype=complex)
-    if k == 0:
-        return KVector(0, np.asarray(complex(coeffs[0])))
-    for c, combo in zip(coeffs, _combos(k)):
-        for perm in itertools.permutations(range(k)):
-            sign = 1
-            p = list(perm)
-            for a in range(k):
-                for b in range(a + 1, k):
-                    if p[a] > p[b]:
-                        sign = -sign
-            comps[tuple(combo[j] for j in perm)] = sign * c
-    return KVector(k, comps)
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +221,7 @@ def phi(x) -> KVector:
     """Real-linear embedding of the 6-space into self-dual bivectors,
     phi(x) = x^alpha E_alpha."""
     x = as_vec6(x)
-    return KVector(2, np.tensordot(x, SIGMA, axes=(0, 0)) / _SQRT2)
+    return KVector(2, table_sum(x, SIGMA) / _SQRT2)
 
 
 def phi_inverse(b: KVector, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -222,8 +237,8 @@ def phi_inverse(b: KVector, tol: float = DEFAULT_TOL) -> np.ndarray:
     sb = hodge_star(b)
     if float(np.max(np.abs(sb.comps - b.comps))) > tol * scale:
         raise NotSelfDual("bivector is not fixed by the star")
-    coeffs = np.real(np.einsum("ij,aij->a", b.comps, np.conj(SIGMA))) / (2.0 * _SQRT2)
-    fit = np.tensordot(coeffs, SIGMA, axes=(0, 0)) / _SQRT2
+    coeffs = np.real(SIGMA.reshape(6, 16).conj() @ b.comps.reshape(16)) / (2.0 * _SQRT2)
+    fit = table_sum(coeffs, SIGMA) / _SQRT2
     if float(np.max(np.abs(b.comps - fit))) > tol * scale:
         raise NotRealCombination("bivector is outside the real basis span")
     return coeffs

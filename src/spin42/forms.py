@@ -47,7 +47,7 @@ def as_vec6(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (6,):
         raise ValueError(f"expected a 6-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite components in 6-vector")
     return arr
 
@@ -56,7 +56,7 @@ def as_spinor(s) -> np.ndarray:
     arr = np.asarray(s, dtype=complex)
     if arr.shape != (4,):
         raise ValueError(f"expected a 4-spinor, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite components in spinor")
     return arr
 

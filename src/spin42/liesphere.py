@@ -80,7 +80,7 @@ def _vec3(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise InvalidEntity(f"expected a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidEntity("non-finite 3-vector")
     return arr
 
@@ -118,8 +118,10 @@ def embed_rep(ent: LieEntity) -> np.ndarray:
     ])
 
 
-def lie_embed(ent: LieEntity) -> ProjectiveNullLine:
-    return projectivize(embed_rep(ent))
+def lie_embed(ent: LieEntity, tol: float = DEFAULT_TOL) -> ProjectiveNullLine:
+    """Canonical projective null class of an entity; tol is the nullity
+    and zero-norm gate of projectivize."""
+    return projectivize(embed_rep(ent), tol)
 
 
 def lie_extract(p: ProjectiveNullLine, tol: float = DEFAULT_TOL) -> LieEntity:

@@ -10,11 +10,11 @@ projection.
 
 from __future__ import annotations
 
-import itertools
+from math import comb
 
 import numpy as np
 
-from .exterior import basis_kvector, kv_add, kv_scale, scalar
+from .exterior import _from_coeffs
 from .forms import q_form
 from .liesphere import Plane, Point, Sphere, embed_rep
 from .spin import SpinElement, covering_matrix, spin_generate
@@ -134,12 +134,7 @@ def random_isotropic_plane(rng) -> IsotropicPlaneE:
 
 
 def random_kvector(rng, k: int):
-    """Random grade-k element with complex normal coefficients."""
-    if k == 0:
-        return kv_scale(complex(rng.normal(), rng.normal()), scalar(1.0))
-    out = None
-    for combo in itertools.combinations(range(1, 5), k):
-        c = complex(rng.normal(), rng.normal())
-        term = kv_scale(c, basis_kvector(combo))
-        out = term if out is None else kv_add(out, term)
-    return out
+    """Random grade-k element with complex normal coefficients: one
+    (real, imaginary) pair of draws per increasing-index monomial, in
+    increasing order."""
+    return _from_coeffs(k, rng.normal(size=2 * comb(4, k)).view(complex))

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import SIGMA, AntilinearOp, det4, vector_from_op, x_matrix
+from .clifford import (
+    SIGMA,
+    AntilinearOp,
+    det4,
+    gamma_coeffs,
+    table_sum,
+    vector_from_op,
+    x_matrix,
+)
 from .errors import ActionLeavesSpan, NotInGammaSpan, NotNormalized
 from .forms import DEFAULT_TOL, G4, Q6, as_vec6, q_form
 
@@ -41,7 +49,7 @@ class ConformalMatrix6:
 
 def is_su22(m, tol: float = DEFAULT_TOL) -> bool:
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4) or not np.all(np.isfinite(m)):
+    if m.shape != (4, 4) or not np.isfinite(m).all():
         return False
     gdev = float(np.max(np.abs(m @ G4 @ m.conj().T - G4)))
     ddev = abs(det4(m) - 1.0)
@@ -85,7 +93,7 @@ def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     transformed operator leaves the real generator span, which signals a
     matrix that was never a group element."""
     x = as_vec6(x)
-    sig = np.tensordot(x, SIGMA, axes=(0, 0))
+    sig = table_sum(x, SIGMA)
     sig_t = s.m @ sig @ s.m.T
     try:
         return vector_from_op(AntilinearOp(sig_t @ G4), tol=max(tol, 1e-8))
@@ -94,9 +102,19 @@ def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix6:
-    """6x6 matrix of the vector action, columns the images of the basis."""
-    cols = [vector_action(s, e, tol) for e in np.eye(6)]
-    l = np.column_stack(cols)
+    """6x6 matrix of the vector action, columns the images of the basis.
+
+    Closed form, all six columns in one contraction: column b holds the
+    generator coefficients of M Sigma_b M^T G, that is
+    L[a, b] = Re tr(M Sigma_b M^T G Gamma_a^dagger) / 4.  Each column's
+    span residual is checked against that column's own scale, exactly as
+    vector_action checks one image, and raises ActionLeavesSpan.
+    """
+    ops = s.m @ SIGMA @ (s.m.T @ G4)
+    try:
+        l = gamma_coeffs(ops, max(tol, 1e-8)).T
+    except NotInGammaSpan as exc:
+        raise ActionLeavesSpan(str(exc)) from exc
     # gates are relative to the matrix scale: strong boosts legitimately
     # amplify rounding in l Q l^T without being any less orthogonal
     scale = max(1.0, float(np.max(np.abs(l))) ** 2)
@@ -116,7 +134,7 @@ def is_so_plus(l, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(l, ConformalMatrix6):
         l = l.l
     l = np.asarray(l, dtype=float)
-    if l.shape != (6, 6) or not np.all(np.isfinite(l)):
+    if l.shape != (6, 6) or not np.isfinite(l).all():
         return False
     if float(np.max(np.abs(l @ Q6 @ l.T - Q6))) > tol:
         return False

@@ -94,6 +94,18 @@ def test_verify_json_flag_silences_summary():
     assert "clifford" in result.stderr and "PASS" in result.stderr
 
 
+def test_verify_checks_run_per_suite_is_unchanged():
+    # the counts of the column-loop kernels; they follow from --count and
+    # each suite's structure, and test_kernels pins the sampled draws
+    result = runner.invoke(main, ["verify", "--suite", "all", "--seed", "42",
+                                  "--count", "500", "--json"])
+    checks = {r["suite_name"]: r["checks_run"] for r in _lines(result)[1:]}
+    assert checks == {"clifford": 74, "selfdual": 2078, "exterior": 903,
+                      "hodge": 445, "spin": 815, "isotropic": 4750,
+                      "liesphere": 1884}
+    assert sum(checks.values()) == 10949
+
+
 def test_verify_is_deterministic_across_processes():
     cmd = [sys.executable, "-m", "spin42", "verify", "--suite", "all",
            "--seed", "42", "--count", "40", "--json"]
@@ -143,6 +155,22 @@ def test_embed_contract_violations():
     assert "contract violation" in result.stderr
     result = runner.invoke(main, ["embed", '{"blob": 1}'])
     assert result.exit_code == 3
+
+
+def test_embed_tol_gates_nullity():
+    sphere = '{"sphere": {"center": [0.1,0.2,0.3], "radius": 0.7}}'
+    # the raw embedding rounds to Q = -6.05e-17, null at the default
+    # tolerance and not at tolerance 0
+    result = runner.invoke(main, ["embed", sphere])
+    assert result.exit_code == 0
+    assert result.stdout == (
+        '{"class":[0.14285714285714288,0.28571428571428575,0.4285714285714286,'
+        '1,-0.9642857142857143,0.46428571428571441],'
+        '"null_residual":3.3986419121178422e-18}\n'
+    )
+    result = runner.invoke(main, ["embed", "--tol", "0", sphere])
+    assert result.exit_code == 3
+    assert "NotNull" in result.stderr
 
 
 def test_embed_malformed_json_is_usage_error():
