@@ -15,7 +15,6 @@ from .forms import (
     ProjectiveNullLine,
     Q6,
     Q_DIAG,
-    Tolerance,
     canonicalize,
     g_form,
     is_null,

@@ -10,14 +10,15 @@ produce byte-identical output; diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
 import numpy as np
 
 from . import errata
-from .errors import InvalidEntity, Spin42Error
-from .forms import DEFAULT_TOL, Q6, g_form, projectivize, q_bilinear, q_form
+from .errors import InvalidEntity, NotNormalized, Spin42Error
+from .forms import DEFAULT_TOL, Q6, as_vec6, g_form, projectivize, q_bilinear, q_form
 from .isotropic import (
     isotropic_plane,
     null_to_spinor_plane,
@@ -45,6 +46,8 @@ _GENERATOR = "numpy-pcg64"
 
 def _fmt_float(x: float) -> str:
     x = float(x)
+    if not math.isfinite(x):
+        return json.dumps(x)  # NaN, Infinity, -Infinity: what json.loads reads
     if x == 0.0:
         x = 0.0  # collapse -0.0
     return format(x, ".17g")
@@ -90,10 +93,7 @@ def _parse_json(text: str):
 
 def _vec6_from_json(obj) -> np.ndarray:
     try:
-        arr = np.asarray(obj, dtype=float)
-        if arr.shape != (6,):
-            raise ValueError(f"expected 6 components, got shape {arr.shape}")
-        return arr
+        return as_vec6(obj)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"not a 6-vector: {exc}") from exc
 
@@ -124,20 +124,29 @@ def _entity_from_json(obj):
             '{"sphere": {...}}, {"plane": {...}}'
         )
     ((kind, body),) = obj.items()
-    if kind == "infinity":
-        return Infinity()
-    if kind == "point":
-        return Point(np.asarray(body, dtype=float))
-    if kind == "sphere":
-        return Sphere(np.asarray(body["center"], dtype=float), float(body["radius"]))
-    if kind == "plane":
-        return Plane(np.asarray(body["normal"], dtype=float), float(body["offset"]))
+    try:
+        if kind == "infinity":
+            return Infinity()
+        if kind == "point":
+            return Point(np.asarray(body, dtype=float))
+        if kind == "sphere":
+            return Sphere(np.asarray(body["center"], dtype=float), float(body["radius"]))
+        if kind == "plane":
+            return Plane(np.asarray(body["normal"], dtype=float), float(body["offset"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidEntity(f"malformed {kind}: {type(exc).__name__}: {exc}") from exc
     raise InvalidEntity(f"unknown entity kind {kind!r}")
 
 
-def _contract(exc: Spin42Error):
-    click.echo(f"contract violation: {type(exc).__name__}: {exc}", err=True)
-    sys.exit(3)
+class _Commands(click.Group):
+    """Every command's library contract violation exits 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except Spin42Error as exc:
+            click.echo(f"contract violation: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
 
 
 def _spinor_json(v: np.ndarray):
@@ -148,7 +157,12 @@ def _spinor_json(v: np.ndarray):
 # commands
 
 
-@click.group()
+_tol_option = click.option(
+    "--tol", type=float, default=DEFAULT_TOL, show_default=True, envvar="CMK_TOL",
+    help="Deviation tolerance (CMK_TOL env var; the flag wins).")
+
+
+@click.group(cls=_Commands)
 def main():
     """Spinorial model of the conformal compactification: verification
     suites and geometric queries."""
@@ -158,15 +172,13 @@ def main():
 @click.option("--suite", type=click.Choice(SUITE_ORDER + ["all"]), default="all")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--count", type=int, default=200, show_default=True)
-@click.option("--tol", type=float, default=None, envvar="CMK_TOL",
-              help="Deviation tolerance (CMK_TOL env var; flag wins; default 1e-9).")
+@_tol_option
 @click.option("--json", "json_only", is_flag=True, help="Suppress the stderr summary.")
 def verify(suite, seed, count, tol, json_only):
     """Run identity suites with a seeded generator; one JSON result per
     suite on stdout; exit 0 iff every suite passed."""
     if count < 1:
         raise click.UsageError("--count must be >= 1")
-    tol = DEFAULT_TOL if tol is None else tol
     _emit({"generator": _GENERATOR, "seed": seed, "count": count,
            "tol": tol, "suite": suite})
     results = run_suites(suite, seed=seed, count=count, tol=tol)
@@ -192,113 +204,94 @@ def verify(suite, seed, count, tol, json_only):
 
 @main.command()
 @click.argument("entity_json")
-@click.option("--tol", type=float, default=None, envvar="CMK_TOL")
+@_tol_option
 def embed(entity_json, tol):
     """Map an entity (point/sphere/plane/infinity JSON) to its canonical
     projective null class."""
-    tol = DEFAULT_TOL if tol is None else tol
-    obj = _parse_json(entity_json)
-    try:
-        ent = _entity_from_json(obj)
-        cls = lie_embed(ent, tol)
-        _emit({"class": cls.rep, "null_residual": abs(q_form(cls.rep))})
-    except Spin42Error as exc:
-        _contract(exc)
+    cls = lie_embed(_entity_from_json(_parse_json(entity_json)), tol)
+    _emit({"class": cls.rep, "null_residual": abs(q_form(cls.rep))})
 
 
 @main.command()
 @click.argument("line_json")
-@click.option("--tol", type=float, default=None, envvar="CMK_TOL")
+@_tol_option
 def invert(line_json, tol):
     """Conformal inversion of a projective null class (6-array JSON)."""
-    tol = DEFAULT_TOL if tol is None else tol
     x = _vec6_from_json(_parse_json(line_json))
-    try:
-        cls = conformal_inversion(projectivize(x, tol))
-        _emit({"class": cls.rep, "null_residual": abs(q_form(cls.rep))})
-    except Spin42Error as exc:
-        _contract(exc)
+    cls = conformal_inversion(projectivize(x, tol))
+    _emit({"class": cls.rep, "null_residual": abs(q_form(cls.rep))})
 
 
 @main.command()
 @click.argument("direction",
                 type=click.Choice(["null-to-plane", "plane-to-line", "line-to-plane"]))
 @click.argument("payload_json")
-@click.option("--tol", type=float, default=None, envvar="CMK_TOL")
+@_tol_option
 def correspond(direction, payload_json, tol):
     """Correspondences: null 6-vector -> spinor plane; isotropic plane ->
     spinor line; spinor line -> isotropic plane."""
-    tol = DEFAULT_TOL if tol is None else tol
     payload = _parse_json(payload_json)
-    try:
-        if direction == "null-to-plane":
-            x = _vec6_from_json(payload)
-            plane = null_to_spinor_plane(x, tol)
-            residual = max(
-                abs(g_form(u, v))
-                for u in (plane.b1, plane.b2)
-                for v in (plane.b1, plane.b2)
-            )
-            _emit({
-                "basis": [_spinor_json(plane.b1), _spinor_json(plane.b2)],
-                "isotropy_residual": residual,
-            })
-        elif direction == "plane-to-line":
-            if not (isinstance(payload, dict) and "basis" in payload):
-                raise click.UsageError('payload must be {"basis": [vec6, vec6]}')
-            x1 = _vec6_from_json(payload["basis"][0])
-            x2 = _vec6_from_json(payload["basis"][1])
-            line = plane_to_spinor_line(isotropic_plane(x1, x2, tol), tol)
-            _emit({
-                "rep": _spinor_json(line.rep),
-                "isotropy_residual": abs(g_form(line.rep, line.rep)),
-            })
-        else:
-            v = _complex_array(payload, (4,))
-            plane = spinor_line_to_plane(v, tol)
-            residual = max(
-                abs(q_form(plane.x1)), abs(q_form(plane.x2)),
-                abs(q_bilinear(plane.x1, plane.x2)),
-            )
-            _emit({
-                "basis": [plane.x1, plane.x2],
-                "isotropy_residual": residual,
-            })
-    except Spin42Error as exc:
-        _contract(exc)
+    if direction == "null-to-plane":
+        x = _vec6_from_json(payload)
+        plane = null_to_spinor_plane(x, tol)
+        residual = max(
+            abs(g_form(u, v))
+            for u in (plane.b1, plane.b2)
+            for v in (plane.b1, plane.b2)
+        )
+        _emit({
+            "basis": [_spinor_json(plane.b1), _spinor_json(plane.b2)],
+            "isotropy_residual": residual,
+        })
+    elif direction == "plane-to-line":
+        basis = payload.get("basis") if isinstance(payload, dict) else None
+        if not (isinstance(basis, list) and len(basis) == 2):
+            raise click.UsageError('payload must be {"basis": [vec6, vec6]}')
+        x1, x2 = (_vec6_from_json(b) for b in basis)
+        line = plane_to_spinor_line(isotropic_plane(x1, x2, tol), tol)
+        _emit({
+            "rep": _spinor_json(line.rep),
+            "isotropy_residual": abs(g_form(line.rep, line.rep)),
+        })
+    else:
+        v = _complex_array(payload, (4,))
+        plane = spinor_line_to_plane(v, tol)
+        residual = max(
+            abs(q_form(plane.x1)), abs(q_form(plane.x2)),
+            abs(q_bilinear(plane.x1, plane.x2)),
+        )
+        _emit({
+            "basis": [plane.x1, plane.x2],
+            "isotropy_residual": residual,
+        })
 
 
 @main.command()
 @click.argument("matrix_json")
 @click.argument("vec6_json")
-@click.option("--tol", type=float, default=None, envvar="CMK_TOL")
+@_tol_option
 def act(matrix_json, vec6_json, tol):
     """Act on a 6-vector by a group element (4x4 complex matrix JSON,
     entries as numbers or [re, im] pairs); also returns the 6x6 covering
-    matrix and its Q-residual."""
-    tol = DEFAULT_TOL if tol is None else tol
+    matrix and its Q-residual.  tol judges the matrix's membership."""
     m = _complex_array(_parse_json(matrix_json), (4, 4))
     x = _vec6_from_json(_parse_json(vec6_json))
-    if not is_su22(m, max(tol, 1e-8)):
-        click.echo("contract violation: matrix fails the membership test", err=True)
-        sys.exit(3)
-    try:
-        s = SpinElement(m)
-        l = covering_matrix(s)
-        q_residual = float(np.max(np.abs(l.l @ Q6 @ l.l.T - Q6)))
-        _emit({
-            "vector": vector_action(s, x),
-            "covering": l.l,
-            "q_residual": q_residual,
-        })
-    except Spin42Error as exc:
-        _contract(exc)
+    if not is_su22(m, tol):
+        raise NotNormalized("matrix fails the membership test")
+    s = SpinElement(m)
+    l = covering_matrix(s, tol)
+    q_residual = float(np.max(np.abs(l.l @ Q6 @ l.l.T - Q6)))
+    _emit({
+        "vector": vector_action(s, x, tol),
+        "covering": l.l,
+        "q_residual": q_residual,
+    })
 
 
 @main.command(name="myth-report")
 @click.option("--samples", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=None, envvar="CMK_TOL")
+@_tol_option
 @click.option("--json", "json_only", is_flag=True, help="Suppress the stderr summary.")
 def myth_report(samples, seed, tol, json_only):
     """Probe conformal infinity: the inversion-invariant 2-sphere of
@@ -306,7 +299,6 @@ def myth_report(samples, seed, tol, json_only):
     light-cone image."""
     if samples < 1:
         raise click.UsageError("--samples must be >= 1")
-    tol = DEFAULT_TOL if tol is None else tol
     report = fixed_sphere_probe(samples, rng=np.random.default_rng(seed))
     _emit({
         "sample_count": report.sample_count,

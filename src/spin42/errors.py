@@ -61,8 +61,8 @@ class ActionLeavesSpan(Spin42Error):
 
 
 class InvalidEntity(Spin42Error):
-    """A malformed geometric entity (non-unit plane normal, zero sphere
-    radius, non-finite data)."""
+    """Malformed input: non-finite components, a missing field, a
+    non-unit plane normal or a zero sphere radius."""
 
 
 class Unclassifiable(Spin42Error):

@@ -229,17 +229,18 @@ def phi_inverse(b: KVector, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     The E_alpha are Frobenius-orthogonal with <E_a, E_b> = 2 delta_ab, so
     x^a = Re <b, E_a> / 2 is the exact projection; the residual then
-    certifies that b really was a real combination.
+    certifies that b really was a real combination; both gates are at
+    tol * max(1, ||b||).
     """
     if b.k != 2:
         raise GradeMismatch("phi_inverse is defined on bivectors")
     scale = max(1.0, kv_norm(b))
     sb = hodge_star(b)
-    if float(np.max(np.abs(sb.comps - b.comps))) > tol * scale:
+    if not float(np.max(np.abs(sb.comps - b.comps))) <= tol * scale:
         raise NotSelfDual("bivector is not fixed by the star")
     coeffs = np.real(SIGMA.reshape(6, 16).conj() @ b.comps.reshape(16)) / (2.0 * _SQRT2)
     fit = table_sum(coeffs, SIGMA) / _SQRT2
-    if float(np.max(np.abs(b.comps - fit))) > tol * scale:
+    if not float(np.max(np.abs(b.comps - fit))) <= tol * scale:
         raise NotRealCombination("bivector is outside the real basis span")
     return coeffs
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNull, ZeroVector
+from .errors import InvalidEntity, NotNull, ZeroVector
 
 Q_DIAG = np.array([1.0, 1.0, 1.0, -1.0, 1.0, -1.0])
 Q_DIAG.setflags(write=False)
@@ -29,36 +29,38 @@ G4.setflags(write=False)
 
 DEFAULT_TOL = 1e-9
 
+# Tolerance policy: an input gate judges what the caller passed at `tol`
+# exactly; a post-condition gate judges what the library computed from
+# validated inputs at max(tol, FLOOR), never tighter than the gate its input
+# passed.  Every gate is written so that a NaN deviation fails it.
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numeric policy: absolute tolerance for residuals and a relative
-    tolerance for rank decisions."""
+# Rank cut on systems built from validated data: zero singular values are ~1e-15.
+RANK_FLOOR = 1e-9
+# Residuals of chained products of validated factors carry every step's rounding.
+RESIDUAL_FLOOR = 1e-8
+# Kernel singular values of X(x), x a unit vector null at tol, are ~tol; the rest ~1.
+KERNEL_FLOOR = 1e-6
 
-    abs_tol: float = 1e-9
-    rank_rel_tol: float = 1e-9
 
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rank_rel_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """Return arr, or raise InvalidEntity if any entry is NaN or infinite."""
+    if not np.isfinite(arr).all():
+        raise InvalidEntity(f"non-finite components in {what}")
+    return arr
 
 
 def as_vec6(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (6,):
         raise ValueError(f"expected a 6-vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite components in 6-vector")
-    return arr
+    return check_finite(arr, "6-vector")
 
 
 def as_spinor(s) -> np.ndarray:
     arr = np.asarray(s, dtype=complex)
     if arr.shape != (4,):
         raise ValueError(f"expected a 4-spinor, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite components in spinor")
-    return arr
+    return check_finite(arr, "spinor")
 
 
 def q_form(x) -> float:
@@ -119,18 +121,19 @@ class ProjectiveNullLine:
         return self.same_class(other)
 
 
-def projectivize(x, tol: float = DEFAULT_TOL) -> ProjectiveNullLine:
-    """Canonical projective class of a nonzero null vector.
-
-    Raises ZeroVector when the norm is below tolerance and NotNull when
-    |Q(x)| exceeds tol * ||x||^2.
-    """
+def as_null_vec6(x, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The input gate of every null-class operation: ZeroVector when
+    ||x|| <= tol, NotNull when |Q(x)| > tol * ||x||^2."""
     x = as_vec6(x)
-    norm = float(np.linalg.norm(x))
-    if norm <= tol:
-        raise ZeroVector("cannot projectivize a (numerically) zero vector")
+    if not float(np.linalg.norm(x)) > tol:
+        raise ZeroVector("a null class needs a nonzero vector")
     if not is_null(x, tol):
         raise NotNull(f"Q(x) = {q_form(x):g} is not null at tolerance {tol:g}")
-    rep = canonicalize(x)
+    return x
+
+
+def projectivize(x, tol: float = DEFAULT_TOL) -> ProjectiveNullLine:
+    """Canonical projective class of a nonzero null vector, gated at tol."""
+    rep = canonicalize(as_null_vec6(x, tol))
     rep.setflags(write=False)
     return ProjectiveNullLine(rep)

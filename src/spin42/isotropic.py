@@ -22,11 +22,14 @@ from .clifford import GAMMA, compose, x_matrix
 from .errors import NotIsotropicSpinor, NotNull, RankFailure, ZeroVector
 from .forms import (
     DEFAULT_TOL,
+    KERNEL_FLOOR,
     Q_DIAG,
+    RANK_FLOOR,
+    RESIDUAL_FLOOR,
+    as_null_vec6,
     as_spinor,
     as_vec6,
     g_form,
-    is_null,
     projectivize,
     q_bilinear,
     q_form,
@@ -56,48 +59,52 @@ class IsotropicPlaneE:
     x2: np.ndarray
 
 
-def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:
-    """Validate and canonicalize an isotropic spinor representative
-    (largest-magnitude component scaled to 1)."""
+def _isotropic_spinor(v, tol: float) -> np.ndarray:
+    """The input gate of a spinor line: nonzero and isotropic at tol."""
     v = as_spinor(v)
     n2 = float(np.real(np.vdot(v, v)))
-    if n2 <= tol:
+    if not n2 > tol:
         raise ZeroVector("spinor line needs a nonzero representative")
-    if abs(g_form(v, v)) > tol * n2:
+    if not abs(g_form(v, v)) <= tol * n2:
         raise NotIsotropicSpinor(f"(v|v) = {g_form(v, v):g} is not zero")
+    return v
+
+
+def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:
+    """Validate (at tol exactly) and canonicalize an isotropic spinor
+    representative (largest-magnitude component scaled to 1)."""
+    v = _isotropic_spinor(v, tol)
     k = int(np.argmax(np.abs(v)))
     return SpinorLine(v / v[k])
 
 
 def isotropic_plane(x1, x2, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
-    """Validate a totally isotropic plane given by two basis vectors."""
+    """Validate a totally isotropic plane given by two basis vectors at
+    tol exactly."""
     x1 = as_vec6(x1)
     x2 = as_vec6(x2)
     scale = float(np.linalg.norm(x1) * np.linalg.norm(x2))
-    if scale <= tol:
+    if not scale > tol:
         raise ZeroVector("isotropic plane needs nonzero basis vectors")
     s = np.linalg.svd(np.vstack([x1, x2]), compute_uv=False)
-    if s[1] <= tol * s[0]:
+    if not s[1] > tol * s[0]:
         raise RankFailure("basis vectors are linearly dependent")
     for val in (q_form(x1), q_form(x2), q_bilinear(x1, x2)):
-        if abs(val) > tol * scale:
+        if not abs(val) <= tol * scale:
             raise NotNull(f"plane is not totally isotropic (pairing {val:g})")
     return IsotropicPlaneE(x1, x2)
 
 
 def partner_null_vector(x, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """A second null vector y with (x, y) = 1/2 exactly.
+    """A second null vector y with (x, y) = 1/2 exactly; tol is the input
+    gate of forms.as_null_vec6.
 
     Deterministic choice: take z = e_beta with beta the first index
     maximizing |(x, e_beta)|, then y = z / (2(x,z)) - (z,z) x / (4(x,z)^2).
     The pairing value 1/2 is what makes the composite operators of x and y
     idempotent.
     """
-    x = as_vec6(x)
-    if float(np.linalg.norm(x)) <= tol:
-        raise ZeroVector("partner of the zero vector is undefined")
-    if not is_null(x, tol):
-        raise NotNull(f"Q(x) = {q_form(x):g} is not null")
+    x = as_null_vec6(x, tol)
     beta = int(np.argmax(np.abs(x)))
     z = np.zeros(6)
     z[beta] = 1.0
@@ -105,35 +112,36 @@ def partner_null_vector(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     return z / (2.0 * xz) - q_form(z) * x / (4.0 * xz * xz)
 
 
-def _antilinear_kernel(x, tol: float) -> np.ndarray:
-    """Basis (rows) of the kernel of the antilinear operator of a null x.
+def _null_rows(m: np.ndarray, rel_tol: float, dim: int, what: str) -> np.ndarray:
+    """Rows of vh in the SVD of m spanning its null space, whose dimension
+    (singular values at most rel_tol times the largest) must be dim."""
+    _, s, vh = np.linalg.svd(m)
+    nullity = int(np.sum(s <= rel_tol * s[0]))
+    if nullity != dim:
+        raise RankFailure(f"{what} dimension {nullity} != {dim}")
+    return vh[len(vh) - dim:]
 
-    The matrix null space of X consists of vectors v with X v = 0; the
-    antilinear kernel is its conjugate, {u : X conj(u) = 0}, which is why
-    the rows of vh are used *without* conjugation.
-    """
-    xm = x_matrix(x).m
-    _, s, vh = np.linalg.svd(xm)
-    small = s <= tol * s[0]
-    if int(np.sum(small)) != 2:
-        raise RankFailure(
-            f"kernel dimension {int(np.sum(small))} != 2; input is not cleanly null"
-        )
-    return vh[2:]
+
+def _annihilator_system(v: np.ndarray) -> np.ndarray:
+    """The 8 x 6 real system of X(x) conj(v) = 0 in the real unknowns x."""
+    cols = np.stack([GAMMA[a] @ np.conj(v) for a in range(6)], axis=1)
+    return np.vstack([np.real(cols), np.imag(cols)])
 
 
 def null_to_spinor_plane(x, tol: float = DEFAULT_TOL) -> SpinorPlane:
     """Kernel plane of the antilinear operator of a null vector; scale
-    invariant, and totally isotropic for the spinor form."""
-    x = as_vec6(x)
-    if float(np.linalg.norm(x)) <= tol:
-        raise ZeroVector("null_to_spinor_plane needs a nonzero vector")
-    if not is_null(x, tol):
-        raise NotNull(f"Q(x) = {q_form(x):g} is not null")
-    # for anything past the nullity gate the two kernel singular values sit
-    # orders of magnitude below the top pair, so a loose threshold is safe
-    ker = _antilinear_kernel(x / np.linalg.norm(x), 1e-6)
-    return SpinorPlane(ker[0], ker[1])
+    invariant, and totally isotropic for the spinor form.  tol is the
+    input gate of forms.as_null_vec6; the kernel dimension is a
+    post-condition at max(tol, KERNEL_FLOOR).
+
+    The kernel of the antilinear operator is the conjugate of the matrix
+    null space of X, which is why the null rows of vh are used *without*
+    conjugation.
+    """
+    x = as_null_vec6(x, tol)
+    b1, b2 = _null_rows(x_matrix(x / np.linalg.norm(x)).m, max(tol, KERNEL_FLOOR),
+                        2, "kernel")
+    return SpinorPlane(b1, b2)
 
 
 def plane_to_spinor_line(n: IsotropicPlaneE, tol: float = DEFAULT_TOL) -> SpinorLine:
@@ -141,11 +149,12 @@ def plane_to_spinor_line(n: IsotropicPlaneE, tol: float = DEFAULT_TOL) -> Spinor
 
     The composite X(x1) . conj(X(x2)) of a totally isotropic pair has rank
     exactly 1, and changing the basis rescales the operator by the change
-    determinant, so the image line is an invariant of the plane.
+    determinant, so the image line is an invariant of the plane.  The rank
+    is a post-condition at max(tol, RANK_FLOOR); tol judges the line.
     """
     m = compose(x_matrix(n.x1), x_matrix(n.x2)).m
     u, s, _ = np.linalg.svd(m)
-    if s[0] <= tol or s[1] > max(tol, 1e-9) * s[0]:
+    if not (s[0] > tol and s[1] <= max(tol, RANK_FLOOR) * s[0]):
         raise RankFailure(
             f"composite operator rank is not 1 (singular values {s[:2]})"
         )
@@ -155,39 +164,22 @@ def plane_to_spinor_line(n: IsotropicPlaneE, tol: float = DEFAULT_TOL) -> Spinor
 def spinor_line_to_plane(v, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
     """All x whose antilinear operator annihilates the given isotropic
     spinor: 8 real equations in the 6 real coefficients, with a solution
-    space of dimension exactly 2."""
+    space of dimension exactly 2.  tol judges the spinor; the dimension
+    and the plane are post-conditions."""
     if isinstance(v, SpinorLine):
         v = v.rep
-    v = as_spinor(v)
-    n2 = float(np.real(np.vdot(v, v)))
-    if n2 <= tol:
-        raise ZeroVector("spinor line needs a nonzero representative")
-    if abs(g_form(v, v)) > tol * n2:
-        raise NotIsotropicSpinor(f"(v|v) = {g_form(v, v):g} is not zero")
-    cols = np.stack([GAMMA[a] @ np.conj(v) for a in range(6)], axis=1)
-    system = np.vstack([np.real(cols), np.imag(cols)])
-    _, s, vh = np.linalg.svd(system)
-    small = int(np.sum(s <= max(tol, 1e-9) * s[0]))
-    if small != 2:
-        raise RankFailure(f"solution space dimension {small} != 2")
-    return isotropic_plane(vh[4], vh[5], max(tol, 1e-8))
+    system = _annihilator_system(_isotropic_spinor(v, tol))
+    x1, x2 = _null_rows(system, max(tol, RANK_FLOOR), 2, "solution space")
+    return isotropic_plane(x1, x2, max(tol, RESIDUAL_FLOOR))
 
 
 def plane_from_spinor_plane(p: SpinorPlane, tol: float = DEFAULT_TOL):
     """The unique projective null class whose operator kernel is the given
-    isotropic spinor plane (inverse of null_to_spinor_plane)."""
-    blocks = []
-    for b in (p.b1, p.b2):
-        b = as_spinor(b)
-        cols = np.stack([GAMMA[a] @ np.conj(b) for a in range(6)], axis=1)
-        blocks.append(np.real(cols))
-        blocks.append(np.imag(cols))
-    system = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(system)
-    small = int(np.sum(s <= max(tol, 1e-9) * s[0]))
-    if small != 1:
-        raise RankFailure(f"annihilator dimension {small} != 1")
-    return projectivize(vh[5], max(tol, 1e-8))
+    isotropic spinor plane (inverse of null_to_spinor_plane); the
+    dimension and the class are post-conditions."""
+    system = np.vstack([_annihilator_system(as_spinor(b)) for b in (p.b1, p.b2)])
+    (x,) = _null_rows(system, max(tol, RANK_FLOOR), 1, "annihilator")
+    return projectivize(x, max(tol, RESIDUAL_FLOOR))
 
 
 def idempotent_pair(x, y=None, tol: float = DEFAULT_TOL):
@@ -209,7 +201,7 @@ def dual_isotropic_basis(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
     Each y starts as a least-squares solution of the pairing constraints
     and is then corrected along the plane (which leaves the constraints
     untouched, since the plane pairs to zero with itself) to restore
-    exact nullity.
+    exact nullity.  The pairing checks are a post-condition.
     """
     rows = np.vstack([as_vec6(n.x1) * Q_DIAG, as_vec6(n.x2) * Q_DIAG])
     y1, *_ = np.linalg.lstsq(rows, np.array([1.0, 0.0]), rcond=None)
@@ -228,7 +220,7 @@ def dual_isotropic_basis(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
         q_form(y1),
         q_form(y2),
     ]
-    if max(abs(c) for c in checks) > max(tol, 1e-8):
+    if not float(np.max(np.abs(checks))) <= max(tol, RESIDUAL_FLOOR):
         raise RankFailure("dual basis construction failed the pairing checks")
     return y1, y2
 
@@ -238,7 +230,13 @@ def four_idempotents(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
     products of P_i = x_i.y_i and their complements Q_i = y_i.x_i over a
     dual basis.  They multiply to zero pairwise, sum to the identity, and
     each has complex trace 1; the image of R1 is the image line of the
-    plane's composite operator."""
+    plane's composite operator.
+
+    They are built over a Euclidean-orthonormal basis of the same plane: a
+    nearly dependent basis makes the P_i far from orthogonal projectors,
+    and the rounding in the products grows with ||R||^2."""
+    q, _ = np.linalg.qr(np.stack([as_vec6(n.x1), as_vec6(n.x2)], axis=1))
+    n = IsotropicPlaneE(q[:, 0], q[:, 1])
     y1, y2 = dual_isotropic_basis(n, tol)
     p1, q1 = idempotent_pair(n.x1, y1, tol)
     p2, q2 = idempotent_pair(n.x2, y2, tol)
@@ -247,9 +245,9 @@ def four_idempotents(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
 
 def image_basis(m: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the image of a matrix, with the
-    dimension asserted rather than inferred."""
+    dimension asserted rather than inferred at max(tol, RANK_FLOOR)."""
     u, s, _ = np.linalg.svd(m)
-    got = int(np.sum(s > max(tol, 1e-9) * s[0]))
+    got = int(np.sum(s > max(tol, RANK_FLOOR) * s[0]))
     if got != dim:
         raise RankFailure(f"image dimension {got} != {dim}")
     return u[:, :dim]

@@ -32,6 +32,7 @@ from .forms import (
     DEFAULT_TOL,
     ProjectiveNullLine,
     as_vec6,
+    check_finite,
     projectivize,
     q_bilinear,
 )
@@ -80,9 +81,7 @@ def _vec3(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise InvalidEntity(f"expected a 3-vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidEntity("non-finite 3-vector")
-    return arr
+    return check_finite(arr, "3-vector")
 
 
 def _validate(ent: LieEntity) -> None:

@@ -30,7 +30,7 @@ from .clifford import (
     x_matrix,
 )
 from .errors import ActionLeavesSpan, NotInGammaSpan, NotNormalized
-from .forms import DEFAULT_TOL, G4, Q6, as_vec6, q_form
+from .forms import DEFAULT_TOL, G4, Q6, RESIDUAL_FLOOR, as_vec6, check_finite, q_form
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,7 @@ class ConformalMatrix6:
 
 
 def is_su22(m, tol: float = DEFAULT_TOL) -> bool:
+    """Membership of the pseudo-unitary group, judged at tol exactly."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4) or not np.isfinite(m).all():
         return False
@@ -61,15 +62,16 @@ def spin_from_vector_pair(x, xp, tol: float = DEFAULT_TOL) -> SpinElement:
 
     Requires |Q| = 1 on both inputs, and the two Q values must share a
     sign: for Q(x) Q(x') = -1 the composite satisfies m G m^dagger = -G,
-    which no rescaling repairs, so such pairs are rejected.
+    which no rescaling repairs, so such pairs are rejected.  tol judges
+    |Q| = 1; the composite's membership is a post-condition.
     """
     x = as_vec6(x)
     xp = as_vec6(xp)
     qx, qxp = q_form(x), q_form(xp)
-    if abs(abs(qx) - 1.0) > tol or abs(abs(qxp) - 1.0) > tol:
+    if not (abs(abs(qx) - 1.0) <= tol and abs(abs(qxp) - 1.0) <= tol):
         raise NotNormalized(f"|Q| must be 1 on both vectors (got {qx:g}, {qxp:g})")
     m = x_matrix(x).m @ np.conj(x_matrix(xp).m)
-    if not is_su22(m, max(tol, 1e-8)):
+    if not is_su22(m, max(tol, RESIDUAL_FLOOR)):
         raise NotNormalized(
             "composite is not pseudo-unitary; Q-signs of the pair must agree"
         )
@@ -78,11 +80,12 @@ def spin_from_vector_pair(x, xp, tol: float = DEFAULT_TOL) -> SpinElement:
 
 def spin_generate(pairs, tol: float = DEFAULT_TOL) -> SpinElement:
     """Ordered product over a list of unit-Q vector pairs; the empty
-    product is the identity."""
+    product is the identity.  tol judges each pair; the product's
+    membership is a post-condition."""
     m = np.eye(4, dtype=complex)
     for x, xp in pairs:
         m = m @ spin_from_vector_pair(x, xp, tol).m
-    if not is_su22(m, max(tol, 1e-8)):
+    if not is_su22(m, max(tol, RESIDUAL_FLOOR)):
         raise NotNormalized("generated product failed the membership checks")
     return SpinElement(m)
 
@@ -91,12 +94,13 @@ def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Transform a 6-vector through the bivector factor and read the
     coefficients back; preserves Q.  Raises ActionLeavesSpan when the
     transformed operator leaves the real generator span, which signals a
-    matrix that was never a group element."""
+    matrix that was never a group element (the span residual is a
+    post-condition), and InvalidEntity on non-finite input."""
     x = as_vec6(x)
-    sig = table_sum(x, SIGMA)
-    sig_t = s.m @ sig @ s.m.T
+    m = check_finite(s.m, "group element")
+    sig_t = m @ table_sum(x, SIGMA) @ m.T
     try:
-        return vector_from_op(AntilinearOp(sig_t @ G4), tol=max(tol, 1e-8))
+        return vector_from_op(AntilinearOp(sig_t @ G4), tol=max(tol, RESIDUAL_FLOOR))
     except NotInGammaSpan as exc:
         raise ActionLeavesSpan(str(exc)) from exc
 
@@ -108,11 +112,14 @@ def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix
     generator coefficients of M Sigma_b M^T G, that is
     L[a, b] = Re tr(M Sigma_b M^T G Gamma_a^dagger) / 4.  Each column's
     span residual is checked against that column's own scale, exactly as
-    vector_action checks one image, and raises ActionLeavesSpan.
+    vector_action checks one image, and raises ActionLeavesSpan; the span
+    and quadric residuals are post-conditions.
     """
-    ops = s.m @ SIGMA @ (s.m.T @ G4)
+    m = check_finite(s.m, "group element")
+    floor = max(tol, RESIDUAL_FLOOR)
+    ops = m @ SIGMA @ (m.T @ G4)
     try:
-        l = gamma_coeffs(ops, max(tol, 1e-8)).T
+        l = gamma_coeffs(ops, floor).T
     except NotInGammaSpan as exc:
         raise ActionLeavesSpan(str(exc)) from exc
     # gates are relative to the matrix scale: strong boosts legitimately
@@ -120,7 +127,7 @@ def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix
     scale = max(1.0, float(np.max(np.abs(l))) ** 2)
     qdev = float(np.max(np.abs(l @ Q6 @ l.T - Q6)))
     ddev = abs(np.linalg.det(l) - 1.0)
-    if qdev > max(tol, 1e-8) * scale or ddev > max(tol, 1e-8) * scale ** 3:
+    if not (qdev <= floor * scale and ddev <= floor * scale ** 3):
         raise ActionLeavesSpan(
             f"action matrix violates the quadric invariants (Q dev {qdev:g}, det dev {ddev:g})"
         )
@@ -130,15 +137,14 @@ def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix
 def is_so_plus(l, tol: float = DEFAULT_TOL) -> bool:
     """Membership in the identity component: Q-orthogonal, det 1, and
     positive determinant on the negative-signature plane (coordinates 4
-    and 6)."""
+    and 6), each judged at tol exactly."""
     if isinstance(l, ConformalMatrix6):
         l = l.l
     l = np.asarray(l, dtype=float)
     if l.shape != (6, 6) or not np.isfinite(l).all():
         return False
-    if float(np.max(np.abs(l @ Q6 @ l.T - Q6))) > tol:
-        return False
-    if abs(np.linalg.det(l) - 1.0) > tol:
+    if not (float(np.max(np.abs(l @ Q6 @ l.T - Q6))) <= tol
+            and abs(np.linalg.det(l) - 1.0) <= tol):
         return False
     minor = l[np.ix_([3, 5], [3, 5])]
     return float(np.linalg.det(minor)) > 0.0

@@ -10,6 +10,7 @@ float-bearing lives in the other suites.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,12 +84,14 @@ class _Collector:
         self.worst = 0.0
 
     def dev(self, value: float):
-        self.n += 1
-        self.worst = max(self.worst, float(value))
+        self.bulk(1, value)
 
     def bulk(self, checks: int, worst: float):
         self.n += checks
-        self.worst = max(self.worst, float(worst))
+        worst = float(worst)
+        # max() would drop a NaN that follows a finite value; keep it
+        if worst > self.worst or math.isnan(worst):
+            self.worst = worst
 
     def ok(self, flag: bool):
         self.dev(0.0 if flag else 1.0)

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from spin42.cli import main, to_json
 from spin42.isotropic import same_span
+from spin42.suites import _Collector
 
 runner = CliRunner()
 
@@ -28,6 +29,10 @@ def test_to_json_formatting():
     assert to_json(None) == "null"
     assert to_json(1 + 2j) == "[1,2]"
     assert to_json(np.array([1.0, 2.0])) == "[1,2]"
+    # non-finite floats in the form json.loads reads back
+    text = to_json([float("nan"), float("inf"), -np.inf])
+    assert text == "[NaN,Infinity,-Infinity]"
+    assert np.isnan(json.loads(text)[0]) and json.loads(text)[1:] == [np.inf, -np.inf]
     with pytest.raises(TypeError):
         to_json(object())
 
@@ -104,6 +109,31 @@ def test_verify_checks_run_per_suite_is_unchanged():
                       "hodge": 445, "spin": 815, "isotropic": 4750,
                       "liesphere": 1884}
     assert sum(checks.values()) == 10949
+
+
+@pytest.mark.parametrize("seed, count, checks", [(1988601454, 500, 4750),
+                                                  (707791659, 100, 950)])
+def test_verify_isotropic_ill_conditioned_seeds(seed, count, checks):
+    # these seeds draw planes whose sampled bases are nearly dependent
+    result = runner.invoke(main, ["verify", "--suite", "isotropic", "--seed",
+                                  str(seed), "--count", str(count), "--json"])
+    assert result.exit_code == 0
+    _, suite = _lines(result)
+    assert suite["passed"] is True and suite["checks_run"] == checks
+
+
+def test_collector_keeps_nan():
+    c = _Collector()
+    c.dev(1e-12)
+    c.dev(float("nan"))
+    c.dev(1e-15)
+    c.bulk(3, 0.5)
+    res = c.result("x", 1e-9)
+    assert res.checks_run == 6 and np.isnan(res.max_deviation) and not res.passed
+    c = _Collector()
+    c.bulk(2, float("nan"))
+    c.dev(1.0)
+    assert np.isnan(c.worst)
 
 
 def test_verify_is_deterministic_across_processes():
@@ -241,6 +271,30 @@ def test_correspond_contract_and_usage_errors():
     assert result.exit_code == 2
     result = runner.invoke(main, ["correspond", "line-to-plane", "[1, 0, 0, 0]"])
     assert result.exit_code == 3  # not isotropic
+    result = runner.invoke(main, ["correspond", "plane-to-line",
+                                  '{"basis": [[1, 0, 0, 1, 0, 0]]}'])
+    assert result.exit_code == 2
+
+
+_IDENTITY = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+
+
+@pytest.mark.parametrize("args", [
+    ["invert", "[NaN, 0, 0, 0, 1, 1]"],
+    ["correspond", "null-to-plane", "[NaN, 0, 0, 0, 1, 1]"],
+    ["correspond", "plane-to-line", '{"basis": [[Infinity,0,0,1,0,0],[0,1,0,0,0,1]]}'],
+    ["correspond", "line-to-plane", "[[NaN, 0], 1, 0, 0]"],
+    ["act", _IDENTITY, "[NaN, 0, 0, 0, 1, 1]"],
+    ["act", "[[NaN,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]", "[1, 0, 0, 0, 0, 0]"],
+    ["embed", '{"point": [NaN, 0, 0]}'],
+    ["embed", '{"sphere": {"center": [0, 0, 0]}}'],
+    ["embed", '{"plane": 5}'],
+])
+def test_non_finite_or_incomplete_payload_is_contract_violation(args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("contract violation") and result.stderr.count("\n") == 1
 
 
 def test_act_identity():
@@ -267,6 +321,26 @@ def test_act_rejects_non_member():
     result = runner.invoke(main, ["act", two, "[1, 0, 0, 0, 0, 0]"])
     assert result.exit_code == 3
     assert "membership" in result.stderr
+
+
+def test_act_tol_gates_membership_exactly():
+    def scalar_i(c):
+        return json.dumps([[[0, c] if r == k else 0 for k in range(4)] for r in range(4)])
+
+    # (1 + 3e-10) i I deviates by 6e-10 in m G m^dagger and 1.2e-9 in det
+    near = scalar_i(1.0000000003)
+    result = runner.invoke(main, ["act", "--tol", "1e-12", near, "[1, 2, 3, 4, 5, 6]"])
+    assert result.exit_code == 3
+    assert "membership" in result.stderr
+    assert runner.invoke(main, ["act", near, "[1, 2, 3, 4, 5, 6]"]).exit_code == 3
+    result = runner.invoke(main, ["act", "--tol", "1e-8", near, "[1, 2, 3, 4, 5, 6]"])
+    assert result.exit_code == 0
+    # --tol reaches the covering matrix and the action: their quadric
+    # residual of 4e-5 passes at tol 1e-3
+    result = runner.invoke(main, ["act", "--tol", "1e-3", scalar_i(1.00001),
+                                  "[1, 2, 3, 4, 5, 6]"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["q_residual"] == pytest.approx(4e-5, rel=1e-3)
 
 
 def test_act_bad_matrix_shape_is_usage_error():

@@ -167,6 +167,11 @@ def test_clifford_relations_report():
     corrupted[0] = 2 * corrupted[0]
     bad = check_clifford_relations(tol=1e-9, gamma_table=corrupted)
     assert not bad.passed and bad.max_deviation >= 2.0
+    # a NaN deviation fails the audit instead of vanishing from the maximum
+    corrupted = GAMMA.copy()
+    corrupted[2, 0, 2] = np.nan
+    bad = check_clifford_relations(tol=1e-9, gamma_table=corrupted)
+    assert not bad.passed and np.isnan(bad.max_deviation)
 
 
 def test_sigma_selfduality_exact():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from spin42.errors import NotNull, ZeroVector
 from spin42.forms import (
     ProjectiveNullLine,
-    Tolerance,
     canonicalize,
     g_form,
     is_null,
@@ -120,10 +119,3 @@ def test_class_equality_is_componentwise():
     assert a.same_class([1, 0, 0, 1, 0, 0])
     assert not a.same_class([0, 1, 1, 0, 0, 0])
 
-
-def test_tolerance_must_be_positive():
-    Tolerance()
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(rank_rel_tol=-1.0)

@@ -3,6 +3,7 @@ import pytest
 
 from spin42.clifford import apply, x_matrix
 from spin42.errors import (
+    InvalidEntity,
     NotIsotropicSpinor,
     NotNull,
     RankFailure,
@@ -265,6 +266,24 @@ def test_four_idempotents_algebra():
             assert np.max(np.abs(rb @ ra)) < 1e-8
 
 
+def test_four_idempotents_ill_conditioned_basis():
+    import itertools
+
+    rng = np.random.default_rng(63)
+    for _ in range(10):
+        n = random_isotropic_plane(rng)
+        # a basis of the same plane with condition number about 1e7
+        x2 = n.x1 + 1e-7 * n.x2
+        assert np.linalg.cond(np.stack([n.x1, x2], axis=1)) >= 1e6
+        rs = four_idempotents(IsotropicPlaneE(n.x1, x2))
+        for ra, rb in itertools.combinations(rs, 2):
+            assert np.max(np.abs(ra @ rb)) <= 1e-14
+        line = plane_to_spinor_line(n)
+        img = image_basis(rs[0], 1)
+        overlap = abs(np.vdot(img[:, 0], line.rep)) / np.linalg.norm(line.rep)
+        assert overlap == pytest.approx(1.0, abs=1e-8)
+
+
 def test_first_idempotent_image_is_plane_line():
     rng = np.random.default_rng(62)
     for _ in range(20):
@@ -290,3 +309,20 @@ def test_same_span_basics():
     assert same_span(a, b)
     assert not same_span(a, c)
     assert not same_span(a, np.eye(6))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_raises(bad):
+    x = np.array([bad, 0, 0, 0, 1, 1])
+    v = np.array([bad, 1, -1, 0], dtype=complex)
+    calls = [
+        lambda: projectivize(x),
+        lambda: partner_null_vector(x),
+        lambda: null_to_spinor_plane(x),
+        lambda: isotropic_plane(x, X2),
+        lambda: spinor_line_to_plane(v),
+        lambda: plane_from_spinor_plane(SpinorPlane(v, v)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidEntity):
+            call()

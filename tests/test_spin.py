@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spin42.errors import ActionLeavesSpan, NotNormalized
+from spin42.clifford import AntilinearOp, vector_from_op
+from spin42.errors import ActionLeavesSpan, InvalidEntity, NotNormalized
 from spin42.forms import G4, Q6, q_form
 from spin42.sampling import random_spin_element, random_unit_q_vec6
 from spin42.spin import (
@@ -209,3 +210,17 @@ def test_conformal_matrix_wrapper():
     l = covering_matrix(SpinElement(I4))
     assert isinstance(l, ConformalMatrix6)
     assert is_so_plus(l)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_raises(bad):
+    m = I4.copy()
+    m[0, 0] = bad
+    with pytest.raises(InvalidEntity):
+        covering_matrix(SpinElement(m))
+    with pytest.raises(InvalidEntity):
+        vector_action(SpinElement(m), E6[0])
+    with pytest.raises(InvalidEntity):
+        vector_action(SpinElement(I4), np.array([bad, 0, 0, 0, 1, 1]))
+    with pytest.raises(InvalidEntity):
+        vector_from_op(AntilinearOp(m))
