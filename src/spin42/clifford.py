@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IndexOutOfRange, NotInGammaSpan
-from .forms import DEFAULT_TOL, G4, Q_DIAG, as_spinor, as_vec6, check_finite, q_form
+from .forms import DEFAULT_TOL, G4, Q_DIAG, _q, as_spinor, as_vec6, check_finite
 
 _i = 1j
 
@@ -202,19 +202,32 @@ def check_clifford_relations(tol: float = 0.0, gamma_table=None) -> CheckReport:
     return CheckReport(checks_run=devs.size, max_deviation=worst, passed=worst <= tol)
 
 
+@lru_cache(maxsize=None)
+def _selfdual_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The constant contractions of 1/2 eps G G as 16 x 16 tables acting on
+    flattened 4x4 matrices: S with (S sigma)_ij = 1/2 eps^{ijkl} G_km G_ln
+    sigma_mn, and R with (R x)_ij = 1/2 eps^{imnk} G_mj G_nl x_lk.  Their
+    entries are 0 and +-1/2, so both stay exact on the table lattice."""
+    sd = 0.5 * np.einsum("ijkl,km,ln->ijmn", EPS4, G4, G4).reshape(16, 16)
+    re = 0.5 * np.einsum("imnk,mj,nl->ijlk", EPS4, G4, G4).reshape(16, 16)
+    sd.setflags(write=False)
+    re.setflags(write=False)
+    return sd, re
+
+
 def check_sigma_selfduality(tol: float = 0.0) -> CheckReport:
     """Entrywise audit of conj(Sigma^ij) = 1/2 eps^{ijkl} G_km G_ln Sigma^mn
     with eps^{1234} = +1; exact for the shipped tables."""
-    rhs = 0.5 * np.einsum("ijkl,km,ln,amn->aij", EPS4, G4, G4, SIGMA)
-    worst = float(np.max(np.abs(np.conj(SIGMA) - rhs)))
+    rhs = SIGMA.reshape(6, 16) @ _selfdual_tables()[0].T
+    worst = float(np.max(np.abs(np.conj(SIGMA).reshape(6, 16) - rhs)))
     return CheckReport(checks_run=len(SIGMA), max_deviation=worst, passed=worst <= tol)
 
 
 def reality_residual(x) -> float:
     """Max entrywise deviation in the reality condition
     conj(X)^i_j = 1/2 eps^{imnk} G_mj G_nl X^l_k."""
-    xm = x_matrix(x).m
-    rhs = 0.5 * np.einsum("imnk,mj,nl,lk->ij", EPS4, G4, G4, xm)
+    xm = x_matrix(x).m.reshape(16)
+    rhs = _selfdual_tables()[1] @ xm
     return float(np.max(np.abs(np.conj(xm) - rhs)))
 
 
@@ -227,5 +240,5 @@ def det_identity(x) -> tuple[float, float]:
     """Return (det X(x) as a real number, Q(x)^2); the two must agree and
     the determinant's imaginary part must vanish."""
     x = as_vec6(x)
-    d = det4(x_matrix(x).m)
-    return float(d.real), q_form(x) ** 2
+    d = det4(table_sum(x, GAMMA))
+    return float(d.real), _q(x) ** 2

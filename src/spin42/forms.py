@@ -63,43 +63,60 @@ def as_spinor(s) -> np.ndarray:
     return check_finite(arr, "spinor")
 
 
-def q_form(x) -> float:
-    """Q(x) = x1^2 + x2^2 + x3^2 - x4^2 + x5^2 - x6^2."""
-    x = as_vec6(x)
+# Kernels: the `_`-prefixed functions take arrays that already passed
+# as_vec6/as_spinor (or that the library computed from such arrays) and do
+# only the arithmetic; the public functions validate once and call them.
+
+
+def _q(x: np.ndarray) -> float:
     return float(np.dot(x, Q_DIAG * x))
 
 
-def q_bilinear(x, y) -> float:
-    """The symmetric pairing (x, y) with (x, x) = Q(x)."""
-    x = as_vec6(x)
-    y = as_vec6(y)
+def _qb(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, Q_DIAG * y))
 
 
-def g_form(s, t) -> complex:
-    """Pseudo-Hermitian form on spinors, conjugating the second argument."""
-    s = as_spinor(s)
-    t = as_spinor(t)
+def _g(s: np.ndarray, t: np.ndarray) -> complex:
     return complex(np.dot(s, G_DIAG * np.conj(t)))
 
 
-def is_null(x, tol: float = DEFAULT_TOL) -> bool:
-    """Nullity relative to the squared Euclidean norm, so rescaling a null
-    vector never flips its status."""
-    x = as_vec6(x)
-    n2 = float(np.dot(x, x))
-    return abs(q_form(x)) <= tol * n2
+def _null(x: np.ndarray, tol: float) -> bool:
+    return abs(_q(x)) <= tol * float(np.dot(x, x))
 
 
-def canonicalize(x) -> np.ndarray:
-    """Scale so the largest-magnitude component becomes +1 (first such
-    index on ties), and normalize -0.0 to +0.0."""
-    x = as_vec6(x)
+def _canon(x: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(x)))
     if x[k] == 0.0:
         raise ZeroVector("cannot canonicalize the zero vector")
     rep = x / x[k]
     return rep + 0.0
+
+
+def q_form(x) -> float:
+    """Q(x) = x1^2 + x2^2 + x3^2 - x4^2 + x5^2 - x6^2."""
+    return _q(as_vec6(x))
+
+
+def q_bilinear(x, y) -> float:
+    """The symmetric pairing (x, y) with (x, x) = Q(x)."""
+    return _qb(as_vec6(x), as_vec6(y))
+
+
+def g_form(s, t) -> complex:
+    """Pseudo-Hermitian form on spinors, conjugating the second argument."""
+    return _g(as_spinor(s), as_spinor(t))
+
+
+def is_null(x, tol: float = DEFAULT_TOL) -> bool:
+    """Nullity relative to the squared Euclidean norm, so rescaling a null
+    vector never flips its status."""
+    return _null(as_vec6(x), tol)
+
+
+def canonicalize(x) -> np.ndarray:
+    """Scale so the largest-magnitude component becomes +1 (first such
+    index on ties), and normalize -0.0 to +0.0."""
+    return _canon(as_vec6(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,19 +138,26 @@ class ProjectiveNullLine:
         return self.same_class(other)
 
 
+def _null_gate(x: np.ndarray, tol: float) -> np.ndarray:
+    if not float(np.linalg.norm(x)) > tol:
+        raise ZeroVector("a null class needs a nonzero vector")
+    if not _null(x, tol):
+        raise NotNull(f"Q(x) = {_q(x):g} is not null at tolerance {tol:g}")
+    return x
+
+
 def as_null_vec6(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The input gate of every null-class operation: ZeroVector when
     ||x|| <= tol, NotNull when |Q(x)| > tol * ||x||^2."""
-    x = as_vec6(x)
-    if not float(np.linalg.norm(x)) > tol:
-        raise ZeroVector("a null class needs a nonzero vector")
-    if not is_null(x, tol):
-        raise NotNull(f"Q(x) = {q_form(x):g} is not null at tolerance {tol:g}")
-    return x
+    return _null_gate(as_vec6(x), tol)
+
+
+def _projective(x: np.ndarray, tol: float) -> ProjectiveNullLine:
+    rep = _canon(_null_gate(x, tol))
+    rep.setflags(write=False)
+    return ProjectiveNullLine(rep)
 
 
 def projectivize(x, tol: float = DEFAULT_TOL) -> ProjectiveNullLine:
     """Canonical projective class of a nonzero null vector, gated at tol."""
-    rep = canonicalize(as_null_vec6(x, tol))
-    rep.setflags(write=False)
-    return ProjectiveNullLine(rep)
+    return _projective(as_vec6(x), tol)

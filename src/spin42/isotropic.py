@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GAMMA, compose, x_matrix
+from .clifford import GAMMA, table_sum
 from .errors import NotIsotropicSpinor, NotNull, RankFailure, ZeroVector
 from .forms import (
     DEFAULT_TOL,
@@ -26,13 +26,14 @@ from .forms import (
     Q_DIAG,
     RANK_FLOOR,
     RESIDUAL_FLOOR,
+    _g,
+    _null_gate,
+    _projective,
+    _q,
+    _qb,
     as_null_vec6,
     as_spinor,
     as_vec6,
-    g_form,
-    projectivize,
-    q_bilinear,
-    q_form,
 )
 
 
@@ -59,40 +60,55 @@ class IsotropicPlaneE:
     x2: np.ndarray
 
 
-def _isotropic_spinor(v, tol: float) -> np.ndarray:
-    """The input gate of a spinor line: nonzero and isotropic at tol."""
-    v = as_spinor(v)
+def _isotropic_gate(v: np.ndarray, tol: float) -> np.ndarray:
+    """The input gate of a spinor line, on a checked spinor: nonzero
+    (||v|| > tol) and isotropic (|(v|v)| <= tol ||v||^2)."""
     n2 = float(np.real(np.vdot(v, v)))
-    if not n2 > tol:
+    if not np.sqrt(n2) > tol:
         raise ZeroVector("spinor line needs a nonzero representative")
-    if not abs(g_form(v, v)) <= tol * n2:
-        raise NotIsotropicSpinor(f"(v|v) = {g_form(v, v):g} is not zero")
+    vv = _g(v, v)
+    if not abs(vv) <= tol * n2:
+        raise NotIsotropicSpinor(f"(v|v) = {vv:g} is not zero")
     return v
+
+
+def _spinor_line(v: np.ndarray, tol: float) -> SpinorLine:
+    v = _isotropic_gate(v, tol)
+    k = int(np.argmax(np.abs(v)))
+    return SpinorLine(v / v[k])
 
 
 def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:
     """Validate (at tol exactly) and canonicalize an isotropic spinor
     representative (largest-magnitude component scaled to 1)."""
-    v = _isotropic_spinor(v, tol)
-    k = int(np.argmax(np.abs(v)))
-    return SpinorLine(v / v[k])
+    return _spinor_line(as_spinor(v), tol)
 
 
-def isotropic_plane(x1, x2, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
-    """Validate a totally isotropic plane given by two basis vectors at
-    tol exactly."""
-    x1 = as_vec6(x1)
-    x2 = as_vec6(x2)
+def _isotropic_plane(x1: np.ndarray, x2: np.ndarray, tol: float) -> IsotropicPlaneE:
     scale = float(np.linalg.norm(x1) * np.linalg.norm(x2))
     if not scale > tol:
         raise ZeroVector("isotropic plane needs nonzero basis vectors")
     s = np.linalg.svd(np.vstack([x1, x2]), compute_uv=False)
     if not s[1] > tol * s[0]:
         raise RankFailure("basis vectors are linearly dependent")
-    for val in (q_form(x1), q_form(x2), q_bilinear(x1, x2)):
+    for val in (_q(x1), _q(x2), _qb(x1, x2)):
         if not abs(val) <= tol * scale:
             raise NotNull(f"plane is not totally isotropic (pairing {val:g})")
     return IsotropicPlaneE(x1, x2)
+
+
+def isotropic_plane(x1, x2, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
+    """Validate a totally isotropic plane given by two basis vectors at
+    tol exactly."""
+    return _isotropic_plane(as_vec6(x1), as_vec6(x2), tol)
+
+
+def _partner(x: np.ndarray) -> np.ndarray:
+    beta = int(np.argmax(np.abs(x)))
+    z = np.zeros(6)
+    z[beta] = 1.0
+    xz = _qb(x, z)
+    return z / (2.0 * xz) - _q(z) * x / (4.0 * xz * xz)
 
 
 def partner_null_vector(x, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -104,12 +120,7 @@ def partner_null_vector(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     The pairing value 1/2 is what makes the composite operators of x and y
     idempotent.
     """
-    x = as_null_vec6(x, tol)
-    beta = int(np.argmax(np.abs(x)))
-    z = np.zeros(6)
-    z[beta] = 1.0
-    xz = q_bilinear(x, z)
-    return z / (2.0 * xz) - q_form(z) * x / (4.0 * xz * xz)
+    return _partner(as_null_vec6(x, tol))
 
 
 def _null_rows(m: np.ndarray, rel_tol: float, dim: int, what: str) -> np.ndarray:
@@ -139,8 +150,8 @@ def null_to_spinor_plane(x, tol: float = DEFAULT_TOL) -> SpinorPlane:
     conjugation.
     """
     x = as_null_vec6(x, tol)
-    b1, b2 = _null_rows(x_matrix(x / np.linalg.norm(x)).m, max(tol, KERNEL_FLOOR),
-                        2, "kernel")
+    b1, b2 = _null_rows(table_sum(x / np.linalg.norm(x), GAMMA),
+                        max(tol, KERNEL_FLOOR), 2, "kernel")
     return SpinorPlane(b1, b2)
 
 
@@ -152,13 +163,13 @@ def plane_to_spinor_line(n: IsotropicPlaneE, tol: float = DEFAULT_TOL) -> Spinor
     determinant, so the image line is an invariant of the plane.  The rank
     is a post-condition at max(tol, RANK_FLOOR); tol judges the line.
     """
-    m = compose(x_matrix(n.x1), x_matrix(n.x2)).m
+    m = table_sum(as_vec6(n.x1), GAMMA) @ np.conj(table_sum(as_vec6(n.x2), GAMMA))
     u, s, _ = np.linalg.svd(m)
     if not (s[0] > tol and s[1] <= max(tol, RANK_FLOOR) * s[0]):
         raise RankFailure(
             f"composite operator rank is not 1 (singular values {s[:2]})"
         )
-    return spinor_line(u[:, 0], tol)
+    return _spinor_line(u[:, 0], tol)
 
 
 def spinor_line_to_plane(v, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
@@ -168,9 +179,9 @@ def spinor_line_to_plane(v, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
     and the plane are post-conditions."""
     if isinstance(v, SpinorLine):
         v = v.rep
-    system = _annihilator_system(_isotropic_spinor(v, tol))
+    system = _annihilator_system(_isotropic_gate(as_spinor(v), tol))
     x1, x2 = _null_rows(system, max(tol, RANK_FLOOR), 2, "solution space")
-    return isotropic_plane(x1, x2, max(tol, RESIDUAL_FLOOR))
+    return _isotropic_plane(x1, x2, max(tol, RESIDUAL_FLOOR))
 
 
 def plane_from_spinor_plane(p: SpinorPlane, tol: float = DEFAULT_TOL):
@@ -179,20 +190,46 @@ def plane_from_spinor_plane(p: SpinorPlane, tol: float = DEFAULT_TOL):
     dimension and the class are post-conditions."""
     system = np.vstack([_annihilator_system(as_spinor(b)) for b in (p.b1, p.b2)])
     (x,) = _null_rows(system, max(tol, RANK_FLOOR), 1, "annihilator")
-    return projectivize(x, max(tol, RESIDUAL_FLOOR))
+    return _projective(x, max(tol, RESIDUAL_FLOOR))
+
+
+def _idempotents(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    xm = table_sum(x, GAMMA)
+    ym = table_sum(y, GAMMA)
+    return xm @ np.conj(ym), ym @ np.conj(xm)
 
 
 def idempotent_pair(x, y=None, tol: float = DEFAULT_TOL):
     """Composites P = x.y and Q = y.x for a null vector and a partner with
     (x, y) = 1/2; both are idempotent, sum to the identity, and have
-    complex trace 2.  Returned as plain 4x4 matrices."""
+    complex trace 2.  Returned as plain 4x4 matrices.  Without y, the
+    partner is partner_null_vector(x, tol)."""
     x = as_vec6(x)
-    if y is None:
-        y = partner_null_vector(x, tol)
-    y = as_vec6(y)
-    p = compose(x_matrix(x), x_matrix(y)).m
-    q = compose(x_matrix(y), x_matrix(x)).m
-    return p, q
+    y = _partner(_null_gate(x, tol)) if y is None else as_vec6(y)
+    return _idempotents(x, y)
+
+
+def _dual_basis(x1: np.ndarray, x2: np.ndarray, tol: float):
+    rows = np.vstack([x1 * Q_DIAG, x2 * Q_DIAG])
+    y1, *_ = np.linalg.lstsq(rows, np.array([1.0, 0.0]), rcond=None)
+    y1 = y1 - (_q(y1) / 2.0) * x1
+    y1 = y1 / 2.0
+    rows2 = np.vstack([rows, y1 * Q_DIAG])
+    y2, *_ = np.linalg.lstsq(rows2, np.array([0.0, 1.0, 0.0]), rcond=None)
+    y2 = y2 - (_q(y2) / 2.0) * x2
+    y2 = y2 / 2.0
+    checks = [
+        _qb(x1, y1) - 0.5,
+        _qb(x2, y2) - 0.5,
+        _qb(x1, y2),
+        _qb(x2, y1),
+        _qb(y1, y2),
+        _q(y1),
+        _q(y2),
+    ]
+    if not float(np.max(np.abs(checks))) <= max(tol, RESIDUAL_FLOOR):
+        raise RankFailure("dual basis construction failed the pairing checks")
+    return y1, y2
 
 
 def dual_isotropic_basis(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
@@ -203,26 +240,7 @@ def dual_isotropic_basis(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
     untouched, since the plane pairs to zero with itself) to restore
     exact nullity.  The pairing checks are a post-condition.
     """
-    rows = np.vstack([as_vec6(n.x1) * Q_DIAG, as_vec6(n.x2) * Q_DIAG])
-    y1, *_ = np.linalg.lstsq(rows, np.array([1.0, 0.0]), rcond=None)
-    y1 = y1 - (q_form(y1) / 2.0) * n.x1
-    y1 = y1 / 2.0
-    rows2 = np.vstack([rows, y1 * Q_DIAG])
-    y2, *_ = np.linalg.lstsq(rows2, np.array([0.0, 1.0, 0.0]), rcond=None)
-    y2 = y2 - (q_form(y2) / 2.0) * n.x2
-    y2 = y2 / 2.0
-    checks = [
-        q_bilinear(n.x1, y1) - 0.5,
-        q_bilinear(n.x2, y2) - 0.5,
-        q_bilinear(n.x1, y2),
-        q_bilinear(n.x2, y1),
-        q_bilinear(y1, y2),
-        q_form(y1),
-        q_form(y2),
-    ]
-    if not float(np.max(np.abs(checks))) <= max(tol, RESIDUAL_FLOOR):
-        raise RankFailure("dual basis construction failed the pairing checks")
-    return y1, y2
+    return _dual_basis(as_vec6(n.x1), as_vec6(n.x2), tol)
 
 
 def four_idempotents(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
@@ -236,10 +254,10 @@ def four_idempotents(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
     nearly dependent basis makes the P_i far from orthogonal projectors,
     and the rounding in the products grows with ||R||^2."""
     q, _ = np.linalg.qr(np.stack([as_vec6(n.x1), as_vec6(n.x2)], axis=1))
-    n = IsotropicPlaneE(q[:, 0], q[:, 1])
-    y1, y2 = dual_isotropic_basis(n, tol)
-    p1, q1 = idempotent_pair(n.x1, y1, tol)
-    p2, q2 = idempotent_pair(n.x2, y2, tol)
+    x1, x2 = q[:, 0], q[:, 1]
+    y1, y2 = _dual_basis(x1, x2, tol)
+    p1, q1 = _idempotents(x1, y1)
+    p2, q2 = _idempotents(x2, y2)
     return p1 @ p2, p1 @ q2, q1 @ p2, q1 @ q2
 
 

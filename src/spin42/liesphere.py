@@ -31,10 +31,10 @@ from .errors import InvalidEntity, Unclassifiable
 from .forms import (
     DEFAULT_TOL,
     ProjectiveNullLine,
-    as_vec6,
+    _projective,
+    _qb,
     check_finite,
     projectivize,
-    q_bilinear,
 )
 
 
@@ -198,7 +198,7 @@ def fixed_sphere_probe(samples: int, rng=None) -> InfinityReport:
         while np.linalg.norm(n) < 1e-3:
             n = rng.normal(size=3)
         n = n / np.linalg.norm(n)
-        cls = projectivize(np.array([n[0], n[1], n[2], 1.0, 0.0, 0.0]))
+        cls = _projective(np.array([n[0], n[1], n[2], 1.0, 0.0, 0.0]), DEFAULT_TOL)
         drift = float(np.max(np.abs(conformal_inversion(cls).rep - cls.rep)))
         max_drift = max(max_drift, drift)
         min_residual = min(min_residual, _lightcone_match_residual(cls.rep))
@@ -220,4 +220,4 @@ def oriented_contact(a: LieEntity, b: LieEntity, tol: float = DEFAULT_TOL) -> bo
     ra = embed_rep(a)
     rb = embed_rep(b)
     scale = float(np.linalg.norm(ra) * np.linalg.norm(rb))
-    return abs(q_bilinear(ra, rb)) <= tol * max(scale, 1.0)
+    return abs(_qb(ra, rb)) <= tol * max(scale, 1.0)

@@ -21,16 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
+    GAMMA,
     SIGMA,
     AntilinearOp,
     det4,
     gamma_coeffs,
     table_sum,
     vector_from_op,
-    x_matrix,
 )
 from .errors import ActionLeavesSpan, NotInGammaSpan, NotNormalized
-from .forms import DEFAULT_TOL, G4, Q6, RESIDUAL_FLOOR, as_vec6, check_finite, q_form
+from .forms import DEFAULT_TOL, G4, Q6, RESIDUAL_FLOOR, _q, as_vec6, check_finite
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,10 @@ def spin_from_vector_pair(x, xp, tol: float = DEFAULT_TOL) -> SpinElement:
     """
     x = as_vec6(x)
     xp = as_vec6(xp)
-    qx, qxp = q_form(x), q_form(xp)
+    qx, qxp = _q(x), _q(xp)
     if not (abs(abs(qx) - 1.0) <= tol and abs(abs(qxp) - 1.0) <= tol):
         raise NotNormalized(f"|Q| must be 1 on both vectors (got {qx:g}, {qxp:g})")
-    m = x_matrix(x).m @ np.conj(x_matrix(xp).m)
+    m = table_sum(x, GAMMA) @ np.conj(table_sum(xp, GAMMA))
     if not is_su22(m, max(tol, RESIDUAL_FLOOR)):
         raise NotNormalized(
             "composite is not pseudo-unitary; Q-signs of the pair must agree"

@@ -40,7 +40,7 @@ from .exterior import (
     phi_inverse,
     wedge,
 )
-from .forms import G4, Q6, Q_DIAG, g_form, q_bilinear, q_form, projectivize
+from .forms import G4, Q6, Q_DIAG, _canon, _g, _q, _qb
 from .isotropic import (
     IsotropicPlaneE,
     four_idempotents,
@@ -150,7 +150,7 @@ def suite_selfdual(seed: int, count: int, tol: float) -> SuiteResult:
         c.dev(kv_norm(kv_add(hodge_star(b), kv_scale(-1.0, b))))
         c.dev(kv_norm(kv_add(hodge_star(kv_scale(1j, b)), kv_scale(1j, b))))
         y = rng.normal(size=6)
-        c.dev(abs(herm_inner(phi(x), phi(y)) - (-q_bilinear(x, y))))
+        c.dev(abs(herm_inner(phi(x), phi(y)) - (-_qb(x, y))))
     return c.result("selfdual", tol, errata.notes("selfdual"))
 
 
@@ -179,7 +179,7 @@ def suite_exterior(seed: int, count: int, tol: float) -> SuiteResult:
         x = sampling.random_null_vec6(rng)
         c.ok(is_decomposable(phi(x)))
         c.dev(kv_norm(kv_add(wedge(phi(x), phi(x)),
-                             kv_scale(q_form(x), basis_kvector((1, 2, 3, 4))))))
+                             kv_scale(_q(x), basis_kvector((1, 2, 3, 4))))))
     for _ in range(half):
         x = sampling.random_nonnull_vec6(rng)
         c.ok(not is_decomposable(phi(x)))
@@ -228,7 +228,7 @@ def suite_spin(seed: int, count: int, tol: float) -> SuiteResult:
         c.ok(is_su22(s.m, 1e-8))
         c.dev(_mat_dev(s.m @ G4 @ s.m.conj().T, G4))
         x = rng.normal(size=6)
-        c.dev(abs(q_form(vector_action(s, x)) - q_form(x)))
+        c.dev(abs(_q(vector_action(s, x)) - _q(x)))
         l = covering_matrix(s)
         c.ok(is_so_plus(l, 1e-8))
         c.dev(_mat_dev(l.l @ Q6 @ l.l.T, Q6))
@@ -254,10 +254,10 @@ def suite_isotropic(seed: int, count: int, tol: float) -> SuiteResult:
         plane = null_to_spinor_plane(x)
         for u in (plane.b1, plane.b2):
             for v in (plane.b1, plane.b2):
-                c.dev(abs(g_form(u, v)))
+                c.dev(abs(_g(u, v)))
         y = partner_null_vector(x)
-        c.dev(abs(q_bilinear(x, y) - 0.5))
-        c.dev(abs(q_form(y)))
+        c.dev(abs(_qb(x, y) - 0.5))
+        c.dev(abs(_q(y)))
         p, q = idempotent_pair(x, y)
         c.dev(_mat_dev(p @ p, p))
         c.dev(_mat_dev(q @ q, q))
@@ -266,11 +266,11 @@ def suite_isotropic(seed: int, count: int, tol: float) -> SuiteResult:
         ker = np.stack([plane.b1, plane.b2], axis=1)
         c.ok(same_span(image_basis(p, 2), ker))
         back = plane_from_spinor_plane(plane)
-        c.dev(float(np.max(np.abs(back.rep - projectivize(x).rep))))
+        c.dev(float(np.max(np.abs(back.rep - _canon(x)))))
     for _ in range(max(4, count // 4)):
         n = sampling.random_isotropic_plane(rng)
         line = plane_to_spinor_line(n)
-        c.dev(abs(g_form(line.rep, line.rep)))
+        c.dev(abs(_g(line.rep, line.rep)))
         n2 = spinor_line_to_plane(line)
         c.ok(same_span(np.stack([n.x1, n.x2], axis=1),
                        np.stack([n2.x1, n2.x2], axis=1)))
@@ -300,11 +300,11 @@ def suite_liesphere(seed: int, count: int, tol: float) -> SuiteResult:
         for _ in range(max(4, count // 4)):
             ent = make(rng)
             raw = embed_rep(ent)
-            c.dev(abs(q_form(raw)) / max(1.0, float(np.dot(raw, raw))))
+            c.dev(abs(_q(raw)) / max(1.0, float(np.dot(raw, raw))))
             back = lie_extract(lie_embed(ent))
             c.ok(type(back) is type(ent))
             c.dev(_entity_dev(ent, back))
-    c.dev(abs(q_form(embed_rep(Infinity()))))
+    c.dev(abs(_q(embed_rep(Infinity()))))
     c.ok(isinstance(lie_extract(lie_embed(Infinity())), Infinity))
     for _ in range(max(4, count // 2)):
         ent = sampling.random_sphere(rng)

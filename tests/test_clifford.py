@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from spin42.clifford import (
+    EPS4,
     GAMMA,
     SIGMA,
     AntilinearOp,
+    _selfdual_tables,
     antilinear_adjoint,
     apply,
     check_clifford_relations,
@@ -14,6 +16,7 @@ from spin42.clifford import (
     det4,
     det_identity,
     gamma,
+    reality_residual,
     vector_from_op,
     x_matrix,
 )
@@ -177,6 +180,21 @@ def test_clifford_relations_report():
 def test_sigma_selfduality_exact():
     rep = check_sigma_selfduality(tol=0.0)
     assert rep.passed and rep.max_deviation == 0.0
+    for a in range(6):
+        assert reality_residual(E6[a]) == 0.0
+
+
+def test_selfdual_tables_match_the_four_operand_contraction():
+    sd, re = _selfdual_tables()
+    assert set(np.unique(sd).tolist()) | set(np.unique(re).tolist()) <= {-0.5, 0.0, 0.5}
+    ref = 0.5 * np.einsum("ijkl,km,ln,amn->aij", EPS4, G4, G4, SIGMA)
+    assert np.array_equal((SIGMA.reshape(6, 16) @ sd.T).reshape(6, 4, 4), ref)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        xm = x_matrix(rng.normal(size=6)).m
+        ref = 0.5 * np.einsum("imnk,mj,nl,lk->ij", EPS4, G4, G4, xm)
+        got = (re @ xm.reshape(16)).reshape(4, 4)
+        assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(xm))
 
 
 def test_x_reality_basis_and_random():

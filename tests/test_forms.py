@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spin42.errors import NotNull, ZeroVector
 from spin42.forms import (
+    Q_DIAG,
     ProjectiveNullLine,
     canonicalize,
     g_form,
@@ -13,6 +14,7 @@ from spin42.forms import (
     q_bilinear,
     q_form,
 )
+from spin42.sampling import random_nonnull_vec6, random_null_vec6
 
 E = np.eye(6)
 
@@ -119,3 +121,40 @@ def test_class_equality_is_componentwise():
     assert a.same_class([1, 0, 0, 1, 0, 0])
     assert not a.same_class([0, 1, 1, 0, 0, 0])
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.floats(1e-6, 1e6),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_null_flag_is_scale_invariant(seed, lam, sign):
+    rng = np.random.default_rng(seed)
+    x = random_null_vec6(rng)
+    y = random_nonnull_vec6(rng)
+    assert is_null(sign * lam * x)
+    assert not is_null(sign * lam * y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+    side=st.sampled_from([0.9, 1.1]),
+)
+def test_null_flag_on_both_sides_of_the_threshold(seed, tol, side):
+    """x + d e with x null and e orthogonal to x for both the Euclidean and
+    the Q pairing has Q = Q(x) + d^2 Q(e) and ||.||^2 = ||x||^2 + d^2 ||e||^2,
+    so d can put |Q| at side * tol * ||.||^2 exactly."""
+    rng = np.random.default_rng(seed)
+    x = random_null_vec6(rng)
+    basis, _ = np.linalg.qr(np.stack([x, Q_DIAG * x], axis=1))
+    e = rng.normal(size=6)
+    e = e - basis @ (basis.T @ e)
+    qe = q_form(e)
+    assume(abs(qe) >= 0.01 * np.dot(e, e))
+    ratio = np.sign(qe) * side * tol
+    d = np.sqrt(ratio * np.dot(x, x) / (qe - ratio * np.dot(e, e)))
+    z = x + d * e
+    assert abs(q_form(z)) / np.dot(z, z) == pytest.approx(side * tol, rel=0.01)
+    assert is_null(z, tol) == (side < 1.0)

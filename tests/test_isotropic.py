@@ -49,6 +49,17 @@ def test_spinor_line_validation():
         spinor_line([1, 0, 0, 0])
 
 
+def test_spinor_zero_gate_compares_the_norm():
+    # ||v|| = 1.4e-5 > tol: a small isotropic spinor is a line, as the
+    # 6-vector gates accept projectivize(1e-5 * (e1 + e4))
+    v = np.array([1e-5, 0, 1e-5, 0])
+    assert np.allclose(spinor_line(v).rep, [1, 0, 1, 0], atol=1e-15)
+    assert isinstance(spinor_line_to_plane(v), IsotropicPlaneE)
+    projectivize(1e-5 * X1)
+    with pytest.raises(ZeroVector):
+        spinor_line(np.array([1e-10, 0, 1e-10, 0]))
+
+
 def test_isotropic_plane_validation():
     n = isotropic_plane(X1, X2)
     assert np.array_equal(n.x1, X1) and np.array_equal(n.x2, X2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spin42.errors import InvalidEntity, Unclassifiable
 from spin42.forms import ProjectiveNullLine, Q6, projectivize, q_bilinear, q_form
@@ -230,3 +232,31 @@ def test_contact_pairing_identity():
             np.dot(s1.center - s2.center, s1.center - s2.center)
         ) - (s1.signed_radius - s2.signed_radius) ** 2
         assert pair == pytest.approx(-defect / 2.0, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    c=st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3),
+    r=st.floats(1e-3, 1e4),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_extract_inverts_embed_for_large_centers(c, r, sign):
+    ent = Sphere(c, sign * r)
+    back = lie_extract(lie_embed(ent))
+    assert isinstance(back, Sphere)
+    assert np.max(np.abs(back.center - ent.center)) <= 1e-6 * max(
+        1.0, float(np.max(np.abs(ent.center))))
+    assert abs(back.signed_radius - ent.signed_radius) <= 1e-6 * r
+
+
+def test_extract_edge_beyond_two_over_tol():
+    # Measured edge, not a contract: once |c|^2 >= 2 / tol the canonical
+    # slots 5 and 6 differ by 2 / |c|^2 <= tol, so the class reads as one at
+    # infinity; a small radius leaves no normal form and a larger one (|r|
+    # above tol |c|^2 / 2) is read as a plane.
+    assert isinstance(lie_extract(lie_embed(Sphere([4.4e4, 0, 0], 1.0))), Sphere)
+    with pytest.raises(Unclassifiable):
+        lie_extract(lie_embed(Sphere([4.5e4, 0, 0], 1.0)))
+    with pytest.raises(Unclassifiable):
+        lie_extract(lie_embed(Sphere([0, 1e5, 0], -1e-3)))
+    assert isinstance(lie_extract(lie_embed(Sphere([4.5e4, 0, 0], 10.0))), Plane)
