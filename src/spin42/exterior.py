@@ -1,12 +1,16 @@
 """Exterior algebra of the spinor space with an antilinear Hodge star.
 
-Grades run 0..4 over complex 4-space.  The pseudo-Hermitian form extends
-to each grade by the determinant rule (conjugating the second argument),
-and the star operator is *antilinear*, defined by
+Grades run 0..4 over complex 4-space, and a grade-k element is stored as
+its C(4,k) coefficients on the increasing-index monomials e_I.  The
+pseudo-Hermitian form extends to each grade by the determinant rule
+(conjugating the second argument), which makes the monomials orthogonal
+with (e_I | e_I) = prod_{i in I} G_i, and the star operator is
+*antilinear*, defined by
 
     x wedge (star y) = (x | y) e        for all x of the same grade as y,
 
-with e = e1^e2^e3^e4 the volume element.  On bivectors the star squares
+with e = e1^e2^e3^e4 the volume element, which gives the closed form
+star e_J = (e_J | e_J) sgn(J, J^c) e_{J^c}.  On bivectors the star squares
 to +1 and splits the space into real 6-dimensional eigenspaces; the fixed
 one is the real span of six basis bivectors E_alpha built from the
 generator tables, and phi: x -> x^alpha E_alpha identifies the (4,2)
@@ -25,11 +29,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, sqrt
+from types import MappingProxyType
 
 import numpy as np
 
-from .clifford import SIGMA, perm_table, table_sum
+from .clifford import SIGMA, perm_table
 from .errors import (
     GradeMismatch,
     GradeOverflow,
@@ -42,24 +47,55 @@ from .forms import DEFAULT_TOL, G_DIAG, as_vec6
 _SQRT2 = np.sqrt(2.0)
 
 
+# the increasing index tuples of each grade, in storage order
+_COMBOS = tuple(tuple(itertools.combinations(range(4), k)) for k in range(5))
+
+
+@lru_cache(maxsize=None)
+def _reorderings(k: int) -> MappingProxyType:
+    """Every ordered k-tuple of distinct indices, mapped to the storage
+    position of its increasing-index monomial e_I and the sign s with
+    e_i1 ^ ... ^ e_ik = s e_I."""
+    perms, signs = perm_table(k)
+    return MappingProxyType({
+        tuple(combo[j] for j in perm): (pos, float(sign))
+        for pos, combo in enumerate(_COMBOS[k]) for perm, sign in zip(perms, signs)})
+
+
 @dataclass(frozen=True)
 class KVector:
-    """Grade-k element stored as a full antisymmetric array with k axes of
-    length 4 (grade 0 is a 0-d array).  Full storage wastes a few entries
-    but removes index-ordering bugs."""
+    """Grade-k element stored as its C(4,k) complex coefficients on the
+    increasing-index monomials e_I, I in itertools.combinations(range(4), k)
+    order (grade 0 has one coefficient)."""
 
     k: int
-    comps: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        if self.k not in range(5):
+            raise ValueError(f"grade {self.k} outside 0..4")
+        coeffs = np.asarray(self.coeffs, dtype=complex)
+        if coeffs.shape != (comb(4, self.k),):
+            raise ValueError(f"grade-{self.k} coefficients of shape {coeffs.shape},"
+                             f" not ({comb(4, self.k)},)")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def comps(self) -> np.ndarray:
+        """Read-only full antisymmetric array, k axes of length 4 (0-d at
+        grade 0): each coefficient signed over the permutations of I."""
+        out = np.zeros((4,) * self.k, dtype=complex)
+        for index, (pos, sign) in _reorderings(self.k).items():
+            out[index] = sign * self.coeffs[pos]
+        out.setflags(write=False)
+        return out
 
 
 def scalar(c) -> KVector:
-    return KVector(0, np.asarray(c, dtype=complex))
+    return KVector(0, [c])
 
 
 def vector(v) -> KVector:
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (4,):
-        raise ValueError("grade-1 input must be a 4-vector")
     return KVector(1, v)
 
 
@@ -73,84 +109,56 @@ def basis_kvector(indices) -> KVector:
             raise GradeOverflow("grades 4+1 exceed 4")
         idx.append(i - 1)
     k = len(idx)
-    comps = np.zeros(4 ** k, dtype=complex)
-    if len(set(idx)) == k:
-        # +1 at the given index order, signed over its permutations
-        perms, signs = perm_table(k)
-        comps[np.array(idx, dtype=np.intp)[perms] @ _place_values(k)] = signs
-    return KVector(k, comps.reshape((4,) * k))
-
-
-def _combos(k: int):
-    return list(itertools.combinations(range(4), k))
+    coeffs = np.zeros(comb(4, k), dtype=complex)
+    # a repeated index is in no reordering: the wedge is zero
+    pos, sign = _reorderings(k).get(tuple(idx), (0, 0.0))
+    coeffs[pos] = sign
+    return KVector(k, coeffs)
 
 
 @lru_cache(maxsize=None)
-def _place_values(k: int) -> np.ndarray:
-    """Flat-index weight of each of the k axes of a (4,)*k tensor."""
-    weights = 4 ** np.arange(k - 1, -1, -1)
-    weights.setflags(write=False)
-    return weights
-
-
-@lru_cache(maxsize=None)
-def _positions(k: int) -> np.ndarray:
-    """Flat positions in a (4,)*k tensor of every permutation of every
-    increasing index combination: entry [c, s] is combination c permuted
-    by row s of perm_table(k).  Column 0 (the identity) holds the
-    increasing-index monomials themselves."""
-    perms, _ = perm_table(k)
-    combos = np.array(_combos(k), dtype=np.intp)
-    pos = combos[:, perms] @ _place_values(k)
-    pos.setflags(write=False)
-    return pos
-
-
-def _coeffs_of(kv: KVector) -> np.ndarray:
-    return kv.comps.reshape(-1)[_positions(kv.k)[:, 0]]
-
-
-def _from_coeffs(k: int, coeffs) -> KVector:
-    """The antisymmetric grade-k tensor with the given coefficients on the
-    increasing-index monomials: each coefficient is scattered, signed, to
-    every permutation of its indices."""
-    coeffs = np.asarray(coeffs)
-    _, signs = perm_table(k)
-    comps = np.zeros(4 ** k, dtype=coeffs.dtype)
-    comps[_positions(k)] = np.multiply.outer(coeffs, signs)
-    return KVector(k, comps.reshape((4,) * k))
+def _wedge_table(p: int, q: int) -> np.ndarray:
+    """Sign table with e_I ^ e_J = sum_M T[I, J, M] e_M over the monomials
+    of grades p, q and p+q, with (I, J) flattened to one axis."""
+    monomials = _reorderings(p + q)
+    table = np.zeros((comb(4, p), comb(4, q), comb(4, p + q)), dtype=complex)
+    for i, a in enumerate(_COMBOS[p]):
+        for j, b in enumerate(_COMBOS[q]):
+            if a + b in monomials:
+                pos, sign = monomials[a + b]
+                table[i, j, pos] = sign
+    table = table.reshape(-1, comb(4, p + q))
+    table.setflags(write=False)
+    return table
 
 
 def wedge(a: KVector, b: KVector) -> KVector:
     """Graded product with the determinant normalization:
-    (v ^ w)^{ij} = v^i w^j - v^j w^i for vectors.
-
-    Each increasing-index coefficient is the signed sum of the outer
-    product over the permutations of its indices, divided by p! q!."""
+    (v ^ w)^{ij} = v^i w^j - v^j w^i for vectors."""
     p, q = a.k, b.k
     if p + q > 4:
         raise GradeOverflow(f"grades {p}+{q} exceed 4")
-    t = np.multiply.outer(a.comps, b.comps).reshape(-1)
-    _, signs = perm_table(p + q)
-    coeffs = t[_positions(p + q)] @ signs / (factorial(p) * factorial(q))
-    return _from_coeffs(p + q, coeffs)
+    return KVector(p + q, np.outer(a.coeffs, b.coeffs).reshape(-1) @ _wedge_table(p, q))
 
 
 @lru_cache(maxsize=None)
-def _g_weight(k: int) -> np.ndarray:
-    """G_DIAG on each of k axes, multiplied out: a (4,)*k tensor of +-1."""
-    weight = np.ones(())
-    for _ in range(k):
-        weight = np.multiply.outer(weight, G_DIAG)
-    weight.setflags(write=False)
-    return weight
+def _weights(k: int) -> np.ndarray:
+    """(e_I | e_I) = prod_{i in I} G_i for each grade-k monomial."""
+    weights = np.array([np.prod(G_DIAG[list(combo)]) for combo in _COMBOS[k]])
+    weights.setflags(write=False)
+    return weights
 
 
 def herm_inner(a: KVector, b: KVector) -> complex:
-    """(a | b) = (1/k!) G_{i1 j1} ... G_{ik jk} a^{i...} conj(b^{j...})."""
+    """(a | b) = sum_I (e_I | e_I) a_I conj(b_I)."""
     if a.k != b.k:
         raise GradeMismatch(f"grades {a.k} and {b.k} differ")
-    return complex(np.vdot(b.comps, _g_weight(a.k) * a.comps)) / factorial(a.k)
+    return complex(np.vdot(b.coeffs, _weights(a.k) * a.coeffs))
+
+
+# row alpha: the coefficients of Sigma_alpha, its entries [i, j] with i < j
+_SIGMA_COEFFS = np.array([[sigma[combo] for combo in _COMBOS[2]] for sigma in SIGMA])
+_SIGMA_COEFFS.setflags(write=False)
 
 
 def basis_bivector(alpha: int) -> KVector:
@@ -159,51 +167,38 @@ def basis_bivector(alpha: int) -> KVector:
     sign cannot be +)."""
     if not 1 <= alpha <= 6:
         raise IndexOutOfRange(f"bivector index {alpha} outside 1..6")
-    return KVector(2, SIGMA[alpha - 1] / _SQRT2)
+    return KVector(2, _SIGMA_COEFFS[alpha - 1] / _SQRT2)
 
 
 @lru_cache(maxsize=None)
-def _star_matrix(k: int) -> np.ndarray:
-    """Matrix S with star(y) = S . conj(coeffs(y)) in the increasing-index
-    monomial basis, obtained by solving the defining relation
-    e_I ^ (star e_J) = (e_I | e_J) e against all monomials."""
-    rows = _combos(k)
-    cols = _combos(4 - k)
-    w = np.zeros((len(rows), len(cols)), dtype=complex)
-    for ri, i_combo in enumerate(rows):
-        ei = basis_kvector([i + 1 for i in i_combo])
-        for ci, m_combo in enumerate(cols):
-            em = basis_kvector([m + 1 for m in m_combo])
-            w[ri, ci] = wedge(ei, em).comps[0, 1, 2, 3]
-    rhs = np.zeros((len(rows), len(rows)), dtype=complex)
-    for ri, i_combo in enumerate(rows):
-        ei = basis_kvector([i + 1 for i in i_combo])
-        for ji, j_combo in enumerate(rows):
-            ej = basis_kvector([j + 1 for j in j_combo])
-            rhs[ri, ji] = herm_inner(ei, ej)
-    # columns of the solution are the star images of each monomial e_J
-    return np.linalg.solve(w, rhs)
+def _star_signs(k: int) -> np.ndarray:
+    """s_J = (e_J | e_J) sgn(J, J^c), with e_J ^ e_{J^c} = sgn(J, J^c) e.
+    In storage order the complement of the J-th monomial is the J-th from
+    the end, so star e_J = s_J e_{J^c} reverses the coefficients."""
+    n = comb(4, k)
+    signs = _weights(k) * np.diag(_wedge_table(k, 4 - k).reshape(n, n)[:, ::-1]).real
+    signs.setflags(write=False)
+    return signs
 
 
 def hodge_star(y: KVector) -> KVector:
     """Antilinear star: grade k -> 4-k, with x ^ star(y) = (x|y) e."""
-    s = _star_matrix(y.k)
-    coeffs = s @ np.conj(_coeffs_of(y))
-    return _from_coeffs(4 - y.k, coeffs)
+    return KVector(4 - y.k, (_star_signs(y.k) * np.conj(y.coeffs))[::-1])
 
 
 def kv_norm(a: KVector) -> float:
-    return float(np.linalg.norm(np.ravel(a.comps)))
+    """Frobenius norm of comps, where each coefficient appears k! times."""
+    return sqrt(factorial(a.k)) * float(np.linalg.norm(a.coeffs))
 
 
 def kv_add(a: KVector, b: KVector) -> KVector:
     if a.k != b.k:
         raise GradeMismatch(f"grades {a.k} and {b.k} differ")
-    return KVector(a.k, a.comps + b.comps)
+    return KVector(a.k, a.coeffs + b.coeffs)
 
 
 def kv_scale(c, a: KVector) -> KVector:
-    return KVector(a.k, c * a.comps)
+    return KVector(a.k, c * a.coeffs)
 
 
 def selfdual_split(b: KVector) -> tuple[KVector, KVector]:
@@ -212,8 +207,8 @@ def selfdual_split(b: KVector) -> tuple[KVector, KVector]:
         raise GradeMismatch("self-dual split is defined on bivectors")
     sb = hodge_star(b)
     return (
-        KVector(2, (b.comps + sb.comps) / 2.0),
-        KVector(2, (b.comps - sb.comps) / 2.0),
+        KVector(2, (b.coeffs + sb.coeffs) / 2.0),
+        KVector(2, (b.coeffs - sb.coeffs) / 2.0),
     )
 
 
@@ -221,26 +216,26 @@ def phi(x) -> KVector:
     """Real-linear embedding of the 6-space into self-dual bivectors,
     phi(x) = x^alpha E_alpha."""
     x = as_vec6(x)
-    return KVector(2, table_sum(x, SIGMA) / _SQRT2)
+    return KVector(2, x @ _SIGMA_COEFFS / _SQRT2)
 
 
 def phi_inverse(b: KVector, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Coordinates of a self-dual bivector in the E_alpha basis.
 
-    The E_alpha are Frobenius-orthogonal with <E_a, E_b> = 2 delta_ab, so
-    x^a = Re <b, E_a> / 2 is the exact projection; the residual then
-    certifies that b really was a real combination; both gates are at
-    tol * max(1, ||b||).
+    The coefficient rows S_alpha of the Sigma_alpha are orthogonal with
+    <S_a, S_b> = 2 delta_ab, so x^a = Re(conj(S_a) . b) / sqrt(2) is the
+    exact projection; the residual then certifies that b really was a
+    real combination; both gates are at tol * max(1, ||b||).
     """
     if b.k != 2:
         raise GradeMismatch("phi_inverse is defined on bivectors")
     scale = max(1.0, kv_norm(b))
     sb = hodge_star(b)
-    if not float(np.max(np.abs(sb.comps - b.comps))) <= tol * scale:
+    if not float(np.max(np.abs(sb.coeffs - b.coeffs))) <= tol * scale:
         raise NotSelfDual("bivector is not fixed by the star")
-    coeffs = np.real(SIGMA.reshape(6, 16).conj() @ b.comps.reshape(16)) / (2.0 * _SQRT2)
-    fit = table_sum(coeffs, SIGMA) / _SQRT2
-    if not float(np.max(np.abs(b.comps - fit))) <= tol * scale:
+    coeffs = np.real(_SIGMA_COEFFS.conj() @ b.coeffs) / _SQRT2
+    fit = coeffs @ _SIGMA_COEFFS / _SQRT2
+    if not float(np.max(np.abs(b.coeffs - fit))) <= tol * scale:
         raise NotRealCombination("bivector is outside the real basis span")
     return coeffs
 

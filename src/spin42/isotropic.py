@@ -271,7 +271,7 @@ def image_basis(m: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray
     return u[:, :dim]
 
 
-def same_span(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
+def same_span(a: np.ndarray, b: np.ndarray, tol: float = RESIDUAL_FLOOR) -> bool:
     """Whether two sets of column vectors span the same subspace."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .exterior import _from_coeffs
+from .exterior import KVector
 from .forms import RESIDUAL_FLOOR, _q, q_form
 from .liesphere import Plane, Point, Sphere, embed_rep
 from .spin import SpinElement, covering_matrix, spin_generate
@@ -138,4 +138,4 @@ def random_kvector(rng, k: int):
     """Random grade-k element with complex normal coefficients: one
     (real, imaginary) pair of draws per increasing-index monomial, in
     increasing order."""
-    return _from_coeffs(k, rng.normal(size=2 * comb(4, k)).view(complex))
+    return KVector(k, rng.normal(size=2 * comb(4, k)).view(complex))

@@ -40,7 +40,7 @@ from .exterior import (
     phi_inverse,
     wedge,
 )
-from .forms import G4, Q6, Q_DIAG, _canon, _g, _q, _qb
+from .forms import G4, Q6, Q_DIAG, RESIDUAL_FLOOR, _canon, _g, _q, _qb
 from .isotropic import (
     IsotropicPlaneE,
     four_idempotents,
@@ -110,6 +110,10 @@ def _mat_dev(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
+def _kv_dev(a, b) -> float:
+    return kv_norm(kv_add(a, kv_scale(-1.0, b)))
+
+
 def suite_clifford(seed: int, count: int, tol: float) -> SuiteResult:
     """Exact lattice identities of the generator tables."""
     c = _Collector()
@@ -137,7 +141,7 @@ def suite_selfdual(seed: int, count: int, tol: float) -> SuiteResult:
     rng = np.random.default_rng(seed)
     es = [basis_bivector(a) for a in range(1, 7)]
     for a in range(6):
-        c.dev(kv_norm(kv_add(hodge_star(es[a]), kv_scale(-1.0, es[a]))))
+        c.dev(_kv_dev(hodge_star(es[a]), es[a]))
         for b in range(6):
             target = -Q_DIAG[a] if a == b else 0.0
             c.dev(abs(herm_inner(es[a], es[b]) - target))
@@ -147,8 +151,8 @@ def suite_selfdual(seed: int, count: int, tol: float) -> SuiteResult:
         x = rng.normal(size=6)
         b = phi(x)
         c.dev(float(np.max(np.abs(phi_inverse(b) - x))))
-        c.dev(kv_norm(kv_add(hodge_star(b), kv_scale(-1.0, b))))
-        c.dev(kv_norm(kv_add(hodge_star(kv_scale(1j, b)), kv_scale(1j, b))))
+        c.dev(_kv_dev(hodge_star(b), b))
+        c.dev(_kv_dev(hodge_star(kv_scale(1j, b)), kv_scale(-1j, b)))
         y = rng.normal(size=6)
         c.dev(abs(herm_inner(phi(x), phi(y)) - (-_qb(x, y))))
     return c.result("selfdual", tol, errata.notes("selfdual"))
@@ -165,10 +169,10 @@ def suite_exterior(seed: int, count: int, tol: float) -> SuiteResult:
         b = sampling.random_kvector(rng, q)
         ab = wedge(a, b)
         ba = wedge(b, a)
-        c.dev(kv_norm(kv_add(ab, kv_scale(-((-1.0) ** (p * q)), ba))))
+        c.dev(_kv_dev(ab, kv_scale((-1.0) ** (p * q), ba)))
         r = int(rng.integers(0, 4 - p - q + 1))
         d = sampling.random_kvector(rng, r)
-        c.dev(kv_norm(kv_add(wedge(wedge(a, b), d), kv_scale(-1.0, wedge(a, wedge(b, d))))))
+        c.dev(_kv_dev(wedge(wedge(a, b), d), wedge(a, wedge(b, d))))
     for _ in range(max(10, count // 10)):
         k = int(rng.integers(0, 5))
         u = sampling.random_kvector(rng, k)
@@ -178,8 +182,8 @@ def suite_exterior(seed: int, count: int, tol: float) -> SuiteResult:
     for _ in range(half):
         x = sampling.random_null_vec6(rng)
         c.ok(is_decomposable(phi(x)))
-        c.dev(kv_norm(kv_add(wedge(phi(x), phi(x)),
-                             kv_scale(_q(x), basis_kvector((1, 2, 3, 4))))))
+        c.dev(_kv_dev(wedge(phi(x), phi(x)),
+                      kv_scale(-_q(x), basis_kvector((1, 2, 3, 4)))))
     for _ in range(half):
         x = sampling.random_nonnull_vec6(rng)
         c.ok(not is_decomposable(phi(x)))
@@ -204,15 +208,15 @@ def suite_hodge(seed: int, count: int, tol: float) -> SuiteResult:
                 ej = basis_kvector(cj)
                 lhs = wedge(ei, hodge_star(ej))
                 rhs = kv_scale(herm_inner(ei, ej), vol)
-                c.dev(kv_norm(kv_add(lhs, kv_scale(-1.0, rhs))))
+                c.dev(_kv_dev(lhs, rhs))
     for k in range(5):
         sign = (-1.0) ** (k * (4 - k))
         for _ in range(max(5, count // 20)):
             y = sampling.random_kvector(rng, k)
-            c.dev(kv_norm(kv_add(hodge_star(hodge_star(y)), kv_scale(-sign, y))))
+            c.dev(_kv_dev(hodge_star(hodge_star(y)), kv_scale(sign, y)))
             lam = complex(rng.normal(), rng.normal())
-            c.dev(kv_norm(kv_add(hodge_star(kv_scale(lam, y)),
-                                 kv_scale(-np.conj(lam), hodge_star(y)))))
+            c.dev(_kv_dev(hodge_star(kv_scale(lam, y)),
+                          kv_scale(np.conj(lam), hodge_star(y))))
             x = sampling.random_kvector(rng, 4 - k)
             c.dev(abs(herm_inner(x, hodge_star(y)) -
                       sign * herm_inner(y, hodge_star(x))))
@@ -225,12 +229,12 @@ def suite_spin(seed: int, count: int, tol: float) -> SuiteResult:
     rng = np.random.default_rng(seed)
     elements = [sampling.random_spin_element(rng) for _ in range(max(4, count // 4))]
     for s in elements:
-        c.ok(is_su22(s.m, 1e-8))
+        c.ok(is_su22(s.m, RESIDUAL_FLOOR))
         c.dev(_mat_dev(s.m @ G4 @ s.m.conj().T, G4))
         x = rng.normal(size=6)
         c.dev(abs(_q(vector_action(s, x)) - _q(x)))
         l = covering_matrix(s)
-        c.ok(is_so_plus(l, 1e-8))
+        c.ok(is_so_plus(l, RESIDUAL_FLOOR))
         c.dev(_mat_dev(l.l @ Q6 @ l.l.T, Q6))
         c.dev(_mat_dev(covering_matrix(SpinElement(-s.m)).l, l.l))
     for s1, s2 in zip(elements[::2], elements[1::2]):

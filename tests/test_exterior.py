@@ -32,6 +32,8 @@ from spin42.sampling import random_kvector, random_null_vec6, random_nonnull_vec
 
 E = [None] + [vector(np.eye(4)[i]) for i in range(4)]
 VOL = basis_kvector((1, 2, 3, 4))
+# entries (i, j), i < j, in the increasing-index order of bivector coefficients
+_UPPER = np.triu_indices(4, 1)
 
 
 def _dev(a: KVector, b: KVector) -> float:
@@ -126,7 +128,7 @@ def test_basis_bivector_gram_exact_before_normalization():
     # integer lattice and the Gram matrix is -2 Q with zero error
     for a in range(6):
         for b in range(6):
-            v = herm_inner(KVector(2, SIGMA[a]), KVector(2, SIGMA[b]))
+            v = herm_inner(KVector(2, SIGMA[a][_UPPER]), KVector(2, SIGMA[b][_UPPER]))
             assert v == (complex(-2.0 * Q_DIAG[a]) if a == b else 0j)
 
 
@@ -281,6 +283,18 @@ def test_decomposable_examples():
     assert is_decomposable(wedge(E[1], E[2]))
     mixed = kv_add(wedge(E[1], E[2]), wedge(E[3], E[4]))
     assert not is_decomposable(mixed)
-    assert is_decomposable(KVector(2, np.zeros((4, 4), dtype=complex)))
+    assert is_decomposable(KVector(2, np.zeros(6, dtype=complex)))
     with pytest.raises(GradeMismatch):
         is_decomposable(E[1])
+
+
+@pytest.mark.parametrize("k,coeffs", [
+    (2, SIGMA[0]),  # a full antisymmetric 4x4 array, not coefficients
+    (0, np.asarray(1.0 + 0j)),
+    (1, np.zeros(6)),
+    (5, np.zeros(1)),
+    (-1, np.zeros(1)),
+])
+def test_kvector_rejects_malformed_input(k, coeffs):
+    with pytest.raises(ValueError):
+        KVector(k, coeffs)

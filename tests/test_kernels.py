@@ -1,11 +1,13 @@
 """Oracle tests for the table-driven kernels.
 
 Each kernel is checked against a direct, loop-based construction written
-here: the n!-transpose antisymmetrizer for the wedge, the per-column
-vector action for the covering matrix, numpy's LU determinant and the
-exact identity det X(x) = Q(x)^2 for det4.  Permutation signs in the
-references come from counting inversions in this file, independently of
-the package's permutation table.
+here: the n!-transpose antisymmetrizer for the wedge, the full-tensor
+formulas for the Hermitian form and the norm, the star solved from its
+defining relation for the closed-form Hodge star, the per-column vector
+action for the covering matrix, numpy's LU determinant and the exact
+identity det X(x) = Q(x)^2 for det4.  Permutation signs in the references
+come from counting inversions in this file, independently of the
+package's permutation table.
 """
 
 import itertools
@@ -16,15 +18,8 @@ import pytest
 
 from spin42.clifford import EPS4, GAMMA, det4, gamma_coeffs, perm_table, x_matrix
 from spin42.errors import ActionLeavesSpan, NotInGammaSpan
-from spin42.exterior import (
-    KVector,
-    _from_coeffs,
-    basis_kvector,
-    hodge_star,
-    vector,
-    wedge,
-)
-from spin42.forms import q_form
+from spin42.exterior import KVector, basis_kvector, herm_inner, hodge_star, kv_norm, wedge
+from spin42.forms import G_DIAG, q_form
 from spin42 import sampling
 from spin42.sampling import random_kvector
 from spin42.spin import SpinElement, covering_matrix, spin_generate, vector_action
@@ -35,14 +30,23 @@ def _parity_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _reference_wedge(a: KVector, b: KVector) -> np.ndarray:
-    """n!(p!q!)^-1 times the average of the signed transposes of a (x) b."""
-    t = np.tensordot(a.comps, b.comps, axes=0)
+def _reference_wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """n!(p!q!)^-1 times the average of the signed transposes of a (x) b,
+    for full antisymmetric arrays a and b of grades p and q."""
+    t = np.tensordot(a, b, axes=0)
     n = t.ndim
     out = np.zeros_like(t)
     for perm in itertools.permutations(range(n)):
         out += _parity_sign(perm) * np.transpose(t, perm)
-    return out / (factorial(a.k) * factorial(b.k))
+    return out / (factorial(a.ndim) * factorial(b.ndim))
+
+
+def _reference_herm_inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """(1/k!) G_{i1 j1} ... G_{ik jk} a^{i...} conj(b^{j...}) on full arrays."""
+    weight = np.ones(())
+    for _ in range(a.ndim):
+        weight = np.multiply.outer(weight, G_DIAG)
+    return complex(np.sum(weight * a * np.conj(b))) / factorial(a.ndim)
 
 
 def _reference_antisymmetric(k: int, coeffs) -> np.ndarray:
@@ -80,23 +84,14 @@ def test_wedge_matches_reference_antisymmetrizer(p, q):
         b = random_kvector(rng, q)
         ab = wedge(a, b)
         assert ab.k == p + q
-        assert _rel_dev(ab.comps, _reference_wedge(a, b)) <= 1e-13
-
-
-def test_wedge_of_non_antisymmetric_input_matches_reference():
-    # the antisymmetrizer only reads index tuples without repeats, and the
-    # table visits each such tuple once
-    rng = np.random.default_rng(5)
-    a = KVector(2, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    b = vector(rng.normal(size=4) + 1j * rng.normal(size=4))
-    assert _rel_dev(wedge(a, b).comps, _reference_wedge(a, b)) <= 1e-13
+        assert _rel_dev(ab.comps, _reference_wedge(a.comps, b.comps)) <= 1e-13
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_from_coeffs_matches_reference_and_hodge_star_round_trips(k):
     rng = np.random.default_rng(k)
     coeffs = rng.normal(size=comb(4, k)) + 1j * rng.normal(size=comb(4, k))
-    kv = _from_coeffs(k, coeffs)
+    kv = KVector(k, coeffs)
     assert np.array_equal(kv.comps, _reference_antisymmetric(k, coeffs))
     sign = (-1.0) ** (k * (4 - k))
     assert _rel_dev(hodge_star(hodge_star(kv)).comps, sign * kv.comps) <= 1e-13
@@ -104,12 +99,52 @@ def test_from_coeffs_matches_reference_and_hodge_star_round_trips(k):
 
 @pytest.mark.parametrize("indices", [(), (3,), (2, 1), (1, 3, 2), (4, 2, 3, 1), (2, 2), (1, 3, 1)])
 def test_basis_kvector_is_the_sequential_wedge(indices):
-    out = KVector(0, np.asarray(1.0 + 0j))
+    out = np.asarray(1.0 + 0j)
     for i in indices:
-        out = KVector(out.k + 1, _reference_wedge(out, vector(np.eye(4)[i - 1])))
+        out = _reference_wedge(out, np.eye(4, dtype=complex)[i - 1])
     kv = basis_kvector(indices)
     assert kv.k == len(indices)
-    assert np.array_equal(kv.comps, out.comps)
+    assert np.array_equal(kv.comps, out)
+
+
+def _reference_star_matrix(k: int) -> np.ndarray:
+    """Matrix S with star(y) = S . conj(coeffs(y)), solved from the defining
+    relation e_I ^ (star e_J) = (e_I | e_J) e against all monomials."""
+    rows = np.eye(comb(4, k))
+    cols = np.eye(comb(4, 4 - k))
+    w = np.array([[_reference_wedge(_reference_antisymmetric(k, r),
+                                    _reference_antisymmetric(4 - k, c))[0, 1, 2, 3]
+                   for c in cols] for r in rows])
+    rhs = np.array([[_reference_herm_inner(_reference_antisymmetric(k, r),
+                                           _reference_antisymmetric(k, c))
+                     for c in rows] for r in rows])
+    # columns of the solution are the star images of each monomial e_J
+    return np.linalg.solve(w, rhs)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_closed_form_star_matches_the_solved_star(k):
+    s = _reference_star_matrix(k)
+    for j, e_j in enumerate(np.eye(comb(4, k))):
+        assert np.array_equal(hodge_star(KVector(k, e_j)).coeffs, s[:, j])
+    # on the {0, +-1, +-i} lattice and its Gaussian-integer multiples the
+    # closed form and the solved matrix agree exactly
+    rng = np.random.default_rng(60 + k)
+    for _ in range(20):
+        c = rng.integers(-3, 4, size=comb(4, k)) + 1j * rng.integers(-3, 4, size=comb(4, k))
+        assert np.array_equal(hodge_star(KVector(k, c)).coeffs, s @ np.conj(c))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_herm_inner_and_kv_norm_match_full_tensor_formulas(k):
+    rng = np.random.default_rng(70 + k)
+    for _ in range(10):
+        a = random_kvector(rng, k)
+        b = random_kvector(rng, k)
+        ref = _reference_herm_inner(a.comps, b.comps)
+        assert abs(herm_inner(a, b) - ref) <= 1e-13 * max(1.0, abs(ref))
+        frob = float(np.linalg.norm(a.comps))
+        assert abs(kv_norm(a) - frob) <= 1e-13 * frob
 
 
 @pytest.mark.parametrize("k", range(5))
