@@ -9,6 +9,7 @@ produce byte-identical output; diagnostics go to stderr.  Exit codes:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -184,13 +185,7 @@ def verify(suite, seed, count, tol, json_only):
     results = run_suites(suite, seed=seed, count=count, tol=tol)
     all_passed = True
     for r in results:
-        _emit({
-            "suite_name": r.suite_name,
-            "checks_run": r.checks_run,
-            "max_deviation": r.max_deviation,
-            "passed": r.passed,
-            "errata_notes": r.errata_notes,
-        })
+        _emit(dataclasses.asdict(r))
         if not json_only:
             status = "PASS" if r.passed else "FAIL"
             click.echo(

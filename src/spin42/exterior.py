@@ -42,7 +42,7 @@ from .errors import (
     NotRealCombination,
     NotSelfDual,
 )
-from .forms import DEFAULT_TOL, G_DIAG, as_vec6
+from .forms import DEFAULT_TOL, G_DIAG, as_vec6, check_finite
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -62,11 +62,12 @@ def _reorderings(k: int) -> MappingProxyType:
         for pos, combo in enumerate(_COMBOS[k]) for perm, sign in zip(perms, signs)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KVector:
     """Grade-k element stored as its C(4,k) complex coefficients on the
     increasing-index monomials e_I, I in itertools.combinations(range(4), k)
-    order (grade 0 has one coefficient)."""
+    order (grade 0 has one coefficient).  == is exact equality of grade and
+    coefficients; a KVector is not hashable."""
 
     k: int
     coeffs: np.ndarray
@@ -79,6 +80,11 @@ class KVector:
             raise ValueError(f"grade-{self.k} coefficients of shape {coeffs.shape},"
                              f" not ({comb(4, self.k)},)")
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, KVector):
+            return NotImplemented
+        return self.k == other.k and bool(np.array_equal(self.coeffs, other.coeffs))
 
     @property
     def comps(self) -> np.ndarray:
@@ -225,10 +231,12 @@ def phi_inverse(b: KVector, tol: float = DEFAULT_TOL) -> np.ndarray:
     The coefficient rows S_alpha of the Sigma_alpha are orthogonal with
     <S_a, S_b> = 2 delta_ab, so x^a = Re(conj(S_a) . b) / sqrt(2) is the
     exact projection; the residual then certifies that b really was a
-    real combination; both gates are at tol * max(1, ||b||).
+    real combination; both gates are at tol * max(1, ||b||), and
+    non-finite coefficients raise InvalidEntity.
     """
     if b.k != 2:
         raise GradeMismatch("phi_inverse is defined on bivectors")
+    check_finite(b.coeffs, "bivector")
     scale = max(1.0, kv_norm(b))
     sb = hodge_star(b)
     if not float(np.max(np.abs(sb.coeffs - b.coeffs))) <= tol * scale:
@@ -242,9 +250,11 @@ def phi_inverse(b: KVector, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def is_decomposable(b: KVector, tol: float = DEFAULT_TOL) -> bool:
     """A bivector is a single wedge v ^ w exactly when b ^ b = 0; the
-    threshold scales with ||b||^2 for scale invariance."""
+    threshold scales with ||b||^2 for scale invariance.  Non-finite
+    coefficients raise InvalidEntity."""
     if b.k != 2:
         raise GradeMismatch("decomposability is defined on bivectors")
+    check_finite(b.coeffs, "bivector")
     n = kv_norm(b)
     if n == 0.0:
         return True

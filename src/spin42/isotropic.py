@@ -84,13 +84,21 @@ def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:
     return _spinor_line(as_spinor(v), tol)
 
 
+def _svd_rank(m: np.ndarray, rel_tol: float, rank: int, what: str):
+    """The SVD u, s, vh of m, whose numerical rank (the number of singular
+    values above rel_tol times the largest) must be rank."""
+    u, s, vh = np.linalg.svd(m)
+    got = int(np.count_nonzero(s > rel_tol * s[0]))
+    if got != rank:
+        raise RankFailure(f"{what} has rank {got}, not {rank}")
+    return u, s, vh
+
+
 def _isotropic_plane(x1: np.ndarray, x2: np.ndarray, tol: float) -> IsotropicPlaneE:
     scale = float(np.linalg.norm(x1) * np.linalg.norm(x2))
     if not scale > tol:
         raise ZeroVector("isotropic plane needs nonzero basis vectors")
-    s = np.linalg.svd(np.vstack([x1, x2]), compute_uv=False)
-    if not s[1] > tol * s[0]:
-        raise RankFailure("basis vectors are linearly dependent")
+    _svd_rank(np.vstack([x1, x2]), tol, 2, "isotropic plane basis")
     for val in (_q(x1), _q(x2), _qb(x1, x2)):
         if not abs(val) <= tol * scale:
             raise NotNull(f"plane is not totally isotropic (pairing {val:g})")
@@ -123,16 +131,6 @@ def partner_null_vector(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _partner(as_null_vec6(x, tol))
 
 
-def _null_rows(m: np.ndarray, rel_tol: float, dim: int, what: str) -> np.ndarray:
-    """Rows of vh in the SVD of m spanning its null space, whose dimension
-    (singular values at most rel_tol times the largest) must be dim."""
-    _, s, vh = np.linalg.svd(m)
-    nullity = int(np.sum(s <= rel_tol * s[0]))
-    if nullity != dim:
-        raise RankFailure(f"{what} dimension {nullity} != {dim}")
-    return vh[len(vh) - dim:]
-
-
 def _annihilator_system(v: np.ndarray) -> np.ndarray:
     """The 8 x 6 real system of X(x) conj(v) = 0 in the real unknowns x."""
     cols = np.stack([GAMMA[a] @ np.conj(v) for a in range(6)], axis=1)
@@ -142,17 +140,17 @@ def _annihilator_system(v: np.ndarray) -> np.ndarray:
 def null_to_spinor_plane(x, tol: float = DEFAULT_TOL) -> SpinorPlane:
     """Kernel plane of the antilinear operator of a null vector; scale
     invariant, and totally isotropic for the spinor form.  tol is the
-    input gate of forms.as_null_vec6; the kernel dimension is a
-    post-condition at max(tol, KERNEL_FLOOR).
+    input gate of forms.as_null_vec6; rank 2 of X(x) is a post-condition
+    at max(tol, KERNEL_FLOOR).
 
     The kernel of the antilinear operator is the conjugate of the matrix
     null space of X, which is why the null rows of vh are used *without*
     conjugation.
     """
     x = as_null_vec6(x, tol)
-    b1, b2 = _null_rows(table_sum(x / np.linalg.norm(x), GAMMA),
-                        max(tol, KERNEL_FLOOR), 2, "kernel")
-    return SpinorPlane(b1, b2)
+    _, _, vh = _svd_rank(table_sum(x / np.linalg.norm(x), GAMMA),
+                         max(tol, KERNEL_FLOOR), 2, "X(x)")
+    return SpinorPlane(vh[2], vh[3])
 
 
 def plane_to_spinor_line(n: IsotropicPlaneE, tol: float = DEFAULT_TOL) -> SpinorLine:
@@ -161,14 +159,13 @@ def plane_to_spinor_line(n: IsotropicPlaneE, tol: float = DEFAULT_TOL) -> Spinor
     The composite X(x1) . conj(X(x2)) of a totally isotropic pair has rank
     exactly 1, and changing the basis rescales the operator by the change
     determinant, so the image line is an invariant of the plane.  The rank
-    is a post-condition at max(tol, RANK_FLOOR); tol judges the line.
+    is a post-condition at max(tol, RANK_FLOOR); tol judges the line and
+    the size of the composite, whose largest singular value must exceed it.
     """
     m = table_sum(as_vec6(n.x1), GAMMA) @ np.conj(table_sum(as_vec6(n.x2), GAMMA))
-    u, s, _ = np.linalg.svd(m)
-    if not (s[0] > tol and s[1] <= max(tol, RANK_FLOOR) * s[0]):
-        raise RankFailure(
-            f"composite operator rank is not 1 (singular values {s[:2]})"
-        )
+    u, s, _ = _svd_rank(m, max(tol, RANK_FLOOR), 1, "composite operator")
+    if not s[0] > tol:
+        raise RankFailure(f"composite operator has largest singular value {s[0]:g} <= {tol:g}")
     return _spinor_line(u[:, 0], tol)
 
 
@@ -180,8 +177,8 @@ def spinor_line_to_plane(v, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
     if isinstance(v, SpinorLine):
         v = v.rep
     system = _annihilator_system(_isotropic_gate(as_spinor(v), tol))
-    x1, x2 = _null_rows(system, max(tol, RANK_FLOOR), 2, "solution space")
-    return _isotropic_plane(x1, x2, max(tol, RESIDUAL_FLOOR))
+    _, _, vh = _svd_rank(system, max(tol, RANK_FLOOR), 4, "annihilator system")
+    return _isotropic_plane(vh[4], vh[5], max(tol, RESIDUAL_FLOOR))
 
 
 def plane_from_spinor_plane(p: SpinorPlane, tol: float = DEFAULT_TOL):
@@ -189,8 +186,8 @@ def plane_from_spinor_plane(p: SpinorPlane, tol: float = DEFAULT_TOL):
     isotropic spinor plane (inverse of null_to_spinor_plane); the
     dimension and the class are post-conditions."""
     system = np.vstack([_annihilator_system(as_spinor(b)) for b in (p.b1, p.b2)])
-    (x,) = _null_rows(system, max(tol, RANK_FLOOR), 1, "annihilator")
-    return _projective(x, max(tol, RESIDUAL_FLOOR))
+    _, _, vh = _svd_rank(system, max(tol, RANK_FLOOR), 5, "annihilator system")
+    return _projective(vh[5], max(tol, RESIDUAL_FLOOR))
 
 
 def _idempotents(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,14 +207,10 @@ def idempotent_pair(x, y=None, tol: float = DEFAULT_TOL):
 
 
 def _dual_basis(x1: np.ndarray, x2: np.ndarray, tol: float):
-    rows = np.vstack([x1 * Q_DIAG, x2 * Q_DIAG])
-    y1, *_ = np.linalg.lstsq(rows, np.array([1.0, 0.0]), rcond=None)
-    y1 = y1 - (_q(y1) / 2.0) * x1
-    y1 = y1 / 2.0
-    rows2 = np.vstack([rows, y1 * Q_DIAG])
-    y2, *_ = np.linalg.lstsq(rows2, np.array([0.0, 1.0, 0.0]), rcond=None)
-    y2 = y2 - (_q(y2) / 2.0) * x2
-    y2 = y2 / 2.0
+    x = np.stack([x1, x2], axis=1)
+    y = Q_DIAG[:, None] * np.linalg.pinv(x).T / 2.0
+    y = y - x @ (y.T @ (Q_DIAG[:, None] * y))
+    y1, y2 = y[:, 0], y[:, 1]
     checks = [
         _qb(x1, y1) - 0.5,
         _qb(x2, y2) - 0.5,
@@ -235,10 +228,14 @@ def _dual_basis(x1: np.ndarray, x2: np.ndarray, tol: float):
 def dual_isotropic_basis(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
     """Null vectors y1, y2 with (x_i, y_j) = delta_ij / 2 and (y1, y2) = 0.
 
-    Each y starts as a least-squares solution of the pairing constraints
-    and is then corrected along the plane (which leaves the constraints
-    untouched, since the plane pairs to zero with itself) to restore
-    exact nullity.  The pairing checks are a post-condition.
+    With X = [x1 x2] and Q^2 = 1, the columns of Y = Q (X^+)^T / 2 satisfy
+    X^T Q Y = X^+ X / 2 = I / 2, and they are the minimum-norm solution of
+    those pairings; since X^T Q X = 0, also Y^T Q Y = 0.  Rounding leaves a
+    computed X slightly off the quadric, E = X^T Q X != 0, and Y^T Q Y then
+    has an error of order E; the correction along the plane
+    Y <- Y - X (Y^T Q Y) cancels it, leaving errors of order E^2 in the
+    pairings and E^3 in the nullities.  The seven pairing checks are a
+    post-condition at max(tol, RESIDUAL_FLOOR).
     """
     return _dual_basis(as_vec6(n.x1), as_vec6(n.x2), tol)
 
@@ -264,10 +261,7 @@ def four_idempotents(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
 def image_basis(m: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the image of a matrix, with the
     dimension asserted rather than inferred at max(tol, RANK_FLOOR)."""
-    u, s, _ = np.linalg.svd(m)
-    got = int(np.sum(s > max(tol, RANK_FLOOR) * s[0]))
-    if got != dim:
-        raise RankFailure(f"image dimension {got} != {dim}")
+    u, _, _ = _svd_rank(m, max(tol, RANK_FLOOR), dim, "image")
     return u[:, :dim]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from spin42.clifford import x_matrix
 from spin42.errors import InvalidEntity
-from spin42.exterior import phi
+from spin42.exterior import KVector, is_decomposable, phi, phi_inverse
 from spin42.forms import canonicalize, g_form, is_null, projectivize, q_bilinear, q_form
 from spin42.isotropic import (
     IsotropicPlaneE,
@@ -47,6 +47,8 @@ CASES = [
     ("spin_from_vector_pair/xp", lambda x: spin_from_vector_pair(E1, x), E1),
     ("x_matrix", x_matrix, X1),
     ("phi", phi, X1),
+    ("is_decomposable", lambda c: is_decomposable(KVector(2, c)), phi(X1).coeffs),
+    ("phi_inverse", lambda c: phi_inverse(KVector(2, c)), phi(X1).coeffs),
     ("g_form/s", lambda s: g_form(s, S1), S1),
     ("g_form/t", lambda t: g_form(S1, t), S1),
     ("spinor_line", spinor_line, S1),

@@ -298,3 +298,14 @@ def test_decomposable_examples():
 def test_kvector_rejects_malformed_input(k, coeffs):
     with pytest.raises(ValueError):
         KVector(k, coeffs)
+
+
+def test_kvector_equality_is_exact_and_unhashable():
+    a = KVector(1, [1, 0, 0, 0])
+    assert (a == KVector(1, [1, 0, 0, 0])) is True
+    assert (a != KVector(1, [1, 0, 0, 1e-300])) is True
+    assert a != KVector(3, [1, 0, 0, 0])  # same coefficients, another grade
+    assert a != scalar(1.0) and a != [1, 0, 0, 0]
+    assert wedge(E[1], E[2]) == basis_kvector((1, 2))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)

@@ -5,7 +5,8 @@ here: the n!-transpose antisymmetrizer for the wedge, the full-tensor
 formulas for the Hermitian form and the norm, the star solved from its
 defining relation for the closed-form Hodge star, the per-column vector
 action for the covering matrix, numpy's LU determinant and the exact
-identity det X(x) = Q(x)^2 for det4.  Permutation signs in the references
+identity det X(x) = Q(x)^2 for det4, and two chained least-squares solves
+for the closed-form dual isotropic basis.  Permutation signs in the references
 come from counting inversions in this file, independently of the
 package's permutation table.
 """
@@ -19,7 +20,8 @@ import pytest
 from spin42.clifford import EPS4, GAMMA, det4, gamma_coeffs, perm_table, x_matrix
 from spin42.errors import ActionLeavesSpan, NotInGammaSpan
 from spin42.exterior import KVector, basis_kvector, herm_inner, hodge_star, kv_norm, wedge
-from spin42.forms import G_DIAG, q_form
+from spin42.forms import G_DIAG, Q_DIAG, q_bilinear, q_form
+from spin42.isotropic import dual_isotropic_basis
 from spin42 import sampling
 from spin42.sampling import random_kvector
 from spin42.spin import SpinElement, covering_matrix, spin_generate, vector_action
@@ -173,6 +175,33 @@ def test_samplers_consume_the_same_draws():
             sampling.random_kvector(rng, k)
         sampling.random_null_vec6(rng)
     assert int(rng.integers(2**62)) == 2445473613299071877
+
+
+def _reference_dual_basis(x1: np.ndarray, x2: np.ndarray):
+    """y1 as the least-squares solution of (x1, y) = 1, (x2, y) = 0, then
+    y2 of (x1, y) = 0, (x2, y) = 1, (y1, y) = 0; each is corrected along
+    its own x to be null and halved."""
+    rows = np.vstack([x1 * Q_DIAG, x2 * Q_DIAG])
+    y1, *_ = np.linalg.lstsq(rows, np.array([1.0, 0.0]), rcond=None)
+    y1 = (y1 - (q_form(y1) / 2.0) * x1) / 2.0
+    rows2 = np.vstack([rows, y1 * Q_DIAG])
+    y2, *_ = np.linalg.lstsq(rows2, np.array([0.0, 1.0, 0.0]), rcond=None)
+    y2 = (y2 - (q_form(y2) / 2.0) * x2) / 2.0
+    return y1, y2
+
+
+def test_closed_form_dual_basis_matches_least_squares():
+    rng = np.random.default_rng(80)
+    for _ in range(500):
+        n = sampling.random_isotropic_plane(rng)
+        y1, y2 = dual_isotropic_basis(n)
+        r1, r2 = _reference_dual_basis(n.x1, n.x2)
+        scale = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
+        assert max(np.max(np.abs(y1 - r1)), np.max(np.abs(y2 - r2))) <= 1e-9 * scale
+        residuals = [q_bilinear(n.x1, y1) - 0.5, q_bilinear(n.x2, y2) - 0.5,
+                     q_bilinear(n.x1, y2), q_bilinear(n.x2, y1), q_bilinear(y1, y2),
+                     q_form(y1), q_form(y2)]
+        assert np.max(np.abs(residuals)) <= 1e-12
 
 
 def test_det4_matches_lu_determinant():
