@@ -18,7 +18,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IndexOutOfRange, NotInGammaSpan
-from .forms import DEFAULT_TOL, G4, Q_DIAG, _q, as_spinor, as_vec6, check_finite
+from .forms import (
+    DEFAULT_TOL,
+    G4,
+    Q_DIAG,
+    _q,
+    as_spinor,
+    as_vec6,
+    at_row,
+    check_finite,
+    first_failure,
+)
 
 _i = 1j
 
@@ -70,8 +80,9 @@ EPS4.setflags(write=False)
 
 
 def table_sum(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_alpha x^alpha table[alpha] for a 6x4x4 table, as one matmul."""
-    return (x @ table.reshape(6, 16)).reshape(4, 4)
+    """sum_alpha x^alpha table[alpha] for a 6x4x4 table, as one matmul;
+    x of shape (..., 6) gives (..., 4, 4)."""
+    return (x @ table.reshape(6, 16)).reshape(*x.shape[:-1], 4, 4)
 
 
 @dataclass(frozen=True)
@@ -136,7 +147,7 @@ def vector_from_op(a: AntilinearOp, tol: float = DEFAULT_TOL) -> np.ndarray:
     input gate, judged at tol exactly) and InvalidEntity on non-finite
     input.
     """
-    return gamma_coeffs(check_finite(np.asarray(a.m), "operator"), tol)[0]
+    return gamma_coeffs(check_finite(np.asarray(a.m), "operator"), tol)
 
 
 @lru_cache(maxsize=None)
@@ -148,33 +159,43 @@ def _gamma_rows() -> tuple[np.ndarray, np.ndarray]:
 
 
 def gamma_coeffs(ms: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """vector_from_op on a stack of n operator matrices (n x 4 x 4, or one
-    4 x 4 matrix as n = 1) at once, returning the n x 6 coefficients.
-    Each matrix's residual is judged against its own scale, max(1, max |m|)."""
+    """vector_from_op on a stack of operator matrices (..., 4, 4) at once,
+    returning the (..., 6) coefficients.  Each matrix's residual is judged
+    against its own scale, max(1, max |m|), and the error names the first
+    matrix that fails."""
     rows, rows_h = _gamma_rows()
+    lead = ms.shape[:-2]
     flat = ms.reshape(-1, 16)
     coeffs = (flat @ rows_h).real / 4.0
     residual = np.abs(flat - coeffs @ rows).max(axis=1)
     bad = ~(residual <= tol * np.maximum(1.0, np.abs(flat).max(axis=1)))
     if bad.any():
-        first = float(residual[bad][0])
-        raise NotInGammaSpan(
-            f"operator is not a real generator combination (residual {first:g})"
-        )
-    return coeffs
+        row = first_failure(bad.reshape(lead))
+        raise NotInGammaSpan(f"operator{at_row(row)} is not a real generator combination"
+                             f" (residual {residual.reshape(lead)[row]:g})")
+    return coeffs.reshape(*lead, 6)
 
 
-def det4(m: np.ndarray) -> complex:
-    """4x4 determinant by the Leibniz expansion over the permutation
-    table: one gather of the 24 diagonals m[r, perm(r)], their products,
-    and one signed sum.
+def _det4(m: np.ndarray) -> np.ndarray:
+    """Kernel of det4 over a stack (..., 4, 4): one gather of the 24
+    diagonals m[r, perm(r)] per matrix, their products, and one signed sum."""
+    perms, signs = perm_table(4)
+    return m[..., np.arange(4), perms].prod(axis=-1) @ signs
+
+
+def det4(m) -> complex:
+    """4x4 determinant by the Leibniz expansion over the permutation table.
 
     Exact on the {0,+-1,+-i} lattice of the generator tables (every
     product and partial sum is a small Gaussian integer, so there is no
     LU rounding), and perfectly adequate numerically at this size.
+    Raises ValueError on another shape and InvalidEntity on non-finite
+    entries.
     """
-    perms, signs = perm_table(4)
-    return complex(np.prod(m[np.arange(4), perms], axis=1) @ signs)
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    return complex(_det4(check_finite(m, "matrix")))
 
 
 @dataclass(frozen=True)
@@ -240,5 +261,5 @@ def det_identity(x) -> tuple[float, float]:
     """Return (det X(x) as a real number, Q(x)^2); the two must agree and
     the determinant's imaginary part must vanish."""
     x = as_vec6(x)
-    d = det4(table_sum(x, GAMMA))
+    d = _det4(table_sum(x, GAMMA))
     return float(d.real), _q(x) ** 2

@@ -42,7 +42,7 @@ from .errors import (
     NotRealCombination,
     NotSelfDual,
 )
-from .forms import DEFAULT_TOL, G_DIAG, as_vec6, check_finite
+from .forms import DEFAULT_TOL, G_DIAG, as_vec6, at_row, check_finite, first_failure
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -138,13 +138,21 @@ def _wedge_table(p: int, q: int) -> np.ndarray:
     return table
 
 
+def _wedge(p: int, q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel of wedge: coefficient arrays (..., C(4,p)) and (..., C(4,q))
+    whose leading axes broadcast, to (..., C(4,p+q)); the broadcast outer
+    product, flattened, times the sign table."""
+    outer = a[..., :, None] * b[..., None, :]
+    return outer.reshape(*outer.shape[:-2], -1) @ _wedge_table(p, q)
+
+
 def wedge(a: KVector, b: KVector) -> KVector:
     """Graded product with the determinant normalization:
     (v ^ w)^{ij} = v^i w^j - v^j w^i for vectors."""
     p, q = a.k, b.k
     if p + q > 4:
         raise GradeOverflow(f"grades {p}+{q} exceed 4")
-    return KVector(p + q, np.outer(a.coeffs, b.coeffs).reshape(-1) @ _wedge_table(p, q))
+    return KVector(p + q, _wedge(p, q, a.coeffs, b.coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -155,11 +163,17 @@ def _weights(k: int) -> np.ndarray:
     return weights
 
 
+def _herm(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel of herm_inner on grade-k coefficient arrays (..., C(4,k))
+    whose leading axes broadcast."""
+    return (_weights(k) * a * np.conj(b)).sum(axis=-1)
+
+
 def herm_inner(a: KVector, b: KVector) -> complex:
     """(a | b) = sum_I (e_I | e_I) a_I conj(b_I)."""
     if a.k != b.k:
         raise GradeMismatch(f"grades {a.k} and {b.k} differ")
-    return complex(np.vdot(b.coeffs, _weights(a.k) * a.coeffs))
+    return complex(_herm(a.k, a.coeffs, b.coeffs))
 
 
 # row alpha: the coefficients of Sigma_alpha, its entries [i, j] with i < j
@@ -187,9 +201,15 @@ def _star_signs(k: int) -> np.ndarray:
     return signs
 
 
+def _star(k: int, c: np.ndarray) -> np.ndarray:
+    """Kernel of hodge_star: grade-k coefficients (..., C(4,k)) to the
+    grade-(4-k) coefficients of their stars."""
+    return (_star_signs(k) * np.conj(c))[..., ::-1]
+
+
 def hodge_star(y: KVector) -> KVector:
     """Antilinear star: grade k -> 4-k, with x ^ star(y) = (x|y) e."""
-    return KVector(4 - y.k, (_star_signs(y.k) * np.conj(y.coeffs))[::-1])
+    return KVector(4 - y.k, _star(y.k, y.coeffs))
 
 
 def kv_norm(a: KVector) -> float:
@@ -218,11 +238,36 @@ def selfdual_split(b: KVector) -> tuple[KVector, KVector]:
     )
 
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """Kernel of phi: real (..., 6) to complex bivector coefficients (..., 6)."""
+    return x @ _SIGMA_COEFFS / _SQRT2
+
+
 def phi(x) -> KVector:
     """Real-linear embedding of the 6-space into self-dual bivectors,
     phi(x) = x^alpha E_alpha."""
-    x = as_vec6(x)
-    return KVector(2, x @ _SIGMA_COEFFS / _SQRT2)
+    return KVector(2, _phi(as_vec6(x)))
+
+
+def _phi_inverse(b: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel of phi_inverse on finite bivector coefficients (..., 6),
+    returning the real coordinates (..., 6).  Both gates judge every row
+    against tol * max(1, ||b||) and name the first row that fails them."""
+    bound = tol * np.maximum(1.0, _SQRT2 * np.linalg.norm(b, axis=-1))
+    dev = abs(_star(2, b) - b).max(axis=-1)
+    bad = ~(dev <= bound)
+    if bad.any():
+        row = first_failure(bad)
+        raise NotSelfDual(f"bivector{at_row(row)} is not fixed by the star"
+                          f" (deviation {dev[row]:g})")
+    x = np.real(b @ _SIGMA_COEFFS.conj().T) / _SQRT2
+    dev = abs(b - _phi(x)).max(axis=-1)
+    bad = ~(dev <= bound)
+    if bad.any():
+        row = first_failure(bad)
+        raise NotRealCombination(f"bivector{at_row(row)} is outside the real basis span"
+                                 f" (residual {dev[row]:g})")
+    return x
 
 
 def phi_inverse(b: KVector, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -236,16 +281,7 @@ def phi_inverse(b: KVector, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     if b.k != 2:
         raise GradeMismatch("phi_inverse is defined on bivectors")
-    check_finite(b.coeffs, "bivector")
-    scale = max(1.0, kv_norm(b))
-    sb = hodge_star(b)
-    if not float(np.max(np.abs(sb.coeffs - b.coeffs))) <= tol * scale:
-        raise NotSelfDual("bivector is not fixed by the star")
-    coeffs = np.real(_SIGMA_COEFFS.conj() @ b.coeffs) / _SQRT2
-    fit = coeffs @ _SIGMA_COEFFS / _SQRT2
-    if not float(np.max(np.abs(b.coeffs - fit))) <= tol * scale:
-        raise NotRealCombination("bivector is outside the real basis span")
-    return coeffs
+    return _phi_inverse(check_finite(b.coeffs, "bivector"), tol)
 
 
 def is_decomposable(b: KVector, tol: float = DEFAULT_TOL) -> bool:

@@ -49,6 +49,20 @@ def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def first_failure(bad: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True in a gate's failure mask over a kernel's
+    leading axes (the mask has one); () for a single object."""
+    return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
+def at_row(index: tuple[int, ...]) -> str:
+    """Message fragment naming a failing row ("at row i" in a stack, "at
+    index (i, j, ...)" over more leading axes): empty for a single object."""
+    if not index:
+        return ""
+    return f" at row {index[0]}" if len(index) == 1 else f" at index {index}"
+
+
 def as_vec6(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (6,):
@@ -66,6 +80,8 @@ def as_spinor(s) -> np.ndarray:
 # Kernels: the `_`-prefixed functions take arrays that already passed
 # as_vec6/as_spinor (or that the library computed from such arrays) and do
 # only the arithmetic; the public functions validate once and call them.
+# The exterior and covering kernels run over leading axes, and their
+# post-condition gates name the first failing row (first_failure, at_row).
 
 
 def _q(x: np.ndarray) -> float:

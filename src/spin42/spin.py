@@ -20,17 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import (
-    GAMMA,
-    SIGMA,
-    AntilinearOp,
-    det4,
-    gamma_coeffs,
-    table_sum,
-    vector_from_op,
-)
+from .clifford import GAMMA, SIGMA, _det4, gamma_coeffs, table_sum
 from .errors import ActionLeavesSpan, NotInGammaSpan, NotNormalized
-from .forms import DEFAULT_TOL, G4, Q6, RESIDUAL_FLOOR, _q, as_vec6, check_finite
+from .forms import (
+    DEFAULT_TOL,
+    G4,
+    G_DIAG,
+    Q6,
+    RESIDUAL_FLOOR,
+    _q,
+    as_vec6,
+    at_row,
+    check_finite,
+    first_failure,
+)
 
 
 @dataclass(frozen=True)
@@ -47,14 +50,25 @@ class ConformalMatrix6:
     l: np.ndarray
 
 
+def _su22_devs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix deviations of a finite stack (..., 4, 4) from the group,
+    relative to the scale s = max(1, max |m_ij|) at which their rounding
+    grows: max |m G m^dagger - G| / s^2 and |det m - 1| / s^4."""
+    s2 = np.maximum(1.0, abs(m).max(axis=(-2, -1))) ** 2
+    gdev = abs((m * G_DIAG) @ m.mT.conj() - G4).max(axis=(-2, -1))
+    ddev = abs(_det4(m) - 1.0)
+    return gdev / s2, ddev / (s2 * s2)
+
+
 def is_su22(m, tol: float = DEFAULT_TOL) -> bool:
-    """Membership of the pseudo-unitary group, judged at tol exactly."""
+    """Membership of the pseudo-unitary group: m G m^dagger = G judged at
+    tol * s^2 and det m = 1 at tol * s^4, s = max(1, max |m_ij|), so a
+    genuine strong boost is not rejected for its rounding."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4) or not np.isfinite(m).all():
         return False
-    gdev = float(np.max(np.abs(m @ G4 @ m.conj().T - G4)))
-    ddev = abs(det4(m) - 1.0)
-    return gdev <= tol and ddev <= tol
+    gdev, ddev = _su22_devs(m)
+    return bool(gdev <= tol and ddev <= tol)
 
 
 def spin_from_vector_pair(x, xp, tol: float = DEFAULT_TOL) -> SpinElement:
@@ -90,6 +104,22 @@ def spin_generate(pairs, tol: float = DEFAULT_TOL) -> SpinElement:
     return SpinElement(m)
 
 
+def _span_coeffs(ops: np.ndarray, floor: float) -> np.ndarray:
+    """gamma_coeffs of computed operators, whose leaving the span means the
+    acting matrix was never a group element."""
+    try:
+        return gamma_coeffs(ops, floor)
+    except NotInGammaSpan as exc:
+        raise ActionLeavesSpan(str(exc)) from exc
+
+
+def _vector_action(m: np.ndarray, x: np.ndarray, floor: float) -> np.ndarray:
+    """Kernel of vector_action: finite stacks m (..., 4, 4) and x (..., 6)
+    whose leading axes broadcast, to the images (..., 6)."""
+    sig_t = m @ table_sum(x, SIGMA) @ m.mT
+    return _span_coeffs(sig_t @ G4, floor)
+
+
 def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Transform a 6-vector through the bivector factor and read the
     coefficients back; preserves Q.  Raises ActionLeavesSpan when the
@@ -98,11 +128,33 @@ def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     post-condition), and InvalidEntity on non-finite input."""
     x = as_vec6(x)
     m = check_finite(s.m, "group element")
-    sig_t = m @ table_sum(x, SIGMA) @ m.T
-    try:
-        return vector_from_op(AntilinearOp(sig_t @ G4), tol=max(tol, RESIDUAL_FLOOR))
-    except NotInGammaSpan as exc:
-        raise ActionLeavesSpan(str(exc)) from exc
+    return _vector_action(m, x, max(tol, RESIDUAL_FLOOR))
+
+
+def _q_devs(l: np.ndarray) -> np.ndarray:
+    """max |l Q l^T - Q| of each matrix of a stack (..., 6, 6)."""
+    return abs(l @ Q6 @ l.mT - Q6).max(axis=(-2, -1))
+
+
+def _covering(m: np.ndarray, floor: float) -> np.ndarray:
+    """Kernel of covering_matrix: a finite stack (..., 4, 4) to the 6x6
+    matrices L(M) (..., 6, 6).  Span residuals are judged per column and
+    the quadric invariants per matrix; the error names the first failure."""
+    ops = m[..., None, :, :] @ SIGMA @ (m.mT @ G4)[..., None, :, :]
+    l = _span_coeffs(ops, floor).mT
+    # gates are relative to the matrix scale: strong boosts legitimately
+    # amplify rounding in l Q l^T without being any less orthogonal
+    scale = np.maximum(1.0, abs(l).max(axis=(-2, -1))) ** 2
+    qdev = _q_devs(l)
+    ddev = abs(np.linalg.det(l) - 1.0)
+    bad = ~((qdev <= floor * scale) & (ddev <= floor * scale ** 3))
+    if bad.any():
+        row = first_failure(bad)
+        raise ActionLeavesSpan(
+            f"action matrix{at_row(row)} violates the quadric invariants"
+            f" (Q dev {qdev[row]:g}, det dev {ddev[row]:g})"
+        )
+    return l
 
 
 def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix6:
@@ -116,22 +168,17 @@ def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix
     and quadric residuals are post-conditions.
     """
     m = check_finite(s.m, "group element")
-    floor = max(tol, RESIDUAL_FLOOR)
-    ops = m @ SIGMA @ (m.T @ G4)
-    try:
-        l = gamma_coeffs(ops, floor).T
-    except NotInGammaSpan as exc:
-        raise ActionLeavesSpan(str(exc)) from exc
-    # gates are relative to the matrix scale: strong boosts legitimately
-    # amplify rounding in l Q l^T without being any less orthogonal
-    scale = max(1.0, float(np.max(np.abs(l))) ** 2)
-    qdev = float(np.max(np.abs(l @ Q6 @ l.T - Q6)))
-    ddev = abs(np.linalg.det(l) - 1.0)
-    if not (qdev <= floor * scale and ddev <= floor * scale ** 3):
-        raise ActionLeavesSpan(
-            f"action matrix violates the quadric invariants (Q dev {qdev:g}, det dev {ddev:g})"
-        )
-    return ConformalMatrix6(l)
+    return ConformalMatrix6(_covering(m, max(tol, RESIDUAL_FLOOR)))
+
+
+# the 2x2 block of coordinates 4 and 6, the negative-signature plane
+_NEGATIVE_PLANE = (Ellipsis, *np.ix_([3, 5], [3, 5]))
+
+
+def _so_plus(l: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel of is_so_plus over a finite real stack (..., 6, 6)."""
+    return ((_q_devs(l) <= tol) & (abs(np.linalg.det(l) - 1.0) <= tol)
+            & (np.linalg.det(l[_NEGATIVE_PLANE]) > 0.0))
 
 
 def is_so_plus(l, tol: float = DEFAULT_TOL) -> bool:
@@ -143,8 +190,4 @@ def is_so_plus(l, tol: float = DEFAULT_TOL) -> bool:
     l = np.asarray(l, dtype=float)
     if l.shape != (6, 6) or not np.isfinite(l).all():
         return False
-    if not (float(np.max(np.abs(l @ Q6 @ l.T - Q6))) <= tol
-            and abs(np.linalg.det(l) - 1.0) <= tol):
-        return False
-    minor = l[np.ix_([3, 5], [3, 5])]
-    return float(np.linalg.det(minor)) > 0.0
+    return bool(_so_plus(l, tol))

@@ -2,9 +2,12 @@
 
 Each suite draws from a seeded generator, runs its identity checks, and
 reports the worst deviation; boolean checks contribute 0 or 1.  The
-`clifford` suite contains only checks that are exact on the {0,+-1,+-i}
-table lattice, so it passes with tolerance 0 literally; everything
-float-bearing lives in the other suites.
+`selfdual`, `hodge` and `spin` suites draw their samples as blocks whose
+row i is sample i, from the same draws a per-sample loop would make, and
+run each named check once on the whole block through the array kernels.
+The `clifford` suite contains only checks that are exact on the
+{0,+-1,+-i} table lattice, so it passes with tolerance 0 literally;
+everything float-bearing lives in the other suites.
 """
 
 from __future__ import annotations
@@ -25,24 +28,25 @@ from .clifford import (
     det_identity,
     gamma,
     reality_residual,
-    x_matrix,
 )
 from .exterior import (
+    _herm,
+    _phi,
+    _phi_inverse,
+    _star,
+    _wedge,
     basis_bivector,
     basis_kvector,
     herm_inner,
-    hodge_star,
     is_decomposable,
     kv_add,
     kv_norm,
     kv_scale,
     phi,
-    phi_inverse,
     wedge,
 )
-from .forms import G4, Q6, Q_DIAG, RESIDUAL_FLOOR, _canon, _g, _q, _qb
+from .forms import DEFAULT_TOL, G4, Q6, Q_DIAG, RESIDUAL_FLOOR, _canon, _g, _q, _qb
 from .isotropic import (
-    IsotropicPlaneE,
     four_idempotents,
     idempotent_pair,
     image_basis,
@@ -66,7 +70,15 @@ from .liesphere import (
     lie_extract,
     oriented_contact,
 )
-from .spin import SpinElement, covering_matrix, is_so_plus, is_su22, vector_action
+from .spin import (
+    SpinElement,
+    _covering,
+    _q_devs,
+    _so_plus,
+    _su22_devs,
+    _vector_action,
+    covering_matrix,
+)
 
 
 @dataclass
@@ -114,6 +126,11 @@ def _kv_dev(a, b) -> float:
     return kv_norm(kv_add(a, kv_scale(-1.0, b)))
 
 
+def _kv_devs(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kv_norm of the difference of grade-k coefficient arrays, per row."""
+    return math.sqrt(math.factorial(k)) * np.linalg.norm(a - b, axis=-1)
+
+
 def suite_clifford(seed: int, count: int, tol: float) -> SuiteResult:
     """Exact lattice identities of the generator tables."""
     c = _Collector()
@@ -134,27 +151,52 @@ def suite_clifford(seed: int, count: int, tol: float) -> SuiteResult:
     return c.result("clifford", tol, errata.notes("clifford"))
 
 
+# Block samplers: row i of each array is sample i, drawn from exactly the
+# draws that a loop of per-sample calls would make, in the same order.
+
+
+def _selfdual_block(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample i's (x, y), the draws of two rng.normal(size=6) calls."""
+    xy = rng.normal(size=(count, 2, 6))
+    return xy[:, 0], xy[:, 1]
+
+
+def _hodge_block(rng, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample i's grade-k y (the draws of random_kvector(rng, k)), complex
+    lambda (two normals) and grade-(4-k) x (random_kvector(rng, 4 - k))."""
+    nk = 2 * math.comb(4, k)
+    block = rng.normal(size=(n, nk + 2 + 2 * math.comb(4, 4 - k)))
+    return (block[:, :nk].view(complex), block[:, nk:nk + 2].view(complex)[:, 0],
+            block[:, nk + 2:].view(complex))
+
+
+def _spin_block(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n group elements from random_spin_element, stacked (n, 4, 4), then
+    the n vectors they act on (n, 6), drawn after all the elements."""
+    m = np.stack([sampling.random_spin_element(rng).m for _ in range(n)])
+    return m, rng.normal(size=(n, 6))
+
+
 def suite_selfdual(seed: int, count: int, tol: float) -> SuiteResult:
     """Basis bivectors: star-fixedness, the (negative) Gram identity, and
-    the embedding/extraction of 6-vectors."""
+    the embedding/extraction of 6-vectors.  The basis checks are table
+    products over the six E_alpha; each sample check runs once on the
+    whole block of samples."""
     c = _Collector()
     rng = np.random.default_rng(seed)
     es = [basis_bivector(a) for a in range(1, 7)]
-    for a in range(6):
-        c.dev(_kv_dev(hodge_star(es[a]), es[a]))
-        for b in range(6):
-            target = -Q_DIAG[a] if a == b else 0.0
-            c.dev(abs(herm_inner(es[a], es[b]) - target))
-            frob = np.sum(es[a].comps * np.conj(es[b].comps))
-            c.dev(abs(frob - (2.0 if a == b else 0.0)))
-    for _ in range(count):
-        x = rng.normal(size=6)
-        b = phi(x)
-        c.dev(float(np.max(np.abs(phi_inverse(b) - x))))
-        c.dev(_kv_dev(hodge_star(b), b))
-        c.dev(_kv_dev(hodge_star(kv_scale(1j, b)), kv_scale(-1j, b)))
-        y = rng.normal(size=6)
-        c.dev(abs(herm_inner(phi(x), phi(y)) - (-_qb(x, y))))
+    e = np.stack([kv.coeffs for kv in es])
+    comps = np.stack([kv.comps for kv in es])
+    c.bulk(6, np.max(_kv_devs(2, _star(2, e), e)))
+    c.bulk(36, np.max(np.abs(_herm(2, e[:, None], e[None, :]) + np.diag(Q_DIAG))))
+    frob = np.einsum("aij,bij->ab", comps, np.conj(comps))
+    c.bulk(36, np.max(np.abs(frob - 2.0 * np.eye(6))))
+    x, y = _selfdual_block(rng, count)
+    b = _phi(x)
+    c.bulk(count, np.max(np.abs(_phi_inverse(b, DEFAULT_TOL) - x)))
+    c.bulk(count, np.max(_kv_devs(2, _star(2, b), b)))
+    c.bulk(count, np.max(_kv_devs(2, _star(2, 1j * b), -1j * b)))
+    c.bulk(count, np.max(np.abs(_herm(2, b, _phi(y)) + np.sum(x * Q_DIAG * y, axis=-1))))
     return c.result("selfdual", tol, errata.notes("selfdual"))
 
 
@@ -196,54 +238,52 @@ def suite_exterior(seed: int, count: int, tol: float) -> SuiteResult:
 
 def suite_hodge(seed: int, count: int, tol: float) -> SuiteResult:
     """The antilinear star: defining relation, square law, antilinearity,
-    and the pairing symmetry."""
+    and the pairing symmetry.  The defining relation is checked on every
+    pair of grade-k monomials as one table, e_I ^ star(e_J) against
+    (e_I | e_J) e; each sample check runs once per grade on the whole
+    block of samples."""
     c = _Collector()
     rng = np.random.default_rng(seed)
-    vol = basis_kvector((1, 2, 3, 4))
     for k in range(5):
-        combos = list(itertools.combinations(range(1, 5), k))
-        for ci in combos:
-            for cj in combos:
-                ei = basis_kvector(ci)
-                ej = basis_kvector(cj)
-                lhs = wedge(ei, hodge_star(ej))
-                rhs = kv_scale(herm_inner(ei, ej), vol)
-                c.dev(_kv_dev(lhs, rhs))
+        eye = np.eye(math.comb(4, k), dtype=complex)
+        lhs = _wedge(k, 4 - k, eye[:, None], _star(k, eye)[None, :])
+        rhs = _herm(k, eye[:, None], eye[None, :])[..., None]
+        c.bulk(eye.size, np.max(_kv_devs(4, lhs, rhs)))
     for k in range(5):
         sign = (-1.0) ** (k * (4 - k))
-        for _ in range(max(5, count // 20)):
-            y = sampling.random_kvector(rng, k)
-            c.dev(_kv_dev(hodge_star(hodge_star(y)), kv_scale(sign, y)))
-            lam = complex(rng.normal(), rng.normal())
-            c.dev(_kv_dev(hodge_star(kv_scale(lam, y)),
-                          kv_scale(np.conj(lam), hodge_star(y))))
-            x = sampling.random_kvector(rng, 4 - k)
-            c.dev(abs(herm_inner(x, hodge_star(y)) -
-                      sign * herm_inner(y, hodge_star(x))))
+        n = max(5, count // 20)
+        y, lam, x = _hodge_block(rng, k, n)
+        lam = lam[:, None]
+        sy = _star(k, y)
+        c.bulk(n, np.max(_kv_devs(k, _star(4 - k, sy), sign * y)))
+        c.bulk(n, np.max(_kv_devs(4 - k, _star(k, lam * y), np.conj(lam) * sy)))
+        c.bulk(n, np.max(np.abs(_herm(4 - k, x, sy) - sign * _herm(k, y, _star(4 - k, x)))))
     return c.result("hodge", tol)
 
 
 def suite_spin(seed: int, count: int, tol: float) -> SuiteResult:
-    """Group membership, the covering homomorphism, and its special values."""
+    """Group membership, the covering homomorphism, and its special
+    values; each check runs once on the whole stack of elements."""
     c = _Collector()
     rng = np.random.default_rng(seed)
-    elements = [sampling.random_spin_element(rng) for _ in range(max(4, count // 4))]
-    for s in elements:
-        c.ok(is_su22(s.m, RESIDUAL_FLOOR))
-        c.dev(_mat_dev(s.m @ G4 @ s.m.conj().T, G4))
-        x = rng.normal(size=6)
-        c.dev(abs(_q(vector_action(s, x)) - _q(x)))
-        l = covering_matrix(s)
-        c.ok(is_so_plus(l, RESIDUAL_FLOOR))
-        c.dev(_mat_dev(l.l @ Q6 @ l.l.T, Q6))
-        c.dev(_mat_dev(covering_matrix(SpinElement(-s.m)).l, l.l))
-    for s1, s2 in zip(elements[::2], elements[1::2]):
-        prod = SpinElement(s1.m @ s2.m)
-        c.dev(_mat_dev(covering_matrix(prod).l,
-                       covering_matrix(s1).l @ covering_matrix(s2).l))
-    c.dev(_mat_dev(covering_matrix(SpinElement(np.eye(4, dtype=complex))).l, np.eye(6)))
-    c.dev(_mat_dev(covering_matrix(SpinElement(-np.eye(4, dtype=complex))).l, np.eye(6)))
-    c.dev(_mat_dev(covering_matrix(SpinElement(1j * np.eye(4, dtype=complex))).l, -np.eye(6)))
+    n = max(4, count // 4)
+    m, x = _spin_block(rng, n)
+    gdev, ddev = _su22_devs(m)
+    c.bulk(n, np.any(~((gdev <= RESIDUAL_FLOOR) & (ddev <= RESIDUAL_FLOOR))))
+    c.bulk(n, np.max(np.abs(m @ G4 @ m.mT.conj() - G4)))
+    qx = np.sum(x * Q_DIAG * x, axis=-1)
+    image = _vector_action(m, x, RESIDUAL_FLOOR)
+    c.bulk(n, np.max(np.abs(np.sum(image * Q_DIAG * image, axis=-1) - qx)))
+    l = _covering(m, RESIDUAL_FLOOR)
+    c.bulk(n, np.any(~_so_plus(l, RESIDUAL_FLOOR)))
+    c.bulk(n, np.max(_q_devs(l)))
+    c.bulk(n, np.max(np.abs(_covering(-m, RESIDUAL_FLOOR) - l)))
+    half = n // 2
+    products = _covering(m[0:2 * half:2] @ m[1:2 * half:2], RESIDUAL_FLOOR)
+    c.bulk(half, np.max(np.abs(products - l[0:2 * half:2] @ l[1:2 * half:2])))
+    eye = np.eye(4, dtype=complex)
+    special = _covering(np.stack([eye, -eye, 1j * eye]), RESIDUAL_FLOOR)
+    c.bulk(3, np.max(np.abs(special - np.array([1.0, 1.0, -1.0])[:, None, None] * np.eye(6))))
     return c.result("spin", tol, errata.notes("spin"))
 
 

@@ -9,6 +9,11 @@ identity det X(x) = Q(x)^2 for det4, and two chained least-squares solves
 for the closed-form dual isotropic basis.  Permutation signs in the references
 come from counting inversions in this file, independently of the
 package's permutation table.
+
+The array kernels behind the public functions run over leading axes;
+each is checked row by row against its public scalar function on stacks
+of random rows, and the suites' block samplers are checked to draw the
+same numbers as the per-sample calls they replace.
 """
 
 import itertools
@@ -17,14 +22,40 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from spin42.clifford import EPS4, GAMMA, det4, gamma_coeffs, perm_table, x_matrix
+from spin42.clifford import EPS4, GAMMA, _det4, det4, gamma_coeffs, perm_table, x_matrix
 from spin42.errors import ActionLeavesSpan, NotInGammaSpan
-from spin42.exterior import KVector, basis_kvector, herm_inner, hodge_star, kv_norm, wedge
-from spin42.forms import G_DIAG, Q_DIAG, q_bilinear, q_form
+from spin42.exterior import (
+    KVector,
+    _herm,
+    _phi,
+    _phi_inverse,
+    _star,
+    _wedge,
+    basis_kvector,
+    herm_inner,
+    hodge_star,
+    kv_norm,
+    phi,
+    phi_inverse,
+    wedge,
+)
+from spin42.forms import G4, G_DIAG, Q_DIAG, RESIDUAL_FLOOR, q_bilinear, q_form
 from spin42.isotropic import dual_isotropic_basis
 from spin42 import sampling
 from spin42.sampling import random_kvector
-from spin42.spin import SpinElement, covering_matrix, spin_generate, vector_action
+from spin42.spin import (
+    SpinElement,
+    _covering,
+    _so_plus,
+    _su22_devs,
+    _vector_action,
+    covering_matrix,
+    is_so_plus,
+    is_su22,
+    spin_generate,
+    vector_action,
+)
+from spin42.suites import _hodge_block, _selfdual_block, _spin_block
 
 
 def _parity_sign(perm) -> int:
@@ -251,6 +282,25 @@ def test_covering_matrix_matches_column_actions_up_to_strong_boosts():
     assert largest > 30.0
 
 
+def test_strong_boosts_are_members():
+    # products of two boosted pairs reach max |m| of 1.5e3 to 3.9e3; their
+    # rounding grows like |m|^2 and |m|^4, past what an absolute 1e-9 allows
+    rng = np.random.default_rng(5)
+    absolute_rejects = 0
+    for _ in range(40):
+        s = spin_generate([_boost_pair(rng, 4.5), _boost_pair(rng, 4.5)])
+        m = s.m
+        assert float(np.max(np.abs(m))) >= 1e3
+        assert is_su22(m)
+        assert not is_su22(2.0 * m)
+        gdev = float(np.max(np.abs(m @ G4 @ m.conj().T - G4)))
+        absolute_rejects += not (gdev <= 1e-9 and abs(np.linalg.det(m) - 1.0) <= 1e-9)
+        # the covering's own gates are relative to its scale too
+        covering_matrix(s)
+    # an absolute gate at 1e-9 rejects 39 of these 40 genuine elements
+    assert absolute_rejects > 0
+
+
 def test_covering_matrix_gates_still_raise():
     rng = np.random.default_rng(10)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -268,3 +318,141 @@ def test_span_residual_is_judged_per_matrix():
     with pytest.raises(NotInGammaSpan):
         gamma_coeffs(ops, 1e-9)
     assert np.array_equal(gamma_coeffs(ops[:1], 1e-9), [[1e6, 0, 0, 0, 0, 0]])
+
+
+ROWS = 200
+
+
+def _complex_rows(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _spin_stack(rng, n):
+    return np.stack([sampling.random_spin_element(rng).m for _ in range(n)])
+
+
+def test_phi_kernel_rows_match_phi():
+    x = np.random.default_rng(110).normal(size=(ROWS, 6))
+    out = _phi(x)
+    for i in range(ROWS):
+        assert _rel_dev(out[i], phi(x[i]).coeffs) <= 1e-14
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_star_and_herm_kernel_rows_match_the_public_functions(k):
+    rng = np.random.default_rng(120 + k)
+    a = _complex_rows(rng, ROWS, comb(4, k))
+    b = _complex_rows(rng, ROWS, comb(4, k))
+    star = _star(k, a)
+    herm = _herm(k, a, b)
+    for i in range(ROWS):
+        assert _rel_dev(star[i], hodge_star(KVector(k, a[i])).coeffs) <= 1e-14
+        assert _rel_dev(herm[i], herm_inner(KVector(k, a[i]), KVector(k, b[i]))) <= 1e-14
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(5) for q in range(5 - p)])
+def test_wedge_kernel_rows_match_wedge(p, q):
+    rng = np.random.default_rng(130 + 10 * p + q)
+    a = _complex_rows(rng, ROWS, comb(4, p))
+    b = _complex_rows(rng, ROWS, comb(4, q))
+    out = _wedge(p, q, a, b)
+    assert out.shape == (ROWS, comb(4, p + q))
+    for i in range(ROWS):
+        assert _rel_dev(out[i], wedge(KVector(p, a[i]), KVector(q, b[i])).coeffs) <= 1e-14
+
+
+def test_phi_inverse_kernel_rows_match_phi_inverse():
+    b = _phi(np.random.default_rng(140).normal(size=(ROWS, 6)))
+    out = _phi_inverse(b, 1e-9)
+    for i in range(ROWS):
+        assert _rel_dev(out[i], phi_inverse(KVector(2, b[i]))) <= 1e-14
+
+
+def test_det4_kernel_rows_match_det4():
+    m = _complex_rows(np.random.default_rng(150), ROWS, 4, 4)
+    out = _det4(m)
+    for i in range(ROWS):
+        assert _rel_dev(out[i], det4(m[i])) <= 1e-14
+
+
+def test_su22_devs_rows_match_single_matrices_and_is_su22():
+    rng = np.random.default_rng(160)
+    m = _spin_stack(rng, ROWS)
+    # every third row off the group: a small scaling or a random matrix
+    m[::6] *= 1.0 + 1e-7
+    m[3::6] = _complex_rows(rng, len(m[3::6]), 4, 4)
+    gdev, ddev = _su22_devs(m)
+    for i in range(ROWS):
+        g, d = _su22_devs(m[i])
+        assert _rel_dev(gdev[i], g) <= 1e-14 and _rel_dev(ddev[i], d) <= 1e-14
+        for tol in (1e-12, 1e-9, 1e-6):
+            assert is_su22(m[i], tol) == bool(gdev[i] <= tol and ddev[i] <= tol)
+
+
+def test_covering_action_and_so_plus_kernel_rows_match_the_public_functions():
+    rng = np.random.default_rng(170)
+    m = _spin_stack(rng, ROWS)
+    x = rng.normal(size=(ROWS, 6))
+    l = _covering(m, RESIDUAL_FLOOR)
+    image = _vector_action(m, x, RESIDUAL_FLOOR)
+    for i in range(ROWS):
+        assert _rel_dev(l[i], covering_matrix(SpinElement(m[i])).l) <= 1e-14
+        assert _rel_dev(image[i], vector_action(SpinElement(m[i]), x[i])) <= 1e-14
+    # det 1 and Q-orthogonal, but the sign flip of x1 and x4 reverses the
+    # orientation of the negative plane: out of the identity component
+    flip = np.diag([-1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
+    l[1::2] = flip @ l[1::2]
+    verdict = _so_plus(l, RESIDUAL_FLOOR)
+    assert verdict[::2].all() and not verdict[1::2].any()
+    for i in range(ROWS):
+        assert verdict[i] == is_so_plus(l[i], RESIDUAL_FLOOR)
+
+
+def test_selfdual_block_draws_the_per_sample_pairs():
+    count = 57
+    rng = np.random.default_rng(180)
+    pairs = [(rng.normal(size=6), rng.normal(size=6)) for _ in range(count)]
+    tail = rng.normal()
+    rng = np.random.default_rng(180)
+    x, y = _selfdual_block(rng, count)
+    assert np.array_equal(x, [p[0] for p in pairs])
+    assert np.array_equal(y, [p[1] for p in pairs])
+    assert rng.normal() == tail
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_hodge_block_draws_the_per_sample_kvectors(k):
+    n = 23
+    rng = np.random.default_rng(190 + k)
+    ys, lams, xs = [], [], []
+    for _ in range(n):
+        ys.append(random_kvector(rng, k).coeffs)
+        lams.append(complex(rng.normal(), rng.normal()))
+        xs.append(random_kvector(rng, 4 - k).coeffs)
+    tail = rng.normal()
+    rng = np.random.default_rng(190 + k)
+    y, lam, x = _hodge_block(rng, k, n)
+    assert np.array_equal(y, ys) and np.array_equal(lam, lams) and np.array_equal(x, xs)
+    assert rng.normal() == tail
+
+
+def test_spin_block_draws_the_vectors_after_the_elements():
+    n = 13
+    rng = np.random.default_rng(200)
+    elements = [sampling.random_spin_element(rng).m for _ in range(n)]
+    vectors = [rng.normal(size=6) for _ in range(n)]
+    tail = rng.normal()
+    rng = np.random.default_rng(200)
+    m, x = _spin_block(rng, n)
+    assert np.array_equal(m, elements) and np.array_equal(x, vectors)
+    assert rng.normal() == tail
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_star_defining_relation_is_exact_on_the_monomials(k):
+    eye = np.eye(comb(4, k), dtype=complex)
+    lhs = _wedge(k, 4 - k, eye[:, None], _star(k, eye)[None, :])
+    # the volume element e1^e2^e3^e4 has the single coefficient 1
+    gram = _herm(k, eye[:, None], eye[None, :])
+    assert lhs.shape == (len(eye), len(eye), 1)
+    assert np.max(np.abs(lhs[..., 0] - gram)) == 0.0
