@@ -284,14 +284,18 @@ def phi_inverse(b: KVector, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _phi_inverse(check_finite(b.coeffs, "bivector"), tol)
 
 
+def _decomposable(b: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel of is_decomposable on finite bivector coefficients (..., 6):
+    kv_norm(b ^ b) <= tol kv_norm(b)^2 per row, and every zero row."""
+    n2 = 2.0 * np.vecdot(b, b).real
+    ww = sqrt(factorial(4)) * abs(_wedge(2, 2, b, b)[..., 0])
+    return (n2 == 0.0) | (ww <= tol * n2)
+
+
 def is_decomposable(b: KVector, tol: float = DEFAULT_TOL) -> bool:
     """A bivector is a single wedge v ^ w exactly when b ^ b = 0; the
     threshold scales with ||b||^2 for scale invariance.  Non-finite
     coefficients raise InvalidEntity."""
     if b.k != 2:
         raise GradeMismatch("decomposability is defined on bivectors")
-    check_finite(b.coeffs, "bivector")
-    n = kv_norm(b)
-    if n == 0.0:
-        return True
-    return kv_norm(wedge(b, b)) <= tol * n * n
+    return bool(_decomposable(check_finite(b.coeffs, "bivector"), tol))

@@ -55,6 +55,12 @@ def first_failure(bad: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
+def all_rows(ok: np.ndarray) -> bool:
+    """Whether a gate's pass mask holds on every row; the mask of a single
+    object is read as a bool, without the cost of a reduction."""
+    return bool(ok) if ok.ndim == 0 else bool(ok.all())
+
+
 def at_row(index: tuple[int, ...]) -> str:
     """Message fragment naming a failing row ("at row i" in a stack, "at
     index (i, j, ...)" over more leading axes): empty for a single object."""
@@ -80,53 +86,61 @@ def as_spinor(s) -> np.ndarray:
 # Kernels: the `_`-prefixed functions take arrays that already passed
 # as_vec6/as_spinor (or that the library computed from such arrays) and do
 # only the arithmetic; the public functions validate once and call them.
-# The exterior and covering kernels run over leading axes, and their
-# post-condition gates name the first failing row (first_failure, at_row).
+# Every kernel runs over leading axes (a stack of n vectors is one call),
+# and its gates name the first failing row (first_failure, at_row).
 
 
-def _q(x: np.ndarray) -> float:
-    return float(np.dot(x, Q_DIAG * x))
+def _q(x: np.ndarray) -> np.ndarray:
+    return np.vecdot(x, Q_DIAG * x)
 
 
-def _qb(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.dot(x, Q_DIAG * y))
+def _qb(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.vecdot(x, Q_DIAG * y)
 
 
-def _g(s: np.ndarray, t: np.ndarray) -> complex:
-    return complex(np.dot(s, G_DIAG * np.conj(t)))
+def _g(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # vecdot conjugates its first argument
+    return np.vecdot(t, G_DIAG * s)
 
 
-def _null(x: np.ndarray, tol: float) -> bool:
-    return abs(_q(x)) <= tol * float(np.dot(x, x))
+def _null(x: np.ndarray, tol: float) -> np.ndarray:
+    return abs(_q(x)) <= tol * np.vecdot(x, x)
+
+
+def _pivot(x: np.ndarray) -> np.ndarray:
+    """The first largest-magnitude component of each row, as (..., 1);
+    a single row takes the cheaper plain gather."""
+    k = abs(x).argmax(axis=-1, keepdims=True)
+    return x[k] if x.ndim == 1 else np.take_along_axis(x, k, axis=-1)
 
 
 def _canon(x: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(x)))
-    if x[k] == 0.0:
-        raise ZeroVector("cannot canonicalize the zero vector")
-    rep = x / x[k]
-    return rep + 0.0
+    pivot = _pivot(x)
+    ok = pivot[..., 0] != 0.0
+    if not all_rows(ok):
+        raise ZeroVector(f"cannot canonicalize the zero vector{at_row(first_failure(~ok))}")
+    return x / pivot + 0.0
 
 
 def q_form(x) -> float:
     """Q(x) = x1^2 + x2^2 + x3^2 - x4^2 + x5^2 - x6^2."""
-    return _q(as_vec6(x))
+    return float(_q(as_vec6(x)))
 
 
 def q_bilinear(x, y) -> float:
     """The symmetric pairing (x, y) with (x, x) = Q(x)."""
-    return _qb(as_vec6(x), as_vec6(y))
+    return float(_qb(as_vec6(x), as_vec6(y)))
 
 
 def g_form(s, t) -> complex:
     """Pseudo-Hermitian form on spinors, conjugating the second argument."""
-    return _g(as_spinor(s), as_spinor(t))
+    return complex(_g(as_spinor(s), as_spinor(t)))
 
 
 def is_null(x, tol: float = DEFAULT_TOL) -> bool:
     """Nullity relative to the squared Euclidean norm, so rescaling a null
     vector never flips its status."""
-    return _null(as_vec6(x), tol)
+    return bool(_null(as_vec6(x), tol))
 
 
 def canonicalize(x) -> np.ndarray:
@@ -155,10 +169,15 @@ class ProjectiveNullLine:
 
 
 def _null_gate(x: np.ndarray, tol: float) -> np.ndarray:
-    if not float(np.linalg.norm(x)) > tol:
-        raise ZeroVector("a null class needs a nonzero vector")
-    if not _null(x, tol):
-        raise NotNull(f"Q(x) = {_q(x):g} is not null at tolerance {tol:g}")
+    n2 = np.vecdot(x, x)
+    ok = np.sqrt(n2) > tol
+    if not all_rows(ok):
+        raise ZeroVector(f"a null class needs a nonzero vector{at_row(first_failure(~ok))}")
+    q = _q(x)
+    ok = abs(q) <= tol * n2
+    if not all_rows(ok):
+        row = first_failure(~ok)
+        raise NotNull(f"Q(x){at_row(row)} = {q[row]:g} is not null at tolerance {tol:g}")
     return x
 
 
@@ -168,12 +187,14 @@ def as_null_vec6(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _null_gate(as_vec6(x), tol)
 
 
-def _projective(x: np.ndarray, tol: float) -> ProjectiveNullLine:
+def _projective(x: np.ndarray, tol: float) -> np.ndarray:
+    """The read-only canonical representatives (..., 6) of nonzero null
+    vectors, gated at tol."""
     rep = _canon(_null_gate(x, tol))
     rep.setflags(write=False)
-    return ProjectiveNullLine(rep)
+    return rep
 
 
 def projectivize(x, tol: float = DEFAULT_TOL) -> ProjectiveNullLine:
     """Canonical projective class of a nonzero null vector, gated at tol."""
-    return _projective(as_vec6(x), tol)
+    return ProjectiveNullLine(_projective(as_vec6(x), tol))

@@ -15,6 +15,7 @@ idempotent) serve as executable cross-checks throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,14 +27,19 @@ from .forms import (
     Q_DIAG,
     RANK_FLOOR,
     RESIDUAL_FLOOR,
+    ProjectiveNullLine,
     _g,
     _null_gate,
     _projective,
     _q,
     _qb,
+    _pivot,
+    all_rows,
     as_null_vec6,
     as_spinor,
     as_vec6,
+    at_row,
+    first_failure,
 )
 
 
@@ -60,63 +66,84 @@ class IsotropicPlaneE:
     x2: np.ndarray
 
 
+# The kernels below take checked arrays with any leading axes: spinors
+# (..., 4), 6-vectors (..., 6), spinor planes (..., 2, 4).  Their gates
+# judge every row and name the first that fails.
+
+
 def _isotropic_gate(v: np.ndarray, tol: float) -> np.ndarray:
-    """The input gate of a spinor line, on a checked spinor: nonzero
+    """The input gate of a spinor line, on checked spinors: nonzero
     (||v|| > tol) and isotropic (|(v|v)| <= tol ||v||^2)."""
-    n2 = float(np.real(np.vdot(v, v)))
-    if not np.sqrt(n2) > tol:
-        raise ZeroVector("spinor line needs a nonzero representative")
+    n2 = np.vecdot(v, v).real
+    ok = np.sqrt(n2) > tol
+    if not all_rows(ok):
+        raise ZeroVector(
+            f"spinor line needs a nonzero representative{at_row(first_failure(~ok))}")
     vv = _g(v, v)
-    if not abs(vv) <= tol * n2:
-        raise NotIsotropicSpinor(f"(v|v) = {vv:g} is not zero")
+    ok = abs(vv) <= tol * n2
+    if not all_rows(ok):
+        row = first_failure(~ok)
+        raise NotIsotropicSpinor(f"(v|v){at_row(row)} = {vv[row]:g} is not zero")
     return v
 
 
-def _spinor_line(v: np.ndarray, tol: float) -> SpinorLine:
+def _spinor_line(v: np.ndarray, tol: float) -> np.ndarray:
+    """Gated spinors scaled so the largest-magnitude component is 1."""
     v = _isotropic_gate(v, tol)
-    k = int(np.argmax(np.abs(v)))
-    return SpinorLine(v / v[k])
+    return v / _pivot(v)
 
 
 def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:
     """Validate (at tol exactly) and canonicalize an isotropic spinor
     representative (largest-magnitude component scaled to 1)."""
-    return _spinor_line(as_spinor(v), tol)
+    return SpinorLine(_spinor_line(as_spinor(v), tol))
 
 
 def _svd_rank(m: np.ndarray, rel_tol: float, rank: int, what: str):
-    """The SVD u, s, vh of m, whose numerical rank (the number of singular
-    values above rel_tol times the largest) must be rank."""
+    """The SVD u, s, vh of a stack of matrices m (..., r, c), each of whose
+    numerical rank (the number of singular values above rel_tol times its
+    largest) must be rank."""
     u, s, vh = np.linalg.svd(m)
-    got = int(np.count_nonzero(s > rel_tol * s[0]))
-    if got != rank:
-        raise RankFailure(f"{what} has rank {got}, not {rank}")
+    got = (s > rel_tol * s[..., :1]).sum(axis=-1)
+    ok = got == rank
+    if not all_rows(ok):
+        row = first_failure(~ok)
+        raise RankFailure(f"{what}{at_row(row)} has rank {got[row]}, not {rank}")
     return u, s, vh
 
 
-def _isotropic_plane(x1: np.ndarray, x2: np.ndarray, tol: float) -> IsotropicPlaneE:
-    scale = float(np.linalg.norm(x1) * np.linalg.norm(x2))
-    if not scale > tol:
-        raise ZeroVector("isotropic plane needs nonzero basis vectors")
-    _svd_rank(np.vstack([x1, x2]), tol, 2, "isotropic plane basis")
-    for val in (_q(x1), _q(x2), _qb(x1, x2)):
-        if not abs(val) <= tol * scale:
-            raise NotNull(f"plane is not totally isotropic (pairing {val:g})")
-    return IsotropicPlaneE(x1, x2)
+def _isotropic_plane(x1: np.ndarray, x2: np.ndarray, tol: float) -> None:
+    """The gate of a totally isotropic plane spanned by checked rows x1, x2
+    (..., 6), at tol: nonzero, independent, and every pairing within
+    tol ||x1|| ||x2||."""
+    scale = np.sqrt(np.vecdot(x1, x1) * np.vecdot(x2, x2))
+    ok = scale > tol
+    if not all_rows(ok):
+        raise ZeroVector(
+            f"isotropic plane{at_row(first_failure(~ok))} needs nonzero basis vectors")
+    basis = np.stack([x1, x2], axis=-2)
+    _svd_rank(basis, tol, 2, "isotropic plane basis")
+    # Gram matrix of the pairings: Q(x1), (x1, x2), (x2, x1), Q(x2)
+    dev = abs(basis @ (Q_DIAG * basis).mT).max(axis=(-2, -1))
+    ok = dev <= tol * scale
+    if not all_rows(ok):
+        row = first_failure(~ok)
+        raise NotNull(f"plane{at_row(row)} is not totally isotropic"
+                      f" (largest pairing {dev[row]:g})")
 
 
 def isotropic_plane(x1, x2, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
     """Validate a totally isotropic plane given by two basis vectors at
     tol exactly."""
-    return _isotropic_plane(as_vec6(x1), as_vec6(x2), tol)
+    x1, x2 = as_vec6(x1), as_vec6(x2)
+    _isotropic_plane(x1, x2, tol)
+    return IsotropicPlaneE(x1, x2)
 
 
 def _partner(x: np.ndarray) -> np.ndarray:
-    beta = int(np.argmax(np.abs(x)))
-    z = np.zeros(6)
-    z[beta] = 1.0
-    xz = _qb(x, z)
-    return z / (2.0 * xz) - _q(z) * x / (4.0 * xz * xz)
+    z = np.where(np.arange(6) == abs(x).argmax(axis=-1, keepdims=True), 1.0, 0.0)
+    xz = _qb(x, z)[..., None]
+    return z / (2.0 * xz) - _q(z)[..., None] * x / (4.0 * xz * xz)
 
 
 def partner_null_vector(x, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -131,10 +158,26 @@ def partner_null_vector(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _partner(as_null_vec6(x, tol))
 
 
+@lru_cache(maxsize=None)
+def _gamma_columns() -> np.ndarray:
+    """GAMMA as a 4 x 24 matrix whose product with a spinor w, reshaped to
+    (4, 6), has the columns Gamma_a w."""
+    return np.ascontiguousarray(GAMMA.transpose(2, 1, 0).reshape(4, 24))
+
+
 def _annihilator_system(v: np.ndarray) -> np.ndarray:
-    """The 8 x 6 real system of X(x) conj(v) = 0 in the real unknowns x."""
-    cols = np.stack([GAMMA[a] @ np.conj(v) for a in range(6)], axis=1)
-    return np.vstack([np.real(cols), np.imag(cols)])
+    """The 8 x 6 real systems (..., 8, 6) of X(x) conj(v) = 0 in the real
+    unknowns x, for spinors v (..., 4)."""
+    cols = (np.conj(v) @ _gamma_columns()).reshape(*v.shape[:-1], 4, 6)
+    return np.concatenate([cols.real, cols.imag], axis=-2)
+
+
+def _spinor_plane(x: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel of null_to_spinor_plane on gated null vectors (..., 6): the
+    kernel bases (..., 2, 4)."""
+    x = x / np.sqrt(np.vecdot(x, x))[..., None]
+    _, _, vh = _svd_rank(table_sum(x, GAMMA), max(tol, KERNEL_FLOOR), 2, "X(x)")
+    return vh[..., 2:, :]
 
 
 def null_to_spinor_plane(x, tol: float = DEFAULT_TOL) -> SpinorPlane:
@@ -147,10 +190,21 @@ def null_to_spinor_plane(x, tol: float = DEFAULT_TOL) -> SpinorPlane:
     null space of X, which is why the null rows of vh are used *without*
     conjugation.
     """
-    x = as_null_vec6(x, tol)
-    _, _, vh = _svd_rank(table_sum(x / np.linalg.norm(x), GAMMA),
-                         max(tol, KERNEL_FLOOR), 2, "X(x)")
-    return SpinorPlane(vh[2], vh[3])
+    b1, b2 = _spinor_plane(as_null_vec6(x, tol), tol)
+    return SpinorPlane(b1, b2)
+
+
+def _plane_line(x1: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel of plane_to_spinor_line on plane bases (..., 6): the
+    canonical line representatives (..., 4)."""
+    m = table_sum(x1, GAMMA) @ np.conj(table_sum(x2, GAMMA))
+    u, s, _ = _svd_rank(m, max(tol, RANK_FLOOR), 1, "composite operator")
+    ok = s[..., 0] > tol
+    if not all_rows(ok):
+        row = first_failure(~ok)
+        raise RankFailure(f"composite operator{at_row(row)} has largest singular value"
+                          f" {s[..., 0][row]:g} <= {tol:g}")
+    return _spinor_line(u[..., :, 0], tol)
 
 
 def plane_to_spinor_line(n: IsotropicPlaneE, tol: float = DEFAULT_TOL) -> SpinorLine:
@@ -162,11 +216,17 @@ def plane_to_spinor_line(n: IsotropicPlaneE, tol: float = DEFAULT_TOL) -> Spinor
     is a post-condition at max(tol, RANK_FLOOR); tol judges the line and
     the size of the composite, whose largest singular value must exceed it.
     """
-    m = table_sum(as_vec6(n.x1), GAMMA) @ np.conj(table_sum(as_vec6(n.x2), GAMMA))
-    u, s, _ = _svd_rank(m, max(tol, RANK_FLOOR), 1, "composite operator")
-    if not s[0] > tol:
-        raise RankFailure(f"composite operator has largest singular value {s[0]:g} <= {tol:g}")
-    return _spinor_line(u[:, 0], tol)
+    return SpinorLine(_plane_line(as_vec6(n.x1), as_vec6(n.x2), tol))
+
+
+def _line_plane(v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel of spinor_line_to_plane on checked spinors (..., 4): the
+    plane bases x1, x2 (..., 6)."""
+    system = _annihilator_system(_isotropic_gate(v, tol))
+    _, _, vh = _svd_rank(system, max(tol, RANK_FLOOR), 4, "annihilator system")
+    x1, x2 = vh[..., 4, :], vh[..., 5, :]
+    _isotropic_plane(x1, x2, max(tol, RESIDUAL_FLOOR))
+    return x1, x2
 
 
 def spinor_line_to_plane(v, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
@@ -176,18 +236,23 @@ def spinor_line_to_plane(v, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
     and the plane are post-conditions."""
     if isinstance(v, SpinorLine):
         v = v.rep
-    system = _annihilator_system(_isotropic_gate(as_spinor(v), tol))
-    _, _, vh = _svd_rank(system, max(tol, RANK_FLOOR), 4, "annihilator system")
-    return _isotropic_plane(vh[4], vh[5], max(tol, RESIDUAL_FLOOR))
+    return IsotropicPlaneE(*_line_plane(as_spinor(v), tol))
+
+
+def _spinor_plane_class(b: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel of plane_from_spinor_plane on spinor plane bases (..., 2, 4):
+    the canonical class representatives (..., 6)."""
+    system = _annihilator_system(b).reshape(*b.shape[:-2], 16, 6)
+    _, _, vh = _svd_rank(system, max(tol, RANK_FLOOR), 5, "annihilator system")
+    return _projective(vh[..., 5, :], max(tol, RESIDUAL_FLOOR))
 
 
 def plane_from_spinor_plane(p: SpinorPlane, tol: float = DEFAULT_TOL):
     """The unique projective null class whose operator kernel is the given
     isotropic spinor plane (inverse of null_to_spinor_plane); the
     dimension and the class are post-conditions."""
-    system = np.vstack([_annihilator_system(as_spinor(b)) for b in (p.b1, p.b2)])
-    _, _, vh = _svd_rank(system, max(tol, RANK_FLOOR), 5, "annihilator system")
-    return _projective(vh[5], max(tol, RESIDUAL_FLOOR))
+    b = np.stack([as_spinor(p.b1), as_spinor(p.b2)])
+    return ProjectiveNullLine(_spinor_plane_class(b, tol))
 
 
 def _idempotents(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,11 +272,11 @@ def idempotent_pair(x, y=None, tol: float = DEFAULT_TOL):
 
 
 def _dual_basis(x1: np.ndarray, x2: np.ndarray, tol: float):
-    x = np.stack([x1, x2], axis=1)
-    y = Q_DIAG[:, None] * np.linalg.pinv(x).T / 2.0
-    y = y - x @ (y.T @ (Q_DIAG[:, None] * y))
-    y1, y2 = y[:, 0], y[:, 1]
-    checks = [
+    x = np.stack([x1, x2], axis=-1)
+    y = Q_DIAG[:, None] * np.linalg.pinv(x).mT / 2.0
+    y = y - x @ (y.mT @ (Q_DIAG[:, None] * y))
+    y1, y2 = y[..., 0], y[..., 1]
+    checks = np.stack([
         _qb(x1, y1) - 0.5,
         _qb(x2, y2) - 0.5,
         _qb(x1, y2),
@@ -219,9 +284,13 @@ def _dual_basis(x1: np.ndarray, x2: np.ndarray, tol: float):
         _qb(y1, y2),
         _q(y1),
         _q(y2),
-    ]
-    if not float(np.max(np.abs(checks))) <= max(tol, RESIDUAL_FLOOR):
-        raise RankFailure("dual basis construction failed the pairing checks")
+    ], axis=-1)
+    dev = abs(checks).max(axis=-1)
+    ok = dev <= max(tol, RESIDUAL_FLOOR)
+    if not all_rows(ok):
+        row = first_failure(~ok)
+        raise RankFailure(f"dual basis{at_row(row)} failed the pairing checks"
+                          f" (deviation {dev[row]:g})")
     return y1, y2
 
 
@@ -240,6 +309,17 @@ def dual_isotropic_basis(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
     return _dual_basis(as_vec6(n.x1), as_vec6(n.x2), tol)
 
 
+def _four_idempotents(x1: np.ndarray, x2: np.ndarray, tol: float):
+    """Kernel of four_idempotents on plane bases (..., 6): R1..R4, each
+    (..., 4, 4)."""
+    q, _ = np.linalg.qr(np.stack([x1, x2], axis=-1))
+    x1, x2 = q[..., 0], q[..., 1]
+    y1, y2 = _dual_basis(x1, x2, tol)
+    p1, q1 = _idempotents(x1, y1)
+    p2, q2 = _idempotents(x2, y2)
+    return p1 @ p2, p1 @ q2, q1 @ p2, q1 @ q2
+
+
 def four_idempotents(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
     """The four commuting rank-1 idempotents R1..R4 of an isotropic plane:
     products of P_i = x_i.y_i and their complements Q_i = y_i.x_i over a
@@ -250,29 +330,26 @@ def four_idempotents(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
     They are built over a Euclidean-orthonormal basis of the same plane: a
     nearly dependent basis makes the P_i far from orthogonal projectors,
     and the rounding in the products grows with ||R||^2."""
-    q, _ = np.linalg.qr(np.stack([as_vec6(n.x1), as_vec6(n.x2)], axis=1))
-    x1, x2 = q[:, 0], q[:, 1]
-    y1, y2 = _dual_basis(x1, x2, tol)
-    p1, q1 = _idempotents(x1, y1)
-    p2, q2 = _idempotents(x2, y2)
-    return p1 @ p2, p1 @ q2, q1 @ p2, q1 @ q2
+    return _four_idempotents(as_vec6(n.x1), as_vec6(n.x2), tol)
 
 
 def image_basis(m: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the image of a matrix, with the
-    dimension asserted rather than inferred at max(tol, RANK_FLOOR)."""
+    """Orthonormal basis (columns) of the image of a matrix, or of each
+    matrix of a stack, with the dimension asserted rather than inferred at
+    max(tol, RANK_FLOOR)."""
     u, _, _ = _svd_rank(m, max(tol, RANK_FLOOR), dim, "image")
-    return u[:, :dim]
+    return u[..., :dim]
 
 
-def same_span(a: np.ndarray, b: np.ndarray, tol: float = RESIDUAL_FLOOR) -> bool:
-    """Whether two sets of column vectors span the same subspace."""
+def same_span(a: np.ndarray, b: np.ndarray, tol: float = RESIDUAL_FLOOR):
+    """Whether two sets of column vectors span the same subspace: a bool
+    for one pair of matrices, a bool array over leading axes for stacks."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     if a.shape != b.shape:
         return False
-    stacked = np.hstack([a, b])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    rank_a = int(np.sum(np.linalg.svd(a, compute_uv=False) > tol * s[0]))
-    rank_all = int(np.sum(s > tol * s[0]))
-    return rank_all == rank_a
+    s = np.linalg.svd(np.concatenate([a, b], axis=-1), compute_uv=False)
+    cut = tol * s[..., :1]
+    rank_a = np.count_nonzero(np.linalg.svd(a, compute_uv=False) > cut, axis=-1)
+    same = np.count_nonzero(s > cut, axis=-1) == rank_a
+    return bool(same) if same.ndim == 0 else same

@@ -33,7 +33,11 @@ from .forms import (
     ProjectiveNullLine,
     _projective,
     _qb,
+    all_rows,
+    as_vec6,
+    at_row,
     check_finite,
+    first_failure,
     projectivize,
 )
 
@@ -97,24 +101,42 @@ def _validate(ent: LieEntity) -> None:
         raise InvalidEntity(f"not a geometric entity: {ent!r}")
 
 
+# Kernels over leading axes: raw embeddings, the classification of
+# canonical representatives, inversion and the contact pairing.
+
+
+def _sphere_rep(c: np.ndarray, r) -> np.ndarray:
+    """Raw null vectors (..., 6) of spheres with centers c (..., 3) and
+    signed radii r (...); a point is r = 0."""
+    c2 = np.vecdot(c, c)
+    rep = np.empty(c.shape[:-1] + (6,))
+    rep[..., :3] = c
+    rep[..., 3] = r
+    rep[..., 4] = -(1.0 - c2 + r * r) / 2.0
+    rep[..., 5] = (1.0 + c2 - r * r) / 2.0
+    return rep
+
+
+def _plane_rep(n: np.ndarray, h) -> np.ndarray:
+    """Raw null vectors (..., 6) of the oriented planes n.x = h."""
+    rep = np.empty(n.shape[:-1] + (6,))
+    rep[..., :3] = n
+    rep[..., 3] = 1.0
+    rep[..., 4] = h
+    rep[..., 5] = h
+    return rep
+
+
 def embed_rep(ent: LieEntity) -> np.ndarray:
     """Raw (uncanonicalized) null 6-vector of an entity."""
     _validate(ent)
     if isinstance(ent, Infinity):
         return np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
     if isinstance(ent, Point):
-        c, r = ent.p, 0.0
-    elif isinstance(ent, Sphere):
-        c, r = ent.center, ent.signed_radius
-    else:
-        n, h = ent.normal, ent.offset
-        return np.array([n[0], n[1], n[2], 1.0, h, h])
-    c2 = float(np.dot(c, c))
-    return np.array([
-        c[0], c[1], c[2], r,
-        -(1.0 - c2 + r * r) / 2.0,
-        (1.0 + c2 - r * r) / 2.0,
-    ])
+        return _sphere_rep(ent.p, 0.0)
+    if isinstance(ent, Sphere):
+        return _sphere_rep(ent.center, ent.signed_radius)
+    return _plane_rep(ent.normal, ent.offset)
 
 
 def lie_embed(ent: LieEntity, tol: float = DEFAULT_TOL) -> ProjectiveNullLine:
@@ -123,34 +145,53 @@ def lie_embed(ent: LieEntity, tol: float = DEFAULT_TOL) -> ProjectiveNullLine:
     return projectivize(embed_rep(ent), tol)
 
 
+# the kinds of _extract's rows
+INFINITY, PLANE, POINT, SPHERE = range(4)
+
+
+def _extract(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel of lie_extract on canonical representatives (..., 6): the
+    kind of each row and its normal-form coordinates (..., 6), a / a4 for
+    a plane (n, 1, h, h) and a / (a6 - a5) for a sphere or point
+    (c, r, ., .).  A row at infinity with no radius slot raises
+    Unclassifiable, naming the row."""
+    gap = a[..., 5] - a[..., 4]
+    at_inf = abs(gap) <= tol
+    finite_zero = abs(a[..., :4]).max(axis=-1) <= tol
+    ok = ~at_inf | finite_zero | (abs(a[..., 3]) > tol)
+    if not all_rows(ok):
+        raise Unclassifiable(f"class{at_row(first_failure(~ok))} at infinity with no radius"
+                             " slot: no entity normal form fits")
+    # the sphere/point gauge rescales so slot6 - slot5 = 1
+    coords = a / np.where(at_inf, np.where(finite_zero, 1.0, a[..., 3]), gap)[..., None]
+    kind = np.where(at_inf, np.where(finite_zero, INFINITY, PLANE),
+                    np.where(abs(coords[..., 3]) <= tol, POINT, SPHERE))
+    return kind, coords
+
+
 def lie_extract(p: ProjectiveNullLine, tol: float = DEFAULT_TOL) -> LieEntity:
     """Inverse of lie_embed by normal-form matching on the canonical
     representative (whose largest component is 1, so the tolerances are
     absolute)."""
-    a = p.rep
-    finite_part = float(np.max(np.abs(a[:4])))
-    if abs(a[4] - a[5]) <= tol:
-        if finite_part <= tol:
-            return Infinity()
-        if abs(a[3]) <= tol:
-            raise Unclassifiable(
-                "class at infinity with no radius slot: no entity normal form fits"
-            )
-        return Plane(a[:3] / a[3], a[4] / a[3])
-    # generic case: rescale so slot6 - slot5 = 1, the sphere/point gauge
-    b = a / (a[5] - a[4])
-    center = b[:3].copy()
-    radius = float(b[3])
-    if abs(radius) <= tol:
-        return Point(center)
-    return Sphere(center, radius)
+    kind, b = _extract(p.rep, tol)
+    if kind == INFINITY:
+        return Infinity()
+    if kind == PLANE:
+        return Plane(b[:3], b[4])
+    if kind == POINT:
+        return Point(b[:3])
+    return Sphere(b[:3], b[3])
+
+
+def _inversion(rep: np.ndarray) -> np.ndarray:
+    """Kernel of conformal_inversion on class representatives (..., 6)."""
+    return _projective(rep @ INVERSION_MATRIX, DEFAULT_TOL)
 
 
 def conformal_inversion(p: ProjectiveNullLine) -> ProjectiveNullLine:
     """Negate the 5th coordinate and re-canonicalize; an involution on
     classes, and a Q-isometry of the ambient space."""
-    flipped = INVERSION_MATRIX @ p.rep
-    return projectivize(flipped)
+    return ProjectiveNullLine(_inversion(as_vec6(p.rep)))
 
 
 def is_at_infinity(p: ProjectiveNullLine, tol: float = DEFAULT_TOL) -> bool:
@@ -168,19 +209,19 @@ class InfinityReport:
     lightcone_image_class: str
 
 
-def _lightcone_match_residual(a: np.ndarray) -> float:
-    """Distance from a canonical class to the inverted light-cone family.
+def _lightcone_match_residual(a: np.ndarray) -> np.ndarray:
+    """Distance from canonical classes (..., 6) to the inverted light-cone
+    family.
 
     Inverted light-cone classes carry the normal form (x, t, 1/2, 1/2)
     with (x, t) free, so the only binding equations are on slots 5 and 6:
     the best scale is mu = a5 + a6.  When that forces mu = 0 the whole
     candidate collapses and the finite block of a stays unmatched.
     """
-    mu = a[4] + a[5]
-    slot_res = float(np.hypot(mu / 2.0 - a[4], mu / 2.0 - a[5]))
-    if abs(mu) < 1e-12:
-        return float(np.linalg.norm(a[:4])) + slot_res
-    return slot_res
+    mu = a[..., 4] + a[..., 5]
+    slot_res = np.hypot(mu / 2.0 - a[..., 4], mu / 2.0 - a[..., 5])
+    collapsed = np.sqrt(np.vecdot(a[..., :4], a[..., :4])) + slot_res
+    return np.where(abs(mu) < 1e-12, collapsed, slot_res)
 
 
 def fixed_sphere_probe(samples: int, rng=None) -> InfinityReport:
@@ -191,22 +232,20 @@ def fixed_sphere_probe(samples: int, rng=None) -> InfinityReport:
         raise ValueError("samples must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    max_drift = 0.0
-    min_residual = np.inf
-    for _ in range(samples):
+    normals = np.empty((samples, 3))
+    for i in range(samples):
         n = rng.normal(size=3)
         while np.linalg.norm(n) < 1e-3:
             n = rng.normal(size=3)
-        n = n / np.linalg.norm(n)
-        cls = _projective(np.array([n[0], n[1], n[2], 1.0, 0.0, 0.0]), DEFAULT_TOL)
-        drift = float(np.max(np.abs(conformal_inversion(cls).rep - cls.rep)))
-        max_drift = max(max_drift, drift)
-        min_residual = min(min_residual, _lightcone_match_residual(cls.rep))
+        normals[i] = n
+    normals /= np.sqrt(np.vecdot(normals, normals))[:, None]
+    cls = _projective(_plane_rep(normals, 0.0), DEFAULT_TOL)
+    min_residual = float(_lightcone_match_residual(cls).min())
     return InfinityReport(
         sample_count=samples,
-        fixed_sphere_max_drift=max_drift,
+        fixed_sphere_max_drift=float(abs(_inversion(cls) - cls).max()),
         missing_confirmed=bool(min_residual >= 0.1),
-        min_matching_residual=float(min_residual),
+        min_matching_residual=min_residual,
         lightcone_image_class=(
             "slots 5 and 6 equal and nonzero: at infinity, never on the "
             "invariant 2-sphere (whose classes have both slots zero)"
@@ -214,10 +253,13 @@ def fixed_sphere_probe(samples: int, rng=None) -> InfinityReport:
     )
 
 
+def _contact(ra: np.ndarray, rb: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel of oriented_contact on raw embeddings (..., 6)."""
+    scale = np.sqrt(np.vecdot(ra, ra)) * np.sqrt(np.vecdot(rb, rb))
+    return abs(_qb(ra, rb)) <= tol * np.maximum(scale, 1.0)
+
+
 def oriented_contact(a: LieEntity, b: LieEntity, tol: float = DEFAULT_TOL) -> bool:
     """Oriented tangency: vanishing Q-pairing of the two embeddings.  For
     two spheres this is |c1 - c2|^2 = (r1 - r2)^2."""
-    ra = embed_rep(a)
-    rb = embed_rep(b)
-    scale = float(np.linalg.norm(ra) * np.linalg.norm(rb))
-    return abs(_qb(ra, rb)) <= tol * max(scale, 1.0)
+    return bool(_contact(embed_rep(a), embed_rep(b), tol))

@@ -131,7 +131,8 @@ def random_isotropic_plane(rng) -> IsotropicPlaneE:
         a = rng.uniform(-1.0, 1.0, size=(2, 2))
     y1 = a[0, 0] * x1 + a[0, 1] * x2
     y2 = a[1, 0] * x1 + a[1, 1] * x2
-    return _isotropic_plane(y1, y2, RESIDUAL_FLOOR)
+    _isotropic_plane(y1, y2, RESIDUAL_FLOOR)
+    return IsotropicPlaneE(y1, y2)
 
 
 def random_kvector(rng, k: int):

@@ -29,6 +29,7 @@ from .forms import (
     Q6,
     RESIDUAL_FLOOR,
     _q,
+    all_rows,
     as_vec6,
     at_row,
     check_finite,
@@ -71,6 +72,28 @@ def is_su22(m, tol: float = DEFAULT_TOL) -> bool:
     return bool(gdev <= tol and ddev <= tol)
 
 
+def _composites(v: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel of spin_from_vector_pair on checked pairs (..., 2, 6): the
+    composites X(x) . conj(X(x')) (..., 4, 4), after the |Q| = 1 gate of
+    each vector at tol; the error names the first pair that fails it."""
+    q = _q(v)
+    ok = (abs(abs(q) - 1.0) <= tol).all(axis=-1)
+    if not all_rows(ok):
+        row = first_failure(~ok)
+        raise NotNormalized(f"|Q| must be 1 on both vectors{at_row(row)}"
+                            f" (got {q[row][0]:g}, {q[row][1]:g})")
+    xs = table_sum(v, GAMMA)
+    return xs[..., 0, :, :] @ np.conj(xs[..., 1, :, :])
+
+
+def _members(m: np.ndarray, tol: float) -> np.ndarray:
+    """Post-condition membership of computed matrices (..., 4, 4) at
+    max(tol, RESIDUAL_FLOOR), relative to their scale as in is_su22."""
+    gdev, ddev = _su22_devs(m)
+    bound = max(tol, RESIDUAL_FLOOR)
+    return (gdev <= bound) & (ddev <= bound)
+
+
 def spin_from_vector_pair(x, xp, tol: float = DEFAULT_TOL) -> SpinElement:
     """Composite operator of two unit-Q vectors, X(x) . conj(X(x')).
 
@@ -79,13 +102,8 @@ def spin_from_vector_pair(x, xp, tol: float = DEFAULT_TOL) -> SpinElement:
     which no rescaling repairs, so such pairs are rejected.  tol judges
     |Q| = 1; the composite's membership is a post-condition.
     """
-    x = as_vec6(x)
-    xp = as_vec6(xp)
-    qx, qxp = _q(x), _q(xp)
-    if not (abs(abs(qx) - 1.0) <= tol and abs(abs(qxp) - 1.0) <= tol):
-        raise NotNormalized(f"|Q| must be 1 on both vectors (got {qx:g}, {qxp:g})")
-    m = table_sum(x, GAMMA) @ np.conj(table_sum(xp, GAMMA))
-    if not is_su22(m, max(tol, RESIDUAL_FLOOR)):
+    m = _composites(np.stack([as_vec6(x), as_vec6(xp)]), tol)
+    if not _members(m, tol):
         raise NotNormalized(
             "composite is not pseudo-unitary; Q-signs of the pair must agree"
         )
@@ -94,12 +112,23 @@ def spin_from_vector_pair(x, xp, tol: float = DEFAULT_TOL) -> SpinElement:
 
 def spin_generate(pairs, tol: float = DEFAULT_TOL) -> SpinElement:
     """Ordered product over a list of unit-Q vector pairs; the empty
-    product is the identity.  tol judges each pair; the product's
-    membership is a post-condition."""
+    product is the identity.  tol judges each pair; the membership of
+    each pair's composite and of the product are post-conditions, judged
+    on one stack."""
+    pairs = list(pairs)
+    v = np.asarray(pairs, dtype=float) if pairs else np.empty((0, 2, 6))
+    if v.shape != (len(pairs), 2, 6):
+        raise ValueError(f"expected pairs of 6-vectors, got shape {v.shape}")
+    composites = _composites(check_finite(v, "6-vector"), tol)
     m = np.eye(4, dtype=complex)
-    for x, xp in pairs:
-        m = m @ spin_from_vector_pair(x, xp, tol).m
-    if not is_su22(m, max(tol, RESIDUAL_FLOOR)):
+    for c in composites:
+        m = m @ c
+    member = _members(np.concatenate([composites, m[None]]), tol)
+    if not all_rows(member[:-1]):
+        row = first_failure(~member[:-1])
+        raise NotNormalized(f"composite{at_row(row)} is not pseudo-unitary;"
+                            " Q-signs of the pair must agree")
+    if not member[-1]:
         raise NotNormalized("generated product failed the membership checks")
     return SpinElement(m)
 

@@ -13,7 +13,8 @@ package's permutation table.
 The array kernels behind the public functions run over leading axes;
 each is checked row by row against its public scalar function on stacks
 of random rows, and the suites' block samplers are checked to draw the
-same numbers as the per-sample calls they replace.
+same numbers as the per-sample calls they replace, leaving the generator
+where those calls would.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from spin42.clifford import EPS4, GAMMA, _det4, det4, gamma_coeffs, perm_table, 
 from spin42.errors import ActionLeavesSpan, NotInGammaSpan
 from spin42.exterior import (
     KVector,
+    _decomposable,
     _herm,
     _phi,
     _phi_inverse,
@@ -34,13 +36,74 @@ from spin42.exterior import (
     basis_kvector,
     herm_inner,
     hodge_star,
+    is_decomposable,
     kv_norm,
     phi,
     phi_inverse,
     wedge,
 )
-from spin42.forms import G4, G_DIAG, Q_DIAG, RESIDUAL_FLOOR, q_bilinear, q_form
-from spin42.isotropic import dual_isotropic_basis
+from spin42.forms import (
+    G4,
+    G_DIAG,
+    Q_DIAG,
+    RANK_FLOOR,
+    RESIDUAL_FLOOR,
+    ProjectiveNullLine,
+    _canon,
+    _g,
+    _projective,
+    _q,
+    _qb,
+    canonicalize,
+    g_form,
+    projectivize,
+    q_bilinear,
+    q_form,
+)
+from spin42.isotropic import (
+    IsotropicPlaneE,
+    _annihilator_system,
+    _dual_basis,
+    _four_idempotents,
+    _isotropic_plane,
+    _line_plane,
+    _partner,
+    _plane_line,
+    _spinor_line,
+    _spinor_plane,
+    _spinor_plane_class,
+    _svd_rank,
+    dual_isotropic_basis,
+    four_idempotents,
+    image_basis,
+    isotropic_plane,
+    null_to_spinor_plane,
+    partner_null_vector,
+    plane_from_spinor_plane,
+    plane_to_spinor_line,
+    same_span,
+    spinor_line,
+    spinor_line_to_plane,
+)
+from spin42.liesphere import (
+    INFINITY,
+    PLANE,
+    POINT,
+    SPHERE,
+    Infinity,
+    Plane,
+    Point,
+    Sphere,
+    _contact,
+    _extract,
+    _inversion,
+    _plane_rep,
+    _sphere_rep,
+    conformal_inversion,
+    embed_rep,
+    lie_extract,
+    oriented_contact,
+)
 from spin42 import sampling
 from spin42.sampling import random_kvector
 from spin42.spin import (
@@ -52,10 +115,18 @@ from spin42.spin import (
     covering_matrix,
     is_so_plus,
     is_su22,
+    spin_from_vector_pair,
     spin_generate,
     vector_action,
 )
-from spin42.suites import _hodge_block, _selfdual_block, _spin_block
+from spin42.suites import (
+    _exterior_block,
+    _hodge_block,
+    _isotropic_block,
+    _liesphere_block,
+    _selfdual_block,
+    _spin_block,
+)
 
 
 def _parity_sign(perm) -> int:
@@ -456,3 +527,277 @@ def test_star_defining_relation_is_exact_on_the_monomials(k):
     gram = _herm(k, eye[:, None], eye[None, :])
     assert lhs.shape == (len(eye), len(eye), 1)
     assert np.max(np.abs(lhs[..., 0] - gram)) == 0.0
+
+
+# The forms, isotropic, liesphere and decomposability kernels, row by row
+# against their public scalar functions on stacks of sampled rows.
+
+
+def _null_rows(rng, n=ROWS):
+    return np.stack([sampling.random_null_vec6(rng) for _ in range(n)])
+
+
+def _plane_rows(rng, n=ROWS):
+    planes = [sampling.random_isotropic_plane(rng) for _ in range(n)]
+    return np.stack([n.x1 for n in planes]), np.stack([n.x2 for n in planes])
+
+
+def _spinor_rows(rng, n=ROWS):
+    return np.stack([sampling.random_isotropic_spinor(rng) for _ in range(n)])
+
+
+def test_form_kernel_rows_match_the_public_functions():
+    rng = np.random.default_rng(300)
+    x = rng.normal(size=(ROWS, 6))
+    y = rng.normal(size=(ROWS, 6))
+    s = _complex_rows(rng, ROWS, 4)
+    t = _complex_rows(rng, ROWS, 4)
+    null = _null_rows(rng)
+    q, qb, g, canon, rep = _q(x), _qb(x, y), _g(s, t), _canon(x), _projective(null, 1e-9)
+    for i in range(ROWS):
+        # the one-dimensional case of the same vecdot: equal bit for bit
+        assert q[i] == q_form(x[i]) and qb[i] == q_bilinear(x[i], y[i])
+        assert g[i] == g_form(s[i], t[i])
+        assert np.array_equal(canon[i], canonicalize(x[i]))
+        assert np.array_equal(rep[i], projectivize(null[i]).rep)
+    assert not rep.flags.writeable
+
+
+def test_null_to_spinor_plane_and_partner_kernel_rows_match():
+    rng = np.random.default_rng(310)
+    x = _null_rows(rng)
+    kernel = _spinor_plane(x, 1e-9)
+    partner = _partner(x)
+    back = _spinor_plane_class(kernel, 1e-9)
+    for i in range(ROWS):
+        plane = null_to_spinor_plane(x[i])
+        assert np.array_equal(kernel[i], [plane.b1, plane.b2])
+        assert np.array_equal(partner[i], partner_null_vector(x[i]))
+        assert np.array_equal(back[i], plane_from_spinor_plane(plane).rep)
+
+
+def test_annihilator_system_rows_match_the_column_construction():
+    v = _complex_rows(np.random.default_rng(320), ROWS, 4)
+    out = _annihilator_system(v)
+    assert out.shape == (ROWS, 8, 6)
+    for i in range(ROWS):
+        cols = np.stack([GAMMA[a] @ np.conj(v[i]) for a in range(6)], axis=1)
+        assert np.array_equal(out[i], np.vstack([cols.real, cols.imag]))
+
+
+def test_plane_and_line_kernel_rows_match():
+    rng = np.random.default_rng(330)
+    x1, x2 = _plane_rows(rng)
+    v = _spinor_rows(rng)
+    line = _plane_line(x1, x2, 1e-9)
+    p1, p2 = _line_plane(v, 1e-9)
+    unit = _spinor_line(v, 1e-9)
+    for i in range(ROWS):
+        plane = IsotropicPlaneE(x1[i], x2[i])
+        assert np.array_equal(line[i], plane_to_spinor_line(plane).rep)
+        back = spinor_line_to_plane(v[i])
+        assert np.array_equal(p1[i], back.x1) and np.array_equal(p2[i], back.x2)
+        assert np.array_equal(unit[i], spinor_line(v[i]).rep)
+    # the gate of every row passes, and a single row is the scalar gate
+    _isotropic_plane(x1, x2, RESIDUAL_FLOOR)
+    isotropic_plane(x1[0], x2[0], RESIDUAL_FLOOR)
+
+
+def test_dual_basis_and_four_idempotents_kernel_rows_match():
+    rng = np.random.default_rng(340)
+    x1, x2 = _plane_rows(rng)
+    y1, y2 = _dual_basis(x1, x2, 1e-9)
+    r = np.stack(_four_idempotents(x1, x2, 1e-9), axis=1)
+    for i in range(ROWS):
+        plane = IsotropicPlaneE(x1[i], x2[i])
+        s1, s2 = dual_isotropic_basis(plane)
+        assert _rel_dev(y1[i], s1) <= 1e-14 and _rel_dev(y2[i], s2) <= 1e-14
+        assert _rel_dev(r[i], np.stack(four_idempotents(plane))) <= 1e-14
+
+
+def test_same_span_and_svd_rank_over_rows():
+    rng = np.random.default_rng(350)
+    a = rng.normal(size=(ROWS, 6, 2))
+    mix = rng.normal(size=(ROWS, 2, 2))
+    b = a @ mix
+    # every third pair spans another plane
+    b[::3] = rng.normal(size=b[::3].shape)
+    same = same_span(a, b)
+    assert same.shape == (ROWS,) and same.dtype == bool
+    assert not same[::3].any() and same[1::3].all() and same[2::3].all()
+    for i in range(ROWS):
+        assert same_span(a[i], b[i]) is bool(same[i])
+    m = rng.normal(size=(ROWS, 4, 1)) @ rng.normal(size=(ROWS, 1, 4))
+    u, s, vh = _svd_rank(m, RANK_FLOOR, 1, "outer product")
+    assert np.array_equal(image_basis(m, 1), u[..., :1])
+    for i in range(ROWS):
+        assert np.array_equal(_svd_rank(m[i], RANK_FLOOR, 1, "outer product")[1], s[i])
+
+
+def _entities(rng, n):
+    makers = (sampling.random_point, sampling.random_sphere, sampling.random_plane)
+    return [Infinity()] + [makers[i % 3](rng) for i in range(n - 1)]
+
+
+def test_liesphere_kernel_rows_match_the_public_functions():
+    rng = np.random.default_rng(360)
+    ents = _entities(rng, ROWS)
+    raw = np.stack([embed_rep(e) for e in ents])
+    points = [e for e in ents if isinstance(e, Point)]
+    spheres = [e for e in ents if isinstance(e, Sphere)]
+    planes = [e for e in ents if isinstance(e, Plane)]
+    assert np.array_equal(_sphere_rep(np.stack([p.p for p in points]), 0.0),
+                          [embed_rep(p) for p in points])
+    assert np.array_equal(
+        _sphere_rep(np.stack([s.center for s in spheres]), np.array([s.signed_radius for s in spheres])),
+        [embed_rep(s) for s in spheres])
+    assert np.array_equal(
+        _plane_rep(np.stack([h.normal for h in planes]), np.array([h.offset for h in planes])),
+        [embed_rep(h) for h in planes])
+    cls = _projective(raw, 1e-9)
+    kind, coords = _extract(cls, 1e-9)
+    inverted = _inversion(cls)
+    contact = _contact(raw[:, None], raw[None, :], 1e-9)
+    kinds = {Infinity: INFINITY, Point: POINT, Sphere: SPHERE, Plane: PLANE}
+    for i, ent in enumerate(ents):
+        one = ProjectiveNullLine(cls[i])
+        back = lie_extract(one)
+        assert kind[i] == kinds[type(back)] == kinds[type(ent)]
+        if isinstance(back, Point):
+            assert np.array_equal(back.p, coords[i, :3])
+        elif isinstance(back, Sphere):
+            assert np.array_equal(back.center, coords[i, :3])
+            assert back.signed_radius == coords[i, 3]
+        elif isinstance(back, Plane):
+            assert np.array_equal(back.normal, coords[i, :3]) and back.offset == coords[i, 4]
+        assert np.array_equal(inverted[i], conformal_inversion(one).rep)
+        for j in range(0, ROWS, 17):
+            assert contact[i, j] == oriented_contact(ent, ents[j])
+
+
+def test_decomposable_kernel_rows_match_is_decomposable():
+    rng = np.random.default_rng(370)
+    x = np.concatenate([_null_rows(rng, ROWS // 2), rng.normal(size=(ROWS // 2, 6))])
+    b = _phi(x)
+    b[-1] = 0.0
+    out = _decomposable(b, 1e-9)
+    assert out[:ROWS // 2].all() and out[-1] and not out[ROWS // 2:-1].any()
+    for i in range(ROWS):
+        assert out[i] == is_decomposable(KVector(2, b[i]))
+
+
+def _reference_spin_generate(pairs):
+    """The sequential product of the pair composites X(x) conj(X(x'))."""
+    m = np.eye(4, dtype=complex)
+    for x, xp in pairs:
+        m = m @ (x_matrix(x).m @ np.conj(x_matrix(xp).m))
+    return m
+
+
+def test_spin_generate_is_the_sequential_product_bit_for_bit():
+    rng = np.random.default_rng(380)
+    for npairs in (0, 1, 2, 3):
+        for _ in range(100):
+            pairs = []
+            for _ in range(npairs):
+                sign = int(rng.choice([-1, 1]))
+                pairs.append((sampling.random_unit_q_vec6(rng, sign),
+                              sampling.random_unit_q_vec6(rng, sign)))
+            assert np.array_equal(spin_generate(pairs).m, _reference_spin_generate(pairs))
+            if npairs == 1:
+                assert np.array_equal(spin_from_vector_pair(*pairs[0]).m,
+                                      _reference_spin_generate(pairs))
+
+
+def _reference_contact_pair(rng):
+    """The contact-pair draws as a loop that computes the gap twice."""
+    s1 = sampling.random_sphere(rng)
+    if rng.random() < 0.5:
+        direction = sampling.unit_vec3(rng)
+        r2 = rng.uniform(0.2, 3.0) * float(rng.choice([-1.0, 1.0]))
+        s2 = Sphere(s1.center + (s1.signed_radius - r2) * direction, r2)
+    else:
+        while True:
+            s2 = sampling.random_sphere(rng)
+            gap = float(np.linalg.norm(s1.center - s2.center) ** 2
+                        - (s1.signed_radius - s2.signed_radius) ** 2)
+            if abs(gap) > 0.05:
+                break
+    gap = float(np.linalg.norm(s1.center - s2.center) ** 2
+                - (s1.signed_radius - s2.signed_radius) ** 2)
+    return s1, s2, abs(gap) <= 1e-9 * max(
+        1.0, float(np.linalg.norm(s1.center - s2.center) ** 2))
+
+
+@pytest.mark.parametrize("count", [7, 100])
+def test_exterior_block_draws_the_per_sample_loops(count):
+    rng = np.random.default_rng(400 + count)
+    wedges, herms = {}, {}
+    for _ in range(max(10, count // 10)):
+        p = int(rng.integers(0, 3))
+        q = int(rng.integers(0, 4 - p + 1))
+        a = random_kvector(rng, p).coeffs
+        b = random_kvector(rng, q).coeffs
+        r = int(rng.integers(0, 4 - p - q + 1))
+        wedges.setdefault((p, q, r), []).append((a, b, random_kvector(rng, r).coeffs))
+    for _ in range(max(10, count // 10)):
+        k = int(rng.integers(0, 5))
+        herms.setdefault(k, []).append((random_kvector(rng, k).coeffs,
+                                        random_kvector(rng, k).coeffs))
+    half = max(1, count // 2)
+    null = [sampling.random_null_vec6(rng) for _ in range(half)]
+    nonnull = [sampling.random_nonnull_vec6(rng) for _ in range(half)]
+    tail = rng.normal()
+    rng = np.random.default_rng(400 + count)
+    w, h, x, y = _exterior_block(rng, count)
+    assert list(w) == list(wedges) and list(h) == list(herms)
+    for key, rows in wedges.items():
+        assert all(np.array_equal(w[key][f], [row[f] for row in rows]) for f in range(3))
+    for key, rows in herms.items():
+        assert all(np.array_equal(h[key][f], [row[f] for row in rows]) for f in range(2))
+    assert np.array_equal(x, null) and np.array_equal(y, nonnull)
+    assert rng.normal() == tail
+
+
+@pytest.mark.parametrize("count", [7, 100])
+def test_isotropic_block_draws_the_per_sample_loops(count):
+    rng = np.random.default_rng(410 + count)
+    x = [sampling.random_null_vec6(rng) for _ in range(max(4, count // 2))]
+    planes = [sampling.random_isotropic_plane(rng) for _ in range(max(4, count // 4))]
+    v = [sampling.random_isotropic_spinor(rng) for _ in range(max(4, count // 4))]
+    tail = rng.normal()
+    rng = np.random.default_rng(410 + count)
+    bx, bplanes, bv = _isotropic_block(rng, count)
+    assert np.array_equal(bx, x) and np.array_equal(bv, v)
+    assert np.array_equal(bplanes, [[n.x1, n.x2] for n in planes])
+    assert rng.normal() == tail
+
+
+@pytest.mark.parametrize("count", [7, 100])
+def test_liesphere_block_draws_the_per_sample_loops(count):
+    rng = np.random.default_rng(420 + count)
+    n = max(4, count // 4)
+    points = [sampling.random_point(rng) for _ in range(n)]
+    spheres = [sampling.random_sphere(rng) for _ in range(n)]
+    planes = [sampling.random_plane(rng) for _ in range(n)]
+    inverted = [sampling.random_sphere(rng) for _ in range(max(4, count // 2))]
+    far_plane = sampling.random_plane(rng)
+    contacts = [_reference_contact_pair(rng) for _ in range(max(8, count))]
+    tail = rng.normal()
+    rng = np.random.default_rng(420 + count)
+    bpoints, bspheres, bplanes, binverted, bfar, bcontacts = _liesphere_block(rng, count)
+    assert np.array_equal(bpoints, [p.p for p in points])
+    assert np.array_equal(bspheres[0], [s.center for s in spheres])
+    assert np.array_equal(bspheres[1], [s.signed_radius for s in spheres])
+    assert np.array_equal(bplanes[0], [h.normal for h in planes])
+    assert np.array_equal(bplanes[1], [h.offset for h in planes])
+    assert np.array_equal(binverted[0], [s.center for s in inverted])
+    assert np.array_equal(binverted[1], [s.signed_radius for s in inverted])
+    assert np.array_equal(bfar.normal, far_plane.normal) and bfar.offset == far_plane.offset
+    c1, r1, c2, r2, tangent = bcontacts
+    assert np.array_equal(c1, [s1.center for s1, _, _ in contacts])
+    assert np.array_equal(r1, [s1.signed_radius for s1, _, _ in contacts])
+    assert np.array_equal(c2, [s2.center for _, s2, _ in contacts])
+    assert np.array_equal(r2, [s2.signed_radius for _, s2, _ in contacts])
+    assert list(tangent) == [t for _, _, t in contacts]
+    assert rng.normal() == tail

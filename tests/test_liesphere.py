@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spin42 import errata
 from spin42.errors import InvalidEntity, Unclassifiable
 from spin42.forms import ProjectiveNullLine, Q6, projectivize, q_bilinear, q_form
 from spin42.liesphere import (
@@ -247,6 +248,36 @@ def test_extract_inverts_embed_for_large_centers(c, r, sign):
     assert np.max(np.abs(back.center - ent.center)) <= 1e-6 * max(
         1.0, float(np.max(np.abs(ent.center))))
     assert abs(back.signed_radius - ent.signed_radius) <= 1e-6 * r
+
+
+EPS = np.finfo(float).eps
+# |c|^2 = 2 / tol is where a far sphere's class reaches the infinity hyperplane
+EDGE = np.sqrt(2.0 / 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+        lambda d: np.linalg.norm(d) >= 0.1),
+    distance=st.floats(10.0, 0.999 * EDGE),
+    r=st.floats(1e-3, 10.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_far_sphere_round_trip_follows_the_stated_law(direction, distance, r, sign):
+    # errata lie-extract-far-sphere: the round-trip error relative to |c| is
+    # about 0.13 eps |c|^2 up to the 2 / tol edge; the bound allows twice
+    # that, plus a term linear in |c| for the rounding of moderate spheres
+    c = distance * np.asarray(direction) / np.linalg.norm(direction)
+    distance = float(np.linalg.norm(c))
+    back = lie_extract(lie_embed(Sphere(c, sign * r)))
+    assert isinstance(back, Sphere)
+    err = max(float(np.max(np.abs(back.center - c))), abs(back.signed_radius - sign * r))
+    assert err <= EPS * (0.25 * distance ** 3 + 64.0 * distance)
+
+
+def test_far_sphere_law_is_shipped_as_an_errata_note():
+    notes = [n for n in errata.notes("liesphere") if "2/tol" in n]
+    assert len(notes) == 1 and "0.13*eps*|c|^2" in notes[0]
 
 
 def test_extract_edge_beyond_two_over_tol():
