@@ -38,7 +38,7 @@ from .liesphere import (
 from .spin import SpinElement, covering_matrix, is_su22, vector_action
 from .suites import SUITE_ORDER, run_suites
 
-_GENERATOR = "numpy-pcg64"
+_GENERATOR = "numpy-pcg64/v2"
 
 
 # ---------------------------------------------------------------------------

@@ -227,19 +227,14 @@ def _lightcone_match_residual(a: np.ndarray) -> np.ndarray:
 def fixed_sphere_probe(samples: int, rng=None) -> InfinityReport:
     """Check, on `samples` unit normals n, that the classes (n, 1, 0, 0)
     are fixed by conformal inversion and outside the inverted light-cone
-    image."""
+    image.  The normals are one block of sampling.unit_vec3."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    normals = np.empty((samples, 3))
-    for i in range(samples):
-        n = rng.normal(size=3)
-        while np.linalg.norm(n) < 1e-3:
-            n = rng.normal(size=3)
-        normals[i] = n
-    normals /= np.sqrt(np.vecdot(normals, normals))[:, None]
-    cls = _projective(_plane_rep(normals, 0.0), DEFAULT_TOL)
+    from .sampling import unit_vec3  # sampling builds on this module
+
+    cls = _projective(_plane_rep(unit_vec3(rng, samples), 0.0), DEFAULT_TOL)
     min_residual = float(_lightcone_match_residual(cls).min())
     return InfinityReport(
         sample_count=samples,

@@ -6,19 +6,28 @@ primitives (sphere embeddings for null vectors, even products of unit-Q
 vectors for group elements, transported base planes for isotropic planes)
 so the sampled objects satisfy their invariants by construction, not by
 projection.
+
+Every sampler draws blocks (the `numpy-pcg64/v2` stream).  Given a row
+count n it returns stacked raw arrays whose row i is sample i; without n
+it returns row 0 of the n = 1 block as the scalar type.  A rejection
+sampler draws an oversized block of candidates and keeps the first n
+accepted rows, drawing a further block for any shortfall.  The block sizes
+follow from n alone, so each (seed, n) gives the same samples and leaves
+the generator in the same state.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import ceil, comb, sqrt
 
 import numpy as np
 
+from .errors import NotNormalized
 from .exterior import KVector
-from .forms import RESIDUAL_FLOOR, _q, q_form
-from .liesphere import Plane, Point, Sphere, embed_rep
-from .spin import SpinElement, covering_matrix, spin_generate
+from .forms import DEFAULT_TOL, RESIDUAL_FLOOR, _q, at_row, first_failure
 from .isotropic import IsotropicPlaneE, _isotropic_plane
+from .liesphere import Plane, Point, Sphere, _sphere_rep
+from .spin import SpinElement, _composites, _covering, _members
 
 # exact integer null combinations mixed into the null sampler
 _BASIS_NULLS = np.array([
@@ -29,114 +38,179 @@ _BASIS_NULLS = np.array([
     [1.0, 0.0, 0.0, 0.0, 0.0, 1.0],
 ])
 
+# the base plane span{e1+e4, e5+e6} that random_isotropic_plane transports
+_BASE_PLANE = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
 
-def unit_vec3(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    while np.linalg.norm(v) < 1e-3:
-        v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
-def random_point(rng, scale: float = 3.0) -> Point:
-    return Point(rng.uniform(-scale, scale, size=3))
-
-
-def random_sphere(rng, scale: float = 3.0) -> Sphere:
-    center = rng.uniform(-scale, scale, size=3)
-    radius = rng.uniform(0.2, scale) * rng.choice([-1.0, 1.0])
-    return Sphere(center, radius)
+# Measured acceptance of each rejection test on its candidates; they size
+# the candidate blocks, so they are part of the stream.
+_NONNULL_RATE = 0.9  # |Q(x)| >= 0.1 ||x||^2 on normal 6-vectors
+_UNIT_Q_RATE = {0: 0.75, 1: 0.6, -1: 0.14}  # the same at 0.25, by requested sign
+_SPIN_RATE = 0.8  # max |m_ij| <= 4 on products of two pairs
+_MIXING_RATE = 0.8  # |det a| >= 0.1 on uniform 2x2 matrices
 
 
-def random_plane(rng, scale: float = 3.0) -> Plane:
-    return Plane(unit_vec3(rng), rng.uniform(-scale, scale))
+def _block_size(need: int, rate: float) -> int:
+    """Candidates for `need` accepts at acceptance `rate`, with a margin of
+    three binomial standard deviations; exactly `need` when rate is 1."""
+    return ceil((need + 3.0 * sqrt(need * (1.0 - rate))) / rate)
 
 
-def random_null_vec6(rng) -> np.ndarray:
-    """Null 6-vector: a sphere/point embedding or an exact basis
-    combination, at a random nonzero scale."""
-    kind = rng.integers(0, 4)
-    if kind == 0:
-        x = embed_rep(random_point(rng))
-    elif kind == 3:
-        x = _BASIS_NULLS[rng.integers(0, len(_BASIS_NULLS))].copy()
-    else:
-        x = embed_rep(random_sphere(rng))
-    lam = rng.uniform(0.1, 4.0) * rng.choice([-1.0, 1.0])
-    return lam * x
+def _first_accepted(draw, n: int, rate: float) -> np.ndarray:
+    """The first n accepted rows of candidate blocks.  draw(size) returns
+    `size` candidate rows and their accept mask; blocks are drawn until n
+    rows are accepted."""
+    rows, ok = draw(_block_size(n, rate))
+    kept = rows[ok][:n]
+    while len(kept) < n:
+        rows, ok = draw(_block_size(n - len(kept), rate))
+        kept = np.concatenate([kept, rows[ok][:n - len(kept)]])
+    return kept
 
 
-def random_nonnull_vec6(rng, margin: float = 0.1) -> np.ndarray:
-    """6-vector with |Q(x)| >= margin * ||x||^2, so nullity classifiers
-    see no borderline cases.  The loop calls the public q_form once per
-    draw, which perfbench's trace counts as the draws of this sampler."""
-    while True:
-        x = rng.normal(size=6)
-        if abs(q_form(x)) >= margin * float(np.dot(x, x)):
-            return x
+def _rows(n) -> int:
+    """Rows to draw: n, or the one row the scalar form returns."""
+    return 1 if n is None else n
 
 
-def random_unit_q_vec6(rng, sign: int = 0, margin: float = 0.25) -> np.ndarray:
-    """Vector scaled to Q(x) = +1 or -1 (a requested sign, or whichever
-    the rejection sampler produces first).  The margin keeps the scaled
-    vector's Euclidean norm bounded, which keeps group elements built
-    from these vectors well conditioned."""
-    while True:
-        x = random_nonnull_vec6(rng, margin)
+def unit_vec3(rng, n=None) -> np.ndarray:
+    """Unit 3-vectors: normalized normal draws, those with norm >= 1e-3."""
+    def draw(size):
+        v = rng.normal(size=(size, 3))
+        return v, np.vecdot(v, v) >= 1e-6
+    v = _first_accepted(draw, _rows(n), 1.0)
+    v /= np.sqrt(np.vecdot(v, v))[:, None]
+    return v[0] if n is None else v
+
+
+def random_point(rng, scale: float = 3.0, n=None):
+    """Points uniform in the cube [-scale, scale]^3, (n, 3)."""
+    p = rng.uniform(-scale, scale, size=(_rows(n), 3))
+    return Point(p[0]) if n is None else p
+
+
+def random_sphere(rng, scale: float = 3.0, n=None):
+    """Spheres with centers uniform in the cube and |radius| uniform in
+    [0.2, scale] with a uniform sign: (centers (n, 3), radii (n,))."""
+    rows = _rows(n)
+    center = rng.uniform(-scale, scale, size=(rows, 3))
+    radius = rng.uniform(0.2, scale, size=rows) * rng.choice([-1.0, 1.0], size=rows)
+    return Sphere(center[0], radius[0]) if n is None else (center, radius)
+
+
+def random_plane(rng, scale: float = 3.0, n=None):
+    """Oriented planes with unit normals and offsets uniform in
+    [-scale, scale]: (normals (n, 3), offsets (n,))."""
+    normal = unit_vec3(rng, _rows(n))
+    offset = rng.uniform(-scale, scale, size=len(normal))
+    return Plane(normal[0], offset[0]) if n is None else (normal, offset)
+
+
+def random_null_vec6(rng, n=None) -> np.ndarray:
+    """Null 6-vectors: a point embedding, a sphere embedding (twice as
+    likely) or an exact basis combination, at a random nonzero scale."""
+    rows = _rows(n)
+    kind = rng.integers(0, 4, size=rows)
+    center, radius = random_sphere(rng, n=rows)
+    basis = _BASIS_NULLS[rng.integers(0, len(_BASIS_NULLS), size=rows)]
+    lam = rng.uniform(0.1, 4.0, size=rows) * rng.choice([-1.0, 1.0], size=rows)
+    x = _sphere_rep(center, np.where(kind == 0, 0.0, radius))
+    x = lam[:, None] * np.where((kind == 3)[:, None], basis, x)
+    return x[0] if n is None else x
+
+
+def random_nonnull_vec6(rng, margin: float = 0.1, n=None) -> np.ndarray:
+    """6-vectors with |Q(x)| >= margin * ||x||^2, so nullity classifiers
+    see no borderline cases."""
+    def draw(size):
+        x = rng.normal(size=(size, 6))
+        return x, abs(_q(x)) >= margin * np.vecdot(x, x)
+    x = _first_accepted(draw, _rows(n), _NONNULL_RATE)
+    return x[0] if n is None else x
+
+
+def random_unit_q_vec6(rng, sign: int = 0, margin: float = 0.25, n=None) -> np.ndarray:
+    """Vectors scaled to Q(x) = +1 or -1 (a requested sign, or whichever
+    the candidate has), drawn with |Q(x)| >= margin * ||x||^2.  The margin
+    keeps the scaled vector's Euclidean norm bounded, which keeps group
+    elements built from these vectors well conditioned."""
+    def draw(size):
+        x = rng.normal(size=(size, 6))
         q = _q(x)
-        if sign != 0 and np.sign(q) != sign:
-            continue
-        return x / np.sqrt(abs(q))
+        ok = abs(q) >= margin * np.vecdot(x, x)
+        return x, ok & (np.sign(q) == sign) if sign else ok
+    x = _first_accepted(draw, _rows(n), _UNIT_Q_RATE[sign])
+    x /= np.sqrt(abs(_q(x)))[:, None]
+    return x[0] if n is None else x
 
 
-def random_spin_element(rng, npairs: int = 2) -> SpinElement:
-    """Even product of unit-Q vectors; each pair shares a Q-sign, which is
-    what pseudo-unitarity of the composite requires.  Large-norm products
-    (strong boosts) are rejected so downstream post-condition checks at
-    forms.RESIDUAL_FLOOR stay far from their thresholds."""
-    while True:
-        pairs = []
-        for _ in range(npairs):
-            sign = int(rng.choice([-1, 1]))
-            pairs.append(
-                (random_unit_q_vec6(rng, sign), random_unit_q_vec6(rng, sign))
-            )
-        s = spin_generate(pairs)
-        if float(np.max(np.abs(s.m))) <= 4.0:
-            return s
+def _spin_candidates(rng, npairs: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """`size` candidate elements (size, 4, 4) and the vector pairs
+    (size, npairs, 2, 6) they are products of: each pair's Q-sign is
+    uniform, and both of its vectors are drawn conditioned on that sign.
+    The membership of the composites and the products is a post-condition;
+    the error names the first failing candidate."""
+    signs = 2 * rng.integers(0, 2, size=(size, npairs)) - 1
+    v = np.empty((size, npairs, 2, 6))
+    for sign in (1, -1):
+        pick = signs == sign
+        v[pick] = random_unit_q_vec6(rng, sign, n=2 * int(pick.sum())).reshape(-1, 2, 6)
+    composites = _composites(v, DEFAULT_TOL)
+    m = np.broadcast_to(np.eye(4, dtype=complex), (size, 4, 4))
+    for j in range(npairs):
+        m = m @ composites[:, j]
+    member = _members(np.concatenate([composites, m[:, None]], axis=1), DEFAULT_TOL)
+    if not member.all():
+        row, j = first_failure(~member)
+        what = "product" if j == npairs else f"composite {j}"
+        raise NotNormalized(f"{what} of candidate element{at_row((row,))}"
+                            " failed the membership checks")
+    return m, v
 
 
-def random_isotropic_spinor(rng) -> np.ndarray:
-    """Spinor with (v|v) = 0: balance the positive and negative halves of
-    a random complex 4-vector."""
-    while True:
-        z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        p = np.linalg.norm(z[:2])
-        n = np.linalg.norm(z[2:])
-        if p > 1e-3 and n > 1e-3:
-            z[:2] /= p
-            z[2:] /= n
-            return z
+def random_spin_element(rng, npairs: int = 2, n=None):
+    """Even products of unit-Q vectors, (n, 4, 4); each pair shares a
+    Q-sign, which is what pseudo-unitarity of the composite requires.
+    Large-norm products (max |m_ij| > 4, strong boosts) are rejected so
+    downstream post-condition checks at forms.RESIDUAL_FLOOR stay far
+    from their thresholds."""
+    def draw(size):
+        m, _ = _spin_candidates(rng, npairs, size)
+        return m, abs(m).max(axis=(-2, -1)) <= 4.0
+    m = _first_accepted(draw, _rows(n), _SPIN_RATE)
+    return SpinElement(m[0]) if n is None else m
 
 
-def random_isotropic_plane(rng) -> IsotropicPlaneE:
-    """Maximal isotropic plane: the base plane span{e1+e4, e5+e6}
-    transported by a random group action (which preserves Q exactly
-    enough), then recombined."""
-    base = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
-    l = covering_matrix(random_spin_element(rng)).l
-    x1 = l @ base[0]
-    x2 = l @ base[1]
-    a = rng.uniform(-1.0, 1.0, size=(2, 2))
-    while abs(np.linalg.det(a)) < 0.1:
-        a = rng.uniform(-1.0, 1.0, size=(2, 2))
-    y1 = a[0, 0] * x1 + a[0, 1] * x2
-    y2 = a[1, 0] * x1 + a[1, 1] * x2
-    _isotropic_plane(y1, y2, RESIDUAL_FLOOR)
-    return IsotropicPlaneE(y1, y2)
+def random_isotropic_spinor(rng, n=None) -> np.ndarray:
+    """Spinors with (v|v) = 0: balance the positive and negative halves of
+    random complex 4-vectors (real parts drawn before imaginary parts)."""
+    def draw(size):
+        z = rng.normal(size=(size, 2, 4))
+        z = (z[:, 0] + 1j * z[:, 1]).reshape(size, 2, 2)
+        return z, (np.vecdot(z, z).real > 1e-6).all(axis=-1)
+    z = _first_accepted(draw, _rows(n), 1.0)
+    z = (z / np.sqrt(np.vecdot(z, z).real)[..., None]).reshape(-1, 4)
+    return z[0] if n is None else z
 
 
-def random_kvector(rng, k: int):
-    """Random grade-k element with complex normal coefficients: one
+def random_isotropic_plane(rng, n=None):
+    """Maximal isotropic planes as bases (n, 2, 6): the base plane
+    span{e1+e4, e5+e6} transported by random group elements, then mixed by
+    2x2 matrices with |det| >= 0.1.  The planes are judged totally isotropic
+    at forms.RESIDUAL_FLOOR; the error names the first failing row."""
+    rows = _rows(n)
+    l = _covering(random_spin_element(rng, n=rows), RESIDUAL_FLOOR)
+
+    def draw(size):
+        a = rng.uniform(-1.0, 1.0, size=(size, 2, 2))
+        return a, abs(np.linalg.det(a)) >= 0.1
+    y = _first_accepted(draw, rows, _MIXING_RATE) @ (_BASE_PLANE @ l.mT)
+    _isotropic_plane(y[:, 0], y[:, 1], RESIDUAL_FLOOR)
+    return IsotropicPlaneE(y[0, 0], y[0, 1]) if n is None else y
+
+
+def random_kvector(rng, k: int, n=None):
+    """Grade-k elements with complex normal coefficients, (n, C(4, k)): one
     (real, imaginary) pair of draws per increasing-index monomial, in
     increasing order."""
-    return KVector(k, rng.normal(size=2 * comb(4, k)).view(complex))
+    coeffs = rng.normal(size=(_rows(n), 2 * comb(4, k))).view(complex)
+    return KVector(k, coeffs[0]) if n is None else coeffs

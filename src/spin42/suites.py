@@ -2,9 +2,9 @@
 
 Each suite draws from a seeded generator, runs its identity checks, and
 reports the worst deviation; boolean checks contribute 0 or 1.  Every
-float suite draws its samples as blocks whose row i is sample i, from the
-same sampler calls in the same order as a per-sample loop would make, and
-runs each named check once on the whole block through the array kernels.
+float suite draws its samples as blocks whose row i is sample i (the
+block samplers of `sampling`) and runs each named check once on the whole
+block through the array kernels.
 The `clifford` suite contains only checks that are exact on the
 {0,+-1,+-i} table lattice, so it passes with tolerance 0 literally;
 everything float-bearing lives in the other suites.
@@ -71,7 +71,6 @@ from .liesphere import (
     SPHERE,
     Infinity,
     Point,
-    Sphere,
     _contact,
     _extract,
     _inversion,
@@ -161,8 +160,9 @@ def suite_clifford(seed: int, count: int, tol: float) -> SuiteResult:
     return c.result("clifford", tol, errata.notes("clifford"))
 
 
-# Block samplers: row i of each array is sample i, drawn from exactly the
-# draws that a loop of per-sample calls would make, in the same order.
+# Block samplers: row i of each array is sample i.  selfdual and hodge
+# draw fixed-size normals, so their blocks reproduce a per-sample loop's
+# draws; the other blocks are calls of the block samplers in `sampling`.
 
 
 def _selfdual_block(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,80 +181,48 @@ def _hodge_block(rng, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _spin_block(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n group elements from random_spin_element, stacked (n, 4, 4), then
-    the n vectors they act on (n, 6), drawn after all the elements."""
-    m = np.stack([sampling.random_spin_element(rng).m for _ in range(n)])
-    return m, rng.normal(size=(n, 6))
+    """n group elements (n, 4, 4), then the n vectors (n, 6) they act on."""
+    return sampling.random_spin_element(rng, n=n), rng.normal(size=(n, 6))
 
 
 def _exterior_block(rng, count: int):
-    """The draws of the exterior suite's per-sample loops, in their order:
-    the wedge samples (grades p, q, r and grade-p, q, r coefficients a, b,
-    d) grouped as {(p, q, r): (a, b, d) stacks}, the Hermitian samples
-    (grade k, two grade-k coefficients) as {k: (u, v) stacks}, then the
-    null and the non-null vectors as (n, 6) stacks."""
+    """The wedge samples as {(p, q, r): (a, b, d)}, coefficient blocks of
+    grades p, q and r; the Hermitian samples as {k: (u, v)}, two grade-k
+    blocks; then null and non-null vectors (n, 6).  The grades are drawn
+    first, as integer arrays, then one block per grade group in increasing
+    order of the group."""
     n = max(10, count // 10)
-    wedges = []
-    for _ in range(n):
-        p = int(rng.integers(0, 3))
-        q = int(rng.integers(0, 4 - p + 1))
-        a = sampling.random_kvector(rng, p).coeffs
-        b = sampling.random_kvector(rng, q).coeffs
-        r = int(rng.integers(0, 4 - p - q + 1))
-        wedges.append(((p, q, r), a, b, sampling.random_kvector(rng, r).coeffs))
-    herms = []
-    for _ in range(n):
-        k = int(rng.integers(0, 5))
-        herms.append((k, sampling.random_kvector(rng, k).coeffs,
-                      sampling.random_kvector(rng, k).coeffs))
+    p = rng.integers(0, 3, size=n)
+    q = rng.integers(0, 5 - p)
+    r = rng.integers(0, 5 - p - q)
+    groups, rows = np.unique(np.stack([p, q, r], axis=1), axis=0, return_counts=True)
+    wedges = {tuple(key): tuple(sampling.random_kvector(rng, g, n=m) for g in key)
+              for key, m in zip(groups.tolist(), rows.tolist())}
+    groups, rows = np.unique(rng.integers(0, 5, size=n), return_counts=True)
+    herms = {k: (sampling.random_kvector(rng, k, n=m), sampling.random_kvector(rng, k, n=m))
+             for k, m in zip(groups.tolist(), rows.tolist())}
     half = max(1, count // 2)
-    null = np.stack([sampling.random_null_vec6(rng) for _ in range(half)])
-    nonnull = np.stack([sampling.random_nonnull_vec6(rng) for _ in range(half)])
-    return _grouped(wedges), _grouped(herms), null, nonnull
-
-
-def _grouped(samples) -> dict:
-    """Samples (key, *arrays) as {key: stacks of each array}, keys in
-    order of first appearance."""
-    groups = {}
-    for key, *arrays in samples:
-        groups.setdefault(key, []).append(arrays)
-    return {key: tuple(np.stack(f) for f in zip(*rows)) for key, rows in groups.items()}
+    return (wedges, herms, sampling.random_null_vec6(rng, n=half),
+            sampling.random_nonnull_vec6(rng, n=half))
 
 
 def _isotropic_block(rng, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The draws of the isotropic suite's per-sample loops, in their
-    order: null vectors (n, 6), isotropic plane bases (m, 2, 6) and
-    isotropic spinors (m, 4)."""
+    """Null vectors (n, 6), isotropic plane bases (m, 2, 6) and isotropic
+    spinors (m, 4)."""
     m = max(4, count // 4)
-    x = np.stack([sampling.random_null_vec6(rng) for _ in range(max(4, count // 2))])
-    planes = [sampling.random_isotropic_plane(rng) for _ in range(m)]
-    v = np.stack([sampling.random_isotropic_spinor(rng) for _ in range(m)])
-    return x, np.array([[n.x1, n.x2] for n in planes]), v
-
-
-def _sphere_arrays(spheres) -> tuple[np.ndarray, np.ndarray]:
-    """The centers (n, 3) and signed radii (n,) of n spheres."""
-    return (np.stack([s.center for s in spheres]),
-            np.array([s.signed_radius for s in spheres]))
+    return (sampling.random_null_vec6(rng, n=max(4, count // 2)),
+            sampling.random_isotropic_plane(rng, m), sampling.random_isotropic_spinor(rng, m))
 
 
 def _liesphere_block(rng, count: int):
-    """The draws of the liesphere suite's per-sample loops, in their
-    order: points (n, 3); spheres and planes as (centers, radii) and
-    (normals, offsets); the spheres to invert; the one plane checked at
-    infinity; and the contact pairs as (centers1, radii1, centers2,
-    radii2, tangent)."""
+    """Points (n, 3); spheres and planes as (centers, radii) and (normals,
+    offsets); the spheres to invert; the one plane checked at infinity;
+    and the contact pairs as (centers1, radii1, centers2, radii2,
+    tangent)."""
     n = max(4, count // 4)
-    points = np.stack([sampling.random_point(rng).p for _ in range(n)])
-    spheres = _sphere_arrays([sampling.random_sphere(rng) for _ in range(n)])
-    drawn = [sampling.random_plane(rng) for _ in range(n)]
-    planes = (np.stack([h.normal for h in drawn]), np.array([h.offset for h in drawn]))
-    inverted = _sphere_arrays([sampling.random_sphere(rng) for _ in range(max(4, count // 2))])
-    far_plane = sampling.random_plane(rng)
-    s1, s2, tangent = zip(*(_contact_pair(rng) for _ in range(max(8, count))))
-    contacts = (*_sphere_arrays(s1), *_sphere_arrays(s2), np.array(tangent))
-    return points, spheres, planes, inverted, far_plane, contacts
+    return (sampling.random_point(rng, n=n), sampling.random_sphere(rng, n=n),
+            sampling.random_plane(rng, n=n), sampling.random_sphere(rng, n=max(4, count // 2)),
+            sampling.random_plane(rng), _contact_pairs(rng, max(8, count)))
 
 
 def suite_selfdual(seed: int, count: int, tol: float) -> SuiteResult:
@@ -433,22 +401,24 @@ def suite_liesphere(seed: int, count: int, tol: float) -> SuiteResult:
     return c.result("liesphere", tol, errata.notes("liesphere"))
 
 
-def _contact_pair(rng):
-    """A sphere pair that is either tangent by construction or kept a
-    safe margin away from tangency, plus the Euclidean oracle verdict."""
-    s1 = sampling.random_sphere(rng)
-    tangent = rng.random() < 0.5
-    while True:
-        if tangent:
-            direction = sampling.unit_vec3(rng)
-            r2 = rng.uniform(0.2, 3.0) * float(rng.choice([-1.0, 1.0]))
-            s2 = Sphere(s1.center + (s1.signed_radius - r2) * direction, r2)
-        else:
-            s2 = sampling.random_sphere(rng)
-        d2 = float(np.linalg.norm(s1.center - s2.center) ** 2)
-        gap = d2 - (s1.signed_radius - s2.signed_radius) ** 2
-        if tangent or abs(gap) > 0.05:
-            return s1, s2, abs(gap) <= 1e-9 * max(1.0, d2)
+def _contact_pairs(rng, n: int):
+    """n sphere pairs, each either tangent by construction or kept a safe
+    margin away from tangency, plus the Euclidean oracle verdict:
+    (centers1, radii1, centers2, radii2, tangent).  Every row draws a
+    tangent partner; a row that is not tangent redraws its random partner
+    until the gap clears the margin."""
+    c1, r1 = sampling.random_sphere(rng, n=n)
+    tangent = rng.random(n) < 0.5
+    direction = sampling.unit_vec3(rng, n)
+    r2 = rng.uniform(0.2, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    c2 = c1 + (r1 - r2)[:, None] * direction
+    redraw = ~tangent
+    while redraw.any():
+        c2[redraw], r2[redraw] = sampling.random_sphere(rng, n=int(redraw.sum()))
+        d2 = np.vecdot(c1 - c2, c1 - c2)
+        redraw = ~tangent & ~(abs(d2 - (r1 - r2) ** 2) > 0.05)
+    d2 = np.vecdot(c1 - c2, c1 - c2)
+    return c1, r1, c2, r2, abs(d2 - (r1 - r2) ** 2) <= 1e-9 * np.maximum(1.0, d2)
 
 
 SUITES = {

@@ -138,8 +138,7 @@ def test_public_wrappers_validate_their_input(call, good):
 
 
 def _spin_stack(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return np.stack([sampling.random_spin_element(rng).m for _ in range(n)])
+    return sampling.random_spin_element(np.random.default_rng(seed), n=n)
 
 
 def test_phi_inverse_gate_names_the_first_bivector_off_the_star():
@@ -188,19 +187,16 @@ def test_a_nan_row_is_never_accepted():
 
 
 def _null_stack(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return np.stack([sampling.random_null_vec6(rng) for _ in range(n)])
+    return sampling.random_null_vec6(np.random.default_rng(seed), n=n)
 
 
 def _plane_stack(n, seed=0):
-    rng = np.random.default_rng(seed)
-    planes = [sampling.random_isotropic_plane(rng) for _ in range(n)]
-    return np.stack([p.x1 for p in planes]), np.stack([p.x2 for p in planes])
+    planes = sampling.random_isotropic_plane(np.random.default_rng(seed), n)
+    return planes[:, 0], planes[:, 1]
 
 
 def _spinor_stack(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return np.stack([sampling.random_isotropic_spinor(rng) for _ in range(n)])
+    return sampling.random_isotropic_spinor(np.random.default_rng(seed), n)
 
 
 def test_form_gates_name_the_first_failing_row():

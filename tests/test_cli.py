@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from spin42.cli import main, to_json
 from spin42.isotropic import same_span
-from spin42.suites import _Collector
+from spin42.suites import _Collector, _isotropic_block
 
 runner = CliRunner()
 
@@ -43,7 +43,7 @@ def test_verify_clifford_at_zero_tolerance():
     assert result.exit_code == 0
     header, suite = _lines(result)
     assert header["suite"] == "clifford"
-    assert header["generator"] == "numpy-pcg64"
+    assert header["generator"] == "numpy-pcg64/v2"
     assert header["tol"] == 0
     assert suite["suite_name"] == "clifford"
     assert suite["max_deviation"] == 0
@@ -111,15 +111,31 @@ def test_verify_checks_run_per_suite_is_unchanged():
     assert sum(checks.values()) == 10949
 
 
-@pytest.mark.parametrize("seed, count, checks", [(1988601454, 500, 4750),
-                                                  (707791659, 100, 950)])
-def test_verify_isotropic_ill_conditioned_seeds(seed, count, checks):
+# The seeds whose sampled plane bases are the worst conditioned in a search
+# of seeds 0-7999 at count 500 and 0-39999 at count 100, with the bound
+# sigma_2 / sigma_1 that the worst-conditioned seeds of the previous stream
+# reached (1.40e-3 and 1.29e-3).
+@pytest.mark.parametrize("seed, count, checks, ratio", [(0, 500, 4750, 1.40e-3),
+                                                         (31210, 100, 950, 1.29e-3)])
+def test_verify_isotropic_ill_conditioned_seeds(seed, count, checks, ratio):
     # these seeds draw planes whose sampled bases are nearly dependent
+    _, planes, _ = _isotropic_block(np.random.default_rng(seed), count)
+    s = np.linalg.svd(planes, compute_uv=False)
+    assert (s[:, 1] / s[:, 0]).min() <= ratio
     result = runner.invoke(main, ["verify", "--suite", "isotropic", "--seed",
                                   str(seed), "--count", str(count), "--json"])
     assert result.exit_code == 0
     _, suite = _lines(result)
     assert suite["passed"] is True and suite["checks_run"] == checks
+
+
+def test_verify_all_suites_pass_on_seeds_0_to_49():
+    # the benchmark's verify workload runs random seeds; a sampler or gate
+    # that fails on an unlucky draw shows up on some seed of a sweep
+    for seed in range(50):
+        result = runner.invoke(main, ["verify", "--suite", "all", "--seed", str(seed),
+                                      "--count", "100", "--json"])
+        assert result.exit_code == 0, (seed, result.stdout)
 
 
 def test_collector_keeps_nan():

@@ -12,12 +12,14 @@ package's permutation table.
 
 The array kernels behind the public functions run over leading axes;
 each is checked row by row against its public scalar function on stacks
-of random rows, and the suites' block samplers are checked to draw the
-same numbers as the per-sample calls they replace, leaving the generator
-where those calls would.
+of random rows.  The suites' blocks are checked to draw what their
+sampler calls draw, in order, leaving the generator where those calls
+would; the `selfdual` and `hodge` blocks also reproduce the per-sample
+loops they replaced.
 """
 
 import itertools
+from collections import Counter
 from math import comb, factorial
 
 import numpy as np
@@ -264,19 +266,30 @@ def test_random_kvector_keeps_the_sampled_stream(k):
     assert rng.normal() == tail
 
 
+# the draw after _sampler_blocks(2024) under the numpy-pcg64/v2 stream
+PINNED_V2_TAIL = 1154436117559003509
+
+
+def _sampler_blocks(seed: int):
+    """One block of each sampler, n = 40, and the draw that follows them."""
+    rng = np.random.default_rng(seed)
+    blocks = [sampling.random_spin_element(rng, n=40), sampling.random_isotropic_plane(rng, 40),
+              *(random_kvector(rng, k, n=40) for k in range(5)),
+              sampling.random_null_vec6(rng, n=40), sampling.random_nonnull_vec6(rng, n=40),
+              *(sampling.random_unit_q_vec6(rng, sign, n=40) for sign in (-1, 0, 1)),
+              sampling.random_isotropic_spinor(rng, 40), *sampling.random_plane(rng, n=40),
+              *sampling.random_sphere(rng, n=40), sampling.random_point(rng, n=40)]
+    return blocks, int(rng.integers(2**62))
+
+
 def test_samplers_consume_the_same_draws():
-    # the rejection loops of random_spin_element (through spin_generate,
-    # is_su22 and det4) and random_isotropic_plane (through
-    # covering_matrix) decide how many draws are taken; the next draw is
-    # the one the loop-based kernels left behind
-    rng = np.random.default_rng(2024)
-    for _ in range(40):
-        sampling.random_spin_element(rng)
-        sampling.random_isotropic_plane(rng)
-        for k in range(5):
-            sampling.random_kvector(rng, k)
-        sampling.random_null_vec6(rng)
-    assert int(rng.integers(2**62)) == 2445473613299071877
+    # the numpy-pcg64/v2 stream: a seed and a row count give the same
+    # blocks and leave the generator at the same draw; the pinned draw
+    # fixes how many candidates the rejection samplers take
+    blocks, tail = _sampler_blocks(2024)
+    again, tail_again = _sampler_blocks(2024)
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, again, strict=True))
+    assert tail == tail_again == PINNED_V2_TAIL
 
 
 def _reference_dual_basis(x1: np.ndarray, x2: np.ndarray):
@@ -510,8 +523,8 @@ def test_hodge_block_draws_the_per_sample_kvectors(k):
 def test_spin_block_draws_the_vectors_after_the_elements():
     n = 13
     rng = np.random.default_rng(200)
-    elements = [sampling.random_spin_element(rng).m for _ in range(n)]
-    vectors = [rng.normal(size=6) for _ in range(n)]
+    elements = sampling.random_spin_element(rng, n=n)
+    vectors = rng.normal(size=(n, 6))
     tail = rng.normal()
     rng = np.random.default_rng(200)
     m, x = _spin_block(rng, n)
@@ -709,95 +722,79 @@ def test_spin_generate_is_the_sequential_product_bit_for_bit():
                                       _reference_spin_generate(pairs))
 
 
-def _reference_contact_pair(rng):
-    """The contact-pair draws as a loop that computes the gap twice."""
-    s1 = sampling.random_sphere(rng)
-    if rng.random() < 0.5:
-        direction = sampling.unit_vec3(rng)
-        r2 = rng.uniform(0.2, 3.0) * float(rng.choice([-1.0, 1.0]))
-        s2 = Sphere(s1.center + (s1.signed_radius - r2) * direction, r2)
-    else:
-        while True:
-            s2 = sampling.random_sphere(rng)
-            gap = float(np.linalg.norm(s1.center - s2.center) ** 2
-                        - (s1.signed_radius - s2.signed_radius) ** 2)
-            if abs(gap) > 0.05:
-                break
-    gap = float(np.linalg.norm(s1.center - s2.center) ** 2
-                - (s1.signed_radius - s2.signed_radius) ** 2)
-    return s1, s2, abs(gap) <= 1e-9 * max(
-        1.0, float(np.linalg.norm(s1.center - s2.center) ** 2))
-
-
 @pytest.mark.parametrize("count", [7, 100])
-def test_exterior_block_draws_the_per_sample_loops(count):
+def test_exterior_block_draws_the_grades_then_a_block_per_group(count):
+    # the grades of all samples first, then the coefficient blocks of each
+    # (p, q, r) and each k group, in increasing order of the group
+    n = max(10, count // 10)
     rng = np.random.default_rng(400 + count)
-    wedges, herms = {}, {}
-    for _ in range(max(10, count // 10)):
-        p = int(rng.integers(0, 3))
-        q = int(rng.integers(0, 4 - p + 1))
-        a = random_kvector(rng, p).coeffs
-        b = random_kvector(rng, q).coeffs
-        r = int(rng.integers(0, 4 - p - q + 1))
-        wedges.setdefault((p, q, r), []).append((a, b, random_kvector(rng, r).coeffs))
-    for _ in range(max(10, count // 10)):
-        k = int(rng.integers(0, 5))
-        herms.setdefault(k, []).append((random_kvector(rng, k).coeffs,
-                                        random_kvector(rng, k).coeffs))
-    half = max(1, count // 2)
-    null = [sampling.random_null_vec6(rng) for _ in range(half)]
-    nonnull = [sampling.random_nonnull_vec6(rng) for _ in range(half)]
+    p = rng.integers(0, 3, size=n)
+    q = rng.integers(0, 5 - p)
+    r = rng.integers(0, 5 - p - q)
+    assert (p <= 2).all() and (p + q + r <= 4).all()
+    wedges = {key: tuple(random_kvector(rng, g, n=rows) for g in key)
+              for key, rows in sorted(Counter(zip(p.tolist(), q.tolist(), r.tolist())).items())}
+    herms = {k: (random_kvector(rng, k, n=rows), random_kvector(rng, k, n=rows))
+             for k, rows in sorted(Counter(rng.integers(0, 5, size=n).tolist()).items())}
+    null = sampling.random_null_vec6(rng, n=max(1, count // 2))
+    nonnull = sampling.random_nonnull_vec6(rng, n=max(1, count // 2))
     tail = rng.normal()
     rng = np.random.default_rng(400 + count)
     w, h, x, y = _exterior_block(rng, count)
     assert list(w) == list(wedges) and list(h) == list(herms)
-    for key, rows in wedges.items():
-        assert all(np.array_equal(w[key][f], [row[f] for row in rows]) for f in range(3))
-    for key, rows in herms.items():
-        assert all(np.array_equal(h[key][f], [row[f] for row in rows]) for f in range(2))
+    assert sum(len(a) for a, _, _ in w.values()) == sum(len(u) for u, _ in h.values()) == n
+    for key, blocks in wedges.items():
+        assert all(np.array_equal(got, want) for got, want in zip(w[key], blocks, strict=True))
+    for key, blocks in herms.items():
+        assert all(np.array_equal(got, want) for got, want in zip(h[key], blocks, strict=True))
     assert np.array_equal(x, null) and np.array_equal(y, nonnull)
     assert rng.normal() == tail
 
 
 @pytest.mark.parametrize("count", [7, 100])
-def test_isotropic_block_draws_the_per_sample_loops(count):
+def test_isotropic_block_draws_its_three_sampler_blocks(count):
     rng = np.random.default_rng(410 + count)
-    x = [sampling.random_null_vec6(rng) for _ in range(max(4, count // 2))]
-    planes = [sampling.random_isotropic_plane(rng) for _ in range(max(4, count // 4))]
-    v = [sampling.random_isotropic_spinor(rng) for _ in range(max(4, count // 4))]
+    x = sampling.random_null_vec6(rng, n=max(4, count // 2))
+    planes = sampling.random_isotropic_plane(rng, max(4, count // 4))
+    v = sampling.random_isotropic_spinor(rng, max(4, count // 4))
     tail = rng.normal()
     rng = np.random.default_rng(410 + count)
     bx, bplanes, bv = _isotropic_block(rng, count)
-    assert np.array_equal(bx, x) and np.array_equal(bv, v)
-    assert np.array_equal(bplanes, [[n.x1, n.x2] for n in planes])
+    assert np.array_equal(bx, x) and np.array_equal(bplanes, planes) and np.array_equal(bv, v)
     assert rng.normal() == tail
 
 
 @pytest.mark.parametrize("count", [7, 100])
-def test_liesphere_block_draws_the_per_sample_loops(count):
+def test_liesphere_block_draws_its_sampler_blocks(count):
+    n, pairs = max(4, count // 4), max(8, count)
     rng = np.random.default_rng(420 + count)
-    n = max(4, count // 4)
-    points = [sampling.random_point(rng) for _ in range(n)]
-    spheres = [sampling.random_sphere(rng) for _ in range(n)]
-    planes = [sampling.random_plane(rng) for _ in range(n)]
-    inverted = [sampling.random_sphere(rng) for _ in range(max(4, count // 2))]
+    points = sampling.random_point(rng, n=n)
+    spheres = sampling.random_sphere(rng, n=n)
+    planes = sampling.random_plane(rng, n=n)
+    inverted = sampling.random_sphere(rng, n=max(4, count // 2))
     far_plane = sampling.random_plane(rng)
-    contacts = [_reference_contact_pair(rng) for _ in range(max(8, count))]
-    tail = rng.normal()
+    # the contact pairs: first spheres, tangency flags, tangent partners
+    c1, r1 = sampling.random_sphere(rng, n=pairs)
+    tangent = rng.random(pairs) < 0.5
+    direction = sampling.unit_vec3(rng, pairs)
+    r2 = rng.uniform(0.2, 3.0, size=pairs) * rng.choice([-1.0, 1.0], size=pairs)
     rng = np.random.default_rng(420 + count)
-    bpoints, bspheres, bplanes, binverted, bfar, bcontacts = _liesphere_block(rng, count)
-    assert np.array_equal(bpoints, [p.p for p in points])
-    assert np.array_equal(bspheres[0], [s.center for s in spheres])
-    assert np.array_equal(bspheres[1], [s.signed_radius for s in spheres])
-    assert np.array_equal(bplanes[0], [h.normal for h in planes])
-    assert np.array_equal(bplanes[1], [h.offset for h in planes])
-    assert np.array_equal(binverted[0], [s.center for s in inverted])
-    assert np.array_equal(binverted[1], [s.signed_radius for s in inverted])
+    block = _liesphere_block(rng, count)
+    bpoints, bspheres, bplanes, binverted, bfar, bcontacts = block
+    assert np.array_equal(bpoints, points)
+    assert all(np.array_equal(a, b) for a, b in zip(bspheres + bplanes + binverted,
+                                                    spheres + planes + inverted, strict=True))
     assert np.array_equal(bfar.normal, far_plane.normal) and bfar.offset == far_plane.offset
-    c1, r1, c2, r2, tangent = bcontacts
-    assert np.array_equal(c1, [s1.center for s1, _, _ in contacts])
-    assert np.array_equal(r1, [s1.signed_radius for s1, _, _ in contacts])
-    assert np.array_equal(c2, [s2.center for _, s2, _ in contacts])
-    assert np.array_equal(r2, [s2.signed_radius for _, s2, _ in contacts])
-    assert list(tangent) == [t for _, _, t in contacts]
-    assert rng.normal() == tail
+    bc1, br1, bc2, br2, verdict = bcontacts
+    assert np.array_equal(bc1, c1) and np.array_equal(br1, r1)
+    assert np.array_equal(verdict, tangent)
+    assert np.array_equal(bc2[tangent], (c1 + (r1 - r2)[:, None] * direction)[tangent])
+    assert np.array_equal(br2[tangent], r2[tangent])
+    gap = np.vecdot(bc1 - bc2, bc1 - bc2) - (br1 - br2) ** 2
+    assert (abs(gap[~tangent]) > 0.05).all()
+    # the partners redrawn for the rows that are not tangent repeat, and so
+    # does the generator's next draw
+    rng_again = np.random.default_rng(420 + count)
+    again = _liesphere_block(rng_again, count)
+    assert all(np.array_equal(a, b) for a, b in zip(bcontacts, again[-1], strict=True))
+    assert rng.normal() == rng_again.normal()
