@@ -25,9 +25,8 @@ from .forms import (
     _q,
     as_spinor,
     as_vec6,
-    at_row,
     check_finite,
-    first_failure,
+    require,
 )
 
 _i = 1j
@@ -168,11 +167,10 @@ def gamma_coeffs(ms: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     flat = ms.reshape(-1, 16)
     coeffs = (flat @ rows_h).real / 4.0
     residual = np.abs(flat - coeffs @ rows).max(axis=1)
-    bad = ~(residual <= tol * np.maximum(1.0, np.abs(flat).max(axis=1)))
-    if bad.any():
-        row = first_failure(bad.reshape(lead))
-        raise NotInGammaSpan(f"operator{at_row(row)} is not a real generator combination"
-                             f" (residual {residual.reshape(lead)[row]:g})")
+    ok = residual <= tol * np.maximum(1.0, np.abs(flat).max(axis=1))
+    require(ok.reshape(lead), NotInGammaSpan,
+            lambda i, at: f"operator{at} is not a real generator combination"
+                          f" (residual {residual.reshape(lead)[i]:g})")
     return coeffs.reshape(*lead, 6)
 
 

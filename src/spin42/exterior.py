@@ -42,7 +42,7 @@ from .errors import (
     NotRealCombination,
     NotSelfDual,
 )
-from .forms import DEFAULT_TOL, G_DIAG, as_vec6, at_row, check_finite, first_failure
+from .forms import DEFAULT_TOL, G_DIAG, as_vec6, check_finite, require
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -255,18 +255,12 @@ def _phi_inverse(b: np.ndarray, tol: float) -> np.ndarray:
     against tol * max(1, ||b||) and name the first row that fails them."""
     bound = tol * np.maximum(1.0, _SQRT2 * np.linalg.norm(b, axis=-1))
     dev = abs(_star(2, b) - b).max(axis=-1)
-    bad = ~(dev <= bound)
-    if bad.any():
-        row = first_failure(bad)
-        raise NotSelfDual(f"bivector{at_row(row)} is not fixed by the star"
-                          f" (deviation {dev[row]:g})")
+    require(dev <= bound, NotSelfDual,
+            lambda i, at: f"bivector{at} is not fixed by the star (deviation {dev[i]:g})")
     x = np.real(b @ _SIGMA_COEFFS.conj().T) / _SQRT2
-    dev = abs(b - _phi(x)).max(axis=-1)
-    bad = ~(dev <= bound)
-    if bad.any():
-        row = first_failure(bad)
-        raise NotRealCombination(f"bivector{at_row(row)} is outside the real basis span"
-                                 f" (residual {dev[row]:g})")
+    res = abs(b - _phi(x)).max(axis=-1)
+    require(res <= bound, NotRealCombination,
+            lambda i, at: f"bivector{at} is outside the real basis span (residual {res[i]:g})")
     return x
 
 

@@ -49,24 +49,21 @@ def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def first_failure(bad: np.ndarray) -> tuple[int, ...]:
-    """Index of the first True in a gate's failure mask over a kernel's
-    leading axes (the mask has one); () for a single object."""
-    return tuple(int(i) for i in np.argwhere(bad)[0])
-
-
-def all_rows(ok: np.ndarray) -> bool:
-    """Whether a gate's pass mask holds on every row; the mask of a single
-    object is read as a bool, without the cost of a reduction."""
-    return bool(ok) if ok.ndim == 0 else bool(ok.all())
-
-
-def at_row(index: tuple[int, ...]) -> str:
-    """Message fragment naming a failing row ("at row i" in a stack, "at
-    index (i, j, ...)" over more leading axes): empty for a single object."""
+def require(ok: np.ndarray, error: type[Exception], message) -> None:
+    """The row gate of every kernel: nothing when the pass mask ok holds on
+    every row (a single object's 0-d mask is read without a reduction, and
+    an empty stack passes); otherwise raise error(message(index, at)) for
+    the first failing index, where at names it (" at row i" in a stack,
+    " at index (i, j, ...)" over more leading axes, "" for one object).
+    A NaN comparison is False, so it fails the gate."""
+    if ok.all() if ok.ndim else ok:
+        return
+    index = tuple(int(i) for i in np.argwhere(~ok)[0])
     if not index:
-        return ""
-    return f" at row {index[0]}" if len(index) == 1 else f" at index {index}"
+        at = ""
+    else:
+        at = f" at row {index[0]}" if len(index) == 1 else f" at index {index}"
+    raise error(message(index, at))
 
 
 def as_vec6(x) -> np.ndarray:
@@ -87,7 +84,7 @@ def as_spinor(s) -> np.ndarray:
 # as_vec6/as_spinor (or that the library computed from such arrays) and do
 # only the arithmetic; the public functions validate once and call them.
 # Every kernel runs over leading axes (a stack of n vectors is one call),
-# and its gates name the first failing row (first_failure, at_row).
+# and its gates name the first failing row through require.
 
 
 def _q(x: np.ndarray) -> np.ndarray:
@@ -116,9 +113,8 @@ def _pivot(x: np.ndarray) -> np.ndarray:
 
 def _canon(x: np.ndarray) -> np.ndarray:
     pivot = _pivot(x)
-    ok = pivot[..., 0] != 0.0
-    if not all_rows(ok):
-        raise ZeroVector(f"cannot canonicalize the zero vector{at_row(first_failure(~ok))}")
+    require(pivot[..., 0] != 0.0, ZeroVector,
+            lambda i, at: f"cannot canonicalize the zero vector{at}")
     return x / pivot + 0.0
 
 
@@ -170,14 +166,11 @@ class ProjectiveNullLine:
 
 def _null_gate(x: np.ndarray, tol: float) -> np.ndarray:
     n2 = np.vecdot(x, x)
-    ok = np.sqrt(n2) > tol
-    if not all_rows(ok):
-        raise ZeroVector(f"a null class needs a nonzero vector{at_row(first_failure(~ok))}")
+    require(np.sqrt(n2) > tol, ZeroVector,
+            lambda i, at: f"a null class needs a nonzero vector{at}")
     q = _q(x)
-    ok = abs(q) <= tol * n2
-    if not all_rows(ok):
-        row = first_failure(~ok)
-        raise NotNull(f"Q(x){at_row(row)} = {q[row]:g} is not null at tolerance {tol:g}")
+    require(abs(q) <= tol * n2, NotNull,
+            lambda i, at: f"Q(x){at} = {q[i]:g} is not null at tolerance {tol:g}")
     return x
 
 

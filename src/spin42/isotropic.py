@@ -34,12 +34,10 @@ from .forms import (
     _q,
     _qb,
     _pivot,
-    all_rows,
     as_null_vec6,
     as_spinor,
     as_vec6,
-    at_row,
-    first_failure,
+    require,
 )
 
 
@@ -68,22 +66,18 @@ class IsotropicPlaneE:
 
 # The kernels below take checked arrays with any leading axes: spinors
 # (..., 4), 6-vectors (..., 6), spinor planes (..., 2, 4).  Their gates
-# judge every row and name the first that fails.
+# judge every row and name the first that fails, through forms.require.
 
 
 def _isotropic_gate(v: np.ndarray, tol: float) -> np.ndarray:
     """The input gate of a spinor line, on checked spinors: nonzero
     (||v|| > tol) and isotropic (|(v|v)| <= tol ||v||^2)."""
     n2 = np.vecdot(v, v).real
-    ok = np.sqrt(n2) > tol
-    if not all_rows(ok):
-        raise ZeroVector(
-            f"spinor line needs a nonzero representative{at_row(first_failure(~ok))}")
+    require(np.sqrt(n2) > tol, ZeroVector,
+            lambda i, at: f"spinor line needs a nonzero representative{at}")
     vv = _g(v, v)
-    ok = abs(vv) <= tol * n2
-    if not all_rows(ok):
-        row = first_failure(~ok)
-        raise NotIsotropicSpinor(f"(v|v){at_row(row)} = {vv[row]:g} is not zero")
+    require(abs(vv) <= tol * n2, NotIsotropicSpinor,
+            lambda i, at: f"(v|v){at} = {vv[i]:g} is not zero")
     return v
 
 
@@ -99,16 +93,20 @@ def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:
     return SpinorLine(_spinor_line(as_spinor(v), tol))
 
 
-def _svd_rank(m: np.ndarray, rel_tol: float, rank: int, what: str):
-    """The SVD u, s, vh of a stack of matrices m (..., r, c), each of whose
-    numerical rank (the number of singular values above rel_tol times its
-    largest) must be rank."""
-    u, s, vh = np.linalg.svd(m)
+def _rank_gate(s: np.ndarray, rel_tol: float, rank: int, what: str) -> None:
+    """The one rank decision: the numerical rank of each matrix, the number
+    of its singular values s (..., k) above rel_tol times its largest, must
+    be rank."""
     got = (s > rel_tol * s[..., :1]).sum(axis=-1)
-    ok = got == rank
-    if not all_rows(ok):
-        row = first_failure(~ok)
-        raise RankFailure(f"{what}{at_row(row)} has rank {got[row]}, not {rank}")
+    require(got == rank, RankFailure,
+            lambda i, at: f"{what}{at} has rank {got[i]}, not {rank}")
+
+
+def _svd_rank(m: np.ndarray, rel_tol: float, rank: int, what: str):
+    """The SVD u, s, vh of a stack of matrices m (..., r, c), once
+    _rank_gate has judged that each has the given rank at rel_tol."""
+    u, s, vh = np.linalg.svd(m)
+    _rank_gate(s, rel_tol, rank, what)
     return u, s, vh
 
 
@@ -117,19 +115,14 @@ def _isotropic_plane(x1: np.ndarray, x2: np.ndarray, tol: float) -> None:
     (..., 6), at tol: nonzero, independent, and every pairing within
     tol ||x1|| ||x2||."""
     scale = np.sqrt(np.vecdot(x1, x1) * np.vecdot(x2, x2))
-    ok = scale > tol
-    if not all_rows(ok):
-        raise ZeroVector(
-            f"isotropic plane{at_row(first_failure(~ok))} needs nonzero basis vectors")
+    require(scale > tol, ZeroVector,
+            lambda i, at: f"isotropic plane{at} needs nonzero basis vectors")
     basis = np.stack([x1, x2], axis=-2)
-    _svd_rank(basis, tol, 2, "isotropic plane basis")
+    _rank_gate(np.linalg.svd(basis, compute_uv=False), tol, 2, "isotropic plane basis")
     # Gram matrix of the pairings: Q(x1), (x1, x2), (x2, x1), Q(x2)
     dev = abs(basis @ (Q_DIAG * basis).mT).max(axis=(-2, -1))
-    ok = dev <= tol * scale
-    if not all_rows(ok):
-        row = first_failure(~ok)
-        raise NotNull(f"plane{at_row(row)} is not totally isotropic"
-                      f" (largest pairing {dev[row]:g})")
+    require(dev <= tol * scale, NotNull,
+            lambda i, at: f"plane{at} is not totally isotropic (largest pairing {dev[i]:g})")
 
 
 def isotropic_plane(x1, x2, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
@@ -199,11 +192,9 @@ def _plane_line(x1: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
     canonical line representatives (..., 4)."""
     m = table_sum(x1, GAMMA) @ np.conj(table_sum(x2, GAMMA))
     u, s, _ = _svd_rank(m, max(tol, RANK_FLOOR), 1, "composite operator")
-    ok = s[..., 0] > tol
-    if not all_rows(ok):
-        row = first_failure(~ok)
-        raise RankFailure(f"composite operator{at_row(row)} has largest singular value"
-                          f" {s[..., 0][row]:g} <= {tol:g}")
+    require(s[..., 0] > tol, RankFailure,
+            lambda i, at: f"composite operator{at} has largest singular value"
+                          f" {s[..., 0][i]:g} <= {tol:g}")
     return _spinor_line(u[..., :, 0], tol)
 
 
@@ -286,11 +277,8 @@ def _dual_basis(x1: np.ndarray, x2: np.ndarray, tol: float):
         _q(y2),
     ], axis=-1)
     dev = abs(checks).max(axis=-1)
-    ok = dev <= max(tol, RESIDUAL_FLOOR)
-    if not all_rows(ok):
-        row = first_failure(~ok)
-        raise RankFailure(f"dual basis{at_row(row)} failed the pairing checks"
-                          f" (deviation {dev[row]:g})")
+    require(dev <= max(tol, RESIDUAL_FLOOR), RankFailure,
+            lambda i, at: f"dual basis{at} failed the pairing checks (deviation {dev[i]:g})")
     return y1, y2
 
 

@@ -33,12 +33,10 @@ from .forms import (
     ProjectiveNullLine,
     _projective,
     _qb,
-    all_rows,
     as_vec6,
-    at_row,
     check_finite,
-    first_failure,
     projectivize,
+    require,
 )
 
 
@@ -158,10 +156,8 @@ def _extract(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     gap = a[..., 5] - a[..., 4]
     at_inf = abs(gap) <= tol
     finite_zero = abs(a[..., :4]).max(axis=-1) <= tol
-    ok = ~at_inf | finite_zero | (abs(a[..., 3]) > tol)
-    if not all_rows(ok):
-        raise Unclassifiable(f"class{at_row(first_failure(~ok))} at infinity with no radius"
-                             " slot: no entity normal form fits")
+    require(~at_inf | finite_zero | (abs(a[..., 3]) > tol), Unclassifiable,
+            lambda i, at: f"class{at} at infinity with no radius slot: no entity normal form fits")
     # the sphere/point gauge rescales so slot6 - slot5 = 1
     coords = a / np.where(at_inf, np.where(finite_zero, 1.0, a[..., 3]), gap)[..., None]
     kind = np.where(at_inf, np.where(finite_zero, INFINITY, PLANE),

@@ -29,11 +29,9 @@ from .forms import (
     Q6,
     RESIDUAL_FLOOR,
     _q,
-    all_rows,
     as_vec6,
-    at_row,
     check_finite,
-    first_failure,
+    require,
 )
 
 
@@ -77,11 +75,8 @@ def _composites(v: np.ndarray, tol: float) -> np.ndarray:
     composites X(x) . conj(X(x')) (..., 4, 4), after the |Q| = 1 gate of
     each vector at tol; the error names the first pair that fails it."""
     q = _q(v)
-    ok = (abs(abs(q) - 1.0) <= tol).all(axis=-1)
-    if not all_rows(ok):
-        row = first_failure(~ok)
-        raise NotNormalized(f"|Q| must be 1 on both vectors{at_row(row)}"
-                            f" (got {q[row][0]:g}, {q[row][1]:g})")
+    require((abs(abs(q) - 1.0) <= tol).all(axis=-1), NotNormalized,
+            lambda i, at: f"|Q| must be 1 on both vectors{at} (got {q[i][0]:g}, {q[i][1]:g})")
     xs = table_sum(v, GAMMA)
     return xs[..., 0, :, :] @ np.conj(xs[..., 1, :, :])
 
@@ -94,6 +89,11 @@ def _members(m: np.ndarray, tol: float) -> np.ndarray:
     return (gdev <= bound) & (ddev <= bound)
 
 
+def _sign_clash(index, at) -> str:
+    """The gate message of a composite whose pair's Q-signs differ."""
+    return f"composite{at} is not pseudo-unitary; Q-signs of the pair must agree"
+
+
 def spin_from_vector_pair(x, xp, tol: float = DEFAULT_TOL) -> SpinElement:
     """Composite operator of two unit-Q vectors, X(x) . conj(X(x')).
 
@@ -103,10 +103,7 @@ def spin_from_vector_pair(x, xp, tol: float = DEFAULT_TOL) -> SpinElement:
     |Q| = 1; the composite's membership is a post-condition.
     """
     m = _composites(np.stack([as_vec6(x), as_vec6(xp)]), tol)
-    if not _members(m, tol):
-        raise NotNormalized(
-            "composite is not pseudo-unitary; Q-signs of the pair must agree"
-        )
+    require(_members(m, tol), NotNormalized, _sign_clash)
     return SpinElement(m)
 
 
@@ -124,12 +121,9 @@ def spin_generate(pairs, tol: float = DEFAULT_TOL) -> SpinElement:
     for c in composites:
         m = m @ c
     member = _members(np.concatenate([composites, m[None]]), tol)
-    if not all_rows(member[:-1]):
-        row = first_failure(~member[:-1])
-        raise NotNormalized(f"composite{at_row(row)} is not pseudo-unitary;"
-                            " Q-signs of the pair must agree")
-    if not member[-1]:
-        raise NotNormalized("generated product failed the membership checks")
+    require(member[:-1], NotNormalized, _sign_clash)
+    require(member[-1], NotNormalized,
+            lambda i, at: "generated product failed the membership checks")
     return SpinElement(m)
 
 
@@ -176,13 +170,9 @@ def _covering(m: np.ndarray, floor: float) -> np.ndarray:
     scale = np.maximum(1.0, abs(l).max(axis=(-2, -1))) ** 2
     qdev = _q_devs(l)
     ddev = abs(np.linalg.det(l) - 1.0)
-    bad = ~((qdev <= floor * scale) & (ddev <= floor * scale ** 3))
-    if bad.any():
-        row = first_failure(bad)
-        raise ActionLeavesSpan(
-            f"action matrix{at_row(row)} violates the quadric invariants"
-            f" (Q dev {qdev[row]:g}, det dev {ddev[row]:g})"
-        )
+    require((qdev <= floor * scale) & (ddev <= floor * scale ** 3), ActionLeavesSpan,
+            lambda i, at: f"action matrix{at} violates the quadric invariants"
+                          f" (Q dev {qdev[i]:g}, det dev {ddev[i]:g})")
     return l
 
 

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from spin42 import sampling
-from spin42.clifford import det4, x_matrix
+from spin42.clifford import AntilinearOp, det4, vector_from_op, x_matrix
 from spin42.errors import (
     ActionLeavesSpan,
     InvalidEntity,
+    NotInGammaSpan,
     NotIsotropicSpinor,
     NotNormalized,
     NotNull,
@@ -41,6 +42,7 @@ from spin42.forms import (
     projectivize,
     q_bilinear,
     q_form,
+    require,
 )
 from spin42.isotropic import (
     IsotropicPlaneE,
@@ -295,3 +297,46 @@ def test_a_nan_row_is_never_accepted_by_the_isotropic_and_liesphere_kernels():
     assert np.isnan(coords[1, 0]) and np.isfinite(coords[0]).all()
     with pytest.raises(InvalidEntity):
         lie_extract(ProjectiveNullLine(raw[1]))
+
+
+def _never_called(index, at):
+    raise AssertionError("the message of a passing gate was built")
+
+
+def _echo(index, at):
+    return f"{index}|{at}"
+
+
+def test_require_names_the_first_failing_index():
+    require(np.bool_(True), ValueError, _never_called)
+    require(np.array(True), ValueError, _never_called)
+    require(np.zeros(0, dtype=bool), ValueError, _never_called)
+    require(np.zeros((0, 3), dtype=bool), ValueError, _never_called)
+    with pytest.raises(ValueError, match=r"^\(\)\|$"):
+        require(np.array(False), ValueError, _echo)
+    with pytest.raises(ValueError, match=r"^\(2,\)\| at row 2$"):
+        require(np.array([True, True, False, False]), ValueError, _echo)
+    ok = np.ones((3, 4), dtype=bool)
+    ok[1, 3] = ok[2, 0] = False
+    with pytest.raises(ValueError, match=r"^\(1, 3\)\| at index \(1, 3\)$"):
+        require(ok, ValueError, _echo)
+    # a NaN deviation compares False, so it fails the gate
+    with np.errstate(invalid="ignore"):
+        ok = np.array([0.0, np.nan]) <= 1.0
+    with pytest.raises(ValueError, match=r"at row 1$"):
+        require(ok, ValueError, _echo)
+
+
+def _message(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_scalar_gate_messages_are_pinned():
+    assert _message(lambda: covering_matrix(SpinElement(2.0 * np.eye(4, dtype=complex)))) == (
+        ActionLeavesSpan, "action matrix violates the quadric invariants (Q dev 15, det dev 4095)")
+    assert _message(lambda: phi_inverse(KVector(2, np.eye(6)[0]))) == (
+        NotSelfDual, "bivector is not fixed by the star (deviation 1)")
+    assert _message(lambda: vector_from_op(AntilinearOp(np.eye(4, dtype=complex)))) == (
+        NotInGammaSpan, "operator is not a real generator combination (residual 1)")
