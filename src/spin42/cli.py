@@ -9,7 +9,6 @@ produce byte-identical output; diagnostics go to stderr.  Exit codes:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -185,7 +184,7 @@ def verify(suite, seed, count, tol, json_only):
     results = run_suites(suite, seed=seed, count=count, tol=tol)
     all_passed = True
     for r in results:
-        _emit(dataclasses.asdict(r))
+        _emit(vars(r))
         if not json_only:
             status = "PASS" if r.passed else "FAIL"
             click.echo(

@@ -122,12 +122,17 @@ def compose(a: AntilinearOp, b: AntilinearOp) -> LinearOp:
     return LinearOp(a.m @ np.conj(b.m))
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Kernel of antilinear_adjoint over a stack of matrices (..., 4, 4)."""
+    return G4 @ m.mT @ G4
+
+
 def antilinear_adjoint(a: AntilinearOp) -> AntilinearOp:
     """Adjoint for the pseudo-Hermitian form: the unique a* with
     (a v | w) = (a* w | v) for all v, w.  In matrix form m* = G . m^T . G
     (for an antilinear operator the transpose appears, not the conjugate
     transpose)."""
-    return AntilinearOp(G4 @ a.m.T @ G4)
+    return AntilinearOp(_adjoint(a.m))
 
 
 def x_matrix(x) -> AntilinearOp:
@@ -242,12 +247,17 @@ def check_sigma_selfduality(tol: float = 0.0) -> CheckReport:
     return CheckReport(checks_run=len(SIGMA), max_deviation=worst, passed=worst <= tol)
 
 
+def _reality_residual(xm: np.ndarray) -> np.ndarray:
+    """Kernel of reality_residual over a stack of operator matrices
+    (..., 4, 4): the max entrywise deviation of each."""
+    flat = xm.reshape(*xm.shape[:-2], 16)
+    return np.abs(np.conj(flat) - flat @ _selfdual_tables()[1].T).max(axis=-1)
+
+
 def reality_residual(x) -> float:
     """Max entrywise deviation in the reality condition
     conj(X)^i_j = 1/2 eps^{imnk} G_mj G_nl X^l_k."""
-    xm = x_matrix(x).m.reshape(16)
-    rhs = _selfdual_tables()[1] @ xm
-    return float(np.max(np.abs(np.conj(xm) - rhs)))
+    return float(_reality_residual(x_matrix(x).m))
 
 
 def check_x_reality(x, tol: float = 1e-12) -> CheckReport:
@@ -255,9 +265,14 @@ def check_x_reality(x, tol: float = 1e-12) -> CheckReport:
     return CheckReport(checks_run=1, max_deviation=dev, passed=dev <= tol)
 
 
+def _det_identity(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel of det_identity over a stack of 6-vectors (..., 6): the
+    complex det X(x) and Q(x)^2 of each."""
+    return _det4(table_sum(x, GAMMA)), _q(x) ** 2
+
+
 def det_identity(x) -> tuple[float, float]:
     """Return (det X(x) as a real number, Q(x)^2); the two must agree and
     the determinant's imaginary part must vanish."""
-    x = as_vec6(x)
-    d = _det4(table_sum(x, GAMMA))
-    return float(d.real), _q(x) ** 2
+    d, q2 = _det_identity(as_vec6(x))
+    return float(d.real), q2

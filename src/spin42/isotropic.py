@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import GAMMA, table_sum
+from .clifford import GAMMA, SIGMA, table_sum
 from .errors import NotIsotropicSpinor, NotNull, RankFailure, ZeroVector
 from .forms import (
     DEFAULT_TOL,
@@ -230,18 +230,48 @@ def spinor_line_to_plane(v, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
     return IsotropicPlaneE(*_line_plane(as_spinor(v), tol))
 
 
+@lru_cache(maxsize=None)
+def _sigma_coeffs() -> np.ndarray:
+    """The 16 x 6 table taking a flattened antisymmetric 4x4 matrix W to
+    its coefficients in the Sigma basis.  The Sigma_a span the
+    antisymmetric matrices with <Sigma_a, Sigma_b> = 4 delta_ab, so
+    c_a = tr(W Sigma_a^dagger) / 4."""
+    return np.ascontiguousarray(np.conj(SIGMA).reshape(6, 16).T) / 4.0
+
+
 def _spinor_plane_class(b: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of plane_from_spinor_plane on spinor plane bases (..., 2, 4):
-    the canonical class representatives (..., 6)."""
-    system = _annihilator_system(b).reshape(*b.shape[:-2], 16, 6)
-    _, _, vh = _svd_rank(system, max(tol, RANK_FLOOR), 5, "annihilator system")
-    return _projective(vh[..., 5, :], max(tol, RESIDUAL_FLOOR))
+    the canonical class representatives (..., 6).
+
+    The Pluecker bivector W = b1 b2^T - b2 b1^T of the kernel plane of X(x)
+    is a complex multiple of Sigma(x), so its Sigma coefficients are x up
+    to a complex scale, which dividing by the pivot removes.  Two gates at
+    max(tol, RANK_FLOOR): |W| against |b1| |b2| (a zero or dependent basis
+    has W = 0), and the imaginary residual left after the pivot (a plane
+    that is no kernel of a null class).  The class is a post-condition."""
+    b1, b2 = b[..., 0, :], b[..., 1, :]
+    w = b1[..., :, None] * b2[..., None, :]
+    w = (w - w.mT).reshape(*b.shape[:-2], 16)
+    size = np.sqrt(np.vecdot(w, w).real)
+    scale = np.sqrt(np.vecdot(b1, b1).real * np.vecdot(b2, b2).real)
+    bound = max(tol, RANK_FLOOR)
+    require(size > bound * scale, RankFailure,
+            lambda i, at: f"spinor plane basis{at} is zero or dependent"
+                          f" (|b1 ^ b2| = {size[i]:g}, |b1| |b2| = {scale[i]:g})")
+    c = w @ _sigma_coeffs()
+    c = c / _pivot(c)
+    residual = abs(c.imag).max(axis=-1)
+    require(residual <= bound, RankFailure,
+            lambda i, at: f"spinor plane{at} is not the kernel of a null class"
+                          f" (imaginary residual {residual[i]:g})")
+    return _projective(c.real, max(tol, RESIDUAL_FLOOR))
 
 
 def plane_from_spinor_plane(p: SpinorPlane, tol: float = DEFAULT_TOL):
     """The unique projective null class whose operator kernel is the given
-    isotropic spinor plane (inverse of null_to_spinor_plane); the
-    dimension and the class are post-conditions."""
+    isotropic spinor plane (inverse of null_to_spinor_plane), read off the
+    plane's Pluecker bivector; the independence of the basis, the
+    kernel property and the class are post-conditions."""
     b = np.stack([as_spinor(p.b1), as_spinor(p.b2)])
     return ProjectiveNullLine(_spinor_plane_class(b, tol))
 

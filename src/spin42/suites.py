@@ -22,12 +22,12 @@ from . import errata, sampling
 from .clifford import (
     GAMMA,
     SIGMA,
-    antilinear_adjoint,
+    _adjoint,
+    _det_identity,
+    _reality_residual,
     check_clifford_relations,
     check_sigma_selfduality,
-    det_identity,
-    gamma,
-    reality_residual,
+    table_sum,
 )
 from .exterior import (
     _decomposable,
@@ -84,13 +84,11 @@ from .liesphere import (
     lie_extract,
 )
 from .spin import (
-    SpinElement,
     _covering,
     _members,
     _q_devs,
     _so_plus,
     _vector_action,
-    covering_matrix,
 )
 
 
@@ -141,22 +139,25 @@ def _kv_devs(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def suite_clifford(seed: int, count: int, tol: float) -> SuiteResult:
-    """Exact lattice identities of the generator tables."""
+    """Exact lattice identities of the generator tables; the generator
+    audits run once on the stack of all six."""
     c = _Collector()
     rel = check_clifford_relations(tol=tol)
     c.bulk(rel.checks_run, rel.max_deviation)
-    for a in range(1, 7):
-        g = gamma(a)
-        c.dev(_mat_dev(antilinear_adjoint(g).m, -g.m))
-        c.dev(_mat_dev(antilinear_adjoint(antilinear_adjoint(g)).m, g.m))
-        c.dev(_mat_dev(GAMMA[a - 1], SIGMA[a - 1] @ G4))
-        c.dev(reality_residual(np.eye(6)[a - 1]))
-        d, q2 = det_identity(np.eye(6)[a - 1])
-        c.dev(abs(d - q2))
+    adjoint = _adjoint(GAMMA)
+    c.bulk(6, np.max(np.abs(adjoint + GAMMA)))
+    c.bulk(6, np.max(np.abs(_adjoint(adjoint) - GAMMA)))
+    c.bulk(6, np.max(np.abs(GAMMA - SIGMA @ G4)))
+    e = np.eye(6)
+    c.bulk(6, np.max(_reality_residual(table_sum(e, GAMMA))))
+    d, q2 = _det_identity(e)
+    c.bulk(6, np.max(np.abs(d.real - q2)))
     sd = check_sigma_selfduality(tol=tol)
     c.bulk(sd.checks_run, sd.max_deviation)
-    c.dev(_mat_dev(covering_matrix(SpinElement(-np.eye(4, dtype=complex))).l, np.eye(6)))
-    c.dev(_mat_dev(covering_matrix(SpinElement(1j * np.eye(4, dtype=complex))).l, -np.eye(6)))
+    # L(-I) = I and L(iI) = -I
+    eye = np.eye(4, dtype=complex)
+    special = _covering(np.stack([-eye, 1j * eye]), RESIDUAL_FLOOR)
+    c.bulk(2, np.max(np.abs(special - np.array([1.0, -1.0])[:, None, None] * np.eye(6))))
     return c.result("clifford", tol, errata.notes("clifford"))
 
 
@@ -310,15 +311,17 @@ def suite_spin(seed: int, count: int, tol: float) -> SuiteResult:
     qx = np.sum(x * Q_DIAG * x, axis=-1)
     image = _vector_action(m, x, RESIDUAL_FLOOR)
     c.bulk(n, np.max(np.abs(np.sum(image * Q_DIAG * image, axis=-1) - qx)))
-    l = _covering(m, RESIDUAL_FLOOR)
+    # one covering stack: the elements, their negatives, the products of
+    # consecutive pairs, and the special values I, -I and iI
+    half = n // 2
+    eye = np.eye(4, dtype=complex)
+    l, neg, products, special = np.split(_covering(np.concatenate([
+        m, -m, m[0:2 * half:2] @ m[1:2 * half:2], np.stack([eye, -eye, 1j * eye])]),
+        RESIDUAL_FLOOR), [n, 2 * n, 2 * n + half])
     c.bulk(n, np.any(~_so_plus(l, RESIDUAL_FLOOR)))
     c.bulk(n, np.max(_q_devs(l)))
-    c.bulk(n, np.max(np.abs(_covering(-m, RESIDUAL_FLOOR) - l)))
-    half = n // 2
-    products = _covering(m[0:2 * half:2] @ m[1:2 * half:2], RESIDUAL_FLOOR)
+    c.bulk(n, np.max(np.abs(neg - l)))
     c.bulk(half, np.max(np.abs(products - l[0:2 * half:2] @ l[1:2 * half:2])))
-    eye = np.eye(4, dtype=complex)
-    special = _covering(np.stack([eye, -eye, 1j * eye]), RESIDUAL_FLOOR)
     c.bulk(3, np.max(np.abs(special - np.array([1.0, 1.0, -1.0])[:, None, None] * np.eye(6))))
     return c.result("spin", tol, errata.notes("spin"))
 

@@ -53,6 +53,7 @@ from spin42.isotropic import (
     _line_plane,
     _plane_line,
     _spinor_plane,
+    _spinor_plane_class,
     _svd_rank,
     dual_isotropic_basis,
     four_idempotents,
@@ -260,6 +261,25 @@ def test_rank_gates_name_the_first_failing_row():
         image_basis(np.eye(4), 5)
 
 
+def test_spinor_plane_class_rejects_zero_dependent_and_non_kernel_bases():
+    # W = b1 ^ b2 is exactly zero on both; the gate fires before any division
+    for plane in (SpinorPlane(P.b1, 2.0 * P.b1), SpinorPlane(P.b1, np.zeros(4))):
+        with pytest.raises(RankFailure, match=r"^spinor plane basis is zero or dependent \("):
+            plane_from_spinor_plane(plane)
+    kernel = _spinor_plane(_null_stack(6), 1e-9)
+    dependent = kernel.copy()
+    dependent[4, 1] = 3j * dependent[4, 0]
+    with pytest.raises(RankFailure, match="spinor plane basis at row 4 is zero or dependent"):
+        _spinor_plane_class(dependent, 1e-9)
+    # e1, e2 span a plane that is no kernel: its bivector's Sigma
+    # coefficients are (0, 0, 0, -i/2, 0, 1/2), complex after the pivot
+    kernel[2] = np.eye(4)[:2]
+    kernel[5] = np.eye(4)[:2]
+    with pytest.raises(RankFailure, match=r"spinor plane at row 2 is not the kernel of a null"
+                                          r" class \(imaginary residual 1\)"):
+        _spinor_plane_class(kernel, 1e-9)
+
+
 def test_extract_and_pair_gates_name_the_first_failing_row():
     reps = np.array([[0, 0, 0, 0, 1.0, 1.0], [0.5, 0, 0, 1.0, 1.0, 1.0], [1.0, 0, 0, 0, 1.0, 1.0]])
     with pytest.raises(Unclassifiable, match="class at row 2 at infinity"):
@@ -340,3 +360,7 @@ def test_scalar_gate_messages_are_pinned():
         NotSelfDual, "bivector is not fixed by the star (deviation 1)")
     assert _message(lambda: vector_from_op(AntilinearOp(np.eye(4, dtype=complex)))) == (
         NotInGammaSpan, "operator is not a real generator combination (residual 1)")
+    assert _message(lambda: plane_from_spinor_plane(SpinorPlane(P.b1, 2.0 * P.b1))) == (
+        RankFailure, "spinor plane basis is zero or dependent (|b1 ^ b2| = 0, |b1| |b2| = 2)")
+    assert _message(lambda: plane_from_spinor_plane(SpinorPlane(*np.eye(4)[:2]))) == (
+        RankFailure, "spinor plane is not the kernel of a null class (imaginary residual 1)")

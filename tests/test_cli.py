@@ -48,7 +48,7 @@ def test_verify_clifford_at_zero_tolerance():
     assert suite["suite_name"] == "clifford"
     assert suite["max_deviation"] == 0
     assert suite["passed"] is True
-    assert suite["checks_run"] > 0
+    assert suite["checks_run"] == 74
 
 
 def test_verify_all_suites_pass():

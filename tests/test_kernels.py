@@ -24,8 +24,27 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spin42.clifford import EPS4, GAMMA, _det4, det4, gamma_coeffs, perm_table, x_matrix
+from spin42.clifford import (
+    EPS4,
+    GAMMA,
+    AntilinearOp,
+    _adjoint,
+    _det4,
+    _det_identity,
+    _reality_residual,
+    antilinear_adjoint,
+    det4,
+    det_identity,
+    gamma,
+    gamma_coeffs,
+    perm_table,
+    reality_residual,
+    table_sum,
+    x_matrix,
+)
 from spin42.errors import ActionLeavesSpan, NotInGammaSpan
 from spin42.exterior import (
     KVector,
@@ -64,6 +83,7 @@ from spin42.forms import (
 )
 from spin42.isotropic import (
     IsotropicPlaneE,
+    SpinorPlane,
     _annihilator_system,
     _dual_basis,
     _four_idempotents,
@@ -596,6 +616,76 @@ def test_annihilator_system_rows_match_the_column_construction():
     for i in range(ROWS):
         cols = np.stack([GAMMA[a] @ np.conj(v[i]) for a in range(6)], axis=1)
         assert np.array_equal(out[i], np.vstack([cols.real, cols.imag]))
+
+
+def _reference_spinor_plane_class(b: np.ndarray) -> np.ndarray:
+    """The class of a spinor plane basis (2, 4) as the null row of the
+    16 x 6 real system X(x) conj(b_i) = 0, i = 1, 2, whose rank must be 5,
+    canonicalized."""
+    _, s, vh = np.linalg.svd(_annihilator_system(b).reshape(16, 6))
+    assert s[4] > RANK_FLOOR * s[0] and s[5] <= RANK_FLOOR * s[0]
+    return canonicalize(vh[5])
+
+
+def _assert_class_matches_the_annihilator_svd(plane: SpinorPlane) -> np.ndarray:
+    b = np.stack([plane.b1, plane.b2])
+    want = _reference_spinor_plane_class(b)
+    got = plane_from_spinor_plane(plane).rep
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.array_equal(_spinor_plane_class(b[None], 1e-9)[0], got)
+    return got
+
+
+_moduli = st.floats(0.25, 4.0)
+_phases = st.floats(-np.pi, np.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), lam=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       r1=_moduli, t1=_phases, r2=_moduli, t2=_phases)
+def test_pluecker_class_matches_the_annihilator_svd(seed, lam, r1, t1, r2, t2):
+    x = sampling.random_null_vec6(np.random.default_rng(seed))
+    plane = null_to_spinor_plane(x)
+    # the orthonormal kernel basis, and a skewed, rescaled basis of the same plane
+    s1, s2 = r1 * np.exp(1j * t1), r2 * np.exp(1j * t2)
+    skewed = SpinorPlane(s1 * plane.b1, s2 * (plane.b2 + complex(*lam) * plane.b1))
+    for p in (plane, skewed):
+        got = _assert_class_matches_the_annihilator_svd(p)
+        assert np.max(np.abs(got - canonicalize(x))) <= 1e-12
+
+
+def test_pluecker_class_of_the_readme_class():
+    x = np.array([1.0, 0, 0, 1, 0, 0])
+    got = _assert_class_matches_the_annihilator_svd(null_to_spinor_plane(x))
+    assert np.max(np.abs(got - x)) <= 1e-15
+
+
+def test_clifford_audit_kernels_match_the_public_audits_on_the_generators():
+    e = np.eye(6)
+    adjoint = _adjoint(GAMMA)
+    twice = _adjoint(adjoint)
+    residual = _reality_residual(table_sum(e, GAMMA))
+    d, q2 = _det_identity(e)
+    for a in range(6):
+        g = gamma(a + 1)
+        assert np.array_equal(adjoint[a], antilinear_adjoint(g).m)
+        assert np.array_equal(twice[a], antilinear_adjoint(antilinear_adjoint(g)).m)
+        assert residual[a] == reality_residual(e[a]) == 0.0
+        assert (float(d[a].real), q2[a]) == det_identity(e[a]) == (1.0, 1.0)
+        assert d[a].imag == 0.0
+
+
+def test_clifford_audit_kernel_rows_match_the_public_audits():
+    x = np.random.default_rng(330).normal(size=(ROWS, 6))
+    m = _complex_rows(np.random.default_rng(331), ROWS, 4, 4)
+    adjoint = _adjoint(m)
+    residual = _reality_residual(table_sum(x, GAMMA))
+    d, q2 = _det_identity(x)
+    for i in range(ROWS):
+        assert np.array_equal(adjoint[i], antilinear_adjoint(AntilinearOp(m[i])).m)
+        assert residual[i] == reality_residual(x[i])
+        d1, q21 = det_identity(x[i])
+        assert q2[i] == q21 and _rel_dev(d[i].real, d1) <= 1e-14
 
 
 def test_plane_and_line_kernel_rows_match():
