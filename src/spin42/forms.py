@@ -34,12 +34,10 @@ DEFAULT_TOL = 1e-9
 # validated inputs at max(tol, FLOOR), never tighter than the gate its input
 # passed.  Every gate is written so that a NaN deviation fails it.
 
-# Rank cut on systems built from validated data: zero singular values are ~1e-15.
+# Rank cut on data built from validated inputs: zero singular values, wedges ~1e-15.
 RANK_FLOOR = 1e-9
 # Residuals of chained products of validated factors carry every step's rounding.
 RESIDUAL_FLOOR = 1e-8
-# Kernel singular values of X(x), x a unit vector null at tol, are ~tol; the rest ~1.
-KERNEL_FLOOR = 1e-6
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:

@@ -19,11 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import GAMMA, SIGMA, table_sum
+from .clifford import GAMMA, table_sum
 from .errors import NotIsotropicSpinor, NotNull, RankFailure, ZeroVector
+from .exterior import _SIGMA_COEFFS
 from .forms import (
     DEFAULT_TOL,
-    KERNEL_FLOOR,
     Q_DIAG,
     RANK_FLOOR,
     RESIDUAL_FLOOR,
@@ -93,32 +93,55 @@ def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:
     return SpinorLine(_spinor_line(as_spinor(v), tol))
 
 
-def _rank_gate(s: np.ndarray, rel_tol: float, rank: int, what: str) -> None:
-    """The one rank decision: the numerical rank of each matrix, the number
-    of its singular values s (..., k) above rel_tol times its largest, must
-    be rank."""
-    got = (s > rel_tol * s[..., :1]).sum(axis=-1)
-    require(got == rank, RankFailure,
-            lambda i, at: f"{what}{at} has rank {got[i]}, not {rank}")
+# the index pairs i < j of spinors and of 6-vectors, as i's then j's
+_PAIRS = {n: np.concatenate(np.triu_indices(n, 1)) for n in (4, 6)}
+
+
+def _pluecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coordinates a_i b_j - a_j b_i, i < j, of a ^ b (..., n), in the
+    order of exterior's wedge; every rank and span decision here reads them."""
+    pairs = _PAIRS[a.shape[-1]]
+    k = len(pairs) // 2
+    a, b = a[..., pairs], b[..., pairs]
+    return a[..., :k] * b[..., k:] - a[..., k:] * b[..., :k]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(v, v).real)
+
+
+def _independent(a: np.ndarray, b: np.ndarray, bound: float, what: str,
+                 names: tuple[str, str]) -> np.ndarray:
+    """The rank gate of pairs a, b (..., n): |a ^ b| > bound |a| |b| on every
+    row, with a and b called names in the message; returns a ^ b."""
+    w = _pluecker(a, b)
+    size, scale = _norm(w), _norm(a) * _norm(b)
+    p, q = names
+    require(size > bound * scale, RankFailure,
+            lambda i, at: f"{what}{at} is zero or dependent"
+                          f" (|{p} ^ {q}| = {size[i]:g}, |{p}| |{q}| = {scale[i]:g})")
+    return w
 
 
 def _svd_rank(m: np.ndarray, rel_tol: float, rank: int, what: str):
-    """The SVD u, s, vh of a stack of matrices m (..., r, c), once
-    _rank_gate has judged that each has the given rank at rel_tol."""
+    """The SVD u, s, vh of matrices m (..., r, c) with rank singular values
+    above rel_tol times the largest: for subspaces that must be solved for."""
     u, s, vh = np.linalg.svd(m)
-    _rank_gate(s, rel_tol, rank, what)
+    got = (s > rel_tol * s[..., :1]).sum(axis=-1)
+    require(got == rank, RankFailure,
+            lambda i, at: f"{what}{at} has rank {got[i]}, not {rank}")
     return u, s, vh
 
 
 def _isotropic_plane(x1: np.ndarray, x2: np.ndarray, tol: float) -> None:
     """The gate of a totally isotropic plane spanned by checked rows x1, x2
-    (..., 6), at tol: nonzero, independent, and every pairing within
-    tol ||x1|| ||x2||."""
+    (..., 6), at tol: nonzero, independent (|x1 ^ x2| > tol |x1| |x2|), and
+    every pairing within tol |x1| |x2|."""
     scale = np.sqrt(np.vecdot(x1, x1) * np.vecdot(x2, x2))
     require(scale > tol, ZeroVector,
             lambda i, at: f"isotropic plane{at} needs nonzero basis vectors")
+    _independent(x1, x2, tol, "isotropic plane basis", ("x1", "x2"))
     basis = np.stack([x1, x2], axis=-2)
-    _rank_gate(np.linalg.svd(basis, compute_uv=False), tol, 2, "isotropic plane basis")
     # Gram matrix of the pairings: Q(x1), (x1, x2), (x2, x1), Q(x2)
     dev = abs(basis @ (Q_DIAG * basis).mT).max(axis=(-2, -1))
     require(dev <= tol * scale, NotNull,
@@ -167,22 +190,27 @@ def _annihilator_system(v: np.ndarray) -> np.ndarray:
 
 def _spinor_plane(x: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of null_to_spinor_plane on gated null vectors (..., 6): the
-    kernel bases (..., 2, 4)."""
-    x = x / np.sqrt(np.vecdot(x, x))[..., None]
-    _, _, vh = _svd_rank(table_sum(x, GAMMA), max(tol, KERNEL_FLOOR), 2, "X(x)")
-    return vh[..., 2:, :]
+    kernel bases (..., 2, 4), the first two columns of X(x) at unit length.
+    They span the kernel as X(x) conj(X(x)) = Q(x) I, and by the tables
+    they are orthogonal with norm |x|.  Post-conditions: the pair at
+    max(tol, RANK_FLOOR), and |X(x) conj(b)| / |x| at max(tol, RESIDUAL_FLOOR)."""
+    m = table_sum(x, GAMMA)
+    _independent(m[..., :, 0], m[..., :, 1], max(tol, RANK_FLOOR), "X(x) column pair",
+                 ("c1", "c2"))
+    m = m / _norm(x)[..., None, None]
+    b = m[..., :, :2].mT
+    residual = abs(m @ np.conj(b).mT).max(axis=(-2, -1))
+    require(residual <= max(tol, RESIDUAL_FLOOR), RankFailure,
+            lambda i, at: f"X(x){at} does not annihilate its columns (residual {residual[i]:g})")
+    return b
 
 
 def null_to_spinor_plane(x, tol: float = DEFAULT_TOL) -> SpinorPlane:
     """Kernel plane of the antilinear operator of a null vector; scale
     invariant, and totally isotropic for the spinor form.  tol is the
-    input gate of forms.as_null_vec6; rank 2 of X(x) is a post-condition
-    at max(tol, KERNEL_FLOOR).
-
-    The kernel of the antilinear operator is the conjugate of the matrix
-    null space of X, which is why the null rows of vh are used *without*
-    conjugation.
-    """
+    input gate of forms.as_null_vec6; the basis, a pair of columns of X(x)
+    over |x| (orthonormal by the tables, not an SVD basis), is a
+    post-condition."""
     b1, b2 = _spinor_plane(as_null_vec6(x, tol), tol)
     return SpinorPlane(b1, b2)
 
@@ -190,23 +218,23 @@ def null_to_spinor_plane(x, tol: float = DEFAULT_TOL) -> SpinorPlane:
 def _plane_line(x1: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of plane_to_spinor_line on plane bases (..., 6): the
     canonical line representatives (..., 4)."""
-    m = table_sum(x1, GAMMA) @ np.conj(table_sum(x2, GAMMA))
-    u, s, _ = _svd_rank(m, max(tol, RANK_FLOOR), 1, "composite operator")
-    require(s[..., 0] > tol, RankFailure,
-            lambda i, at: f"composite operator{at} has largest singular value"
-                          f" {s[..., 0][i]:g} <= {tol:g}")
-    return _spinor_line(u[..., :, 0], tol)
+    cols = (table_sum(x1, GAMMA) @ np.conj(table_sum(x2, GAMMA))).mT
+    lengths = _norm(cols)
+    line = np.take_along_axis(cols, lengths.argmax(axis=-1)[..., None, None], axis=-2)
+    size = lengths.max(axis=-1)
+    wedge = _norm(_pluecker(cols, line)).max(axis=-1)
+    require((size > tol) & (wedge <= max(tol, RANK_FLOOR) * size * size), RankFailure,
+            lambda i, at: f"composite operator{at} is not of rank 1"
+                          f" (largest column {size[i]:g}, largest wedge with it {wedge[i]:g})")
+    return _spinor_line(line[..., 0, :], tol)
 
 
 def plane_to_spinor_line(n: IsotropicPlaneE, tol: float = DEFAULT_TOL) -> SpinorLine:
-    """Image line of the composite operator of the plane's basis pair.
-
-    The composite X(x1) . conj(X(x2)) of a totally isotropic pair has rank
-    exactly 1, and changing the basis rescales the operator by the change
-    determinant, so the image line is an invariant of the plane.  The rank
-    is a post-condition at max(tol, RANK_FLOOR); tol judges the line and
-    the size of the composite, whose largest singular value must exceed it.
-    """
+    """Image line of the composite X(x1) . conj(X(x2)) of the plane's basis
+    pair, its largest column c: the composite of a totally isotropic pair
+    has rank exactly 1, and a change of basis rescales it by the change
+    determinant.  tol judges the line and |c|; the rank, every column's
+    wedge with c within max(tol, RANK_FLOOR) |c|^2, is a post-condition."""
     return SpinorLine(_plane_line(as_vec6(n.x1), as_vec6(n.x2), tol))
 
 
@@ -230,35 +258,16 @@ def spinor_line_to_plane(v, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
     return IsotropicPlaneE(*_line_plane(as_spinor(v), tol))
 
 
-@lru_cache(maxsize=None)
-def _sigma_coeffs() -> np.ndarray:
-    """The 16 x 6 table taking a flattened antisymmetric 4x4 matrix W to
-    its coefficients in the Sigma basis.  The Sigma_a span the
-    antisymmetric matrices with <Sigma_a, Sigma_b> = 4 delta_ab, so
-    c_a = tr(W Sigma_a^dagger) / 4."""
-    return np.ascontiguousarray(np.conj(SIGMA).reshape(6, 16).T) / 4.0
-
-
 def _spinor_plane_class(b: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of plane_from_spinor_plane on spinor plane bases (..., 2, 4):
-    the canonical class representatives (..., 6).
-
-    The Pluecker bivector W = b1 b2^T - b2 b1^T of the kernel plane of X(x)
-    is a complex multiple of Sigma(x), so its Sigma coefficients are x up
-    to a complex scale, which dividing by the pivot removes.  Two gates at
-    max(tol, RANK_FLOOR): |W| against |b1| |b2| (a zero or dependent basis
-    has W = 0), and the imaginary residual left after the pivot (a plane
-    that is no kernel of a null class).  The class is a post-condition."""
-    b1, b2 = b[..., 0, :], b[..., 1, :]
-    w = b1[..., :, None] * b2[..., None, :]
-    w = (w - w.mT).reshape(*b.shape[:-2], 16)
-    size = np.sqrt(np.vecdot(w, w).real)
-    scale = np.sqrt(np.vecdot(b1, b1).real * np.vecdot(b2, b2).real)
+    the canonical class representatives (..., 6).  The Pluecker bivector
+    b1 ^ b2 of the kernel plane of X(x) is a complex multiple of phi(x), so
+    its Sigma coefficients over their pivot are the class.  Gated at
+    max(tol, RANK_FLOOR): the basis, and the imaginary residual left (a
+    plane that is no kernel of a null class)."""
     bound = max(tol, RANK_FLOOR)
-    require(size > bound * scale, RankFailure,
-            lambda i, at: f"spinor plane basis{at} is zero or dependent"
-                          f" (|b1 ^ b2| = {size[i]:g}, |b1| |b2| = {scale[i]:g})")
-    c = w @ _sigma_coeffs()
+    w = _independent(b[..., 0, :], b[..., 1, :], bound, "spinor plane basis", ("b1", "b2"))
+    c = w @ _SIGMA_COEFFS.conj().T
     c = c / _pivot(c)
     residual = abs(c.imag).max(axis=-1)
     require(residual <= bound, RankFailure,
@@ -359,15 +368,25 @@ def image_basis(m: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray
     return u[..., :dim]
 
 
+def _pluecker_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """|p/|p| - e^{it} q/|q|| at the aligned phase, for Pluecker vectors
+    (..., k): the angle between their spans to first order; inf where p or
+    q is zero or they are orthogonal."""
+    ip = np.vecdot(q, p)
+    lp, lq = _norm(p), _norm(q)
+    diff = _norm((lq * abs(ip))[..., None] * p - (lp * ip)[..., None] * q)
+    den = lp * lq * abs(ip)
+    return np.divide(diff, den, out=np.full(np.shape(den), np.inf), where=den > 0)
+
+
 def same_span(a: np.ndarray, b: np.ndarray, tol: float = RESIDUAL_FLOOR):
-    """Whether two sets of column vectors span the same subspace: a bool
-    for one pair of matrices, a bool array over leading axes for stacks."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
+    """Whether two column pairs (..., n, 2) span the same plane, their
+    _pluecker_gap at most tol: a bool for one pair of matrices, a bool array
+    over leading axes for stacks.  A dependent pair matches nothing."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         return False
-    s = np.linalg.svd(np.concatenate([a, b], axis=-1), compute_uv=False)
-    cut = tol * s[..., :1]
-    rank_a = np.count_nonzero(np.linalg.svd(a, compute_uv=False) > cut, axis=-1)
-    same = np.count_nonzero(s > cut, axis=-1) == rank_a
+    if a.shape[-1] != 2:
+        raise ValueError(f"same_span compares column pairs, not {a.shape[-1]} columns")
+    same = _pluecker_gap(_pluecker(a[..., 0], a[..., 1]), _pluecker(b[..., 0], b[..., 1])) <= tol
     return bool(same) if same.ndim == 0 else same

@@ -4,11 +4,13 @@ shape raises ValueError, whichever argument carries them.  The kernels'
 own post-condition gates judge a stack row by row, name the first row
 that fails, and fail on NaN."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from spin42 import sampling
-from spin42.clifford import AntilinearOp, det4, vector_from_op, x_matrix
+from spin42.clifford import GAMMA, AntilinearOp, det4, table_sum, vector_from_op, x_matrix
 from spin42.errors import (
     ActionLeavesSpan,
     InvalidEntity,
@@ -229,7 +231,8 @@ def test_isotropic_gates_name_the_first_failing_row():
     x1, x2 = _plane_stack(6)
     with pytest.raises(ZeroVector, match="isotropic plane at row 1 "):
         _isotropic_plane(x1, np.where(np.arange(6)[:, None] == 1, 0.0, x2), 1e-9)
-    with pytest.raises(RankFailure, match="isotropic plane basis at row 2 has rank 1, not 2"):
+    with pytest.raises(RankFailure, match=r"isotropic plane basis at row 2 is zero or dependent"
+                                          r" \(\|x1 \^ x2\| = "):
         _isotropic_plane(x1, np.where(np.arange(6)[:, None] == 2, 3.0 * x1, x2), 1e-9)
     bent = x2.copy()
     bent[3, 0] += 1.0
@@ -238,7 +241,7 @@ def test_isotropic_gates_name_the_first_failing_row():
     # a plane scaled down keeps its rank; its composite falls below tol
     small = x1.copy()
     small[5] *= 1e-6
-    with pytest.raises(RankFailure, match="composite operator at row 5 has largest singular"):
+    with pytest.raises(RankFailure, match="composite operator at row 5 is not of rank 1 "):
         _plane_line(small, x2 * np.where(np.arange(6)[:, None] == 5, 1e-6, 1.0), 1e-9)
     # e1, e2 span a plane on which Q is positive: no null dual basis exists
     x1[4], x2[4] = np.eye(6)[0], np.eye(6)[1]
@@ -249,7 +252,8 @@ def test_isotropic_gates_name_the_first_failing_row():
 def test_rank_gates_name_the_first_failing_row():
     x = _null_stack(5)
     x[3] = np.eye(6)[0]
-    with pytest.raises(RankFailure, match=r"X\(x\) at row 3 has rank 4, not 2"):
+    with pytest.raises(RankFailure,
+                       match=r"X\(x\) at row 3 does not annihilate its columns \(residual 1\)"):
         _spinor_plane(x, 1e-9)
     m = np.stack([np.outer(e, e) for e in np.eye(4)])
     m[2, 3, 3] = 1.0
@@ -259,6 +263,35 @@ def test_rank_gates_name_the_first_failing_row():
     assert image_basis(np.zeros((4, 4)), 0).shape == (4, 0)
     with pytest.raises(RankFailure, match="image has rank 4, not 5"):
         image_basis(np.eye(4), 5)
+
+
+def test_zero_and_dependent_inputs_fail_the_rank_gates_without_dividing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # a zero vector has a zero X(x): no column pair is independent
+        x = _null_stack(5)
+        x[1] = 0.0
+        with pytest.raises(RankFailure, match=r"^X\(x\) column pair at row 1 is zero or dependent"
+                                              r" \(\|c1 \^ c2\| = 0, \|c1\| \|c2\| = 0\)$"):
+            _spinor_plane(x, 1e-9)
+        # a zero column of the basis and x2 = 3 x1 on a lattice null x1
+        # both make the composite exactly zero
+        x1, x2 = _plane_stack(6)
+        x1[4], x2[4] = X1, 3.0 * X1
+        zero = x2.copy()
+        zero[2] = 0.0
+        for row in (2, 4):
+            assert not (table_sum(x1[row], GAMMA) @ np.conj(table_sum(zero[row], GAMMA))).any()
+        with pytest.raises(RankFailure, match=r"^composite operator at row 2 is not of rank 1"
+                                              r" \(largest column 0, "):
+            _plane_line(x1, zero, 1e-9)
+        with pytest.raises(RankFailure, match="^composite operator is not of rank 1"):
+            plane_to_spinor_line(IsotropicPlaneE(X1, 3.0 * X1))
+        with pytest.raises(RankFailure, match=r"^isotropic plane basis at row 4 is zero or"
+                                              r" dependent \(\|x1 \^ x2\| = 0, "):
+            _isotropic_plane(x1, x2, 1e-9)
+        with pytest.raises(RankFailure, match="^isotropic plane basis is zero or dependent"):
+            isotropic_plane(X1, 3.0 * X1)
 
 
 def test_spinor_plane_class_rejects_zero_dependent_and_non_kernel_bases():

@@ -320,6 +320,12 @@ def test_same_span_basics():
     assert same_span(a, b)
     assert not same_span(a, c)
     assert not same_span(a, np.eye(6))
+    # a dependent pair spans no plane, so it matches nothing, itself included
+    line = np.stack([E6[0], 2.0 * E6[0]], axis=1)
+    assert not same_span(line, line)
+    assert not same_span(np.zeros((6, 2)), np.zeros((6, 2)))
+    with pytest.raises(ValueError, match="column pairs"):
+        same_span(np.eye(6)[:, :3], np.eye(6)[:, :3])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

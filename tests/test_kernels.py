@@ -91,6 +91,8 @@ from spin42.isotropic import (
     _line_plane,
     _partner,
     _plane_line,
+    _pluecker,
+    _pluecker_gap,
     _spinor_line,
     _spinor_plane,
     _spinor_plane_class,
@@ -658,6 +660,74 @@ def test_pluecker_class_of_the_readme_class():
     x = np.array([1.0, 0, 0, 1, 0, 0])
     got = _assert_class_matches_the_annihilator_svd(null_to_spinor_plane(x))
     assert np.max(np.abs(got - x)) <= 1e-15
+
+
+def test_pluecker_coordinates_of_spinors_are_exteriors_wedge():
+    rng = np.random.default_rng(335)
+    b1, b2 = _complex_rows(rng, ROWS, 4), _complex_rows(rng, ROWS, 4)
+    assert np.array_equal(_pluecker(b1, b2), _wedge(1, 1, b1, b2))
+    one = wedge(KVector(1, b1[0]), KVector(1, b2[0]))
+    assert np.array_equal(_pluecker(b1[0], b2[0]), one.coeffs)
+
+
+def test_the_first_two_columns_of_x_are_orthogonal_with_norm_x():
+    # X(x)^dagger X(x) is quadratic in x: on every e_a and e_a + e_b it has
+    # the diagonal |x|^2 and a zero (0, 1) entry exactly, so on every x
+    e = np.eye(6)
+    pairs = [e[a] + e[b] for a, b in itertools.combinations(range(6), 2)]
+    for x in list(e) + pairs:
+        m = table_sum(x, GAMMA)
+        gram = np.conj(m.T) @ m
+        assert gram[0, 1] == 0.0 and np.array_equal(np.diag(gram), np.full(4, x @ x))
+
+
+# The retired SVD paths of the isotropic kernels, kept as their oracles.
+
+
+def test_spinor_plane_column_pair_spans_the_svd_kernel():
+    x = np.vstack([_null_rows(np.random.default_rng(360)), [[1.0, 0, 0, 1, 0, 0]]])
+    kernel = _spinor_plane(x, 1e-9)
+    # the null rows of the SVD of X(x / |x|), the kernel basis before the column pair
+    _, s, vh = np.linalg.svd(table_sum(x / np.linalg.norm(x, axis=-1, keepdims=True), GAMMA))
+    assert (s[:, 1] > 0.5).all() and (s[:, 2] <= 1e-14).all()
+    want = vh[:, 2:]
+    gap = _pluecker_gap(_pluecker(kernel[:, 0], kernel[:, 1]), _pluecker(want[:, 0], want[:, 1]))
+    assert gap.max() <= 1e-12
+    assert np.max(np.abs(_g(kernel[:, :, None], kernel[:, None, :]))) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(kernel, axis=-1) - 1.0)) <= 1e-15
+
+
+def test_plane_line_is_the_leading_left_singular_vector():
+    x1, x2 = _plane_rows(np.random.default_rng(370))
+    line = _plane_line(x1, x2, 1e-9)
+    u, s, _ = np.linalg.svd(table_sum(x1, GAMMA) @ np.conj(table_sum(x2, GAMMA)))
+    assert (s[:, 1] <= 1e-12 * s[:, 0]).all()
+    assert _pluecker_gap(line, u[:, :, 0]).max() <= 1e-12
+
+
+def _svd_same_span(a, b, tol):
+    """The retired same_span: [a b] has the numerical rank of a, both
+    counted above tol times the largest singular value of [a b]."""
+    s = np.linalg.svd(np.concatenate([a, b], axis=-1), compute_uv=False)
+    cut = tol * s[..., :1]
+    rank = np.count_nonzero(np.linalg.svd(a, compute_uv=False) > cut, axis=-1)
+    return bool(np.count_nonzero(s > cut, axis=-1) == rank)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_same_span_keeps_the_svd_oracles_verdicts_on_tilted_planes(dtype):
+    rng = np.random.default_rng(380)
+    # a random unitary frame, and a mixing of the tilted basis
+    frame = rng.normal(size=(6, 6)) + (dtype is complex) * 1j * rng.normal(size=(6, 6))
+    frame, _ = np.linalg.qr(frame)
+    mix = np.array([[1.0, 2.0], [-0.5, 3.0]])
+    a = frame[:, :2]
+    for tilt, same in ((1e-6, False), (5e-8, False), (1e-10, True)):
+        b = (a + tilt * np.outer(frame[:, 2], [0.0, 1.0])) @ mix
+        assert _svd_same_span(a, b, 1e-8) is same
+        assert same_span(a, b, 1e-8) is same
+        gap = _pluecker_gap(_pluecker(a[:, 0], a[:, 1]), _pluecker(b[:, 0], b[:, 1]))
+        assert abs(gap - tilt) <= 1e-3 * tilt + 1e-14
 
 
 def test_clifford_audit_kernels_match_the_public_audits_on_the_generators():
