@@ -15,7 +15,6 @@ idempotent) serve as executable cross-checks throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -174,20 +173,6 @@ def partner_null_vector(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _partner(as_null_vec6(x, tol))
 
 
-@lru_cache(maxsize=None)
-def _gamma_columns() -> np.ndarray:
-    """GAMMA as a 4 x 24 matrix whose product with a spinor w, reshaped to
-    (4, 6), has the columns Gamma_a w."""
-    return np.ascontiguousarray(GAMMA.transpose(2, 1, 0).reshape(4, 24))
-
-
-def _annihilator_system(v: np.ndarray) -> np.ndarray:
-    """The 8 x 6 real systems (..., 8, 6) of X(x) conj(v) = 0 in the real
-    unknowns x, for spinors v (..., 4)."""
-    cols = (np.conj(v) @ _gamma_columns()).reshape(*v.shape[:-1], 4, 6)
-    return np.concatenate([cols.real, cols.imag], axis=-2)
-
-
 def _spinor_plane(x: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of null_to_spinor_plane on gated null vectors (..., 6): the
     kernel bases (..., 2, 4), the first two columns of X(x) at unit length.
@@ -238,21 +223,45 @@ def plane_to_spinor_line(n: IsotropicPlaneE, tol: float = DEFAULT_TOL) -> Spinor
     return SpinorLine(_plane_line(as_vec6(n.x1), as_vec6(n.x2), tol))
 
 
+def _line_bivector(v: np.ndarray, vbar: np.ndarray) -> np.ndarray:
+    """The self-dual coordinates c = (v ^ w) conj(S)^T / 2 (..., 6) of
+    v ^ w for w = (vbar_1, -vbar_0, 0, 0), bilinear in v and vbar (..., 4)."""
+    w = vbar[..., [1, 0, 2, 3]] * np.array([1.0, -1.0, 0.0, 0.0])
+    return _pluecker(v, w) @ _SIGMA_COEFFS.conj().T / 2.0
+
+
+# _line_bivector(v, conj(v)) as one (16, 6) table on v (x) conj(v)
+_LINE_TABLE = _line_bivector(np.eye(4)[:, None, :], np.eye(4)[None, :, :]).reshape(16, 6)
+_LINE_TABLE.setflags(write=False)
+
+
 def _line_plane(v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Kernel of spinor_line_to_plane on checked spinors (..., 4): the
-    plane bases x1, x2 (..., 6)."""
-    system = _annihilator_system(_isotropic_gate(v, tol))
-    _, _, vh = _svd_rank(system, max(tol, RANK_FLOOR), 4, "annihilator system")
-    x1, x2 = vh[..., 4, :], vh[..., 5, :]
+    plane bases x1, x2 (..., 6), read off the Klein correspondence.  For an
+    isotropic v, w = (conj(v_1), -conj(v_0), 0, 0) is G-orthogonal to v, so
+    the self-dual coordinates c = (v ^ w) conj(S)^T / 2 of v ^ w split as
+    c = x1 + i x2 with both x annihilating conj(v).  As G = diag(1, 1, -1,
+    -1), isotropy gives |v_0|^2 + |v_1|^2 = |v|^2 / 2, and w is orthogonal
+    to v, so w is never zero or parallel to v and |x1 ^ x2| = |v|^4 / 8,
+    at least 1/8 once v is scaled to pivot 1.  Post-condition: the plane
+    gate at max(tol, RESIDUAL_FLOOR)."""
+    # c is quadratic in v: scaled to pivot 1 it has the scale of the tables,
+    # whatever the norm, and a lattice spinor keeps an exact plane
+    v = _spinor_line(v, tol)
+    outer = v[..., :, None] * np.conj(v)[..., None, :]
+    c = outer.reshape(*v.shape[:-1], 16) @ _LINE_TABLE
+    x1, x2 = c.real, c.imag
     _isotropic_plane(x1, x2, max(tol, RESIDUAL_FLOOR))
     return x1, x2
 
 
 def spinor_line_to_plane(v, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
     """All x whose antilinear operator annihilates the given isotropic
-    spinor: 8 real equations in the 6 real coefficients, with a solution
-    space of dimension exactly 2.  tol judges the spinor; the dimension
-    and the plane are post-conditions."""
+    spinor v: a plane read off the Klein correspondence, as the real and
+    imaginary parts of the self-dual bivector v ^ w for a fixed choice of
+    w G-orthogonal to v, with no linear solve.  The basis depends only on
+    the line, is well independent (|x1 ^ x2| >= 1/8) and is not
+    orthonormal.  tol judges the spinor; the plane is a post-condition."""
     if isinstance(v, SpinorLine):
         v = v.rep
     return IsotropicPlaneE(*_line_plane(as_spinor(v), tol))
@@ -303,8 +312,15 @@ def idempotent_pair(x, y=None, tol: float = DEFAULT_TOL):
 
 def _dual_basis(x1: np.ndarray, x2: np.ndarray, tol: float):
     x = np.stack([x1, x2], axis=-1)
-    y = Q_DIAG[:, None] * np.linalg.pinv(x).mT / 2.0
+    return _dual_pair(x, np.linalg.pinv(x).mT, tol)
+
+
+def _dual_pair(x: np.ndarray, x_plus_t: np.ndarray, tol: float):
+    """The dual basis of plane bases x (..., 6, 2) from the transposes of
+    their pseudo-inverses, and its seven pairing checks."""
+    y = Q_DIAG[:, None] * x_plus_t / 2.0
     y = y - x @ (y.mT @ (Q_DIAG[:, None] * y))
+    x1, x2 = x[..., 0], x[..., 1]
     y1, y2 = y[..., 0], y[..., 1]
     checks = np.stack([
         _qb(x1, y1) - 0.5,
@@ -341,7 +357,8 @@ def _four_idempotents(x1: np.ndarray, x2: np.ndarray, tol: float):
     (..., 4, 4)."""
     q, _ = np.linalg.qr(np.stack([x1, x2], axis=-1))
     x1, x2 = q[..., 0], q[..., 1]
-    y1, y2 = _dual_basis(x1, x2, tol)
+    # q has orthonormal columns, so its pseudo-inverse is q^T
+    y1, y2 = _dual_pair(q, q, tol)
     p1, q1 = _idempotents(x1, y1)
     p2, q2 = _idempotents(x2, y2)
     return p1 @ p2, p1 @ q2, q1 @ p2, q1 @ q2

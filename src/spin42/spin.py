@@ -8,10 +8,19 @@ with Sigma(x) = sum x^alpha Sigma_alpha,
     Sigma'(x) = M . Sigma(x) . M^T,     X' = Sigma'(x) . G,
 
 which preserves antisymmetry for any M and, for pseudo-unitary M, keeps
-X' inside the real generator span.  Reading the coefficients of X' back
-off gives a 6x6 matrix L(M) in the identity component of the (4,2)
-orthogonal group, and M -> L(M) is a homomorphism with L(-M) = L(M).
-Note L(i I) = -I6, so the scalars acting trivially on vectors are {+1,-1}.
+X' inside the real generator span.  On the pair coordinates of an
+antisymmetric matrix (its entries [i, j], i < j) the map A -> M A M^T is
+Lambda^2 M, the 6x6 matrix of 2x2 minors of M, and the rows S_alpha of
+exterior._SIGMA_COEFFS are the pair coordinates of the Sigma_alpha, with
+S S^H = 2 I (the paper's identification of the 6-space with the
+self-dual bivectors).  So the coefficients of X' are
+Re(conj(S) . Lambda^2 M . S^T x) / 2, and the 6x6 matrix
+
+    L(M) = Re(conj(S) . Lambda^2 M . S^T) / 2
+
+lies in the identity component of the (4,2) orthogonal group; M -> L(M)
+is a homomorphism with L(-M) = L(M).  Note L(i I) = -I6, so the scalars
+acting trivially on vectors are {+1,-1}.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GAMMA, SIGMA, _det4, gamma_coeffs, table_sum
-from .errors import ActionLeavesSpan, NotInGammaSpan, NotNormalized
+from .clifford import GAMMA, _det4, table_sum
+from .errors import ActionLeavesSpan, NotNormalized
+from .exterior import _COMBOS, _SIGMA_COEFFS
 from .forms import (
     DEFAULT_TOL,
     G4,
@@ -127,20 +137,50 @@ def spin_generate(pairs, tol: float = DEFAULT_TOL) -> SpinElement:
     return SpinElement(m)
 
 
-def _span_coeffs(ops: np.ndarray, floor: float) -> np.ndarray:
-    """gamma_coeffs of computed operators, whose leaving the span means the
-    acting matrix was never a group element."""
-    try:
-        return gamma_coeffs(ops, floor)
-    except NotInGammaSpan as exc:
-        raise ActionLeavesSpan(str(exc)) from exc
+# Lambda^2 M: the minor M[i, k] M[j, l] - M[i, l] M[j, k] of rows i < j and
+# columns k < l, in exterior's pair order; the four factors of all 36
+# minors are gathered from the flattened M in one take
+_PAIR_I, _PAIR_J = np.array(_COMBOS[2]).T[:, :, None]
+_MINOR_FACTORS = np.concatenate([4 * _PAIR_I + _PAIR_I.T, 4 * _PAIR_J + _PAIR_J.T,
+                                 4 * _PAIR_I + _PAIR_J.T, 4 * _PAIR_J + _PAIR_I.T], axis=None)
+
+
+def _minors(m: np.ndarray) -> np.ndarray:
+    """Lambda^2 M of a stack (..., 4, 4), as (..., 6, 6)."""
+    lead = m.shape[:-2]
+    f = np.take(m.reshape(*lead, 16), _MINOR_FACTORS, axis=-1).reshape(*lead, 4, 6, 6)
+    return f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
+
+
+# _READ @ w = conj(S) w / 2, the generator coefficients of pair coordinates w
+_READ = _SIGMA_COEFFS.conj() / 2.0
+
+
+def _read_back(w: np.ndarray, lead: tuple, floor: float) -> np.ndarray:
+    """Re c for the generator coefficients c = conj(S) w / 2 of transformed
+    operators M Sigma M^T, given their pair coordinates as the columns of
+    w (6, k), k = prod(lead).  Each column first passes the span gate: as
+    S^T conj(S) = 2 I, S^T c = w, so w - S^T Re c = i S^T Im c is what
+    reading the real coefficients back leaves, and max |S^T Im c| must be
+    within floor * max(1, max |w|); an operator off the real generator span
+    means the acting matrix was never a group element.  The error names the
+    first failing column by its index in lead."""
+    c = _READ @ w
+    residual = abs(_SIGMA_COEFFS.T @ c.imag).max(axis=0).reshape(lead)
+    size = abs(w).max(axis=0).reshape(lead)
+    require(residual <= floor * np.maximum(1.0, size), ActionLeavesSpan,
+            lambda i, at: f"operator{at} is not a real generator combination"
+                          f" (residual {residual[i]:g})")
+    return c.real
 
 
 def _vector_action(m: np.ndarray, x: np.ndarray, floor: float) -> np.ndarray:
     """Kernel of vector_action: finite stacks m (..., 4, 4) and x (..., 6)
-    whose leading axes broadcast, to the images (..., 6)."""
-    sig_t = m @ table_sum(x, SIGMA) @ m.mT
-    return _span_coeffs(sig_t @ G4, floor)
+    whose leading axes broadcast, to the images (..., 6).  M Sigma(x) M^T
+    has the pair coordinates w = Lambda^2 M . S^T x."""
+    w = (_minors(m) @ (x @ _SIGMA_COEFFS)[..., None])[..., 0]
+    lead = w.shape[:-1]
+    return _read_back(w.reshape(-1, 6).T, lead, floor).T.reshape(*lead, 6)
 
 
 def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -161,10 +201,16 @@ def _q_devs(l: np.ndarray) -> np.ndarray:
 
 def _covering(m: np.ndarray, floor: float) -> np.ndarray:
     """Kernel of covering_matrix: a finite stack (..., 4, 4) to the 6x6
-    matrices L(M) (..., 6, 6).  Span residuals are judged per column and
-    the quadric invariants per matrix; the error names the first failure."""
-    ops = m[..., None, :, :] @ SIGMA @ (m.mT @ G4)[..., None, :, :]
-    l = _span_coeffs(ops, floor).mT
+    matrices L(M) (..., 6, 6).  Column b of L(M) reads back
+    w_b = Lambda^2 M . S_b.  Span residuals are judged per column and the
+    quadric invariants per matrix; the error names the first failure."""
+    lead = m.shape[:-2]
+    # rows (matrix, i) times S^T, regrouped as columns (matrix, b).  Every
+    # product has a 6x6 factor, so no BLAS call is large enough to go
+    # multithreaded: a threaded call stalls whole suites on a busy 2-vCPU host
+    w = (_minors(m).reshape(-1, 6) @ _SIGMA_COEFFS.T).reshape(-1, 6, 6)
+    c = _read_back(w.transpose(1, 0, 2).reshape(6, -1), (*lead, 6), floor)
+    l = c.reshape(6, -1, 6).transpose(1, 0, 2).reshape(*lead, 6, 6)
     # gates are relative to the matrix scale: strong boosts legitimately
     # amplify rounding in l Q l^T without being any less orthogonal
     scale = np.maximum(1.0, abs(l).max(axis=(-2, -1))) ** 2
@@ -179,10 +225,12 @@ def _covering(m: np.ndarray, floor: float) -> np.ndarray:
 def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix6:
     """6x6 matrix of the vector action, columns the images of the basis.
 
-    Closed form, all six columns in one contraction: column b holds the
-    generator coefficients of M Sigma_b M^T G, that is
-    L[a, b] = Re tr(M Sigma_b M^T G Gamma_a^dagger) / 4.  Each column's
-    span residual is checked against that column's own scale, exactly as
+    Closed form in bivector coordinates: column b holds the generator
+    coefficients of M Sigma_b M^T G, whose pair coordinates are
+    w_b = Lambda^2 M . S_b, so L = Re(conj(S) . Lambda^2 M . S^T) / 2, read
+    off the 2x2 minors of M by two 6x6 products.  Each column's span
+    residual, max |S^T Im c_b| with c_b = conj(S) w_b / 2, is checked
+    against that column's own scale max(1, max |w_b|), exactly as
     vector_action checks one image, and raises ActionLeavesSpan; the span
     and quadric residuals are post-conditions.
     """

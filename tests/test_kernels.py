@@ -5,10 +5,13 @@ here: the n!-transpose antisymmetrizer for the wedge, the full-tensor
 formulas for the Hermitian form and the norm, the star solved from its
 defining relation for the closed-form Hodge star, the per-column vector
 action for the covering matrix, numpy's LU determinant and the exact
-identity det X(x) = Q(x)^2 for det4, and two chained least-squares solves
-for the closed-form dual isotropic basis.  Permutation signs in the references
-come from counting inversions in this file, independently of the
-package's permutation table.
+identity det X(x) = Q(x)^2 for det4, two chained least-squares solves
+for the closed-form dual isotropic basis, the operator stack
+M Sigma_b M^T G read back through gamma_coeffs for the covering and the
+vector action read off the 2x2 minors, and the SVD null space of the
+8 x 6 annihilator system for the Klein-correspondence plane of a spinor
+line.  Permutation signs in the references come from counting inversions
+in this file, independently of the package's permutation table.
 
 The array kernels behind the public functions run over leading axes;
 each is checked row by row against its public scalar function on stacks
@@ -19,6 +22,7 @@ loops they replaced.
 """
 
 import itertools
+import warnings
 from collections import Counter
 from math import comb, factorial
 
@@ -30,6 +34,7 @@ from hypothesis import strategies as st
 from spin42.clifford import (
     EPS4,
     GAMMA,
+    SIGMA,
     AntilinearOp,
     _adjoint,
     _det4,
@@ -45,7 +50,7 @@ from spin42.clifford import (
     table_sum,
     x_matrix,
 )
-from spin42.errors import ActionLeavesSpan, NotInGammaSpan
+from spin42.errors import ActionLeavesSpan, NotInGammaSpan, NotIsotropicSpinor, ZeroVector
 from spin42.exterior import (
     KVector,
     _decomposable,
@@ -84,9 +89,9 @@ from spin42.forms import (
 from spin42.isotropic import (
     IsotropicPlaneE,
     SpinorPlane,
-    _annihilator_system,
     _dual_basis,
     _four_idempotents,
+    _idempotents,
     _isotropic_plane,
     _line_plane,
     _partner,
@@ -426,6 +431,93 @@ def test_span_residual_is_judged_per_matrix():
     assert np.array_equal(gamma_coeffs(ops[:1], 1e-9), [[1e6, 0, 0, 0, 0, 0]])
 
 
+def _operator_stack_covering(m: np.ndarray) -> np.ndarray:
+    """L(M) as the generator coefficients of the (..., 6, 4, 4) operator
+    stack M Sigma_b M^T G, read back column by column by gamma_coeffs."""
+    ops = m[..., None, :, :] @ SIGMA @ (m.mT @ G4)[..., None, :, :]
+    return gamma_coeffs(ops, RESIDUAL_FLOOR).mT
+
+
+def _operator_stack_action(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return gamma_coeffs(m @ table_sum(x, SIGMA) @ m.mT @ G4, RESIDUAL_FLOOR)
+
+
+def _lattice_elements(rng, n):
+    """Products of one to three composites of integer unit-Q pairs: Gaussian
+    integer matrices on which both coverings are exact."""
+    box = np.array(list(itertools.product(range(-2, 3), repeat=6)), dtype=float)
+    units = {q: box[_q(box) == q] for q in (1.0, -1.0)}
+    out = []
+    for _ in range(n):
+        pairs = []
+        for _ in range(rng.integers(1, 4)):
+            vs = units[rng.choice([1.0, -1.0])]
+            pairs.append(vs[rng.integers(len(vs), size=2)])
+        out.append(spin_generate(pairs).m)
+    return np.stack(out)
+
+
+def test_covering_and_action_match_the_operator_stack_on_sampled_elements():
+    rng = np.random.default_rng(190)
+    m = sampling.random_spin_element(rng, n=ROWS)
+    x = rng.normal(size=(ROWS, 6))
+    s2 = np.maximum(1.0, abs(m).max(axis=(-2, -1))) ** 2
+    l = _covering(m, RESIDUAL_FLOOR)
+    assert (abs(l - _operator_stack_covering(m)).max(axis=(-2, -1)) <= 1e-13 * s2).all()
+    image = _vector_action(m, x, RESIDUAL_FLOOR)
+    scale = s2 * np.linalg.norm(x, axis=-1)
+    assert (abs(image - _operator_stack_action(m, x)).max(axis=-1) <= 1e-13 * scale).all()
+
+
+def test_covering_matches_the_operator_stack_on_strong_boosts():
+    rng = np.random.default_rng(191)
+    m = np.stack([spin_generate([_boost_pair(rng, t), _boost_pair(rng, t)]).m
+                  for t in np.linspace(0.0, 4.5, 40)])
+    s2 = np.maximum(1.0, abs(m).max(axis=(-2, -1))) ** 2
+    assert s2.max() >= 1e6
+    dev = abs(_covering(m, RESIDUAL_FLOOR) - _operator_stack_covering(m)).max(axis=(-2, -1))
+    assert (dev <= 1e-13 * s2).all()
+
+
+def test_covering_is_exact_on_gaussian_integer_elements_and_scalars():
+    m = _lattice_elements(np.random.default_rng(192), 60)
+    assert np.array_equal(m, np.round(m)) and abs(m).max() >= 10
+    l = _covering(m, RESIDUAL_FLOOR)
+    assert np.array_equal(l, _operator_stack_covering(m))
+    assert np.array_equal(l, np.round(l))
+    eye = np.eye(4, dtype=complex)
+    scalars = np.stack([eye, -eye, 1j * eye, -1j * eye])
+    assert np.array_equal(_covering(scalars, 0.0), np.array([1, 1, -1, -1])[:, None, None] * np.eye(6))
+
+
+def test_scalar_elements_act_as_plus_or_minus_the_identity_exactly():
+    rng = np.random.default_rng(193)
+    x = rng.normal(size=(50, 6)) * 10.0 ** rng.uniform(-5, 5, size=(50, 1))
+    for scalar, sign in ((1, 1), (-1, 1), (1j, -1), (-1j, -1)):
+        s = SpinElement(scalar * np.eye(4, dtype=complex))
+        for row in x:
+            assert np.array_equal(vector_action(s, row), sign * row)
+        assert np.array_equal(_vector_action(s.m, x, RESIDUAL_FLOOR), sign * x)
+
+
+def test_span_gate_names_the_matrix_and_column_off_the_span():
+    m = sampling.random_spin_element(np.random.default_rng(194), n=6)
+    m[4] = _complex_rows(np.random.default_rng(195), 4, 4)
+    assert abs(_operator_stack_covering(m[:4]) - _covering(m[:4], RESIDUAL_FLOOR)).max() <= 1e-12
+    with pytest.raises(ActionLeavesSpan,
+                       match=r"^operator at index \(4, 0\) is not a real generator combination"
+                             r" \(residual [0-9.e+-]+\)$"):
+        _covering(m, RESIDUAL_FLOOR)
+    with pytest.raises(ActionLeavesSpan,
+                       match=r"^operator at row 0 is not a real generator combination \(residual "):
+        covering_matrix(SpinElement(m[4]))
+    with pytest.raises(ActionLeavesSpan,
+                       match=r"^operator is not a real generator combination \(residual "):
+        vector_action(SpinElement(m[4]), np.eye(6)[0])
+    with pytest.raises(ActionLeavesSpan, match=r"^operator at row 4 is not a real generator"):
+        _vector_action(m, np.eye(6)[0], RESIDUAL_FLOOR)
+
+
 ROWS = 200
 
 
@@ -611,6 +703,15 @@ def test_null_to_spinor_plane_and_partner_kernel_rows_match():
         assert np.array_equal(back[i], plane_from_spinor_plane(plane).rep)
 
 
+def _annihilator_system(v: np.ndarray) -> np.ndarray:
+    """The 8 x 6 real systems (..., 8, 6) of X(x) conj(v) = 0 in the real
+    unknowns x, for spinors v (..., 4): GAMMA as a 4 x 24 matrix whose
+    product with conj(v), reshaped to (4, 6), has the columns Gamma_a conj(v)."""
+    columns = GAMMA.transpose(2, 1, 0).reshape(4, 24)
+    cols = (np.conj(v) @ columns).reshape(*v.shape[:-1], 4, 6)
+    return np.concatenate([cols.real, cols.imag], axis=-2)
+
+
 def test_annihilator_system_rows_match_the_column_construction():
     v = _complex_rows(np.random.default_rng(320), ROWS, 4)
     out = _annihilator_system(v)
@@ -703,6 +804,77 @@ def test_plane_line_is_the_leading_left_singular_vector():
     u, s, _ = np.linalg.svd(table_sum(x1, GAMMA) @ np.conj(table_sum(x2, GAMMA)))
     assert (s[:, 1] <= 1e-12 * s[:, 0]).all()
     assert _pluecker_gap(line, u[:, :, 0]).max() <= 1e-12
+
+
+def _svd_line_plane(v: np.ndarray):
+    """The null rows of the SVD of the 8 x 6 annihilator system of v, whose
+    rank must be 4."""
+    _, s, vh = np.linalg.svd(_annihilator_system(v))
+    assert (s[..., 3] > RANK_FLOOR * s[..., 0]).all() and (s[..., 4] <= 1e-12 * s[..., 0]).all()
+    return vh[..., 4, :], vh[..., 5, :]
+
+
+def _lattice_spinors():
+    """Every isotropic spinor with entries in {0, +-1, +-i}."""
+    v = np.array(list(itertools.product([0, 1, -1, 1j, -1j], repeat=4)), dtype=complex)[1:]
+    return v[_g(v, v) == 0]
+
+
+@pytest.mark.parametrize("kind", ["random", "lattice", "small"])
+def test_line_plane_spans_the_annihilator_svd_plane(kind):
+    if kind == "lattice":
+        v = _lattice_spinors()
+    else:
+        v = _spinor_rows(np.random.default_rng(380))
+        if kind == "small":
+            v = v * 1e-5 / np.linalg.norm(v, axis=-1, keepdims=True)
+    x1, x2 = _line_plane(v, 1e-9)
+    w1, w2 = _svd_line_plane(v)
+    assert _pluecker_gap(_pluecker(x1, x2), _pluecker(w1, w2)).max() <= 1e-12
+    # the bound |x1 ^ x2| = |v|^4 / 8 at pivot 1, so at least 1/8
+    unit = _spinor_line(v, 1e-9)
+    size = np.linalg.norm(_pluecker(x1, x2), axis=-1)
+    assert size.min() >= 0.125 * (1.0 - 1e-12)
+    assert np.max(np.abs(size / np.linalg.norm(unit, axis=-1) ** 4 - 0.125)) <= 1e-14
+    residual = np.stack([table_sum(x, GAMMA) @ np.conj(unit)[..., None] for x in (x1, x2)])
+    if kind == "lattice":
+        assert len(v) > 100 and not residual.any()
+    else:
+        assert np.max(np.abs(residual)) <= 1e-14
+
+
+def test_line_plane_gates_name_the_row_without_dividing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = _spinor_rows(np.random.default_rng(381), 6)
+        v[3] = 0.0
+        v[5] = 0.0
+        with pytest.raises(ZeroVector, match="at row 3$"):
+            _line_plane(v, 1e-9)
+        v = _spinor_rows(np.random.default_rng(381), 6)
+        v[2, 0] *= 2.0
+        with pytest.raises(NotIsotropicSpinor, match=r"\(v\|v\) at row 2 = "):
+            _line_plane(v, 1e-9)
+        with pytest.raises(ZeroVector):
+            spinor_line_to_plane(np.zeros(4))
+        # the plane of a lattice line is exact, and a spinor at norm 1.4e-5
+        # is no zero vector: its plane is the same up to rounding
+        want = [[0, 0, 0, 0, -0.5, -0.5], [0, 0, -0.5, 0.5, 0, 0]]
+        plane = spinor_line_to_plane([1, 0, 1, 0])
+        assert np.array_equal(np.stack([plane.x1, plane.x2]), want)
+        plane = spinor_line_to_plane([1e-5, 0, 1e-5, 0])
+        assert np.max(np.abs(np.stack([plane.x1, plane.x2]) - want)) <= 1e-15
+
+
+def test_four_idempotents_match_the_pseudo_inverse_dual_basis():
+    # the QR factor q is orthonormal, so q^T stands in for its pseudo-inverse
+    x1, x2 = _plane_rows(np.random.default_rng(382))
+    q, _ = np.linalg.qr(np.stack([x1, x2], axis=-1))
+    y1, y2 = _dual_basis(q[..., 0], q[..., 1], 1e-9)
+    p1, q1 = _idempotents(q[..., 0], y1)
+    p2, q2 = _idempotents(q[..., 1], y2)
+    want = np.stack([p1 @ p2, p1 @ q2, q1 @ p2, q1 @ q2])
+    assert np.abs(np.stack(_four_idempotents(x1, x2, 1e-9)) - want).max() <= 1e-14
 
 
 def _svd_same_span(a, b, tol):
