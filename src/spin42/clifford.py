@@ -79,9 +79,10 @@ EPS4.setflags(write=False)
 
 
 def table_sum(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_alpha x^alpha table[alpha] for a 6x4x4 table, as one matmul;
+    """sum_alpha x^alpha table[alpha] for a 6x4x4 table, as one 2-D matmul
+    (a stacked x would run as a loop of one small matmul per stack entry);
     x of shape (..., 6) gives (..., 4, 4)."""
-    return (x @ table.reshape(6, 16)).reshape(*x.shape[:-1], 4, 4)
+    return (x.reshape(-1, 6) @ table.reshape(6, 16)).reshape(*x.shape[:-1], 4, 4)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,30 @@
 """Exterior algebra of the spinor space with an antilinear Hodge star.
 
 Grades run 0..4 over complex 4-space, and a grade-k element is stored as
-its C(4,k) coefficients on the increasing-index monomials e_I.  The
-pseudo-Hermitian form extends to each grade by the determinant rule
-(conjugating the second argument), which makes the monomials orthogonal
-with (e_I | e_I) = prod_{i in I} G_i, and the star operator is
-*antilinear*, defined by
+its C(4,k) coefficients on the increasing-index monomials e_I.  A
+mixed-grade element of the whole algebra is stored as 16 coefficients,
+the grade blocks in increasing order at offsets 0, 1, 5, 11 and 15 (the
+graded layout).  The pseudo-Hermitian form extends to each grade by the
+determinant rule (conjugating the second argument), which makes the
+monomials orthogonal with (e_I | e_I) = prod_{i in I} G_i, and the star
+operator is *antilinear*, defined by
 
     x wedge (star y) = (x | y) e        for all x of the same grade as y,
 
 with e = e1^e2^e3^e4 the volume element, which gives the closed form
-star e_J = (e_J | e_J) sgn(J, J^c) e_{J^c}.  On bivectors the star squares
-to +1 and splits the space into real 6-dimensional eigenspaces; the fixed
-one is the real span of six basis bivectors E_alpha built from the
-generator tables, and phi: x -> x^alpha E_alpha identifies the (4,2)
-vector space with it.
+star e_J = (e_J | e_J) sgn(J, J^c) e_{J^c}.  The graded layout is
+symmetric: slot 15 - s holds the complement of the monomial in slot s,
+so the star of every grade at once is one sign vector times the
+conjugate, reversed.  The wedge of two mixed-grade elements is a gather
+over the 81 disjoint monomial pairs (I, J), each pair giving the single
+monomial e_{I u J} with a sign, times one (81, 16) sign table.  The
+per-grade tables are blocks of these graded ones, and all of them are
+built on first use.
+
+On bivectors the star squares to +1 and splits the space into real
+6-dimensional eigenspaces; the fixed one is the real span of six basis
+bivectors E_alpha built from the generator tables, and phi: x ->
+x^alpha E_alpha identifies the (4,2) vector space with it.
 
 Sign convention that matters downstream: the Gram matrix of the E_alpha
 is (E_a | E_b) = -Q_ab.  The Hermitian form restricted to the self-dual
@@ -49,6 +59,24 @@ _SQRT2 = np.sqrt(2.0)
 
 # the increasing index tuples of each grade, in storage order
 _COMBOS = tuple(tuple(itertools.combinations(range(4), k)) for k in range(5))
+
+# the graded layout: the 16 monomials grade by grade, grade k's block
+# starting at slot _OFFSETS[k] and spanning the slots _BLOCKS[k]
+_SLOTS = tuple(itertools.chain.from_iterable(_COMBOS))
+_OFFSETS = tuple(itertools.accumulate((len(c) for c in _COMBOS[:4]), initial=0))
+_BLOCKS = tuple(slice(start, start + len(c)) for start, c in zip(_OFFSETS, _COMBOS))
+# _BLOCK_POS[k, s] is the position of slot s in grade k's block, -1 outside it
+_BLOCK_POS = np.array([[s - _OFFSETS[k] if len(_SLOTS[s]) == k else -1 for s in range(16)]
+                       for k in range(5)])
+_BLOCK_POS.setflags(write=False)
+
+
+def _graded_rows(flat: np.ndarray, grades: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Rows (..., 16) in the graded layout, for grades and starts of one
+    shape (...): the row of grade g and start s holds flat[s:s + C(4, g)]
+    in grade g's block and 0 in every other slot."""
+    pos = _BLOCK_POS[grades]
+    return np.append(flat, 0.0)[np.where(pos >= 0, starts[..., None] + pos, len(flat))]
 
 
 @lru_cache(maxsize=None)
@@ -123,17 +151,50 @@ def basis_kvector(indices) -> KVector:
 
 
 @lru_cache(maxsize=None)
+def _wedge_table16() -> np.ndarray:
+    """Real sign table W (16, 16, 16) with e_I ^ e_J = sum_M W[I, J, M] e_M
+    over the slots of the graded layout."""
+    table = np.zeros((16, 16, 16))
+    for i, a in enumerate(_SLOTS):
+        for j, b in enumerate(_SLOTS):
+            k = len(a) + len(b)
+            if k <= 4 and a + b in _reorderings(k):
+                pos, sign = _reorderings(k)[a + b]
+                table[i, j, _OFFSETS[k] + pos] = sign
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _wedge_pairs16() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 81 disjoint monomial pairs (I, J), as slot index arrays i and j,
+    and their real rows W[I, J] (81, 16), each a single sign on slot I u J."""
+    table = _wedge_table16()
+    i, j = np.nonzero(table.any(axis=-1))
+    return i, j, table[i, j]
+
+
+def _wedge16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel of the graded wedge: complex mixed-grade stacks (..., 16) of
+    one shape, to (..., 16).  The products over the 81 disjoint pairs are
+    laid out pairs first, so their real and imaginary parts are one real
+    (81, 2n) array, and go through the real sign rows as one real 2-D
+    product of 16 x 81 x 2n multiply-adds (a complex product would cost
+    twice that)."""
+    i, j, rows = _wedge_pairs16()
+    lead = a.shape[:-1]
+    a, b = a.reshape(-1, 16).T, b.reshape(-1, 16).T
+    pairs = np.take(a, i, axis=0) * np.take(b, j, axis=0)
+    return (rows.T @ pairs.view(float)).view(complex).T.reshape(*lead, 16)
+
+
+@lru_cache(maxsize=None)
 def _wedge_table(p: int, q: int) -> np.ndarray:
     """Sign table with e_I ^ e_J = sum_M T[I, J, M] e_M over the monomials
-    of grades p, q and p+q, with (I, J) flattened to one axis."""
-    monomials = _reorderings(p + q)
-    table = np.zeros((comb(4, p), comb(4, q), comb(4, p + q)), dtype=complex)
-    for i, a in enumerate(_COMBOS[p]):
-        for j, b in enumerate(_COMBOS[q]):
-            if a + b in monomials:
-                pos, sign = monomials[a + b]
-                table[i, j, pos] = sign
-    table = table.reshape(-1, comb(4, p + q))
+    of grades p, q and p+q <= 4, with (I, J) flattened to one axis: the
+    (p, q, p+q) block of the graded table."""
+    table = _wedge_table16()[_BLOCKS[p], _BLOCKS[q], _BLOCKS[p + q]]
+    table = table.reshape(-1, comb(4, p + q)).astype(complex)
     table.setflags(write=False)
     return table
 
@@ -156,11 +217,24 @@ def wedge(a: KVector, b: KVector) -> KVector:
 
 
 @lru_cache(maxsize=None)
-def _weights(k: int) -> np.ndarray:
-    """(e_I | e_I) = prod_{i in I} G_i for each grade-k monomial."""
-    weights = np.array([np.prod(G_DIAG[list(combo)]) for combo in _COMBOS[k]])
+def _weights16() -> np.ndarray:
+    """(e_I | e_I) = prod_{i in I} G_i for each slot of the graded layout."""
+    weights = np.array([np.prod(G_DIAG[list(combo)]) for combo in _SLOTS])
     weights.setflags(write=False)
     return weights
+
+
+@lru_cache(maxsize=None)
+def _weights(k: int) -> np.ndarray:
+    """(e_I | e_I) for each grade-k monomial: grade k's block of the
+    graded weights."""
+    return _weights16()[_BLOCKS[k]]
+
+
+def _herm16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Hermitian form, grade by grade orthogonal, on mixed-grade
+    stacks (..., 16) whose leading axes broadcast."""
+    return (_weights16() * a * np.conj(b)).sum(axis=-1)
 
 
 def _herm(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,14 +265,26 @@ def basis_bivector(alpha: int) -> KVector:
 
 
 @lru_cache(maxsize=None)
-def _star_signs(k: int) -> np.ndarray:
-    """s_J = (e_J | e_J) sgn(J, J^c), with e_J ^ e_{J^c} = sgn(J, J^c) e.
-    In storage order the complement of the J-th monomial is the J-th from
-    the end, so star e_J = s_J e_{J^c} reverses the coefficients."""
-    n = comb(4, k)
-    signs = _weights(k) * np.diag(_wedge_table(k, 4 - k).reshape(n, n)[:, ::-1]).real
+def _star_signs16() -> np.ndarray:
+    """s_J = (e_J | e_J) sgn(J, J^c) over the graded layout, with
+    e_J ^ e_{J^c} = sgn(J, J^c) e.  Slot 15 - J holds the complement of
+    slot J, so star e_J = s_J e_{J^c} reverses the 16 coefficients."""
+    slots = np.arange(16)
+    signs = _weights16() * _wedge_table16()[slots, 15 - slots, 15]
     signs.setflags(write=False)
     return signs
+
+
+@lru_cache(maxsize=None)
+def _star_signs(k: int) -> np.ndarray:
+    """s_J for the grade-k monomials: grade k's block of the graded signs."""
+    return _star_signs16()[_BLOCKS[k]]
+
+
+def _star16(c: np.ndarray) -> np.ndarray:
+    """The star of every grade at once: mixed-grade stacks (..., 16) to
+    the stacks of their stars, grade k's block going to grade 4 - k's."""
+    return (_star_signs16() * np.conj(c))[..., ::-1]
 
 
 def _star(k: int, c: np.ndarray) -> np.ndarray:

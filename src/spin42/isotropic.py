@@ -80,10 +80,27 @@ def _isotropic_gate(v: np.ndarray, tol: float) -> np.ndarray:
     return v
 
 
+def _over_pivot(x, y, a, b):
+    """The real and imaginary parts of z conj(p) / |p|^2 for z = x + iy and
+    p = a + ib, in real arithmetic on floats or arrays: for z = u p with u in
+    {+-1, +-i} both are exact, so u comes out exactly (numpy's complex
+    division need not give z / z = 1)."""
+    n2 = a * a + b * b
+    return (x * a + y * b) / n2, (y * a - x * b) / n2
+
+
 def _spinor_line(v: np.ndarray, tol: float) -> np.ndarray:
-    """Gated spinors scaled so the largest-magnitude component is 1."""
+    """Gated spinors scaled so the largest-magnitude component p is exactly
+    1, through _over_pivot; a single spinor runs it on Python floats, which
+    costs less than array operations on four entries."""
     v = _isotropic_gate(v, tol)
-    return v / _pivot(v)
+    if v.ndim == 1:
+        zs = v.tolist()
+        p = max(zs, key=abs)  # the first largest, as _pivot picks it
+        return np.array([complex(*_over_pivot(z.real, z.imag, p.real, p.imag)) for z in zs])
+    p = _pivot(v)
+    re, im = _over_pivot(v.real, v.imag, p.real, p.imag)
+    return re + 1j * im
 
 
 def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:

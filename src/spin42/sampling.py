@@ -155,8 +155,8 @@ def _spin_candidates(rng, npairs: int, size: int) -> tuple[np.ndarray, np.ndarra
         pick = signs == sign
         v[pick] = random_unit_q_vec6(rng, sign, n=2 * int(pick.sum())).reshape(-1, 2, 6)
     composites = _composites(v, DEFAULT_TOL)
-    m = np.broadcast_to(np.eye(4, dtype=complex), (size, 4, 4))
-    for j in range(npairs):
+    m = composites[:, 0]
+    for j in range(1, npairs):
         m = m @ composites[:, j]
     member = _members(np.concatenate([composites, m[:, None]], axis=1), DEFAULT_TOL)
 

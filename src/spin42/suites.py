@@ -31,11 +31,17 @@ from .clifford import (
 )
 from .exterior import (
     _decomposable,
+    _graded_rows,
     _herm,
+    _herm16,
     _phi,
     _phi_inverse,
     _star,
+    _star16,
     _wedge,
+    _wedge16,
+    _wedge_table16,
+    _weights16,
     basis_bivector,
     basis_kvector,
     wedge,
@@ -133,9 +139,16 @@ def _mat_dev(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-def _kv_devs(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kv_norm of the difference of grade-k coefficient arrays, per row."""
-    return math.sqrt(math.factorial(k)) * np.linalg.norm(a - b, axis=-1)
+# sqrt(k!), the kv_norm weight of a grade-k coefficient
+_ROOT_FACTORIAL = np.sqrt([math.factorial(k) for k in range(5)])
+# C(4, k), the size of grade k's block
+_SIZES = np.array([math.comb(4, k) for k in range(5)])
+
+
+def _kv_devs(k: int | np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kv_norm of the difference of grade-k coefficient arrays, per row; k
+    is one grade or the grade of each row of graded stacks (..., 16)."""
+    return _ROOT_FACTORIAL[k] * np.linalg.norm(a - b, axis=-1)
 
 
 def suite_clifford(seed: int, count: int, tol: float) -> SuiteResult:
@@ -172,13 +185,20 @@ def _selfdual_block(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     return xy[:, 0], xy[:, 1]
 
 
-def _hodge_block(rng, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample i's grade-k y (the draws of random_kvector(rng, k)), complex
-    lambda (two normals) and grade-(4-k) x (random_kvector(rng, 4 - k))."""
-    nk = 2 * math.comb(4, k)
-    block = rng.normal(size=(n, nk + 2 + 2 * math.comb(4, 4 - k)))
-    return (block[:, :nk].view(complex), block[:, nk:nk + 2].view(complex)[:, 0],
-            block[:, nk + 2:].view(complex))
+def _hodge_block(rng, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The samples of every grade as one stack of 5n rows, row k*n + j
+    being sample j of grade k: the grades (5n,); y (the draws of
+    random_kvector(rng, k)), complex lambda (two normals) and x
+    (random_kvector(rng, 4 - k)) of each sample, y and x in the graded
+    layout (5n, 16).  The samples are drawn in row order, as one normal
+    draw."""
+    k = np.repeat(np.arange(5), n)
+    size = _SIZES[k]
+    width = 2 * size + 1
+    start = np.cumsum(width) - width
+    flat = rng.normal(size=2 * int(width.sum())).view(complex)
+    y, x = _graded_rows(flat, np.stack([k, 4 - k]), np.stack([start, start + size + 1]))
+    return k, y, flat[start + size], x
 
 
 def _spin_block(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,22 +206,43 @@ def _spin_block(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     return sampling.random_spin_element(rng, n=n), rng.normal(size=(n, 6))
 
 
+def _grouped_rows(rng, rows: np.ndarray, grades: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Samples by group, groups in increasing key order: rows[g] samples of
+    key g, whose f factors have the grades grades[:, g] (f, keys).  Each
+    group draws one random_kvector block per factor, in factor order, and
+    the blocks of all groups are one normal draw.  Returns the grades of
+    every sample's factors (f, n) and the factors in the graded layout
+    (f, n, 16), the samples ordered by key."""
+    key = np.repeat(np.arange(len(rows)), rows)
+    size = _SIZES[grades]
+    block = rows * size  # the complex draws of each factor block of each group
+    start = np.cumsum(block.T).reshape(block.T.shape).T - block
+    index = np.arange(len(key)) - (np.cumsum(rows) - rows)[key]  # the sample's place in its group
+    starts = start[:, key] + index * size[:, key]
+    flat = rng.normal(size=2 * int(block.sum())).view(complex)
+    g = grades[:, key]
+    return g, _graded_rows(flat, g, starts)
+
+
+# the factor grades of each group key: 25 p + 5 q + r of the wedge samples
+# and k of the Hermitian ones
+_WEDGE_GROUPS = np.indices((5, 5, 5)).reshape(3, -1)
+_HERM_GROUPS = np.stack([np.arange(5)] * 2)
+
+
 def _exterior_block(rng, count: int):
-    """The wedge samples as {(p, q, r): (a, b, d)}, coefficient blocks of
-    grades p, q and r; the Hermitian samples as {k: (u, v)}, two grade-k
-    blocks; then null and non-null vectors (n, 6).  The grades are drawn
-    first, as integer arrays, then one block per grade group in increasing
-    order of the group."""
+    """The wedge samples as grades (3, n) and factors a, b, d in the
+    graded layout (3, n, 16), grouped by increasing (p, q, r); the
+    Hermitian samples as grades (2, n) and u, v (2, n, 16), grouped by k;
+    then null and non-null vectors (n, 6).  The grades are drawn first,
+    as integer arrays, then one block per grade group in increasing order
+    of the group."""
     n = max(10, count // 10)
     p = rng.integers(0, 3, size=n)
     q = rng.integers(0, 5 - p)
     r = rng.integers(0, 5 - p - q)
-    groups, rows = np.unique(np.stack([p, q, r], axis=1), axis=0, return_counts=True)
-    wedges = {tuple(key): tuple(sampling.random_kvector(rng, g, n=m) for g in key)
-              for key, m in zip(groups.tolist(), rows.tolist())}
-    groups, rows = np.unique(rng.integers(0, 5, size=n), return_counts=True)
-    herms = {k: (sampling.random_kvector(rng, k, n=m), sampling.random_kvector(rng, k, n=m))
-             for k, m in zip(groups.tolist(), rows.tolist())}
+    wedges = _grouped_rows(rng, np.bincount(25 * p + 5 * q + r, minlength=125), _WEDGE_GROUPS)
+    herms = _grouped_rows(rng, np.bincount(rng.integers(0, 5, size=n), minlength=5), _HERM_GROUPS)
     half = max(1, count // 2)
     return (wedges, herms, sampling.random_null_vec6(rng, n=half),
             sampling.random_nonnull_vec6(rng, n=half))
@@ -251,17 +292,17 @@ def suite_selfdual(seed: int, count: int, tol: float) -> SuiteResult:
 
 def suite_exterior(seed: int, count: int, tol: float) -> SuiteResult:
     """Wedge algebra and the decomposability criterion for null vectors;
-    the random-grade checks run once per grade combination on its stack
-    of samples."""
+    the random-grade checks run once on the graded stack of all samples."""
     c = _Collector()
     wedges, herms, null, nonnull = _exterior_block(np.random.default_rng(seed), count)
-    for (p, q, r), (a, b, d) in wedges.items():
-        ab = _wedge(p, q, a, b)
-        c.bulk(len(a), np.max(_kv_devs(p + q, ab, (-1.0) ** (p * q) * _wedge(q, p, b, a))))
-        c.bulk(len(a), np.max(_kv_devs(p + q + r, _wedge(p + q, r, ab, d),
-                                       _wedge(p, q + r, a, _wedge(q, r, b, d)))))
-    for k, (u, v) in herms.items():
-        c.bulk(len(u), np.max(abs(_herm(k, u, v) - np.conj(_herm(k, v, u)))))
+    (p, q, r), (a, b, d) = wedges
+    ab, ba, bd = _wedge16(np.stack([a, b, b]), np.stack([b, a, d]))
+    c.bulk(len(a), np.max(_kv_devs(p + q, ab, (-1.0) ** (p * q)[:, None] * ba)))
+    abd, a_bd = _wedge16(np.stack([ab, a]), np.stack([d, bd]))
+    c.bulk(len(a), np.max(_kv_devs(p + q + r, abd, a_bd)))
+    _, (u, v) = herms
+    uv, vu = _herm16(np.stack([u, v]), np.stack([v, u]))
+    c.bulk(len(u), np.max(abs(uv - np.conj(vu))))
     b = _phi(null)
     c.bulk(len(b), np.any(~_decomposable(b, DEFAULT_TOL)))
     # wedge(phi(x), phi(x)) = -Q(x) e1^e2^e3^e4
@@ -274,28 +315,30 @@ def suite_exterior(seed: int, count: int, tol: float) -> SuiteResult:
     return c.result("exterior", tol)
 
 
+# the checks of the defining relation: the pairs of monomials of one grade
+_SAME_GRADE_PAIRS = sum(math.comb(4, k) ** 2 for k in range(5))
+
+
 def suite_hodge(seed: int, count: int, tol: float) -> SuiteResult:
     """The antilinear star: defining relation, square law, antilinearity,
     and the pairing symmetry.  The defining relation is checked on every
-    pair of grade-k monomials as one table, e_I ^ star(e_J) against
-    (e_I | e_J) e; each sample check runs once per grade on the whole
-    block of samples."""
+    pair of monomials as one table, the volume coefficient of
+    e_I ^ star(e_J) against (e_I | e_J); each sample check runs once on
+    the graded stack of the samples of every grade."""
     c = _Collector()
     rng = np.random.default_rng(seed)
-    for k in range(5):
-        eye = np.eye(math.comb(4, k), dtype=complex)
-        lhs = _wedge(k, 4 - k, eye[:, None], _star(k, eye)[None, :])
-        rhs = _herm(k, eye[:, None], eye[None, :])[..., None]
-        c.bulk(eye.size, np.max(_kv_devs(4, lhs, rhs)))
-    for k in range(5):
-        sign = (-1.0) ** (k * (4 - k))
-        n = max(5, count // 20)
-        y, lam, x = _hodge_block(rng, k, n)
-        lam = lam[:, None]
-        sy = _star(k, y)
-        c.bulk(n, np.max(_kv_devs(k, _star(4 - k, sy), sign * y)))
-        c.bulk(n, np.max(_kv_devs(4 - k, _star(k, lam * y), np.conj(lam) * sy)))
-        c.bulk(n, np.max(np.abs(_herm(4 - k, x, sy) - sign * _herm(k, y, _star(4 - k, x)))))
+    # across grades both sides vanish in the volume slot, so the table's
+    # maximum is that of the same-grade pairs
+    lhs = _wedge_table16()[:, :, 15] @ _star16(np.eye(16)).T
+    c.bulk(_SAME_GRADE_PAIRS, np.max(_kv_devs(4, lhs[..., None], np.diag(_weights16())[..., None])))
+    k, y, lam, x = _hodge_block(rng, max(5, count // 20))
+    n = len(k)
+    sign = (-1.0) ** (k * (4 - k))
+    lam = lam[:, None]
+    sy, s_lam_y, sx = _star16(np.stack([y, lam * y, x]))
+    c.bulk(n, np.max(_kv_devs(k, _star16(sy), sign[:, None] * y)))
+    c.bulk(n, np.max(_kv_devs(4 - k, s_lam_y, np.conj(lam) * sy)))
+    c.bulk(n, np.max(np.abs(_herm16(x, sy) - sign * _herm16(y, sx))))
     return c.result("hodge", tol)
 
 

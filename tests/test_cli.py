@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from spin42.cli import main, to_json
 from spin42.isotropic import same_span
-from spin42.suites import _Collector, _isotropic_block
+from spin42.suites import _Collector, _isotropic_block, run_suites
 
 runner = CliRunner()
 
@@ -109,6 +109,23 @@ def test_verify_checks_run_per_suite_is_unchanged():
                       "hodge": 445, "spin": 815, "isotropic": 4750,
                       "liesphere": 1884}
     assert sum(checks.values()) == 10949
+
+
+# checks_run of each suite at counts 1, 7, 100 and 500; it follows from the
+# count alone, whatever the seed
+CHECKS_BY_COUNT = {
+    "clifford": (74, 74, 74, 74), "selfdual": (82, 106, 478, 2078),
+    "exterior": (36, 42, 183, 903), "hodge": (145, 145, 145, 445),
+    "spin": (29, 29, 165, 815), "isotropic": (104, 104, 950, 4750),
+    "liesphere": (57, 57, 384, 1884),
+}
+
+
+@pytest.mark.parametrize("column, count", enumerate([1, 7, 100, 500]))
+def test_checks_run_per_suite_over_seeds_0_to_39(column, count):
+    for seed in range(40):
+        checks = {r.suite_name: r.checks_run for r in run_suites("all", seed, count, 1e-9)}
+        assert checks == {name: row[column] for name, row in CHECKS_BY_COUNT.items()}, seed
 
 
 # The seeds whose sampled plane bases are the worst conditioned in a search

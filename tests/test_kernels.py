@@ -53,12 +53,21 @@ from spin42.clifford import (
 from spin42.errors import ActionLeavesSpan, NotInGammaSpan, NotIsotropicSpinor, ZeroVector
 from spin42.exterior import (
     KVector,
+    _BLOCKS,
     _decomposable,
     _herm,
+    _herm16,
     _phi,
     _phi_inverse,
     _star,
+    _star16,
+    _star_signs,
     _wedge,
+    _wedge16,
+    _wedge_pairs16,
+    _wedge_table,
+    _wedge_table16,
+    _weights16,
     basis_kvector,
     herm_inner,
     hodge_star,
@@ -618,19 +627,34 @@ def test_selfdual_block_draws_the_per_sample_pairs():
     assert rng.normal() == tail
 
 
+def _graded(grades, coeffs) -> np.ndarray:
+    """Rows (n, 16) in the graded layout, row i holding coeffs[i] in grade
+    grades[i]'s block, placed one row at a time."""
+    out = np.zeros((len(grades), 16), dtype=complex)
+    for i, (k, c) in enumerate(zip(grades, coeffs, strict=True)):
+        out[i, _BLOCKS[k]] = c
+    return out
+
+
 @pytest.mark.parametrize("k", range(5))
 def test_hodge_block_draws_the_per_sample_kvectors(k):
-    n = 23
+    # the samples of every grade in turn, as a per-sample loop draws them;
+    # row g*n + j of the graded stack is sample j of grade g
+    n = 23 + k
     rng = np.random.default_rng(190 + k)
-    ys, lams, xs = [], [], []
-    for _ in range(n):
-        ys.append(random_kvector(rng, k).coeffs)
-        lams.append(complex(rng.normal(), rng.normal()))
-        xs.append(random_kvector(rng, 4 - k).coeffs)
+    grades, ys, lams, xs = [], [], [], []
+    for g in range(5):
+        for _ in range(n):
+            grades.append(g)
+            ys.append(random_kvector(rng, g).coeffs)
+            lams.append(complex(rng.normal(), rng.normal()))
+            xs.append(random_kvector(rng, 4 - g).coeffs)
     tail = rng.normal()
     rng = np.random.default_rng(190 + k)
-    y, lam, x = _hodge_block(rng, k, n)
-    assert np.array_equal(y, ys) and np.array_equal(lam, lams) and np.array_equal(x, xs)
+    got_grades, y, lam, x = _hodge_block(rng, n)
+    assert np.array_equal(got_grades, grades) and np.array_equal(lam, lams)
+    assert np.array_equal(y, _graded(grades, ys))
+    assert np.array_equal(x, _graded([4 - grade for grade in grades], xs))
     assert rng.normal() == tail
 
 
@@ -654,6 +678,92 @@ def test_star_defining_relation_is_exact_on_the_monomials(k):
     gram = _herm(k, eye[:, None], eye[None, :])
     assert lhs.shape == (len(eye), len(eye), 1)
     assert np.max(np.abs(lhs[..., 0] - gram)) == 0.0
+
+
+# The graded layout: the 16 coefficients of every grade, the grade blocks
+# at offsets 0, 1, 5, 11 and 15.  Its wedge, star and Hermitian form are
+# checked block by block against the per-grade kernels, exactly on
+# Gaussian-integer coefficients, and its wedge blocks against a per-grade
+# table built monomial by monomial here.
+
+_GRADE_PAIRS = [(p, q) for p in range(5) for q in range(5 - p)]
+
+
+def _reference_wedge_table(p: int, q: int) -> np.ndarray:
+    """e_I ^ e_J over the monomials of grades p, q and p+q, (I, J) flattened:
+    the sign of the permutation sorting I + J on e_{sorted(I + J)}, zero
+    when I and J share an index."""
+    combos = [list(itertools.combinations(range(4), k)) for k in range(5)]
+    table = np.zeros((comb(4, p), comb(4, q), comb(4, p + q)), dtype=complex)
+    for i, a in enumerate(combos[p]):
+        for j, b in enumerate(combos[q]):
+            joined = a + b
+            if len(set(joined)) == len(joined):
+                order = sorted(range(len(joined)), key=joined.__getitem__)
+                table[i, j, combos[p + q].index(tuple(sorted(joined)))] = _parity_sign(order)
+    return table.reshape(-1, comb(4, p + q))
+
+
+def _gaussian_rows(rng, n: int) -> np.ndarray:
+    return rng.integers(-3, 4, size=(n, 16)) + 1j * rng.integers(-3, 4, size=(n, 16))
+
+
+@pytest.mark.parametrize("p,q", _GRADE_PAIRS)
+def test_graded_wedge_blocks_are_the_per_grade_tables(p, q):
+    want = _reference_wedge_table(p, q)
+    block = _wedge_table16()[_BLOCKS[p], _BLOCKS[q]]
+    assert np.array_equal(block[..., _BLOCKS[p + q]].reshape(want.shape), want)
+    # e_I ^ e_J has grade p + q: nothing lands outside that block
+    assert np.count_nonzero(block) == np.count_nonzero(want)
+    assert np.array_equal(_wedge_table(p, q), want) and _wedge_table(p, q).dtype == complex
+
+
+def test_graded_wedge_gathers_the_81_disjoint_pairs():
+    i, j, rows = _wedge_pairs16()
+    assert len(i) == 81 == 3 ** 4 and rows.shape == (81, 16) and rows.dtype == float
+    # each pair gives one monomial with a sign, and every other pair is zero
+    assert np.array_equal(np.sort(abs(rows), axis=-1)[:, :-1], np.zeros((81, 15)))
+    assert np.array_equal(abs(rows).max(axis=-1), np.ones(81))
+    dense = np.zeros((16, 16, 16))
+    dense[i, j] = rows
+    assert np.array_equal(dense, _wedge_table16())
+
+
+def test_graded_wedge_is_the_sum_of_the_per_grade_wedges():
+    rng = np.random.default_rng(195)
+    a, b = _gaussian_rows(rng, ROWS), _gaussian_rows(rng, ROWS)
+    want = np.zeros((ROWS, 16), dtype=complex)
+    for p, q in _GRADE_PAIRS:
+        want[:, _BLOCKS[p + q]] += _wedge(p, q, a[:, _BLOCKS[p]], b[:, _BLOCKS[q]])
+    assert np.array_equal(_wedge16(a, b), want)
+    # a stack of stacks is the stack of its rows
+    assert np.array_equal(_wedge16(a.reshape(8, 25, 16), b.reshape(8, 25, 16)),
+                          want.reshape(8, 25, 16))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_graded_star_and_form_are_the_per_grade_ones(k):
+    rng = np.random.default_rng(196 + k)
+    a, b = _gaussian_rows(rng, ROWS), _gaussian_rows(rng, ROWS)
+    # the star reverses the 16 slots: grade k's block onto grade 4 - k's
+    assert np.array_equal(_star16(a)[:, _BLOCKS[4 - k]], _star(k, a[:, _BLOCKS[k]]))
+    # the per-grade signs against the reference table: s_J is the weight of
+    # e_J times the sign of e_J ^ e_{J^c}, its complement J-th from the end
+    n = comb(4, k)
+    weights = [np.prod(G_DIAG[list(c)]) for c in itertools.combinations(range(4), k)]
+    pairing = np.diag(_reference_wedge_table(k, 4 - k).reshape(n, n)[:, ::-1]).real
+    assert np.array_equal(_star_signs(k), weights * pairing)
+    only_k = np.zeros_like(a)
+    only_k[:, _BLOCKS[k]] = a[:, _BLOCKS[k]]
+    assert np.array_equal(_herm16(only_k, b), _herm(k, a[:, _BLOCKS[k]], b[:, _BLOCKS[k]]))
+    assert np.array_equal(_weights16()[_BLOCKS[k]], weights)
+
+
+def test_graded_form_is_orthogonal_across_grades():
+    rng = np.random.default_rng(201)
+    a, b = _gaussian_rows(rng, ROWS), _gaussian_rows(rng, ROWS)
+    want = sum(_herm(k, a[:, _BLOCKS[k]], b[:, _BLOCKS[k]]) for k in range(5))
+    assert np.array_equal(_herm16(a, b), want)
 
 
 # The forms, isotropic, liesphere and decomposability kernels, row by row
@@ -866,6 +976,50 @@ def test_line_plane_gates_name_the_row_without_dividing():
         assert np.max(np.abs(np.stack([plane.x1, plane.x2]) - want)) <= 1e-15
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-5])
+def test_spinor_line_is_exact_on_scaled_lattice_lines(scale):
+    # every lattice line times complex factors: the representative is the
+    # lattice row over its pivot u in {+-1, +-i}, exactly, so the pivot and
+    # every component equal to it come out exactly 1
+    lattice = _lattice_spinors()
+    pivot = np.take_along_axis(lattice, abs(lattice).argmax(axis=-1)[:, None], axis=-1)
+    want = lattice * np.conj(pivot)
+    assert np.array_equal(want[lattice == pivot], np.ones(np.count_nonzero(lattice == pivot)))
+    factors = np.concatenate([[1.0], _complex_rows(np.random.default_rng(383), 3)]) * scale
+    for factor in factors:
+        v = factor * lattice
+        unit = _spinor_line(v, 1e-9)
+        assert np.array_equal(unit, want)
+        # one spinor runs the same formula on floats: the same bits
+        for row, got in zip(v[::7], unit[::7]):
+            assert np.array_equal(_spinor_line(row, 1e-9), got)
+    assert np.array_equal(spinor_line([1e-5, 0, 1e-5, 0]).rep, [1, 0, 1, 0])
+    plane = spinor_line_to_plane([scale, 0, scale, 0])
+    assert np.array_equal(np.stack([plane.x1, plane.x2]),
+                          [[0, 0, 0, 0, -0.5, -0.5], [0, 0, -0.5, 0.5, 0, 0]])
+
+
+def test_spinor_line_of_one_spinor_is_its_row_of_the_stack():
+    v = _spinor_rows(np.random.default_rng(385))
+    unit = _spinor_line(v, 1e-9)
+    assert all(np.array_equal(_spinor_line(row, 1e-9), got) for row, got in zip(v, unit))
+    pivot = np.take_along_axis(v, abs(v).argmax(axis=-1)[:, None], axis=-1)
+    assert np.max(np.abs(unit - v / pivot)) <= 1e-15
+    assert np.array_equal(np.take_along_axis(unit, abs(v).argmax(axis=-1)[:, None], axis=-1),
+                          np.ones((len(v), 1)))
+
+
+def test_table_sum_is_the_stacked_product_bit_for_bit():
+    # one 2-D product over the flattened leading axes, the same bits as the
+    # stacked matmul it replaced
+    rng = np.random.default_rng(384)
+    for shape in [(6,), (1, 6), (7, 6), (3, 5, 6), (40, 2, 2, 6)] * 40:
+        x = rng.normal(size=shape)
+        for table in (GAMMA, SIGMA):
+            want = (x @ table.reshape(6, 16)).reshape(*shape[:-1], 4, 4)
+            assert np.array_equal(table_sum(x, table), want)
+
+
 def test_four_idempotents_match_the_pseudo_inverse_dual_basis():
     # the QR factor q is orthonormal, so q^T stands in for its pseudo-inverse
     x1, x2 = _plane_rows(np.random.default_rng(382))
@@ -1072,13 +1226,16 @@ def test_exterior_block_draws_the_grades_then_a_block_per_group(count):
     nonnull = sampling.random_nonnull_vec6(rng, n=max(1, count // 2))
     tail = rng.normal()
     rng = np.random.default_rng(400 + count)
-    w, h, x, y = _exterior_block(rng, count)
-    assert list(w) == list(wedges) and list(h) == list(herms)
-    assert sum(len(a) for a, _, _ in w.values()) == sum(len(u) for u, _ in h.values()) == n
-    for key, blocks in wedges.items():
-        assert all(np.array_equal(got, want) for got, want in zip(w[key], blocks, strict=True))
-    for key, blocks in herms.items():
-        assert all(np.array_equal(got, want) for got, want in zip(h[key], blocks, strict=True))
+    (wg, w), (hg, h), x, y = _exterior_block(rng, count)
+    # the samples in group order, each factor in the graded layout
+    herms = {(k, k): blocks for k, blocks in herms.items()}
+    for (grades, factors), groups in (((wg, w), wedges), ((hg, h), herms)):
+        assert grades.shape == (len(next(iter(groups))), n) and factors.shape == (*grades.shape, 16)
+        for t, (got_grades, got) in enumerate(zip(grades, factors)):
+            want_grades = [key[t] for key, blocks in groups.items() for _ in blocks[t]]
+            assert np.array_equal(got_grades, want_grades)
+            assert np.array_equal(got, _graded(want_grades, [row for blocks in groups.values()
+                                                             for row in blocks[t]]))
     assert np.array_equal(x, null) and np.array_equal(y, nonnull)
     assert rng.normal() == tail
 

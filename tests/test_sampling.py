@@ -13,7 +13,7 @@ from spin42 import sampling
 from spin42.errors import NotNormalized, NotNull
 from spin42.forms import DEFAULT_TOL, RESIDUAL_FLOOR, _g, _q
 from spin42.isotropic import _isotropic_plane
-from spin42.spin import _covering, _members
+from spin42.spin import _composites, _covering, _members
 
 # sampler name -> (call, the scalar object as the arrays of one block row)
 SCALAR_FORMS = {
@@ -108,6 +108,18 @@ def test_spin_element_pair_signs_are_uniform():
     pairs = q[..., 0].size
     assert pairs >= 4000
     assert abs(int((q[..., 0] > 0).sum()) - pairs / 2) <= 4 * np.sqrt(pairs) / 2
+
+
+@pytest.mark.parametrize("npairs", [1, 2, 3])
+def test_spin_candidates_are_the_products_of_their_composites(npairs):
+    # the product starts from the first composite, bit for bit the product
+    # that starts from the identity
+    m, v = sampling._spin_candidates(np.random.default_rng(16), npairs, 60)
+    composites = _composites(v, DEFAULT_TOL)
+    want = np.eye(4, dtype=complex) @ composites[:, 0]
+    for j in range(1, npairs):
+        want = want @ composites[:, j]
+    assert m.shape == (60, 4, 4) and np.array_equal(m, want)
 
 
 def test_sampler_post_conditions_name_the_failing_row(monkeypatch):
