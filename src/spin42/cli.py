@@ -37,7 +37,7 @@ from .liesphere import (
 from .spin import SpinElement, covering_matrix, is_su22, vector_action
 from .suites import SUITE_ORDER, run_suites
 
-_GENERATOR = "numpy-pcg64/v2"
+_GENERATOR = "numpy-pcg64/v3"
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def main():
 
 @main.command()
 @click.option("--suite", type=click.Choice(SUITE_ORDER + ["all"]), default="all")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--count", type=int, default=200, show_default=True)
 @_tol_option
 @click.option("--json", "json_only", is_flag=True, help="Suppress the stderr summary.")
@@ -284,7 +284,7 @@ def act(matrix_json, vec6_json, tol):
 
 @main.command(name="myth-report")
 @click.option("--samples", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_tol_option
 @click.option("--json", "json_only", is_flag=True, help="Suppress the stderr summary.")
 def myth_report(samples, seed, tol, json_only):

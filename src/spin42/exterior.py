@@ -65,18 +65,9 @@ _COMBOS = tuple(tuple(itertools.combinations(range(4), k)) for k in range(5))
 _SLOTS = tuple(itertools.chain.from_iterable(_COMBOS))
 _OFFSETS = tuple(itertools.accumulate((len(c) for c in _COMBOS[:4]), initial=0))
 _BLOCKS = tuple(slice(start, start + len(c)) for start, c in zip(_OFFSETS, _COMBOS))
-# _BLOCK_POS[k, s] is the position of slot s in grade k's block, -1 outside it
-_BLOCK_POS = np.array([[s - _OFFSETS[k] if len(_SLOTS[s]) == k else -1 for s in range(16)]
-                       for k in range(5)])
-_BLOCK_POS.setflags(write=False)
-
-
-def _graded_rows(flat: np.ndarray, grades: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Rows (..., 16) in the graded layout, for grades and starts of one
-    shape (...): the row of grade g and start s holds flat[s:s + C(4, g)]
-    in grade g's block and 0 in every other slot."""
-    pos = _BLOCK_POS[grades]
-    return np.append(flat, 0.0)[np.where(pos >= 0, starts[..., None] + pos, len(flat))]
+# the grade of each slot
+_SLOT_GRADES = np.array([len(slot) for slot in _SLOTS])
+_SLOT_GRADES.setflags(write=False)
 
 
 @lru_cache(maxsize=None)

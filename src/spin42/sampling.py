@@ -7,23 +7,27 @@ vectors for group elements, transported base planes for isotropic planes)
 so the sampled objects satisfy their invariants by construction, not by
 projection.
 
-Every sampler draws blocks (the `numpy-pcg64/v2` stream).  Given a row
+Every sampler draws blocks (the `numpy-pcg64/v3` stream).  Given a row
 count n it returns stacked raw arrays whose row i is sample i; without n
 it returns row 0 of the n = 1 block as the scalar type.  A rejection
 sampler draws an oversized block of candidates and keeps the first n
 accepted rows, drawing a further block for any shortfall.  The block sizes
 follow from n alone, so each (seed, n) gives the same samples and leaves
-the generator in the same state.
+the generator in the same state.  K-vectors of mixed grades are drawn by
+one routine, _graded_kvectors, straight into the graded layout of
+`exterior`; random_kvector is its one-grade case.  v3 changed only the
+k-vector draws of the `exterior` and `hodge` suites; every public sampler
+draws the same numbers as under v2.
 """
 
 from __future__ import annotations
 
-from math import ceil, comb, sqrt
+from math import ceil, sqrt
 
 import numpy as np
 
 from .errors import NotNormalized
-from .exterior import KVector
+from .exterior import _BLOCKS, _SLOT_GRADES, KVector
 from .forms import DEFAULT_TOL, RESIDUAL_FLOOR, _q, require
 from .isotropic import IsotropicPlaneE, _isotropic_plane
 from .liesphere import Plane, Point, Sphere, _sphere_rep
@@ -211,9 +215,20 @@ def random_isotropic_plane(rng, n=None):
     return IsotropicPlaneE(y[0, 0], y[0, 1]) if n is None else y
 
 
+def _graded_kvectors(rng, grades) -> np.ndarray:
+    """Elements of the given grades (...) with complex normal coefficients,
+    in the graded layout (..., 16): one (real, imaginary) pair of draws per
+    slot of each row's grade block, rows and slots in increasing order, and
+    0 in every other slot."""
+    block = np.asarray(grades)[..., None] == _SLOT_GRADES
+    out = np.zeros(block.shape, dtype=complex)
+    out[block] = rng.normal(size=2 * int(block.sum())).view(complex)
+    return out
+
+
 def random_kvector(rng, k: int, n=None):
-    """Grade-k elements with complex normal coefficients, (n, C(4, k)): one
-    (real, imaginary) pair of draws per increasing-index monomial, in
-    increasing order."""
-    coeffs = rng.normal(size=(_rows(n), 2 * comb(4, k))).view(complex)
+    """Grade-k elements with complex normal coefficients, (n, C(4, k)): the
+    one-grade case of _graded_kvectors, so one (real, imaginary) pair of
+    draws per increasing-index monomial, in increasing order."""
+    coeffs = _graded_kvectors(rng, np.full(_rows(n), k))[:, _BLOCKS[k]]
     return KVector(k, coeffs[0]) if n is None else coeffs

@@ -31,7 +31,6 @@ from .clifford import (
 )
 from .exterior import (
     _decomposable,
-    _graded_rows,
     _herm,
     _herm16,
     _phi,
@@ -135,14 +134,8 @@ class _Collector:
         )
 
 
-def _mat_dev(a, b) -> float:
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-
 # sqrt(k!), the kv_norm weight of a grade-k coefficient
 _ROOT_FACTORIAL = np.sqrt([math.factorial(k) for k in range(5)])
-# C(4, k), the size of grade k's block
-_SIZES = np.array([math.comb(4, k) for k in range(5)])
 
 
 def _kv_devs(k: int | np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,9 +167,11 @@ def suite_clifford(seed: int, count: int, tol: float) -> SuiteResult:
     return c.result("clifford", tol, errata.notes("clifford"))
 
 
-# Block samplers: row i of each array is sample i.  selfdual and hodge
-# draw fixed-size normals, so their blocks reproduce a per-sample loop's
-# draws; the other blocks are calls of the block samplers in `sampling`.
+# Block samplers: row i of each array is sample i.  selfdual draws
+# fixed-size normals, so its block reproduces a per-sample loop's draws;
+# hodge and exterior draw their k-vectors of mixed grades straight into the
+# graded layout (sampling._graded_kvectors); the other blocks are calls of
+# the block samplers in `sampling`.
 
 
 def _selfdual_block(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,18 +182,12 @@ def _selfdual_block(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _hodge_block(rng, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The samples of every grade as one stack of 5n rows, row k*n + j
-    being sample j of grade k: the grades (5n,); y (the draws of
-    random_kvector(rng, k)), complex lambda (two normals) and x
-    (random_kvector(rng, 4 - k)) of each sample, y and x in the graded
-    layout (5n, 16).  The samples are drawn in row order, as one normal
-    draw."""
+    being sample j of grade k: the grades (5n,); y of grade k and x of
+    grade 4 - k in the graded layout (5n, 16), the y of all rows drawn
+    before the x; then complex lambda (two normals) of each row."""
     k = np.repeat(np.arange(5), n)
-    size = _SIZES[k]
-    width = 2 * size + 1
-    start = np.cumsum(width) - width
-    flat = rng.normal(size=2 * int(width.sum())).view(complex)
-    y, x = _graded_rows(flat, np.stack([k, 4 - k]), np.stack([start, start + size + 1]))
-    return k, y, flat[start + size], x
+    y, x = sampling._graded_kvectors(rng, np.stack([k, 4 - k]))
+    return k, y, rng.normal(size=(5 * n, 2)).view(complex)[:, 0], x
 
 
 def _spin_block(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,43 +195,19 @@ def _spin_block(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     return sampling.random_spin_element(rng, n=n), rng.normal(size=(n, 6))
 
 
-def _grouped_rows(rng, rows: np.ndarray, grades: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Samples by group, groups in increasing key order: rows[g] samples of
-    key g, whose f factors have the grades grades[:, g] (f, keys).  Each
-    group draws one random_kvector block per factor, in factor order, and
-    the blocks of all groups are one normal draw.  Returns the grades of
-    every sample's factors (f, n) and the factors in the graded layout
-    (f, n, 16), the samples ordered by key."""
-    key = np.repeat(np.arange(len(rows)), rows)
-    size = _SIZES[grades]
-    block = rows * size  # the complex draws of each factor block of each group
-    start = np.cumsum(block.T).reshape(block.T.shape).T - block
-    index = np.arange(len(key)) - (np.cumsum(rows) - rows)[key]  # the sample's place in its group
-    starts = start[:, key] + index * size[:, key]
-    flat = rng.normal(size=2 * int(block.sum())).view(complex)
-    g = grades[:, key]
-    return g, _graded_rows(flat, g, starts)
-
-
-# the factor grades of each group key: 25 p + 5 q + r of the wedge samples
-# and k of the Hermitian ones
-_WEDGE_GROUPS = np.indices((5, 5, 5)).reshape(3, -1)
-_HERM_GROUPS = np.stack([np.arange(5)] * 2)
-
-
 def _exterior_block(rng, count: int):
     """The wedge samples as grades (3, n) and factors a, b, d in the
-    graded layout (3, n, 16), grouped by increasing (p, q, r); the
-    Hermitian samples as grades (2, n) and u, v (2, n, 16), grouped by k;
-    then null and non-null vectors (n, 6).  The grades are drawn first,
-    as integer arrays, then one block per grade group in increasing order
-    of the group."""
+    graded layout (3, n, 16), then the Hermitian samples as grades (n,) and
+    u, v (2, n, 16), each grade array drawn before its factors; then null
+    and non-null vectors (n, 6)."""
     n = max(10, count // 10)
     p = rng.integers(0, 3, size=n)
     q = rng.integers(0, 5 - p)
     r = rng.integers(0, 5 - p - q)
-    wedges = _grouped_rows(rng, np.bincount(25 * p + 5 * q + r, minlength=125), _WEDGE_GROUPS)
-    herms = _grouped_rows(rng, np.bincount(rng.integers(0, 5, size=n), minlength=5), _HERM_GROUPS)
+    pqr = np.stack([p, q, r])
+    wedges = pqr, sampling._graded_kvectors(rng, pqr)
+    k = rng.integers(0, 5, size=n)
+    herms = k, sampling._graded_kvectors(rng, np.stack([k, k]))
     half = max(1, count // 2)
     return (wedges, herms, sampling.random_null_vec6(rng, n=half),
             sampling.random_nonnull_vec6(rng, n=half))
@@ -429,7 +394,7 @@ def suite_liesphere(seed: int, count: int, tol: float) -> SuiteResult:
     c.ok(isinstance(lie_extract(lie_embed(Infinity())), Infinity))
     cls = _projective(_sphere_rep(*inverted), DEFAULT_TOL)
     c.bulk(len(cls), np.max(abs(_inversion(_inversion(cls)) - cls)))
-    c.dev(_mat_dev(INVERSION_MATRIX @ Q6 @ INVERSION_MATRIX.T, Q6))
+    c.dev(np.max(np.abs(INVERSION_MATRIX @ Q6 @ INVERSION_MATRIX.T - Q6)))
     origin = lie_embed(Point(np.zeros(3)))
     c.dev(float(np.max(np.abs(conformal_inversion(lie_embed(Infinity())).rep
                               - origin.rep))))

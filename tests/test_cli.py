@@ -43,12 +43,22 @@ def test_verify_clifford_at_zero_tolerance():
     assert result.exit_code == 0
     header, suite = _lines(result)
     assert header["suite"] == "clifford"
-    assert header["generator"] == "numpy-pcg64/v2"
+    assert header["generator"] == "numpy-pcg64/v3"
     assert header["tol"] == 0
     assert suite["suite_name"] == "clifford"
     assert suite["max_deviation"] == 0
     assert suite["passed"] is True
     assert suite["checks_run"] == 74
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "exterior"], ["verify"],
+                                     ["myth-report"]])
+def test_negative_seed_is_a_usage_error(command):
+    # numpy refuses a negative seed; the CLI refuses it first, as a usage
+    # error (exit 2) and not as a failed check (exit 1)
+    result = runner.invoke(main, [*command, "--seed", "-1"])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "Invalid value for '--seed'" in result.output
 
 
 def test_verify_all_suites_pass():

@@ -23,7 +23,6 @@ loops they replaced.
 
 import itertools
 import warnings
-from collections import Counter
 from math import comb, factorial
 
 import numpy as np
@@ -300,6 +299,23 @@ def test_random_kvector_keeps_the_sampled_stream(k):
     kv = random_kvector(rng, k)
     assert np.array_equal(kv.comps, _reference_antisymmetric(k, expected))
     assert rng.normal() == tail
+
+
+@pytest.mark.parametrize("n", [1, 7, 50])
+@pytest.mark.parametrize("k", range(5))
+def test_random_kvector_is_the_one_grade_graded_draw(k, n):
+    # the literal v2 formula; random_kvector and the graded sampler make
+    # the same draws, the graded rows holding 0 outside grade k's block
+    seed = 300 + 10 * k + n
+    rng = np.random.default_rng(seed)
+    want = rng.normal(size=(n, 2 * comb(4, k))).view(complex)
+    tail = rng.normal()
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(random_kvector(rng, k, n=n), want) and rng.normal() == tail
+    rng = np.random.default_rng(seed)
+    graded = sampling._graded_kvectors(rng, np.full(n, k))
+    assert np.array_equal(graded[:, _BLOCKS[k]], want) and rng.normal() == tail
+    assert not np.delete(graded, _BLOCKS[k], axis=-1).any()
 
 
 # the draw after _sampler_blocks(2024) under the numpy-pcg64/v2 stream
@@ -627,34 +643,33 @@ def test_selfdual_block_draws_the_per_sample_pairs():
     assert rng.normal() == tail
 
 
-def _graded(grades, coeffs) -> np.ndarray:
-    """Rows (n, 16) in the graded layout, row i holding coeffs[i] in grade
-    grades[i]'s block, placed one row at a time."""
+def _graded_draws(grades, flat) -> np.ndarray:
+    """Rows (n, 16) in the graded layout, row i holding the next
+    C(4, grades[i]) entries of flat in its grade's block and 0 in every
+    other slot, placed one row at a time."""
     out = np.zeros((len(grades), 16), dtype=complex)
-    for i, (k, c) in enumerate(zip(grades, coeffs, strict=True)):
-        out[i, _BLOCKS[k]] = c
+    start = 0
+    for i, k in enumerate(grades):
+        out[i, _BLOCKS[k]] = flat[start:start + comb(4, k)]
+        start += comb(4, k)
+    assert start == len(flat)
     return out
 
 
-@pytest.mark.parametrize("k", range(5))
-def test_hodge_block_draws_the_per_sample_kvectors(k):
-    # the samples of every grade in turn, as a per-sample loop draws them;
-    # row g*n + j of the graded stack is sample j of grade g
-    n = 23 + k
-    rng = np.random.default_rng(190 + k)
-    grades, ys, lams, xs = [], [], [], []
-    for g in range(5):
-        for _ in range(n):
-            grades.append(g)
-            ys.append(random_kvector(rng, g).coeffs)
-            lams.append(complex(rng.normal(), rng.normal()))
-            xs.append(random_kvector(rng, 4 - g).coeffs)
+@pytest.mark.parametrize("n", [1, 7, 23])
+def test_hodge_block_draws_every_grade_into_the_graded_layout(n):
+    # row k*n + j has grade k: every y (grade k), then every x (grade
+    # 4 - k), fills its grade block from one normal draw in row order, 16n
+    # complex draws each, and lambda takes the 5n draws after them
+    rng = np.random.default_rng(190 + n)
+    flat = rng.normal(size=2 * 37 * n).view(complex)
     tail = rng.normal()
-    rng = np.random.default_rng(190 + k)
-    got_grades, y, lam, x = _hodge_block(rng, n)
-    assert np.array_equal(got_grades, grades) and np.array_equal(lam, lams)
-    assert np.array_equal(y, _graded(grades, ys))
-    assert np.array_equal(x, _graded([4 - grade for grade in grades], xs))
+    rng = np.random.default_rng(190 + n)
+    grades, y, lam, x = _hodge_block(rng, n)
+    assert np.array_equal(grades, np.repeat(np.arange(5), n))
+    assert np.array_equal(y, _graded_draws(grades, flat[:16 * n]))
+    assert np.array_equal(x, _graded_draws(4 - grades, flat[16 * n:32 * n]))
+    assert np.array_equal(lam, flat[32 * n:])
     assert rng.normal() == tail
 
 
@@ -1209,33 +1224,29 @@ def test_spin_generate_is_the_sequential_product_bit_for_bit():
 
 
 @pytest.mark.parametrize("count", [7, 100])
-def test_exterior_block_draws_the_grades_then_a_block_per_group(count):
-    # the grades of all samples first, then the coefficient blocks of each
-    # (p, q, r) and each k group, in increasing order of the group
+def test_exterior_block_draws_each_factor_into_its_grade_block(count):
+    # the wedge grades, then the factors a, b, d of every sample from one
+    # normal draw in (factor, sample) order; the same for the Hermitian
+    # grades and u, v; then the null and non-null vectors
     n = max(10, count // 10)
     rng = np.random.default_rng(400 + count)
     p = rng.integers(0, 3, size=n)
     q = rng.integers(0, 5 - p)
     r = rng.integers(0, 5 - p - q)
-    assert (p <= 2).all() and (p + q + r <= 4).all()
-    wedges = {key: tuple(random_kvector(rng, g, n=rows) for g in key)
-              for key, rows in sorted(Counter(zip(p.tolist(), q.tolist(), r.tolist())).items())}
-    herms = {k: (random_kvector(rng, k, n=rows), random_kvector(rng, k, n=rows))
-             for k, rows in sorted(Counter(rng.integers(0, 5, size=n).tolist()).items())}
+    wedge_grades = np.concatenate([p, q, r])
+    wedge_flat = rng.normal(size=2 * sum(comb(4, g) for g in wedge_grades)).view(complex)
+    k = rng.integers(0, 5, size=n)
+    herm_flat = rng.normal(size=4 * sum(comb(4, g) for g in k)).view(complex)
     null = sampling.random_null_vec6(rng, n=max(1, count // 2))
     nonnull = sampling.random_nonnull_vec6(rng, n=max(1, count // 2))
     tail = rng.normal()
     rng = np.random.default_rng(400 + count)
     (wg, w), (hg, h), x, y = _exterior_block(rng, count)
-    # the samples in group order, each factor in the graded layout
-    herms = {(k, k): blocks for k, blocks in herms.items()}
-    for (grades, factors), groups in (((wg, w), wedges), ((hg, h), herms)):
-        assert grades.shape == (len(next(iter(groups))), n) and factors.shape == (*grades.shape, 16)
-        for t, (got_grades, got) in enumerate(zip(grades, factors)):
-            want_grades = [key[t] for key, blocks in groups.items() for _ in blocks[t]]
-            assert np.array_equal(got_grades, want_grades)
-            assert np.array_equal(got, _graded(want_grades, [row for blocks in groups.values()
-                                                             for row in blocks[t]]))
+    assert np.array_equal(wg, [p, q, r])
+    assert (wg[0] <= 2).all() and (wg.sum(axis=0) <= 4).all()
+    assert np.array_equal(w.reshape(-1, 16), _graded_draws(wedge_grades, wedge_flat))
+    assert np.array_equal(hg, k) and h.shape == (2, n, 16)
+    assert np.array_equal(h.reshape(-1, 16), _graded_draws(np.concatenate([k, k]), herm_flat))
     assert np.array_equal(x, null) and np.array_equal(y, nonnull)
     assert rng.normal() == tail
 

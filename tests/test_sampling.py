@@ -1,9 +1,12 @@
-"""The block samplers and their stream (numpy-pcg64/v2).
+"""The block samplers and their stream (numpy-pcg64/v3).
 
-Row i of a block is sample i; a scalar call is row 0 of the n = 1 block
-and leaves the generator where that block does; every row meets its
-sampler's invariant; and the pair signs of random_spin_element are
-uniform among its candidates.  test_kernels pins the stream itself.
+The public samplers draw the same numbers as under v2; v3 changed only
+how the exterior and hodge suites draw their k-vectors, and random_kvector
+is the one-grade case of that graded draw.  Row i of a block is sample i;
+a scalar call is row 0 of the n = 1 block and leaves the generator where
+that block does; every row meets its sampler's invariant; and the pair
+signs of random_spin_element are uniform among its candidates.
+test_kernels pins the stream itself.
 """
 
 import numpy as np
