@@ -157,9 +157,17 @@ def _spinor_json(v: np.ndarray):
 # commands
 
 
+def _nonnegative(ctx, param, value: float) -> float:
+    # one comparison refuses a negative value and NaN alike (click's
+    # FloatRange lets NaN through)
+    if not value >= 0.0:
+        raise click.BadParameter(f"{value} is not a number >= 0")
+    return value
+
+
 _tol_option = click.option(
     "--tol", type=float, default=DEFAULT_TOL, show_default=True, envvar="CMK_TOL",
-    help="Deviation tolerance (CMK_TOL env var; the flag wins).")
+    callback=_nonnegative, help="Deviation tolerance, >= 0 (CMK_TOL env var; the flag wins).")
 
 
 @click.group(cls=_Commands)
@@ -171,14 +179,12 @@ def main():
 @main.command()
 @click.option("--suite", type=click.Choice(SUITE_ORDER + ["all"]), default="all")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--count", type=int, default=200, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=200, show_default=True)
 @_tol_option
 @click.option("--json", "json_only", is_flag=True, help="Suppress the stderr summary.")
 def verify(suite, seed, count, tol, json_only):
     """Run identity suites with a seeded generator; one JSON result per
     suite on stdout; exit 0 iff every suite passed."""
-    if count < 1:
-        raise click.UsageError("--count must be >= 1")
     _emit({"generator": _GENERATOR, "seed": seed, "count": count,
            "tol": tol, "suite": suite})
     results = run_suites(suite, seed=seed, count=count, tol=tol)
@@ -283,7 +289,7 @@ def act(matrix_json, vec6_json, tol):
 
 
 @main.command(name="myth-report")
-@click.option("--samples", type=int, default=100, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_tol_option
 @click.option("--json", "json_only", is_flag=True, help="Suppress the stderr summary.")
@@ -291,8 +297,6 @@ def myth_report(samples, seed, tol, json_only):
     """Probe conformal infinity: the inversion-invariant 2-sphere of
     classes (n, 1, 0, 0) is confirmed fixed and absent from the inverted
     light-cone image."""
-    if samples < 1:
-        raise click.UsageError("--samples must be >= 1")
     report = fixed_sphere_probe(samples, rng=np.random.default_rng(seed))
     _emit({
         "sample_count": report.sample_count,

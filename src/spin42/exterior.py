@@ -17,9 +17,10 @@ symmetric: slot 15 - s holds the complement of the monomial in slot s,
 so the star of every grade at once is one sign vector times the
 conjugate, reversed.  The wedge of two mixed-grade elements is a gather
 over the 81 disjoint monomial pairs (I, J), each pair giving the single
-monomial e_{I u J} with a sign, times one (81, 16) sign table.  The
-per-grade tables are blocks of these graded ones, and all of them are
-built on first use.
+monomial e_{I u J} with a sign, times one (81, 16) sign table built on
+first use.  Each operation has this one graded kernel: a grade-k element
+enters it through its block (`_graded`), and the grade-wise functions
+read their result off the block of the result's grade.
 
 On bivectors the star squares to +1 and splits the space into real
 6-dimensional eigenspaces; the fixed one is the real span of six basis
@@ -179,23 +180,12 @@ def _wedge16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (rows.T @ pairs.view(float)).view(complex).T.reshape(*lead, 16)
 
 
-@lru_cache(maxsize=None)
-def _wedge_table(p: int, q: int) -> np.ndarray:
-    """Sign table with e_I ^ e_J = sum_M T[I, J, M] e_M over the monomials
-    of grades p, q and p+q <= 4, with (I, J) flattened to one axis: the
-    (p, q, p+q) block of the graded table."""
-    table = _wedge_table16()[_BLOCKS[p], _BLOCKS[q], _BLOCKS[p + q]]
-    table = table.reshape(-1, comb(4, p + q)).astype(complex)
-    table.setflags(write=False)
-    return table
-
-
-def _wedge(p: int, q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel of wedge: coefficient arrays (..., C(4,p)) and (..., C(4,q))
-    whose leading axes broadcast, to (..., C(4,p+q)); the broadcast outer
-    product, flattened, times the sign table."""
-    outer = a[..., :, None] * b[..., None, :]
-    return outer.reshape(*outer.shape[:-2], -1) @ _wedge_table(p, q)
+def _graded(k: int, c: np.ndarray) -> np.ndarray:
+    """Grade-k coefficients (..., C(4,k)) placed into grade k's block of
+    the graded layout (..., 16), with 0 in every other slot."""
+    out = np.zeros((*c.shape[:-1], 16), dtype=complex)
+    out[..., _BLOCKS[k]] = c
+    return out
 
 
 def wedge(a: KVector, b: KVector) -> KVector:
@@ -204,7 +194,7 @@ def wedge(a: KVector, b: KVector) -> KVector:
     p, q = a.k, b.k
     if p + q > 4:
         raise GradeOverflow(f"grades {p}+{q} exceed 4")
-    return KVector(p + q, _wedge(p, q, a.coeffs, b.coeffs))
+    return KVector(p + q, _wedge16(_graded(p, a.coeffs), _graded(q, b.coeffs))[_BLOCKS[p + q]])
 
 
 @lru_cache(maxsize=None)
@@ -215,30 +205,17 @@ def _weights16() -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=None)
-def _weights(k: int) -> np.ndarray:
-    """(e_I | e_I) for each grade-k monomial: grade k's block of the
-    graded weights."""
-    return _weights16()[_BLOCKS[k]]
-
-
 def _herm16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The Hermitian form, grade by grade orthogonal, on mixed-grade
     stacks (..., 16) whose leading axes broadcast."""
     return (_weights16() * a * np.conj(b)).sum(axis=-1)
 
 
-def _herm(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel of herm_inner on grade-k coefficient arrays (..., C(4,k))
-    whose leading axes broadcast."""
-    return (_weights(k) * a * np.conj(b)).sum(axis=-1)
-
-
 def herm_inner(a: KVector, b: KVector) -> complex:
     """(a | b) = sum_I (e_I | e_I) a_I conj(b_I)."""
     if a.k != b.k:
         raise GradeMismatch(f"grades {a.k} and {b.k} differ")
-    return complex(_herm(a.k, a.coeffs, b.coeffs))
+    return complex(_herm16(_graded(a.k, a.coeffs), _graded(b.k, b.coeffs)))
 
 
 # row alpha: the coefficients of Sigma_alpha, its entries [i, j] with i < j
@@ -266,27 +243,15 @@ def _star_signs16() -> np.ndarray:
     return signs
 
 
-@lru_cache(maxsize=None)
-def _star_signs(k: int) -> np.ndarray:
-    """s_J for the grade-k monomials: grade k's block of the graded signs."""
-    return _star_signs16()[_BLOCKS[k]]
-
-
 def _star16(c: np.ndarray) -> np.ndarray:
     """The star of every grade at once: mixed-grade stacks (..., 16) to
     the stacks of their stars, grade k's block going to grade 4 - k's."""
     return (_star_signs16() * np.conj(c))[..., ::-1]
 
 
-def _star(k: int, c: np.ndarray) -> np.ndarray:
-    """Kernel of hodge_star: grade-k coefficients (..., C(4,k)) to the
-    grade-(4-k) coefficients of their stars."""
-    return (_star_signs(k) * np.conj(c))[..., ::-1]
-
-
 def hodge_star(y: KVector) -> KVector:
     """Antilinear star: grade k -> 4-k, with x ^ star(y) = (x|y) e."""
-    return KVector(4 - y.k, _star(y.k, y.coeffs))
+    return KVector(4 - y.k, _star16(_graded(y.k, y.coeffs))[_BLOCKS[4 - y.k]])
 
 
 def kv_norm(a: KVector) -> float:
@@ -331,7 +296,7 @@ def _phi_inverse(b: np.ndarray, tol: float) -> np.ndarray:
     returning the real coordinates (..., 6).  Both gates judge every row
     against tol * max(1, ||b||) and name the first row that fails them."""
     bound = tol * np.maximum(1.0, _SQRT2 * np.linalg.norm(b, axis=-1))
-    dev = abs(_star(2, b) - b).max(axis=-1)
+    dev = abs(_star16(_graded(2, b))[..., _BLOCKS[2]] - b).max(axis=-1)
     require(dev <= bound, NotSelfDual,
             lambda i, at: f"bivector{at} is not fixed by the star (deviation {dev[i]:g})")
     x = np.real(b @ _SIGMA_COEFFS.conj().T) / _SQRT2
@@ -357,9 +322,11 @@ def phi_inverse(b: KVector, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def _decomposable(b: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of is_decomposable on finite bivector coefficients (..., 6):
-    kv_norm(b ^ b) <= tol kv_norm(b)^2 per row, and every zero row."""
+    kv_norm(b ^ b) <= tol kv_norm(b)^2 per row, and every zero row; b ^ b
+    is the volume slot 15 of the graded wedge."""
     n2 = 2.0 * np.vecdot(b, b).real
-    ww = sqrt(factorial(4)) * abs(_wedge(2, 2, b, b)[..., 0])
+    g = _graded(2, b)
+    ww = sqrt(factorial(4)) * abs(_wedge16(g, g)[..., 15])
     return (n2 == 0.0) | (ww <= tol * n2)
 
 

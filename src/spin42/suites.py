@@ -1,7 +1,11 @@
 """Named property suites behind the `verify` command.
 
-Each suite draws from a seeded generator, runs its identity checks, and
-reports the worst deviation; boolean checks contribute 0 or 1.  Every
+Each suite is a Python generator: it draws from a seeded numpy generator
+and yields one (checks, deviations) item per identity check, the number
+of checks it stands for and their deviations, a scalar or an array, where
+a bool counts 1 for failed.  The `_suite` decorator folds the items into a SuiteResult:
+it sums the counts and keeps the largest deviation, a NaN over any finite
+one, and the suite passes when that deviation is within tol.  Every
 float suite draws its samples as blocks whose row i is sample i (the
 block samplers of `sampling`) and runs each named check once on the whole
 block through the array kernels.
@@ -30,14 +34,13 @@ from .clifford import (
     table_sum,
 )
 from .exterior import (
+    _BLOCKS,
     _decomposable,
-    _herm,
+    _graded,
     _herm16,
     _phi,
     _phi_inverse,
-    _star,
     _star16,
-    _wedge,
     _wedge16,
     _wedge_table16,
     _weights16,
@@ -106,32 +109,24 @@ class SuiteResult:
     errata_notes: list = field(default_factory=list)
 
 
-class _Collector:
-    def __init__(self):
-        self.n = 0
-        self.worst = 0.0
+def _suite(checks):
+    """The suite of a generator of (checks, deviations) items, called as
+    suite(seed, count, tol), under the generator's name."""
+    name = checks.__name__.removeprefix("suite_")
 
-    def dev(self, value: float):
-        self.bulk(1, value)
+    def run(seed: int, count: int, tol: float) -> SuiteResult:
+        n, worst = 0, 0.0
+        for k, devs in checks(seed, count):
+            n += k
+            dev = float(np.asarray(devs).max())
+            # max() would drop a NaN that follows a finite value; keep it
+            if dev > worst or math.isnan(dev):
+                worst = dev
+        return SuiteResult(name, n, worst, worst <= tol, errata.notes(name))
 
-    def bulk(self, checks: int, worst: float):
-        self.n += checks
-        worst = float(worst)
-        # max() would drop a NaN that follows a finite value; keep it
-        if worst > self.worst or math.isnan(worst):
-            self.worst = worst
-
-    def ok(self, flag: bool):
-        self.dev(0.0 if flag else 1.0)
-
-    def result(self, name: str, tol: float, notes=()) -> SuiteResult:
-        return SuiteResult(
-            suite_name=name,
-            checks_run=self.n,
-            max_deviation=self.worst,
-            passed=self.worst <= tol,
-            errata_notes=list(notes),
-        )
+    run.__name__, run.__qualname__ = checks.__name__, checks.__qualname__
+    run.__doc__ = checks.__doc__
+    return run
 
 
 # sqrt(k!), the kv_norm weight of a grade-k coefficient
@@ -144,27 +139,26 @@ def _kv_devs(k: int | np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _ROOT_FACTORIAL[k] * np.linalg.norm(a - b, axis=-1)
 
 
-def suite_clifford(seed: int, count: int, tol: float) -> SuiteResult:
+@_suite
+def suite_clifford(seed: int, count: int):
     """Exact lattice identities of the generator tables; the generator
     audits run once on the stack of all six."""
-    c = _Collector()
-    rel = check_clifford_relations(tol=tol)
-    c.bulk(rel.checks_run, rel.max_deviation)
+    rel = check_clifford_relations()
+    yield rel.checks_run, rel.max_deviation
     adjoint = _adjoint(GAMMA)
-    c.bulk(6, np.max(np.abs(adjoint + GAMMA)))
-    c.bulk(6, np.max(np.abs(_adjoint(adjoint) - GAMMA)))
-    c.bulk(6, np.max(np.abs(GAMMA - SIGMA @ G4)))
+    yield 6, np.abs(adjoint + GAMMA)
+    yield 6, np.abs(_adjoint(adjoint) - GAMMA)
+    yield 6, np.abs(GAMMA - SIGMA @ G4)
     e = np.eye(6)
-    c.bulk(6, np.max(_reality_residual(table_sum(e, GAMMA))))
+    yield 6, _reality_residual(table_sum(e, GAMMA))
     d, q2 = _det_identity(e)
-    c.bulk(6, np.max(np.abs(d.real - q2)))
-    sd = check_sigma_selfduality(tol=tol)
-    c.bulk(sd.checks_run, sd.max_deviation)
+    yield 6, np.abs(d.real - q2)
+    sd = check_sigma_selfduality()
+    yield sd.checks_run, sd.max_deviation
     # L(-I) = I and L(iI) = -I
     eye = np.eye(4, dtype=complex)
     special = _covering(np.stack([-eye, 1j * eye]), RESIDUAL_FLOOR)
-    c.bulk(2, np.max(np.abs(special - np.array([1.0, -1.0])[:, None, None] * np.eye(6))))
-    return c.result("clifford", tol, errata.notes("clifford"))
+    yield 2, np.abs(special - np.array([1.0, -1.0])[:, None, None] * np.eye(6))
 
 
 # Block samplers: row i of each array is sample i.  selfdual draws
@@ -232,93 +226,92 @@ def _liesphere_block(rng, count: int):
             sampling.random_plane(rng), _contact_pairs(rng, max(8, count)))
 
 
-def suite_selfdual(seed: int, count: int, tol: float) -> SuiteResult:
+@_suite
+def suite_selfdual(seed: int, count: int):
     """Basis bivectors: star-fixedness, the (negative) Gram identity, and
     the embedding/extraction of 6-vectors.  The basis checks are table
     products over the six E_alpha; each sample check runs once on the
-    whole block of samples."""
-    c = _Collector()
+    whole block of samples, in the graded layout."""
     rng = np.random.default_rng(seed)
     es = [basis_bivector(a) for a in range(1, 7)]
-    e = np.stack([kv.coeffs for kv in es])
+    e = _graded(2, np.stack([kv.coeffs for kv in es]))
     comps = np.stack([kv.comps for kv in es])
-    c.bulk(6, np.max(_kv_devs(2, _star(2, e), e)))
-    c.bulk(36, np.max(np.abs(_herm(2, e[:, None], e[None, :]) + np.diag(Q_DIAG))))
+    yield 6, _kv_devs(2, _star16(e), e)
+    yield 36, np.abs(_herm16(e[:, None], e[None, :]) + np.diag(Q_DIAG))
     frob = np.einsum("aij,bij->ab", comps, np.conj(comps))
-    c.bulk(36, np.max(np.abs(frob - 2.0 * np.eye(6))))
+    yield 36, np.abs(frob - 2.0 * np.eye(6))
     x, y = _selfdual_block(rng, count)
     b = _phi(x)
-    c.bulk(count, np.max(np.abs(_phi_inverse(b, DEFAULT_TOL) - x)))
-    c.bulk(count, np.max(_kv_devs(2, _star(2, b), b)))
-    c.bulk(count, np.max(_kv_devs(2, _star(2, 1j * b), -1j * b)))
-    c.bulk(count, np.max(np.abs(_herm(2, b, _phi(y)) + np.sum(x * Q_DIAG * y, axis=-1))))
-    return c.result("selfdual", tol, errata.notes("selfdual"))
+    yield count, np.abs(_phi_inverse(b, DEFAULT_TOL) - x)
+    b = _graded(2, b)
+    yield count, _kv_devs(2, _star16(b), b)
+    yield count, _kv_devs(2, _star16(1j * b), -1j * b)
+    yield count, np.abs(_herm16(b, _graded(2, _phi(y))) + np.sum(x * Q_DIAG * y, axis=-1))
 
 
-def suite_exterior(seed: int, count: int, tol: float) -> SuiteResult:
+@_suite
+def suite_exterior(seed: int, count: int):
     """Wedge algebra and the decomposability criterion for null vectors;
     the random-grade checks run once on the graded stack of all samples."""
-    c = _Collector()
     wedges, herms, null, nonnull = _exterior_block(np.random.default_rng(seed), count)
     (p, q, r), (a, b, d) = wedges
     ab, ba, bd = _wedge16(np.stack([a, b, b]), np.stack([b, a, d]))
-    c.bulk(len(a), np.max(_kv_devs(p + q, ab, (-1.0) ** (p * q)[:, None] * ba)))
+    yield len(a), _kv_devs(p + q, ab, (-1.0) ** (p * q)[:, None] * ba)
     abd, a_bd = _wedge16(np.stack([ab, a]), np.stack([d, bd]))
-    c.bulk(len(a), np.max(_kv_devs(p + q + r, abd, a_bd)))
+    yield len(a), _kv_devs(p + q + r, abd, a_bd)
     _, (u, v) = herms
     uv, vu = _herm16(np.stack([u, v]), np.stack([v, u]))
-    c.bulk(len(u), np.max(abs(uv - np.conj(vu))))
+    yield len(u), abs(uv - np.conj(vu))
     b = _phi(null)
-    c.bulk(len(b), np.any(~_decomposable(b, DEFAULT_TOL)))
+    yield len(b), ~_decomposable(b, DEFAULT_TOL)
     # wedge(phi(x), phi(x)) = -Q(x) e1^e2^e3^e4
-    c.bulk(len(b), np.max(_kv_devs(4, _wedge(2, 2, b, b), -_q(null)[:, None])))
-    c.bulk(len(nonnull), np.any(_decomposable(_phi(nonnull), DEFAULT_TOL)))
+    b = _graded(2, b)
+    yield len(b), _kv_devs(4, _wedge16(b, b)[:, _BLOCKS[4]], -_q(null)[:, None])
+    yield len(nonnull), _decomposable(_phi(nonnull), DEFAULT_TOL)
     e12 = basis_kvector((1, 2))
-    c.dev(abs(e12.comps[0, 1] - 1.0) + abs(e12.comps[1, 0] + 1.0))
-    c.dev(_kv_devs(2, wedge(basis_kvector((1,)), basis_kvector((1,))).coeffs, 0.0))
-    c.dev(abs(wedge(e12, basis_kvector((3, 4))).comps[0, 1, 2, 3] - 1.0))
-    return c.result("exterior", tol)
+    yield 1, abs(e12.comps[0, 1] - 1.0) + abs(e12.comps[1, 0] + 1.0)
+    yield 1, _kv_devs(2, wedge(basis_kvector((1,)), basis_kvector((1,))).coeffs, 0.0)
+    yield 1, abs(wedge(e12, basis_kvector((3, 4))).comps[0, 1, 2, 3] - 1.0)
 
 
 # the checks of the defining relation: the pairs of monomials of one grade
 _SAME_GRADE_PAIRS = sum(math.comb(4, k) ** 2 for k in range(5))
 
 
-def suite_hodge(seed: int, count: int, tol: float) -> SuiteResult:
+@_suite
+def suite_hodge(seed: int, count: int):
     """The antilinear star: defining relation, square law, antilinearity,
     and the pairing symmetry.  The defining relation is checked on every
     pair of monomials as one table, the volume coefficient of
     e_I ^ star(e_J) against (e_I | e_J); each sample check runs once on
     the graded stack of the samples of every grade."""
-    c = _Collector()
     rng = np.random.default_rng(seed)
     # across grades both sides vanish in the volume slot, so the table's
     # maximum is that of the same-grade pairs
     lhs = _wedge_table16()[:, :, 15] @ _star16(np.eye(16)).T
-    c.bulk(_SAME_GRADE_PAIRS, np.max(_kv_devs(4, lhs[..., None], np.diag(_weights16())[..., None])))
+    yield _SAME_GRADE_PAIRS, _kv_devs(4, lhs[..., None], np.diag(_weights16())[..., None])
     k, y, lam, x = _hodge_block(rng, max(5, count // 20))
     n = len(k)
     sign = (-1.0) ** (k * (4 - k))
     lam = lam[:, None]
     sy, s_lam_y, sx = _star16(np.stack([y, lam * y, x]))
-    c.bulk(n, np.max(_kv_devs(k, _star16(sy), sign[:, None] * y)))
-    c.bulk(n, np.max(_kv_devs(4 - k, s_lam_y, np.conj(lam) * sy)))
-    c.bulk(n, np.max(np.abs(_herm16(x, sy) - sign * _herm16(y, sx))))
-    return c.result("hodge", tol)
+    yield n, _kv_devs(k, _star16(sy), sign[:, None] * y)
+    yield n, _kv_devs(4 - k, s_lam_y, np.conj(lam) * sy)
+    yield n, np.abs(_herm16(x, sy) - sign * _herm16(y, sx))
 
 
-def suite_spin(seed: int, count: int, tol: float) -> SuiteResult:
+@_suite
+def suite_spin(seed: int, count: int):
     """Group membership, the covering homomorphism, and its special
     values; each check runs once on the whole stack of elements."""
-    c = _Collector()
     rng = np.random.default_rng(seed)
     n = max(4, count // 4)
     m, x = _spin_block(rng, n)
-    c.bulk(n, np.any(~_members(m, RESIDUAL_FLOOR)))
-    c.bulk(n, np.max(np.abs(m @ G4 @ m.mT.conj() - G4)))
+    yield n, ~_members(m, RESIDUAL_FLOOR)
+    yield n, np.abs(m @ G4 @ m.mT.conj() - G4)
     qx = np.sum(x * Q_DIAG * x, axis=-1)
     image = _vector_action(m, x, RESIDUAL_FLOOR)
-    c.bulk(n, np.max(np.abs(np.sum(image * Q_DIAG * image, axis=-1) - qx)))
+    yield n, np.abs(np.sum(image * Q_DIAG * image, axis=-1) - qx)
     # one covering stack: the elements, their negatives, the products of
     # consecutive pairs, and the special values I, -I and iI
     half = n // 2
@@ -326,56 +319,54 @@ def suite_spin(seed: int, count: int, tol: float) -> SuiteResult:
     l, neg, products, special = np.split(_covering(np.concatenate([
         m, -m, m[0:2 * half:2] @ m[1:2 * half:2], np.stack([eye, -eye, 1j * eye])]),
         RESIDUAL_FLOOR), [n, 2 * n, 2 * n + half])
-    c.bulk(n, np.any(~_so_plus(l, RESIDUAL_FLOOR)))
-    c.bulk(n, np.max(_q_devs(l)))
-    c.bulk(n, np.max(np.abs(neg - l)))
-    c.bulk(half, np.max(np.abs(products - l[0:2 * half:2] @ l[1:2 * half:2])))
-    c.bulk(3, np.max(np.abs(special - np.array([1.0, 1.0, -1.0])[:, None, None] * np.eye(6))))
-    return c.result("spin", tol, errata.notes("spin"))
+    yield n, ~_so_plus(l, RESIDUAL_FLOOR)
+    yield n, _q_devs(l)
+    yield n, np.abs(neg - l)
+    yield half, np.abs(products - l[0:2 * half:2] @ l[1:2 * half:2])
+    yield 3, np.abs(special - np.array([1.0, 1.0, -1.0])[:, None, None] * np.eye(6))
 
 
-def suite_isotropic(seed: int, count: int, tol: float) -> SuiteResult:
+@_suite
+def suite_isotropic(seed: int, count: int):
     """Null-line/spinor-plane and plane/line correspondences with their
     idempotent cross-checks, each run once on the whole block."""
-    c = _Collector()
     x, planes, v = _isotropic_block(np.random.default_rng(seed), count)
     eye = np.eye(4)
     n = len(x)
     # the input gate of null_to_spinor_plane and partner_null_vector
     x = _null_gate(x, DEFAULT_TOL)
     kernel = _spinor_plane(x, DEFAULT_TOL)
-    c.bulk(4 * n, np.max(abs(_g(kernel[:, :, None], kernel[:, None, :]))))
+    yield 4 * n, abs(_g(kernel[:, :, None], kernel[:, None, :]))
     y = _partner(x)
-    c.bulk(n, np.max(abs(_qb(x, y) - 0.5)))
-    c.bulk(n, np.max(abs(_q(y))))
+    yield n, abs(_qb(x, y) - 0.5)
+    yield n, abs(_q(y))
     p, q = _idempotents(x, y)
-    c.bulk(n, np.max(abs(p @ p - p)))
-    c.bulk(n, np.max(abs(q @ q - q)))
-    c.bulk(n, np.max(abs(p + q - eye)))
-    c.bulk(n, np.max(abs(np.trace(p, axis1=-2, axis2=-1) - 2.0)))
-    c.bulk(n, np.max(abs(p @ kernel.mT - kernel.mT)))  # P fixes its image, the kernel plane
-    c.bulk(n, np.max(abs(_spinor_plane_class(kernel, DEFAULT_TOL) - _canon(x))))
+    yield n, abs(p @ p - p)
+    yield n, abs(q @ q - q)
+    yield n, abs(p + q - eye)
+    yield n, abs(np.trace(p, axis1=-2, axis2=-1) - 2.0)
+    yield n, abs(p @ kernel.mT - kernel.mT)  # P fixes its image, the kernel plane
+    yield n, abs(_spinor_plane_class(kernel, DEFAULT_TOL) - _canon(x))
 
     m = len(planes)
     x1, x2 = planes[:, 0], planes[:, 1]
     line = _plane_line(x1, x2, DEFAULT_TOL)
-    c.bulk(m, np.max(abs(_g(line, line))))
-    c.bulk(m, np.max(_pluecker_gap(_pluecker(x1, x2), _pluecker(*_line_plane(line, DEFAULT_TOL)))))
+    yield m, abs(_g(line, line))
+    yield m, _pluecker_gap(_pluecker(x1, x2), _pluecker(*_line_plane(line, DEFAULT_TOL)))
     r = np.stack(_four_idempotents(x1, x2, DEFAULT_TOL))
-    c.bulk(m, np.max(abs(r.sum(axis=0) - eye)))
+    yield m, abs(r.sum(axis=0) - eye)
     for ra, rb in itertools.combinations(r, 2):
-        c.bulk(m, np.max(abs(ra @ rb)))
-    c.bulk(4 * m, np.max(abs(np.trace(r, axis1=-2, axis2=-1) - 1.0)))
+        yield m, abs(ra @ rb)
+    yield 4 * m, abs(np.trace(r, axis1=-2, axis2=-1) - 1.0)
 
     line = _plane_line(*_line_plane(v, DEFAULT_TOL), DEFAULT_TOL)
-    c.bulk(len(v), np.max(_pluecker_gap(line, v)))
-    return c.result("isotropic", tol, errata.notes("isotropic"))
+    yield len(v), _pluecker_gap(line, v)
 
 
-def suite_liesphere(seed: int, count: int, tol: float) -> SuiteResult:
+@_suite
+def suite_liesphere(seed: int, count: int):
     """Null embeddings, extraction roundtrips, inversion, contact; the
     sampled entities of each kind are checked as one stack."""
-    c = _Collector()
     points, spheres, planes, inverted, far_plane, contacts = _liesphere_block(
         np.random.default_rng(seed), count)
     # (kind, raw embeddings, true coordinates, the extracted slots holding them)
@@ -386,29 +377,27 @@ def suite_liesphere(seed: int, count: int, tol: float) -> SuiteResult:
     )
     for kind, raw, truth, slots in kinds:
         n = len(raw)
-        c.bulk(n, np.max(abs(_q(raw)) / np.maximum(1.0, np.vecdot(raw, raw))))
+        yield n, abs(_q(raw)) / np.maximum(1.0, np.vecdot(raw, raw))
         found, back = _extract(_projective(raw, DEFAULT_TOL), DEFAULT_TOL)
-        c.bulk(n, np.any(found != kind))
-        c.bulk(n, np.max(abs(back[:, slots] - truth)))
-    c.dev(abs(_q(embed_rep(Infinity()))))
-    c.ok(isinstance(lie_extract(lie_embed(Infinity())), Infinity))
+        yield n, found != kind
+        yield n, abs(back[:, slots] - truth)
+    yield 1, abs(_q(embed_rep(Infinity())))
+    yield 1, not isinstance(lie_extract(lie_embed(Infinity())), Infinity)
     cls = _projective(_sphere_rep(*inverted), DEFAULT_TOL)
-    c.bulk(len(cls), np.max(abs(_inversion(_inversion(cls)) - cls)))
-    c.dev(np.max(np.abs(INVERSION_MATRIX @ Q6 @ INVERSION_MATRIX.T - Q6)))
+    yield len(cls), abs(_inversion(_inversion(cls)) - cls)
+    yield 1, np.abs(INVERSION_MATRIX @ Q6 @ INVERSION_MATRIX.T - Q6)
     origin = lie_embed(Point(np.zeros(3)))
-    c.dev(float(np.max(np.abs(conformal_inversion(lie_embed(Infinity())).rep
-                              - origin.rep))))
-    c.ok(is_at_infinity(lie_embed(Infinity())))
-    c.ok(is_at_infinity(lie_embed(far_plane)))
-    c.ok(not is_at_infinity(lie_embed(Point(np.array([1.0, 1.0, 1.0])))))
+    yield 1, np.abs(conformal_inversion(lie_embed(Infinity())).rep - origin.rep)
+    yield 1, not is_at_infinity(lie_embed(Infinity()))
+    yield 1, not is_at_infinity(lie_embed(far_plane))
+    yield 1, is_at_infinity(lie_embed(Point(np.array([1.0, 1.0, 1.0]))))
     c1, r1, c2, r2, tangent = contacts
     lie = _contact(_sphere_rep(c1, r1), _sphere_rep(c2, r2), DEFAULT_TOL)
-    c.bulk(len(lie), np.any(lie != tangent))
+    yield len(lie), lie != tangent
     probe = fixed_sphere_probe(min(50, max(1, count // 4)),
                                rng=np.random.default_rng(seed + 1))
-    c.dev(probe.fixed_sphere_max_drift)
-    c.ok(probe.missing_confirmed)
-    return c.result("liesphere", tol, errata.notes("liesphere"))
+    yield 1, probe.fixed_sphere_max_drift
+    yield 1, not probe.missing_confirmed
 
 
 def _contact_pairs(rng, n: int):

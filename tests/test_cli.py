@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from spin42.cli import main, to_json
 from spin42.isotropic import same_span
-from spin42.suites import _Collector, _isotropic_block, run_suites
+from spin42.suites import _isotropic_block, _suite, run_suites
 
 runner = CliRunner()
 
@@ -59,6 +59,27 @@ def test_negative_seed_is_a_usage_error(command):
     result = runner.invoke(main, [*command, "--seed", "-1"])
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
     assert "Invalid value for '--seed'" in result.output
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "-inf"])
+@pytest.mark.parametrize("command", [["verify", "--suite", "clifford"], ["myth-report"],
+                                     ["embed", '{"point": [1, 2, 3]}']])
+def test_negative_or_nan_tol_is_a_usage_error(command, tol):
+    # a malformed tolerance is refused before any check runs, from the flag
+    # and from CMK_TOL alike, as a usage error (exit 2) and not as a failed
+    # check (exit 1) or a contract violation (exit 3)
+    for args, env in (([*command, "--tol", tol], {}), (command, {"CMK_TOL": tol})):
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--tol'" in result.output
+
+
+@pytest.mark.parametrize("tol", ["0", "inf"])
+def test_zero_and_infinite_tol_are_valid(tol):
+    result = runner.invoke(main, ["verify", "--suite", "clifford", "--tol", tol, "--json"])
+    assert result.exit_code == 0
+    header, suite = _lines(result)
+    assert header["tol"] == float(tol) and suite["passed"] is True
 
 
 def test_verify_all_suites_pass():
@@ -165,18 +186,37 @@ def test_verify_all_suites_pass_on_seeds_0_to_49():
         assert result.exit_code == 0, (seed, result.stdout)
 
 
-def test_collector_keeps_nan():
-    c = _Collector()
-    c.dev(1e-12)
-    c.dev(float("nan"))
-    c.dev(1e-15)
-    c.bulk(3, 0.5)
-    res = c.result("x", 1e-9)
+def test_suite_fold_keeps_nan():
+    @_suite
+    def suite_scalar(seed, count):
+        yield 1, 1e-12
+        yield 1, float("nan")
+        yield 1, 1e-15
+        yield 3, 0.5
+
+    @_suite
+    def suite_array(seed, count):
+        yield 2, np.array([0.0, float("nan")])
+        yield 1, 1.0
+        yield 4, np.array([False, True, False])
+
+    assert suite_scalar.__name__ == "suite_scalar" and not hasattr(suite_scalar, "__wrapped__")
+    res = suite_scalar(0, 1, 1e-9)
+    assert res.suite_name == "scalar" and res.errata_notes == []
     assert res.checks_run == 6 and np.isnan(res.max_deviation) and not res.passed
-    c = _Collector()
-    c.bulk(2, float("nan"))
-    c.dev(1.0)
-    assert np.isnan(c.worst)
+    res = suite_array(0, 1, np.inf)
+    assert res.checks_run == 7 and np.isnan(res.max_deviation) and not res.passed
+
+    # a bool deviation counts 1 for failed and 0 for passed
+    @_suite
+    def suite_flags(seed, count):
+        yield 2, np.array([False, bool(count)])
+        yield 1, 1e-12
+
+    res = suite_flags(0, 1, 0.5)
+    assert res.checks_run == 3 and res.max_deviation == 1.0 and not res.passed
+    res = suite_flags(0, 0, 1e-9)
+    assert res.max_deviation == 1e-12 and res.passed
 
 
 def test_verify_is_deterministic_across_processes():

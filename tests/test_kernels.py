@@ -54,17 +54,14 @@ from spin42.exterior import (
     KVector,
     _BLOCKS,
     _decomposable,
-    _herm,
+    _graded,
     _herm16,
     _phi,
     _phi_inverse,
-    _star,
     _star16,
-    _star_signs,
-    _wedge,
+    _star_signs16,
     _wedge16,
     _wedge_pairs16,
-    _wedge_table,
     _wedge_table16,
     _weights16,
     basis_kvector,
@@ -566,8 +563,8 @@ def test_star_and_herm_kernel_rows_match_the_public_functions(k):
     rng = np.random.default_rng(120 + k)
     a = _complex_rows(rng, ROWS, comb(4, k))
     b = _complex_rows(rng, ROWS, comb(4, k))
-    star = _star(k, a)
-    herm = _herm(k, a, b)
+    star = _star16(_graded(k, a))[:, _BLOCKS[4 - k]]
+    herm = _herm16(_graded(k, a), _graded(k, b))
     for i in range(ROWS):
         assert _rel_dev(star[i], hodge_star(KVector(k, a[i])).coeffs) <= 1e-14
         assert _rel_dev(herm[i], herm_inner(KVector(k, a[i]), KVector(k, b[i]))) <= 1e-14
@@ -578,8 +575,11 @@ def test_wedge_kernel_rows_match_wedge(p, q):
     rng = np.random.default_rng(130 + 10 * p + q)
     a = _complex_rows(rng, ROWS, comb(4, p))
     b = _complex_rows(rng, ROWS, comb(4, q))
-    out = _wedge(p, q, a, b)
-    assert out.shape == (ROWS, comb(4, p + q))
+    out = _wedge16(_graded(p, a), _graded(q, b))
+    assert out.shape == (ROWS, 16)
+    # e_I ^ e_J has grade p + q: every other block is zero
+    assert np.count_nonzero(np.delete(out, _BLOCKS[p + q], axis=-1)) == 0
+    out = out[:, _BLOCKS[p + q]]
     for i in range(ROWS):
         assert _rel_dev(out[i], wedge(KVector(p, a[i]), KVector(q, b[i])).coeffs) <= 1e-14
 
@@ -687,19 +687,20 @@ def test_spin_block_draws_the_vectors_after_the_elements():
 
 @pytest.mark.parametrize("k", range(5))
 def test_star_defining_relation_is_exact_on_the_monomials(k):
-    eye = np.eye(comb(4, k), dtype=complex)
-    lhs = _wedge(k, 4 - k, eye[:, None], _star(k, eye)[None, :])
-    # the volume element e1^e2^e3^e4 has the single coefficient 1
-    gram = _herm(k, eye[:, None], eye[None, :])
-    assert lhs.shape == (len(eye), len(eye), 1)
-    assert np.max(np.abs(lhs[..., 0] - gram)) == 0.0
+    n = comb(4, k)
+    eye = np.broadcast_to(_graded(k, np.eye(n)), (n, n, 16))
+    lhs = _wedge16(eye.transpose(1, 0, 2), _star16(eye))
+    # the volume element e1^e2^e3^e4 has the single coefficient 1 in slot 15
+    gram = _herm16(eye.transpose(1, 0, 2), eye)
+    assert lhs.shape == (n, n, 16) and np.count_nonzero(lhs[..., :15]) == 0
+    assert np.max(np.abs(lhs[..., 15] - gram)) == 0.0
 
 
 # The graded layout: the 16 coefficients of every grade, the grade blocks
 # at offsets 0, 1, 5, 11 and 15.  Its wedge, star and Hermitian form are
-# checked block by block against the per-grade kernels, exactly on
-# Gaussian-integer coefficients, and its wedge blocks against a per-grade
-# table built monomial by monomial here.
+# checked block by block, exactly on Gaussian-integer coefficients, against
+# per-grade oracles written here: the wedge table built monomial by monomial,
+# the star solved from its defining relation, and the weights of G_DIAG.
 
 _GRADE_PAIRS = [(p, q) for p in range(5) for q in range(5 - p)]
 
@@ -719,8 +720,13 @@ def _reference_wedge_table(p: int, q: int) -> np.ndarray:
     return table.reshape(-1, comb(4, p + q))
 
 
-def _gaussian_rows(rng, n: int) -> np.ndarray:
-    return rng.integers(-3, 4, size=(n, 16)) + 1j * rng.integers(-3, 4, size=(n, 16))
+def _reference_weights(k: int) -> np.ndarray:
+    """(e_I | e_I) = prod_{i in I} G_i for the grade-k monomials."""
+    return np.array([np.prod(G_DIAG[list(c)]) for c in itertools.combinations(range(4), k)])
+
+
+def _gaussian_rows(rng, n: int, width: int = 16) -> np.ndarray:
+    return rng.integers(-3, 4, size=(n, width)) + 1j * rng.integers(-3, 4, size=(n, width))
 
 
 @pytest.mark.parametrize("p,q", _GRADE_PAIRS)
@@ -730,7 +736,6 @@ def test_graded_wedge_blocks_are_the_per_grade_tables(p, q):
     assert np.array_equal(block[..., _BLOCKS[p + q]].reshape(want.shape), want)
     # e_I ^ e_J has grade p + q: nothing lands outside that block
     assert np.count_nonzero(block) == np.count_nonzero(want)
-    assert np.array_equal(_wedge_table(p, q), want) and _wedge_table(p, q).dtype == complex
 
 
 def test_graded_wedge_gathers_the_81_disjoint_pairs():
@@ -749,7 +754,8 @@ def test_graded_wedge_is_the_sum_of_the_per_grade_wedges():
     a, b = _gaussian_rows(rng, ROWS), _gaussian_rows(rng, ROWS)
     want = np.zeros((ROWS, 16), dtype=complex)
     for p, q in _GRADE_PAIRS:
-        want[:, _BLOCKS[p + q]] += _wedge(p, q, a[:, _BLOCKS[p]], b[:, _BLOCKS[q]])
+        outer = a[:, _BLOCKS[p], None] * b[:, None, _BLOCKS[q]]
+        want[:, _BLOCKS[p + q]] += outer.reshape(ROWS, -1) @ _reference_wedge_table(p, q)
     assert np.array_equal(_wedge16(a, b), want)
     # a stack of stacks is the stack of its rows
     assert np.array_equal(_wedge16(a.reshape(8, 25, 16), b.reshape(8, 25, 16)),
@@ -760,25 +766,45 @@ def test_graded_wedge_is_the_sum_of_the_per_grade_wedges():
 def test_graded_star_and_form_are_the_per_grade_ones(k):
     rng = np.random.default_rng(196 + k)
     a, b = _gaussian_rows(rng, ROWS), _gaussian_rows(rng, ROWS)
-    # the star reverses the 16 slots: grade k's block onto grade 4 - k's
-    assert np.array_equal(_star16(a)[:, _BLOCKS[4 - k]], _star(k, a[:, _BLOCKS[k]]))
+    # the star reverses the 16 slots: grade k's block onto grade 4 - k's,
+    # there the star solved from its defining relation
+    a_k, b_k = a[:, _BLOCKS[k]], b[:, _BLOCKS[k]]
+    assert np.array_equal(_star16(a)[:, _BLOCKS[4 - k]], np.conj(a_k) @ _reference_star_matrix(k).T)
     # the per-grade signs against the reference table: s_J is the weight of
     # e_J times the sign of e_J ^ e_{J^c}, its complement J-th from the end
     n = comb(4, k)
-    weights = [np.prod(G_DIAG[list(c)]) for c in itertools.combinations(range(4), k)]
+    weights = _reference_weights(k)
     pairing = np.diag(_reference_wedge_table(k, 4 - k).reshape(n, n)[:, ::-1]).real
-    assert np.array_equal(_star_signs(k), weights * pairing)
+    assert np.array_equal(_star_signs16()[_BLOCKS[k]], weights * pairing)
     only_k = np.zeros_like(a)
-    only_k[:, _BLOCKS[k]] = a[:, _BLOCKS[k]]
-    assert np.array_equal(_herm16(only_k, b), _herm(k, a[:, _BLOCKS[k]], b[:, _BLOCKS[k]]))
+    only_k[:, _BLOCKS[k]] = a_k
+    assert np.array_equal(_herm16(only_k, b), (weights * a_k * np.conj(b_k)).sum(axis=-1))
     assert np.array_equal(_weights16()[_BLOCKS[k]], weights)
 
 
 def test_graded_form_is_orthogonal_across_grades():
     rng = np.random.default_rng(201)
     a, b = _gaussian_rows(rng, ROWS), _gaussian_rows(rng, ROWS)
-    want = sum(_herm(k, a[:, _BLOCKS[k]], b[:, _BLOCKS[k]]) for k in range(5))
+    want = sum((_reference_weights(k) * a[:, _BLOCKS[k]] * np.conj(b[:, _BLOCKS[k]])).sum(axis=-1)
+               for k in range(5))
     assert np.array_equal(_herm16(a, b), want)
+
+
+@pytest.mark.parametrize("p,q", _GRADE_PAIRS)
+def test_public_functions_are_blocks_of_the_graded_kernels(p, q):
+    rng = np.random.default_rng(205 + 5 * p + q)
+    a, c = _gaussian_rows(rng, 2, comb(4, p))
+    (b,) = _gaussian_rows(rng, 1, comb(4, q))
+    # the graded rows, placed slot by slot here
+    ga, gb, gc = np.zeros((3, 16), dtype=complex)
+    ga[_BLOCKS[p]], gb[_BLOCKS[q]], gc[_BLOCKS[p]] = a, b, c
+    assert np.array_equal(_graded(p, a), ga) and np.array_equal(_graded(q, b), gb)
+    ab = wedge(KVector(p, a), KVector(q, b))
+    assert ab.k == p + q and np.array_equal(ab.coeffs, _wedge16(ga, gb)[_BLOCKS[p + q]])
+    for k, x, gx in ((p, a, ga), (q, b, gb)):
+        star = hodge_star(KVector(k, x))
+        assert star.k == 4 - k and np.array_equal(star.coeffs, _star16(gx)[_BLOCKS[4 - k]])
+    assert herm_inner(KVector(p, a), KVector(p, c)) == _herm16(ga, gc)
 
 
 # The forms, isotropic, liesphere and decomposability kernels, row by row
@@ -890,8 +916,10 @@ def test_pluecker_class_of_the_readme_class():
 
 def test_pluecker_coordinates_of_spinors_are_exteriors_wedge():
     rng = np.random.default_rng(335)
-    b1, b2 = _complex_rows(rng, ROWS, 4), _complex_rows(rng, ROWS, 4)
-    assert np.array_equal(_pluecker(b1, b2), _wedge(1, 1, b1, b2))
+    b1, b2 = _gaussian_rows(rng, ROWS, 4), _gaussian_rows(rng, ROWS, 4)
+    # the spinor Pluecker coordinates in grade 1 ^ 1's block order
+    graded = _wedge16(_graded(1, b1), _graded(1, b2))[:, _BLOCKS[2]]
+    assert np.array_equal(_pluecker(b1, b2), graded)
     one = wedge(KVector(1, b1[0]), KVector(1, b2[0]))
     assert np.array_equal(_pluecker(b1[0], b2[0]), one.coeffs)
 
