@@ -18,7 +18,7 @@ import numpy as np
 
 from . import errata
 from .errors import InvalidEntity, NotNormalized, Spin42Error
-from .forms import DEFAULT_TOL, Q6, as_vec6, g_form, projectivize, q_bilinear, q_form
+from .forms import DEFAULT_TOL, as_vec6, g_form, projectivize, q_bilinear, q_form
 from .isotropic import (
     isotropic_plane,
     null_to_spinor_plane,
@@ -34,7 +34,7 @@ from .liesphere import (
     fixed_sphere_probe,
     lie_embed,
 )
-from .spin import SpinElement, covering_matrix, is_su22, vector_action
+from .spin import SpinElement, _q_devs, covering_matrix, is_su22, vector_action
 from .suites import SUITE_ORDER, run_suites
 
 _GENERATOR = "numpy-pcg64/v3"
@@ -280,11 +280,10 @@ def act(matrix_json, vec6_json, tol):
         raise NotNormalized("matrix fails the membership test")
     s = SpinElement(m)
     l = covering_matrix(s, tol)
-    q_residual = float(np.max(np.abs(l.l @ Q6 @ l.l.T - Q6)))
     _emit({
         "vector": vector_action(s, x, tol),
         "covering": l.l,
-        "q_residual": q_residual,
+        "q_residual": float(_q_devs(l.l)),
     })
 
 

@@ -139,16 +139,6 @@ def _independent(a: np.ndarray, b: np.ndarray, bound: float, what: str,
     return w
 
 
-def _svd_rank(m: np.ndarray, rel_tol: float, rank: int, what: str):
-    """The SVD u, s, vh of matrices m (..., r, c) with rank singular values
-    above rel_tol times the largest: for subspaces that must be solved for."""
-    u, s, vh = np.linalg.svd(m)
-    got = (s > rel_tol * s[..., :1]).sum(axis=-1)
-    require(got == rank, RankFailure,
-            lambda i, at: f"{what}{at} has rank {got[i]}, not {rank}")
-    return u, s, vh
-
-
 def _isotropic_plane(x1: np.ndarray, x2: np.ndarray, tol: float) -> None:
     """The gate of a totally isotropic plane spanned by checked rows x1, x2
     (..., 6), at tol: nonzero, independent (|x1 ^ x2| > tol |x1| |x2|), and
@@ -327,31 +317,40 @@ def idempotent_pair(x, y=None, tol: float = DEFAULT_TOL):
     return _idempotents(x, y)
 
 
+def _gram_schmidt(x1: np.ndarray, x2: np.ndarray, tol: float):
+    """X = [x1 x2] = qR for plane bases (..., 6), once the pair passes the
+    rank gate at max(tol, RANK_FLOOR): the orthonormal columns q1, q2 and
+    R's entries r11 = |x1|, r12 = q1.x2 and r22 = |x2 - r12 q1|."""
+    _independent(x1, x2, max(tol, RANK_FLOOR), "isotropic plane basis", ("x1", "x2"))
+    r11 = _norm(x1)[..., None]
+    q1 = x1 / r11
+    r12 = np.vecdot(q1, x2)[..., None]
+    u = x2 - r12 * q1
+    r22 = _norm(u)[..., None]
+    return q1, u / r22, r11, r12, r22
+
+
+# (x_i, y_j) = delta_ij / 2 and (y_i, y_j) = 0: rows [x1 x2 y1 y2] against y1, y2
+_DUAL_PAIRINGS = np.eye(4, 2) / 2.0
+
+
 def _dual_basis(x1: np.ndarray, x2: np.ndarray, tol: float):
-    x = np.stack([x1, x2], axis=-1)
-    return _dual_pair(x, np.linalg.pinv(x).mT, tol)
-
-
-def _dual_pair(x: np.ndarray, x_plus_t: np.ndarray, tol: float):
-    """The dual basis of plane bases x (..., 6, 2) from the transposes of
-    their pseudo-inverses, and its seven pairing checks."""
-    y = Q_DIAG[:, None] * x_plus_t / 2.0
-    y = y - x @ (y.mT @ (Q_DIAG[:, None] * y))
-    x1, x2 = x[..., 0], x[..., 1]
-    y1, y2 = y[..., 0], y[..., 1]
-    checks = np.stack([
-        _qb(x1, y1) - 0.5,
-        _qb(x2, y2) - 0.5,
-        _qb(x1, y2),
-        _qb(x2, y1),
-        _qb(y1, y2),
-        _q(y1),
-        _q(y2),
-    ], axis=-1)
-    dev = abs(checks).max(axis=-1)
+    """Kernel of dual_isotropic_basis on plane bases x1, x2 (..., 6): y1,
+    y2 (..., 6).  Y = Q q R^-T / 2 is y1 = Q (q1 - (r12 / r22) q2) / (2 r11)
+    and y2 = Q q2 / (2 r22), then Y <- Y - X (Y^T Q Y), in rows
+    [x1 x2 y1 y2] (..., 4, 6)."""
+    q1, q2, r11, r12, r22 = _gram_schmidt(x1, x2, tol)
+    y2 = q2 / r22
+    # np.stack(..., axis=-2), at less cost per call
+    rows = np.concatenate([v[..., None, :] for v in (x1, x2, (q1 - r12 * y2) / r11, y2)], axis=-2)
+    x, y = rows[..., :2, :], rows[..., 2:, :]
+    y *= Q_DIAG / 2.0
+    y -= (y @ (Q_DIAG * y).mT) @ x
+    # the seven checks, and (y2, y1), which repeats (y1, y2)
+    dev = abs(rows @ (Q_DIAG * y).mT - _DUAL_PAIRINGS).max(axis=(-2, -1))
     require(dev <= max(tol, RESIDUAL_FLOOR), RankFailure,
             lambda i, at: f"dual basis{at} failed the pairing checks (deviation {dev[i]:g})")
-    return y1, y2
+    return y[..., 0, :], y[..., 1, :]
 
 
 def dual_isotropic_basis(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
@@ -359,12 +358,16 @@ def dual_isotropic_basis(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
 
     With X = [x1 x2] and Q^2 = 1, the columns of Y = Q (X^+)^T / 2 satisfy
     X^T Q Y = X^+ X / 2 = I / 2, and they are the minimum-norm solution of
-    those pairings; since X^T Q X = 0, also Y^T Q Y = 0.  Rounding leaves a
-    computed X slightly off the quadric, E = X^T Q X != 0, and Y^T Q Y then
-    has an error of order E; the correction along the plane
-    Y <- Y - X (Y^T Q Y) cancels it, leaving errors of order E^2 in the
-    pairings and E^3 in the nullities.  The seven pairing checks are a
-    post-condition at max(tol, RESIDUAL_FLOOR).
+    those pairings; since X^T Q X = 0, also Y^T Q Y = 0.  Gram-Schmidt
+    gives X = qR (q orthonormal, R 2 x 2 upper triangular), so
+    (X^+)^T = q R^-T, with R^-T written out: no normal equations, whose
+    X^T X squares the condition number.  Rounding leaves a computed X
+    slightly off the quadric, E = X^T Q X != 0, and Y^T Q Y then has an
+    error of order E; the correction along the plane Y <- Y - X (Y^T Q Y)
+    cancels it, leaving errors of order E^2 in the pairings and E^3 in the
+    nullities.  The basis passes the rank gate at max(tol, RANK_FLOOR), and
+    the seven pairing checks are a post-condition at
+    max(tol, RESIDUAL_FLOOR).
     """
     return _dual_basis(as_vec6(n.x1), as_vec6(n.x2), tol)
 
@@ -372,13 +375,12 @@ def dual_isotropic_basis(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
 def _four_idempotents(x1: np.ndarray, x2: np.ndarray, tol: float):
     """Kernel of four_idempotents on plane bases (..., 6): R1..R4, each
     (..., 4, 4)."""
-    q, _ = np.linalg.qr(np.stack([x1, x2], axis=-1))
-    x1, x2 = q[..., 0], q[..., 1]
-    # q has orthonormal columns, so its pseudo-inverse is q^T
-    y1, y2 = _dual_pair(q, q, tol)
-    p1, q1 = _idempotents(x1, y1)
-    p2, q2 = _idempotents(x2, y2)
-    return p1 @ p2, p1 @ q2, q1 @ p2, q1 @ q2
+    q1, q2, *_ = _gram_schmidt(x1, x2, tol)
+    # the dual basis of q runs Gram-Schmidt again, so it stays exact to
+    # rounding however far q is from orthonormal
+    y1, y2 = _dual_basis(q1, q2, tol)
+    (p1, p2), (c1, c2) = _idempotents(np.array([q1, q2]), np.array([y1, y2]))
+    return p1 @ p2, p1 @ c2, c1 @ p2, c1 @ c2
 
 
 def four_idempotents(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
@@ -390,16 +392,10 @@ def four_idempotents(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
 
     They are built over a Euclidean-orthonormal basis of the same plane: a
     nearly dependent basis makes the P_i far from orthogonal projectors,
-    and the rounding in the products grows with ||R||^2."""
+    and the rounding in the products grows with ||R||^2.  That basis is q
+    in X = [x1 x2] = qR, and its dual basis has (q^+)^T = q' R'^-T from
+    Gram-Schmidt q = q'R' on q itself, so it pairs with q to rounding."""
     return _four_idempotents(as_vec6(n.x1), as_vec6(n.x2), tol)
-
-
-def image_basis(m: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the image of a matrix, or of each
-    matrix of a stack, with the dimension asserted rather than inferred at
-    max(tol, RANK_FLOOR)."""
-    u, _, _ = _svd_rank(m, max(tol, RANK_FLOOR), dim, "image")
-    return u[..., :dim]
 
 
 def _pluecker_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -191,7 +191,7 @@ def conformal_inversion(p: ProjectiveNullLine) -> ProjectiveNullLine:
 
 
 def is_at_infinity(p: ProjectiveNullLine, tol: float = DEFAULT_TOL) -> bool:
-    return abs(p.rep[4] - p.rep[5]) <= tol
+    return bool(abs(p.rep[4] - p.rep[5]) <= tol)
 
 
 @dataclass(frozen=True)

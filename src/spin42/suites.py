@@ -251,8 +251,9 @@ def suite_selfdual(seed: int, count: int):
 
 @_suite
 def suite_exterior(seed: int, count: int):
-    """Wedge algebra and the decomposability criterion for null vectors;
-    the random-grade checks run once on the graded stack of all samples."""
+    """Wedge algebra, the decomposability criterion for null vectors and
+    phi(x) ^ phi(x) = -Q(x) e1234 on non-null ones; the random-grade checks
+    run once on the graded stack of all samples."""
     wedges, herms, null, nonnull = _exterior_block(np.random.default_rng(seed), count)
     (p, q, r), (a, b, d) = wedges
     ab, ba, bd = _wedge16(np.stack([a, b, b]), np.stack([b, a, d]))
@@ -262,12 +263,12 @@ def suite_exterior(seed: int, count: int):
     _, (u, v) = herms
     uv, vu = _herm16(np.stack([u, v]), np.stack([v, u]))
     yield len(u), abs(uv - np.conj(vu))
-    b = _phi(null)
-    yield len(b), ~_decomposable(b, DEFAULT_TOL)
-    # wedge(phi(x), phi(x)) = -Q(x) e1^e2^e3^e4
+    yield len(null), ~_decomposable(_phi(null), DEFAULT_TOL)
+    b = _phi(nonnull)
+    yield len(b), _decomposable(b, DEFAULT_TOL)
+    # wedge(phi(x), phi(x)) = -Q(x) e1^e2^e3^e4, where Q(x) != 0 tells -Q from +Q
     b = _graded(2, b)
-    yield len(b), _kv_devs(4, _wedge16(b, b)[:, _BLOCKS[4]], -_q(null)[:, None])
-    yield len(nonnull), _decomposable(_phi(nonnull), DEFAULT_TOL)
+    yield len(b), _kv_devs(4, _wedge16(b, b)[:, _BLOCKS[4]], -_q(nonnull)[:, None])
     e12 = basis_kvector((1, 2))
     yield 1, abs(e12.comps[0, 1] - 1.0) + abs(e12.comps[1, 0] + 1.0)
     yield 1, _kv_devs(2, wedge(basis_kvector((1,)), basis_kvector((1,))).coeffs, 0.0)

@@ -40,7 +40,6 @@ from spin42.isotropic import (
     dual_isotropic_basis,
     four_idempotents,
     idempotent_pair,
-    image_basis,
     null_to_spinor_plane,
     partner_null_vector,
     plane_to_spinor_line,
@@ -66,6 +65,8 @@ from spin42.sampling import (
     random_spin_element,
 )
 from spin42.spin import covering_matrix, is_so_plus, is_su22, SpinElement, vector_action
+
+from oracles import image_basis
 
 
 def test_01_clifford_anticommutators_exact():

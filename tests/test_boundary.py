@@ -50,17 +50,16 @@ from spin42.isotropic import (
     IsotropicPlaneE,
     SpinorPlane,
     _dual_basis,
+    _four_idempotents,
     _isotropic_gate,
     _isotropic_plane,
     _line_plane,
     _plane_line,
     _spinor_plane,
     _spinor_plane_class,
-    _svd_rank,
     dual_isotropic_basis,
     four_idempotents,
     idempotent_pair,
-    image_basis,
     isotropic_plane,
     null_to_spinor_plane,
     partner_null_vector,
@@ -255,14 +254,6 @@ def test_rank_gates_name_the_first_failing_row():
     with pytest.raises(RankFailure,
                        match=r"X\(x\) at row 3 does not annihilate its columns \(residual 1\)"):
         _spinor_plane(x, 1e-9)
-    m = np.stack([np.outer(e, e) for e in np.eye(4)])
-    m[2, 3, 3] = 1.0
-    with pytest.raises(RankFailure, match="image at row 2 has rank 2, not 1"):
-        _svd_rank(m, 1e-9, 1, "image")
-    # every rank from 0 to past the matrix size is judged by the count
-    assert image_basis(np.zeros((4, 4)), 0).shape == (4, 0)
-    with pytest.raises(RankFailure, match="image has rank 4, not 5"):
-        image_basis(np.eye(4), 5)
 
 
 def test_zero_and_dependent_inputs_fail_the_rank_gates_without_dividing():
@@ -292,6 +283,17 @@ def test_zero_and_dependent_inputs_fail_the_rank_gates_without_dividing():
             _isotropic_plane(x1, x2, 1e-9)
         with pytest.raises(RankFailure, match="^isotropic plane basis is zero or dependent"):
             isotropic_plane(X1, 3.0 * X1)
+        # the dual basis and the idempotents gate the basis before
+        # Gram-Schmidt divides by |x1| and |x2 - (q1.x2) q1|
+        for dependent in (3.0 * X1, np.zeros(6)):
+            for call in (dual_isotropic_basis, four_idempotents):
+                with pytest.raises(RankFailure, match=r"^isotropic plane basis is zero or"
+                                                      r" dependent \(\|x1 \^ x2\| = 0, "):
+                    call(IsotropicPlaneE(X1, dependent))
+        for kernel in (_dual_basis, _four_idempotents):
+            with pytest.raises(RankFailure, match="^isotropic plane basis at row 2 is zero or"
+                                                  " dependent"):
+                kernel(x1, zero, 1e-9)
 
 
 def test_spinor_plane_class_rejects_zero_dependent_and_non_kernel_bases():

@@ -27,7 +27,8 @@ from spin42.exterior import (
     vector,
     wedge,
 )
-from spin42.forms import Q_DIAG, q_bilinear, q_form
+from spin42 import forms, suites
+from spin42.forms import DEFAULT_TOL, Q_DIAG, q_bilinear, q_form
 from spin42.sampling import random_kvector, random_null_vec6, random_nonnull_vec6
 
 E = [None] + [vector(np.eye(4)[i]) for i in range(4)]
@@ -309,3 +310,13 @@ def test_kvector_equality_is_exact_and_unhashable():
     assert wedge(E[1], E[2]) == basis_kvector((1, 2))
     with pytest.raises(TypeError, match="unhashable"):
         hash(a)
+
+
+def test_exterior_suite_tells_minus_q_from_plus_q(monkeypatch):
+    # the suite checks phi(x) ^ phi(x) = -Q(x) e1234 on non-null x, so the
+    # +Q variant fails it; on null x both signs read Q(x) = 0
+    for seed in range(5):
+        assert suites.suite_exterior(seed, 200, DEFAULT_TOL).passed
+    monkeypatch.setattr(suites, "_q", lambda x: -forms._q(x))
+    for seed in range(5):
+        assert not suites.suite_exterior(seed, 200, DEFAULT_TOL).passed

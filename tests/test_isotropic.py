@@ -16,7 +16,6 @@ from spin42.isotropic import (
     dual_isotropic_basis,
     four_idempotents,
     idempotent_pair,
-    image_basis,
     isotropic_plane,
     null_to_spinor_plane,
     partner_null_vector,
@@ -31,6 +30,8 @@ from spin42.sampling import (
     random_isotropic_spinor,
     random_null_vec6,
 )
+
+from oracles import image_basis
 
 E6 = np.eye(6)
 I4 = np.eye(4)

