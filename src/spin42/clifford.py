@@ -148,10 +148,9 @@ def vector_from_op(a: AntilinearOp, tol: float = DEFAULT_TOL) -> np.ndarray:
     The generators are orthogonal for the Frobenius pairing with
     <Gamma_a, Gamma_b> = 4 delta_ab, so the real least-squares fit has the
     closed form x^a = Re tr(m Gamma_a^dagger) / 4 and the residual check
-    is sharp.  Raises NotInGammaSpan when the largest residual entry
-    exceeds tol * max(1, max |m|), the gate of gamma_coeffs (relative to
-    the operator's scale, so a residual of 1e-4 passes the default tol on
-    an operator of scale 1e6), and InvalidEntity on non-finite input.
+    is sharp.  Raises NotInGammaSpan when a residual entry exceeds
+    tol * max(1, max |m|), the gate of gamma_coeffs (a 1e-4 residual passes
+    the default tol at scale 1e6), and InvalidEntity on non-finite input.
     """
     return gamma_coeffs(check_finite(np.asarray(a.m), "operator"), tol)
 

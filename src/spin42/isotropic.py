@@ -320,12 +320,16 @@ def idempotent_pair(x, y=None, tol: float = DEFAULT_TOL):
 def _gram_schmidt(x1: np.ndarray, x2: np.ndarray, tol: float):
     """X = [x1 x2] = qR for plane bases (..., 6), once the pair passes the
     rank gate at max(tol, RANK_FLOOR): the orthonormal columns q1, q2 and
-    R's entries r11 = |x1|, r12 = q1.x2 and r22 = |x2 - r12 q1|."""
+    R's entries r11 = |x1|, r12 = q1.x2 and r22 = |x2 - r12 q1|.  One pass
+    leaves q1.q2 of order eps kappa; a second ("twice is enough") leaves q
+    orthonormal to rounding."""
     _independent(x1, x2, max(tol, RANK_FLOOR), "isotropic plane basis", ("x1", "x2"))
     r11 = _norm(x1)[..., None]
     q1 = x1 / r11
     r12 = np.vecdot(q1, x2)[..., None]
     u = x2 - r12 * q1
+    s = np.vecdot(q1, u)[..., None]
+    u, r12 = u - s * q1, r12 + s
     r22 = _norm(u)[..., None]
     return q1, u / r22, r11, r12, r22
 
@@ -334,15 +338,10 @@ def _gram_schmidt(x1: np.ndarray, x2: np.ndarray, tol: float):
 _DUAL_PAIRINGS = np.eye(4, 2) / 2.0
 
 
-def _dual_basis(x1: np.ndarray, x2: np.ndarray, tol: float):
-    """Kernel of dual_isotropic_basis on plane bases x1, x2 (..., 6): y1,
-    y2 (..., 6).  Y = Q q R^-T / 2 is y1 = Q (q1 - (r12 / r22) q2) / (2 r11)
-    and y2 = Q q2 / (2 r22), then Y <- Y - X (Y^T Q Y), in rows
-    [x1 x2 y1 y2] (..., 4, 6)."""
-    q1, q2, r11, r12, r22 = _gram_schmidt(x1, x2, tol)
-    y2 = q2 / r22
-    # np.stack(..., axis=-2), at less cost per call
-    rows = np.concatenate([v[..., None, :] for v in (x1, x2, (q1 - r12 * y2) / r11, y2)], axis=-2)
+def _dual_rows(x1, x2, z1, z2, tol: float):
+    """Y = Q Z / 2 for Z = (X^+)^T (..., 6), corrected by Y <- Y - X (Y^T Q Y)
+    and checked in rows [x1 x2 y1 y2] (..., 4, 6): y1, y2 (..., 6)."""
+    rows = np.concatenate([v[..., None, :] for v in (x1, x2, z1, z2)], axis=-2)
     x, y = rows[..., :2, :], rows[..., 2:, :]
     y *= Q_DIAG / 2.0
     y -= (y @ (Q_DIAG * y).mT) @ x
@@ -353,21 +352,27 @@ def _dual_basis(x1: np.ndarray, x2: np.ndarray, tol: float):
     return y[..., 0, :], y[..., 1, :]
 
 
+def _dual_basis(x1: np.ndarray, x2: np.ndarray, tol: float):
+    """Kernel of dual_isotropic_basis on plane bases (..., 6), with Z =
+    q R^-T, that is z1 = (q1 - r12 z2) / r11 and z2 = q2 / r22."""
+    q1, q2, r11, r12, r22 = _gram_schmidt(x1, x2, tol)
+    z2 = q2 / r22
+    return _dual_rows(x1, x2, (q1 - r12 * z2) / r11, z2, tol)
+
+
 def dual_isotropic_basis(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
     """Null vectors y1, y2 with (x_i, y_j) = delta_ij / 2 and (y1, y2) = 0.
 
-    With X = [x1 x2] and Q^2 = 1, the columns of Y = Q (X^+)^T / 2 satisfy
-    X^T Q Y = X^+ X / 2 = I / 2, and they are the minimum-norm solution of
-    those pairings; since X^T Q X = 0, also Y^T Q Y = 0.  Gram-Schmidt
-    gives X = qR (q orthonormal, R 2 x 2 upper triangular), so
-    (X^+)^T = q R^-T, with R^-T written out: no normal equations, whose
-    X^T X squares the condition number.  Rounding leaves a computed X
-    slightly off the quadric, E = X^T Q X != 0, and Y^T Q Y then has an
-    error of order E; the correction along the plane Y <- Y - X (Y^T Q Y)
-    cancels it, leaving errors of order E^2 in the pairings and E^3 in the
-    nullities.  The basis passes the rank gate at max(tol, RANK_FLOOR), and
-    the seven pairing checks are a post-condition at
-    max(tol, RESIDUAL_FLOOR).
+    With X = [x1 x2] and Q^2 = 1, the columns of Y = Q (X^+)^T / 2 are the
+    minimum-norm solution of X^T Q Y = I / 2, and Y^T Q Y = 0 as
+    X^T Q X = 0.  Gram-Schmidt X = qR gives (X^+)^T = q R^-T with R^-T
+    written out: no normal equations square the condition number kappa.
+    The correction Y <- Y - X (Y^T Q Y) cancels the first-order error of
+    a computed X off the quadric.  The pairings (x_i, y_j) then err by
+    about eps kappa and the nullities by eps |y|^2, about eps kappa^2, so
+    for unit-scale bases the checks fail beyond kappa of about 1e4.  The
+    basis passes the rank gate at max(tol, RANK_FLOOR); the seven pairing
+    checks are a post-condition at max(tol, RESIDUAL_FLOOR).
     """
     return _dual_basis(as_vec6(n.x1), as_vec6(n.x2), tol)
 
@@ -376,9 +381,8 @@ def _four_idempotents(x1: np.ndarray, x2: np.ndarray, tol: float):
     """Kernel of four_idempotents on plane bases (..., 6): R1..R4, each
     (..., 4, 4)."""
     q1, q2, *_ = _gram_schmidt(x1, x2, tol)
-    # the dual basis of q runs Gram-Schmidt again, so it stays exact to
-    # rounding however far q is from orthonormal
-    y1, y2 = _dual_basis(q1, q2, tol)
+    # q is orthonormal, so Z = (q^+)^T = q
+    y1, y2 = _dual_rows(q1, q2, q1, q2, tol)
     (p1, p2), (c1, c2) = _idempotents(np.array([q1, q2]), np.array([y1, y2]))
     return p1 @ p2, p1 @ c2, c1 @ p2, c1 @ c2
 
@@ -393,8 +397,8 @@ def four_idempotents(n: IsotropicPlaneE, tol: float = DEFAULT_TOL):
     They are built over a Euclidean-orthonormal basis of the same plane: a
     nearly dependent basis makes the P_i far from orthogonal projectors,
     and the rounding in the products grows with ||R||^2.  That basis is q
-    in X = [x1 x2] = qR, and its dual basis has (q^+)^T = q' R'^-T from
-    Gram-Schmidt q = q'R' on q itself, so it pairs with q to rounding."""
+    in X = qR, so (q^+)^T = q and its dual basis is Q q / 2, corrected and
+    checked as in dual_isotropic_basis."""
     return _four_idempotents(as_vec6(n.x1), as_vec6(n.x2), tol)
 
 

@@ -251,9 +251,8 @@ def suite_selfdual(seed: int, count: int):
 
 @_suite
 def suite_exterior(seed: int, count: int):
-    """Wedge algebra, the decomposability criterion for null vectors and
-    phi(x) ^ phi(x) = -Q(x) e1234 on non-null ones; the random-grade checks
-    run once on the graded stack of all samples."""
+    """Wedge algebra, decomposability and phi(x) ^ phi(x) = -Q(x) e1234;
+    the random-grade checks run once on the graded stack of all samples."""
     wedges, herms, null, nonnull = _exterior_block(np.random.default_rng(seed), count)
     (p, q, r), (a, b, d) = wedges
     ab, ba, bd = _wedge16(np.stack([a, b, b]), np.stack([b, a, d]))

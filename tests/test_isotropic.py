@@ -296,6 +296,25 @@ def test_four_idempotents_ill_conditioned_basis():
         assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
+def test_dual_basis_ill_conditioned_basis():
+    # Gram-Schmidt must keep q orthonormal: with q1.q2 of order eps kappa,
+    # the pairings would err by eps kappa^2, about 1e-8 already at 1e3
+    rng = np.random.default_rng(63)
+    for _ in range(10):
+        n = random_isotropic_plane(rng)
+        for eps in (1e-3, 10 ** -3.5):
+            x2 = n.x1 + eps * n.x2
+            assert np.linalg.cond(np.stack([n.x1, x2], axis=1)) >= 0.1 / eps
+            y1, y2 = dual_isotropic_basis(IsotropicPlaneE(n.x1, x2))
+            pairs = [[q_bilinear(x, y) for y in (y1, y2)] for x in (n.x1, x2)]
+            assert np.max(np.abs(np.array(pairs) - np.eye(2) / 2)) <= 1e-10
+            assert max(abs(q_form(y1)), abs(q_form(y2)), abs(q_bilinear(y1, y2))) < 1e-8
+        # at kappa about 1e7 |y| is about 1e6 / |x|, and rounding alone
+        # leaves the nullities far above the gate: it raises
+        with pytest.raises(RankFailure, match="pairing checks"):
+            dual_isotropic_basis(IsotropicPlaneE(n.x1, n.x1 + 1e-7 * n.x2))
+
+
 def test_first_idempotent_image_is_plane_line():
     rng = np.random.default_rng(62)
     for _ in range(20):
