@@ -99,20 +99,21 @@ def _vec6_from_json(obj) -> np.ndarray:
 
 
 def _complex_array(obj, shape) -> np.ndarray:
-    def conv(v):
-        if isinstance(v, (list, tuple)):
-            if len(v) != 2:
-                raise ValueError(f"complex entries are [re, im], got {v!r}")
-            return complex(float(v[0]), float(v[1]))
-        return complex(float(v), 0.0)
+    """Nested lists of exactly `shape`, whose entries at that depth are
+    numbers or [re, im] pairs."""
+    def entries(v, dims):
+        if not dims:
+            if isinstance(v, (list, tuple)):
+                if len(v) != 2:
+                    raise ValueError(f"complex entries are [re, im], got {v!r}")
+                return [complex(float(v[0]), float(v[1]))]
+            return [complex(float(v), 0.0)]
+        if not isinstance(v, (list, tuple)) or len(v) != dims[0]:
+            raise ValueError(f"expected shape {shape}")
+        return [e for row in v for e in entries(row, dims[1:])]
 
     try:
-        arr = np.asarray(obj, dtype=object)
-        flat = [conv(v) for v in arr.reshape(-1)]
-        out = np.asarray(flat, dtype=complex).reshape(arr.shape[: len(shape)])
-        if out.shape != shape:
-            raise ValueError(f"expected shape {shape}, got {out.shape}")
-        return out
+        return np.array(entries(obj, shape), dtype=complex).reshape(shape)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad complex array: {exc}") from exc
 

@@ -47,21 +47,24 @@ def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _at(index: tuple) -> str:
+    """Where index is: " at row i" in a stack, " at index (i, j, ...)" over
+    more leading axes, "" for one object."""
+    if not index:
+        return ""
+    return f" at row {index[0]}" if len(index) == 1 else f" at index {index}"
+
+
 def require(ok: np.ndarray, error: type[Exception], message) -> None:
     """The row gate of every kernel: nothing when the pass mask ok holds on
     every row (a single object's 0-d mask is read without a reduction, and
-    an empty stack passes); otherwise raise error(message(index, at)) for
-    the first failing index, where at names it (" at row i" in a stack,
-    " at index (i, j, ...)" over more leading axes, "" for one object).
-    A NaN comparison is False, so it fails the gate."""
+    an empty stack passes); otherwise raise error(message(index, _at(index)))
+    for the first failing index.  A NaN comparison is False, so it fails
+    the gate."""
     if ok.all() if ok.ndim else ok:
         return
     index = tuple(int(i) for i in np.argwhere(~ok)[0])
-    if not index:
-        at = ""
-    else:
-        at = f" at row {index[0]}" if len(index) == 1 else f" at index {index}"
-    raise error(message(index, at))
+    raise error(message(index, _at(index)))
 
 
 def as_vec6(x) -> np.ndarray:

@@ -86,19 +86,6 @@ def _vec3(v) -> np.ndarray:
     return check_finite(arr, "3-vector")
 
 
-def _validate(ent: LieEntity) -> None:
-    if isinstance(ent, Sphere):
-        if not np.isfinite(ent.signed_radius) or ent.signed_radius == 0.0:
-            raise InvalidEntity("sphere radius must be finite and nonzero")
-    elif isinstance(ent, Plane):
-        if abs(np.linalg.norm(ent.normal) - 1.0) > 1e-12:
-            raise InvalidEntity("plane normal must be a unit vector")
-        if not np.isfinite(ent.offset):
-            raise InvalidEntity("plane offset must be finite")
-    elif not isinstance(ent, (Point, Infinity)):
-        raise InvalidEntity(f"not a geometric entity: {ent!r}")
-
-
 # Kernels over leading axes: raw embeddings, the classification of
 # canonical representatives, inversion and the contact pairing.
 
@@ -127,14 +114,21 @@ def _plane_rep(n: np.ndarray, h) -> np.ndarray:
 
 def embed_rep(ent: LieEntity) -> np.ndarray:
     """Raw (uncanonicalized) null 6-vector of an entity."""
-    _validate(ent)
     if isinstance(ent, Infinity):
         return np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
     if isinstance(ent, Point):
         return _sphere_rep(ent.p, 0.0)
     if isinstance(ent, Sphere):
+        if not np.isfinite(ent.signed_radius) or ent.signed_radius == 0.0:
+            raise InvalidEntity("sphere radius must be finite and nonzero")
         return _sphere_rep(ent.center, ent.signed_radius)
-    return _plane_rep(ent.normal, ent.offset)
+    if isinstance(ent, Plane):
+        if abs(np.linalg.norm(ent.normal) - 1.0) > 1e-12:
+            raise InvalidEntity("plane normal must be a unit vector")
+        if not np.isfinite(ent.offset):
+            raise InvalidEntity("plane offset must be finite")
+        return _plane_rep(ent.normal, ent.offset)
+    raise InvalidEntity(f"not a geometric entity: {ent!r}")
 
 
 def lie_embed(ent: LieEntity, tol: float = DEFAULT_TOL) -> ProjectiveNullLine:

@@ -26,12 +26,11 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .errors import NotNormalized
 from .exterior import _BLOCKS, _SLOT_GRADES, KVector
-from .forms import DEFAULT_TOL, RESIDUAL_FLOOR, _q, require
+from .forms import DEFAULT_TOL, RESIDUAL_FLOOR, _q
 from .isotropic import IsotropicPlaneE, _isotropic_plane
 from .liesphere import Plane, Point, Sphere, _sphere_rep
-from .spin import SpinElement, _composites, _covering, _members
+from .spin import SpinElement, _covering, _generate
 
 # exact integer null combinations mixed into the null sampler
 _BASIS_NULLS = np.array([
@@ -86,26 +85,26 @@ def unit_vec3(rng, n=None) -> np.ndarray:
     return v[0] if n is None else v
 
 
-def random_point(rng, scale: float = 3.0, n=None):
-    """Points uniform in the cube [-scale, scale]^3, (n, 3)."""
-    p = rng.uniform(-scale, scale, size=(_rows(n), 3))
+def random_point(rng, n=None):
+    """Points uniform in the cube [-3, 3]^3, (n, 3)."""
+    p = rng.uniform(-3.0, 3.0, size=(_rows(n), 3))
     return Point(p[0]) if n is None else p
 
 
-def random_sphere(rng, scale: float = 3.0, n=None):
-    """Spheres with centers uniform in the cube and |radius| uniform in
-    [0.2, scale] with a uniform sign: (centers (n, 3), radii (n,))."""
+def random_sphere(rng, n=None):
+    """Spheres with centers uniform in the cube [-3, 3]^3 and |radius|
+    uniform in [0.2, 3] with a uniform sign: (centers (n, 3), radii (n,))."""
     rows = _rows(n)
-    center = rng.uniform(-scale, scale, size=(rows, 3))
-    radius = rng.uniform(0.2, scale, size=rows) * rng.choice([-1.0, 1.0], size=rows)
+    center = rng.uniform(-3.0, 3.0, size=(rows, 3))
+    radius = rng.uniform(0.2, 3.0, size=rows) * rng.choice([-1.0, 1.0], size=rows)
     return Sphere(center[0], radius[0]) if n is None else (center, radius)
 
 
-def random_plane(rng, scale: float = 3.0, n=None):
-    """Oriented planes with unit normals and offsets uniform in
-    [-scale, scale]: (normals (n, 3), offsets (n,))."""
+def random_plane(rng, n=None):
+    """Oriented planes with unit normals and offsets uniform in [-3, 3]:
+    (normals (n, 3), offsets (n,))."""
     normal = unit_vec3(rng, _rows(n))
-    offset = rng.uniform(-scale, scale, size=len(normal))
+    offset = rng.uniform(-3.0, 3.0, size=len(normal))
     return Plane(normal[0], offset[0]) if n is None else (normal, offset)
 
 
@@ -122,66 +121,54 @@ def random_null_vec6(rng, n=None) -> np.ndarray:
     return x[0] if n is None else x
 
 
-def random_nonnull_vec6(rng, margin: float = 0.1, n=None) -> np.ndarray:
-    """6-vectors with |Q(x)| >= margin * ||x||^2, so nullity classifiers
-    see no borderline cases."""
+def random_nonnull_vec6(rng, n=None) -> np.ndarray:
+    """6-vectors with |Q(x)| >= 0.1 ||x||^2, so nullity classifiers see no
+    borderline cases."""
     def draw(size):
         x = rng.normal(size=(size, 6))
-        return x, abs(_q(x)) >= margin * np.vecdot(x, x)
+        return x, abs(_q(x)) >= 0.1 * np.vecdot(x, x)
     x = _first_accepted(draw, _rows(n), _NONNULL_RATE)
     return x[0] if n is None else x
 
 
-def random_unit_q_vec6(rng, sign: int = 0, margin: float = 0.25, n=None) -> np.ndarray:
+def random_unit_q_vec6(rng, sign: int = 0, n=None) -> np.ndarray:
     """Vectors scaled to Q(x) = +1 or -1 (a requested sign, or whichever
-    the candidate has), drawn with |Q(x)| >= margin * ||x||^2.  The margin
-    keeps the scaled vector's Euclidean norm bounded, which keeps group
+    the candidate has), drawn with |Q(x)| >= 0.25 ||x||^2.  The margin
+    keeps the scaled vector's Euclidean norm at most 2, which keeps group
     elements built from these vectors well conditioned."""
     def draw(size):
         x = rng.normal(size=(size, 6))
         q = _q(x)
-        ok = abs(q) >= margin * np.vecdot(x, x)
+        ok = abs(q) >= 0.25 * np.vecdot(x, x)
         return x, ok & (np.sign(q) == sign) if sign else ok
     x = _first_accepted(draw, _rows(n), _UNIT_Q_RATE[sign])
     x /= np.sqrt(abs(_q(x)))[:, None]
     return x[0] if n is None else x
 
 
-def _spin_candidates(rng, npairs: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """`size` candidate elements (size, 4, 4) and the vector pairs
-    (size, npairs, 2, 6) they are products of: each pair's Q-sign is
-    uniform, and both of its vectors are drawn conditioned on that sign.
-    The membership of the composites and the products is a post-condition;
-    the error names the first failing candidate."""
-    signs = 2 * rng.integers(0, 2, size=(size, npairs)) - 1
-    v = np.empty((size, npairs, 2, 6))
+def _spin_candidates(rng, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """`size` candidate elements (size, 4, 4) and the two vector pairs
+    (size, 2, 2, 6) they are products of: each pair's Q-sign is uniform,
+    and both of its vectors are drawn conditioned on that sign.  The
+    products are spin._generate's, with its membership post-conditions."""
+    signs = 2 * rng.integers(0, 2, size=(size, 2)) - 1
+    v = np.empty((size, 2, 2, 6))
     for sign in (1, -1):
         pick = signs == sign
         v[pick] = random_unit_q_vec6(rng, sign, n=2 * int(pick.sum())).reshape(-1, 2, 6)
-    composites = _composites(v, DEFAULT_TOL)
-    m = composites[:, 0]
-    for j in range(1, npairs):
-        m = m @ composites[:, j]
-    member = _members(np.concatenate([composites, m[:, None]], axis=1), DEFAULT_TOL)
-
-    def failed(index, at):
-        row, j = index
-        what = "product" if j == npairs else f"composite {j}"
-        return f"{what} of candidate element at row {row} failed the membership checks"
-    require(member, NotNormalized, failed)
-    return m, v
+    return _generate(v, DEFAULT_TOL), v
 
 
-def random_spin_element(rng, npairs: int = 2, n=None):
-    """Even products of unit-Q vectors, (n, 4, 4); each pair shares a
-    Q-sign, which is what pseudo-unitarity of the composite requires.
+def random_spin_element(rng, n=None):
+    """Even products of two pairs of unit-Q vectors, (n, 4, 4); each pair
+    shares a Q-sign, which is what pseudo-unitarity of the composite requires.
     Large-norm products (max |m_ij| > 4, strong boosts) are rejected so
     downstream post-condition checks at forms.RESIDUAL_FLOOR stay far
     from their thresholds.  The signs are drawn uniformly, but the
     rejection favours positive pairs: 54.3% of the pairs of accepted
-    elements are positive (two pairs, measured over 40 000 candidates)."""
+    elements are positive (measured over 40 000 candidates)."""
     def draw(size):
-        m, _ = _spin_candidates(rng, npairs, size)
+        m, _ = _spin_candidates(rng, size)
         return m, abs(m).max(axis=(-2, -1)) <= 4.0
     m = _first_accepted(draw, _rows(n), _SPIN_RATE)
     return SpinElement(m[0]) if n is None else m
@@ -205,7 +192,7 @@ def random_isotropic_plane(rng, n=None):
     2x2 matrices with |det| >= 0.1.  The planes are judged totally isotropic
     at forms.RESIDUAL_FLOOR; the error names the first failing row."""
     rows = _rows(n)
-    l = _covering(random_spin_element(rng, n=rows), RESIDUAL_FLOOR)
+    l = _covering(random_spin_element(rng, n=rows), DEFAULT_TOL)
 
     def draw(size):
         a = rng.uniform(-1.0, 1.0, size=(size, 2, 2))

@@ -38,6 +38,7 @@ from .forms import (
     G_DIAG,
     Q6,
     RESIDUAL_FLOOR,
+    _at,
     _q,
     as_vec6,
     check_finite,
@@ -99,42 +100,45 @@ def _members(m: np.ndarray, tol: float) -> np.ndarray:
     return (gdev <= bound) & (ddev <= bound)
 
 
-def _sign_clash(index, at) -> str:
-    """The gate message of a composite whose pair's Q-signs differ."""
-    return f"composite{at} is not pseudo-unitary; Q-signs of the pair must agree"
+def _generate(v: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel of spin_generate on checked pairs (..., k, 2, 6): the ordered
+    products (..., 4, 4) of the k pair composites, from the first composite
+    on (the identity when k = 0).  The membership of each composite and of
+    the product is a post-condition judged on one stack; the error names
+    the first failing composite, or the product, and its element.  For
+    unit-Q pairs a composite fails only when its pair's Q-signs differ:
+    then m G m^dagger = -G, which no rescaling repairs."""
+    k = v.shape[-3]
+    c = _composites(v, tol)
+    m = c[..., 0, :, :] if k else np.eye(4) + np.zeros(c.shape[:-3] + (4, 4), complex)
+    for j in range(1, k):
+        m = m @ c[..., j, :, :]
+
+    def failed(index, at):
+        element, j = _at(index[:-1]), index[-1]
+        if j == k:
+            return f"product{element} failed the membership checks"
+        return f"composite {j}{element} is not pseudo-unitary; the Q-signs of its pair must agree"
+    require(_members(np.concatenate([c, m[..., None, :, :]], axis=-3), tol),
+            NotNormalized, failed)
+    return m
 
 
 def spin_from_vector_pair(x, xp, tol: float = DEFAULT_TOL) -> SpinElement:
-    """Composite operator of two unit-Q vectors, X(x) . conj(X(x')).
-
-    Requires |Q| = 1 on both inputs, and the two Q values must share a
-    sign: for Q(x) Q(x') = -1 the composite satisfies m G m^dagger = -G,
-    which no rescaling repairs, so such pairs are rejected.  tol judges
-    |Q| = 1; the composite's membership is a post-condition.
-    """
-    m = _composites(np.stack([as_vec6(x), as_vec6(xp)]), tol)
-    require(_members(m, tol), NotNormalized, _sign_clash)
-    return SpinElement(m)
+    """Composite operator of two unit-Q vectors, X(x) . conj(X(x')): the
+    one-pair case of spin_generate, so the two Q values must share a sign."""
+    return SpinElement(_generate(np.stack([as_vec6(x), as_vec6(xp)])[None], tol))
 
 
 def spin_generate(pairs, tol: float = DEFAULT_TOL) -> SpinElement:
     """Ordered product over a list of unit-Q vector pairs; the empty
     product is the identity.  tol judges each pair; the membership of
-    each pair's composite and of the product are post-conditions, judged
-    on one stack."""
+    each pair's composite and of the product are post-conditions."""
     pairs = list(pairs)
     v = np.asarray(pairs, dtype=float) if pairs else np.empty((0, 2, 6))
     if v.shape != (len(pairs), 2, 6):
         raise ValueError(f"expected pairs of 6-vectors, got shape {v.shape}")
-    composites = _composites(check_finite(v, "6-vector"), tol)
-    m = np.eye(4, dtype=complex)
-    for c in composites:
-        m = m @ c
-    member = _members(np.concatenate([composites, m[None]]), tol)
-    require(member[:-1], NotNormalized, _sign_clash)
-    require(member[-1], NotNormalized,
-            lambda i, at: "generated product failed the membership checks")
-    return SpinElement(m)
+    return SpinElement(_generate(check_finite(v, "6-vector"), tol))
 
 
 # Lambda^2 M: the minor M[i, k] M[j, l] - M[i, l] M[j, k] of rows i < j and
@@ -174,13 +178,15 @@ def _read_back(w: np.ndarray, lead: tuple, floor: float) -> np.ndarray:
     return c.real
 
 
-def _vector_action(m: np.ndarray, x: np.ndarray, floor: float) -> np.ndarray:
+def _vector_action(m: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of vector_action: finite stacks m (..., 4, 4) and x (..., 6)
-    whose leading axes broadcast, to the images (..., 6).  M Sigma(x) M^T
-    has the pair coordinates w = Lambda^2 M . S^T x."""
+    whose leading axes broadcast, to the images (..., 6), span residuals
+    judged at max(tol, RESIDUAL_FLOOR).  M Sigma(x) M^T has the pair
+    coordinates w = Lambda^2 M . S^T x."""
     w = (_minors(m) @ (x @ _SIGMA_COEFFS)[..., None])[..., 0]
     lead = w.shape[:-1]
-    return _read_back(w.reshape(-1, 6).T, lead, floor).T.reshape(*lead, 6)
+    c = _read_back(w.reshape(-1, 6).T, lead, max(tol, RESIDUAL_FLOOR))
+    return c.T.reshape(*lead, 6)
 
 
 def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -191,7 +197,7 @@ def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     post-condition), and InvalidEntity on non-finite input."""
     x = as_vec6(x)
     m = check_finite(s.m, "group element")
-    return _vector_action(m, x, max(tol, RESIDUAL_FLOOR))
+    return _vector_action(m, x, tol)
 
 
 def _q_devs(l: np.ndarray) -> np.ndarray:
@@ -199,12 +205,14 @@ def _q_devs(l: np.ndarray) -> np.ndarray:
     return abs(l @ Q6 @ l.mT - Q6).max(axis=(-2, -1))
 
 
-def _covering(m: np.ndarray, floor: float) -> np.ndarray:
+def _covering(m: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of covering_matrix: a finite stack (..., 4, 4) to the 6x6
     matrices L(M) (..., 6, 6).  Column b of L(M) reads back
     w_b = Lambda^2 M . S_b.  Span residuals are judged per column and the
-    quadric invariants per matrix; the error names the first failure."""
+    quadric invariants per matrix, both at max(tol, RESIDUAL_FLOOR); the
+    error names the first failure."""
     lead = m.shape[:-2]
+    floor = max(tol, RESIDUAL_FLOOR)
     # rows (matrix, i) times S^T, regrouped as columns (matrix, b).  Every
     # product has a 6x6 factor, so no BLAS call is large enough to go
     # multithreaded: a threaded call stalls whole suites on a busy 2-vCPU host
@@ -235,7 +243,7 @@ def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix
     and quadric residuals are post-conditions.
     """
     m = check_finite(s.m, "group element")
-    return ConformalMatrix6(_covering(m, max(tol, RESIDUAL_FLOOR)))
+    return ConformalMatrix6(_covering(m, tol))
 
 
 # the 2x2 block of coordinates 4 and 6, the negative-signature plane

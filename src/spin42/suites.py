@@ -157,7 +157,7 @@ def suite_clifford(seed: int, count: int):
     yield sd.checks_run, sd.max_deviation
     # L(-I) = I and L(iI) = -I
     eye = np.eye(4, dtype=complex)
-    special = _covering(np.stack([-eye, 1j * eye]), RESIDUAL_FLOOR)
+    special = _covering(np.stack([-eye, 1j * eye]), DEFAULT_TOL)
     yield 2, np.abs(special - np.array([1.0, -1.0])[:, None, None] * np.eye(6))
 
 
@@ -307,10 +307,10 @@ def suite_spin(seed: int, count: int):
     rng = np.random.default_rng(seed)
     n = max(4, count // 4)
     m, x = _spin_block(rng, n)
-    yield n, ~_members(m, RESIDUAL_FLOOR)
+    yield n, ~_members(m, DEFAULT_TOL)
     yield n, np.abs(m @ G4 @ m.mT.conj() - G4)
     qx = np.sum(x * Q_DIAG * x, axis=-1)
-    image = _vector_action(m, x, RESIDUAL_FLOOR)
+    image = _vector_action(m, x, DEFAULT_TOL)
     yield n, np.abs(np.sum(image * Q_DIAG * image, axis=-1) - qx)
     # one covering stack: the elements, their negatives, the products of
     # consecutive pairs, and the special values I, -I and iI
@@ -318,7 +318,7 @@ def suite_spin(seed: int, count: int):
     eye = np.eye(4, dtype=complex)
     l, neg, products, special = np.split(_covering(np.concatenate([
         m, -m, m[0:2 * half:2] @ m[1:2 * half:2], np.stack([eye, -eye, 1j * eye])]),
-        RESIDUAL_FLOOR), [n, 2 * n, 2 * n + half])
+        DEFAULT_TOL), [n, 2 * n, 2 * n + half])
     yield n, ~_so_plus(l, RESIDUAL_FLOOR)
     yield n, _q_devs(l)
     yield n, np.abs(neg - l)
@@ -433,16 +433,7 @@ SUITES = {
 SUITE_ORDER = list(SUITES)
 
 
-def run_suites(names, seed: int, count: int, tol: float):
-    """Run the named suites (or all of them) and return the results in a
-    fixed order."""
-    if names == "all" or names == ["all"]:
-        names = SUITE_ORDER
-    elif isinstance(names, str):
-        names = [names]
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(name)
-        results.append(SUITES[name](seed, count, tol))
-    return results
+def run_suites(name: str, seed: int, count: int, tol: float) -> list[SuiteResult]:
+    """The results of one named suite, or of "all" of them in the fixed
+    order; an unknown name raises KeyError."""
+    return [SUITES[s](seed, count, tol) for s in (SUITE_ORDER if name == "all" else [name])]

@@ -324,9 +324,9 @@ def test_extract_and_pair_gates_name_the_first_failing_row():
     with pytest.raises(NotNormalized, match="both vectors at row 1 "):
         _composites(v, 1e-9)
     # Q(e1) = 1 and Q(e4) = -1: the second pair's composite is off the group
-    with pytest.raises(NotNormalized, match="composite at row 1 is not pseudo-unitary"):
+    with pytest.raises(NotNormalized, match="composite 1 is not pseudo-unitary"):
         spin_generate([(e[0], e[1]), (e[0], e[3])])
-    with pytest.raises(NotNormalized, match="composite is not pseudo-unitary"):
+    with pytest.raises(NotNormalized, match="composite 0 is not pseudo-unitary"):
         spin_from_vector_pair(e[0], e[3])
 
 

@@ -426,6 +426,21 @@ def test_act_tol_gates_membership_exactly():
     assert json.loads(result.stdout)["q_residual"] == pytest.approx(4e-5, rel=1e-3)
 
 
+@pytest.mark.parametrize("mixed, pairs", [
+    (["act", "[[[0,1],0,0,0],[0,[0,1],0,0],[0,0,[0,1],0],[0,0,0,[0,1]]]", "[1,2,3,4,5,6]"],
+     ["act", json.dumps([[[0, int(r == c)] for c in range(4)] for r in range(4)]),
+      "[1,2,3,4,5,6]"]),
+    (["correspond", "line-to-plane", "[0, 1, -1, 0]"],
+     ["correspond", "line-to-plane", "[[0,0],[1,0],[-1,0],[0,0]]"]),
+], ids=["act", "line-to-plane"])
+def test_complex_entries_written_all_as_pairs_read_as_the_mixed_form(mixed, pairs):
+    # a payload whose every entry is a [re, im] pair is one axis deeper
+    # than its shape; its entries are still read at the depth of the shape
+    want, got = runner.invoke(main, mixed), runner.invoke(main, pairs)
+    assert want.exit_code == got.exit_code == 0
+    assert got.stdout == want.stdout
+
+
 def test_act_bad_matrix_shape_is_usage_error():
     result = runner.invoke(main, ["act", "[[1,0],[0,1]]", "[1, 0, 0, 0, 0, 0]"])
     assert result.exit_code == 2

@@ -140,6 +140,7 @@ from spin42.sampling import random_kvector
 from spin42.spin import (
     SpinElement,
     _covering,
+    _generate,
     _so_plus,
     _su22_devs,
     _vector_action,
@@ -1241,6 +1242,22 @@ def test_spin_generate_is_the_sequential_product_bit_for_bit():
             if npairs == 1:
                 assert np.array_equal(spin_from_vector_pair(*pairs[0]).m,
                                       _reference_spin_generate(pairs))
+
+
+@pytest.mark.parametrize("npairs", [0, 1, 2, 3])
+def test_generate_on_a_stack_is_spin_generate_row_by_row(npairs):
+    # one kernel builds the sampler's stacks and the single elements, so
+    # row i of a stack is the element of row i's pairs, bit for bit
+    rng = np.random.default_rng(390 + npairs)
+    signs = rng.choice([-1, 1], size=(50, npairs))
+    v = np.empty((50, npairs, 2, 6))
+    for sign in (-1, 1):
+        pick = signs == sign
+        v[pick] = sampling.random_unit_q_vec6(rng, sign, n=2 * int(pick.sum())).reshape(-1, 2, 6)
+    m = _generate(v, 1e-9)
+    assert m.shape == (50, 4, 4)
+    for i in range(50):
+        assert np.array_equal(m[i], spin_generate(v[i]).m)
 
 
 @pytest.mark.parametrize("count", [7, 100])

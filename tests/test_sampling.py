@@ -12,11 +12,11 @@ test_kernels pins the stream itself.
 import numpy as np
 import pytest
 
-from spin42 import sampling
+from spin42 import sampling, spin
 from spin42.errors import NotNormalized, NotNull
 from spin42.forms import DEFAULT_TOL, RESIDUAL_FLOOR, _g, _q
 from spin42.isotropic import _isotropic_plane
-from spin42.spin import _composites, _covering, _members
+from spin42.spin import _composites, _covering, _generate, _members
 
 # sampler name -> (call, the scalar object as the arrays of one block row)
 SCALAR_FORMS = {
@@ -105,7 +105,7 @@ def test_spin_element_pair_signs_are_uniform():
     # vectors freely and keeping pairs whose signs agree gives +1 to 95%
     # of pairs under the (4,2) signature).  The max |m| <= 4 rejection
     # then keeps more +1 pairs, as it always did.
-    _, v = sampling._spin_candidates(np.random.default_rng(14), 2, 2000)
+    _, v = sampling._spin_candidates(np.random.default_rng(14), 2000)
     q = _q(v)
     assert (abs(abs(q) - 1.0) <= 1e-14).all() and (q[..., 0] * q[..., 1] > 0).all()
     pairs = q[..., 0].size
@@ -115,32 +115,43 @@ def test_spin_element_pair_signs_are_uniform():
 
 @pytest.mark.parametrize("npairs", [1, 2, 3])
 def test_spin_candidates_are_the_products_of_their_composites(npairs):
-    # the product starts from the first composite, bit for bit the product
-    # that starts from the identity
-    m, v = sampling._spin_candidates(np.random.default_rng(16), npairs, 60)
+    # the candidates are _generate's two-pair products; on the candidates'
+    # pairs regrouped npairs at a time, its product starts from the first
+    # composite, bit for bit the product that starts from the identity
+    m, v = sampling._spin_candidates(np.random.default_rng(16), 90)
+    assert m.shape == (90, 4, 4) and np.array_equal(m, _generate(v, DEFAULT_TOL))
+    v = v.reshape(-1, 2, 6)[:60 * npairs].reshape(60, npairs, 2, 6)
     composites = _composites(v, DEFAULT_TOL)
     want = np.eye(4, dtype=complex) @ composites[:, 0]
     for j in range(1, npairs):
         want = want @ composites[:, j]
-    assert m.shape == (60, 4, 4) and np.array_equal(m, want)
+    assert np.array_equal(_generate(v, DEFAULT_TOL), want)
 
 
 def test_sampler_post_conditions_name_the_failing_row(monkeypatch):
-    real_members = sampling._members
+    real_members = spin._members
 
     def one_bad_member(m, tol):
         ok = real_members(m, tol)
         ok[3, 1] = False
         return ok
-    monkeypatch.setattr(sampling, "_members", one_bad_member)
-    with pytest.raises(NotNormalized, match="composite 1 of candidate element at row 3 "):
+    monkeypatch.setattr(spin, "_members", one_bad_member)
+    with pytest.raises(NotNormalized, match="composite 1 at row 3 is not pseudo-unitary"):
+        sampling.random_spin_element(np.random.default_rng(15), n=10)
+
+    def one_bad_product(m, tol):
+        ok = real_members(m, tol)
+        ok[4, 2] = False
+        return ok
+    monkeypatch.setattr(spin, "_members", one_bad_product)
+    with pytest.raises(NotNormalized, match="product at row 4 failed the membership checks"):
         sampling.random_spin_element(np.random.default_rng(15), n=10)
     monkeypatch.undo()
 
     real_covering = sampling._covering
 
-    def one_bad_matrix(m, floor):
-        l = real_covering(m, floor)
+    def one_bad_matrix(m, tol):
+        l = real_covering(m, tol)
         l[2] = np.eye(6) + np.diag([0.0, 0.0, 0.0, 0.5, 0.0, 0.0])
         return l
     monkeypatch.setattr(sampling, "_covering", one_bad_matrix)
