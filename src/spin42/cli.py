@@ -10,8 +10,8 @@ produce byte-identical output; diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import json
-import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 
 import click
 import numpy as np
@@ -44,25 +44,35 @@ _GENERATOR = "numpy-pcg64/v3"
 # deterministic JSON
 
 
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        return json.dumps(x)  # NaN, Infinity, -Infinity: what json.loads reads
-    if x == 0.0:
-        x = 0.0  # collapse -0.0
-    return format(x, ".17g")
-
-
 def to_json(obj) -> str:
     """Compact JSON with sorted keys, 17-significant-digit floats, and
-    complex numbers as [re, im] pairs."""
+    complex numbers as [re, im] pairs.  A float or complex array, or a list
+    of complex numbers, is written by one "%.17g" format nested as its
+    shape, in the bytes of writing each entry on its own; non-finite
+    entries as NaN, Infinity and -Infinity, which json.loads reads."""
     if isinstance(obj, dict):
         items = ",".join(
-            f"{json.dumps(str(k))}:{to_json(v)}" for k, v in sorted(obj.items())
+            f"{_json_str(str(k))}:{to_json(v)}" for k, v in sorted(obj.items())
         )
         return "{" + items + "}"
+    kind = type(obj)
+    if (kind is np.ndarray and obj.dtype.kind in "fc"
+            or kind is list and obj and all(type(v) is complex for v in obj)):
+        a = np.asarray(obj)
+        if a.dtype.kind == "c":  # the (..., 2) real view: a unit axis views any strides
+            a = a[..., None].view(a.real.dtype)
+        a = a + 0.0  # collapse -0.0
+        text = "%.17g"
+        for n in reversed(a.shape):
+            text = "[" + ",".join([text] * n) + "]"
+        text %= tuple(a.ravel().tolist())
+        # a finite entry is written in digits, "-", ".", "e" and "+" only
+        return to_json(a.tolist()) if "n" in text else text
+    if kind is float or kind is np.float64:
+        text = "%.17g" % (obj + 0.0)
+        return json.dumps(float(obj)) if "n" in text else text
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(to_json(v) for v in obj) + "]"
+        return "[" + ",".join(map(to_json, obj)) + "]"
     if isinstance(obj, np.ndarray):
         return to_json(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
@@ -70,11 +80,11 @@ def to_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
+        return to_json(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_fmt_float(obj.real)},{_fmt_float(obj.imag)}]"
+        return f"[{to_json(obj.real)},{to_json(obj.imag)}]"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _json_str(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -150,10 +160,6 @@ class _Commands(click.Group):
             sys.exit(3)
 
 
-def _spinor_json(v: np.ndarray):
-    return [complex(c) for c in v]
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -196,7 +202,7 @@ def verify(suite, seed, count, tol, json_only):
             status = "PASS" if r.passed else "FAIL"
             click.echo(
                 f"{r.suite_name}: {r.checks_run} checks, "
-                f"max deviation {_fmt_float(r.max_deviation)} -> {status}",
+                f"max deviation {to_json(r.max_deviation)} -> {status}",
                 err=True,
             )
         all_passed = all_passed and r.passed
@@ -241,7 +247,7 @@ def correspond(direction, payload_json, tol):
             for v in (plane.b1, plane.b2)
         )
         _emit({
-            "basis": [_spinor_json(plane.b1), _spinor_json(plane.b2)],
+            "basis": [plane.b1, plane.b2],
             "isotropy_residual": residual,
         })
     elif direction == "plane-to-line":
@@ -251,7 +257,7 @@ def correspond(direction, payload_json, tol):
         x1, x2 = (_vec6_from_json(b) for b in basis)
         line = plane_to_spinor_line(isotropic_plane(x1, x2, tol), tol)
         _emit({
-            "rep": _spinor_json(line.rep),
+            "rep": line.rep,
             "isotropy_residual": abs(g_form(line.rep, line.rep)),
         })
     else:
@@ -310,9 +316,9 @@ def myth_report(samples, seed, tol, json_only):
     if not json_only:
         click.echo(
             f"invariant 2-sphere: {report.sample_count} samples, "
-            f"max inversion drift {_fmt_float(report.fixed_sphere_max_drift)}, "
+            f"max inversion drift {to_json(report.fixed_sphere_max_drift)}, "
             f"light-cone matching residual >= "
-            f"{_fmt_float(report.min_matching_residual)} -> "
+            f"{to_json(report.min_matching_residual)} -> "
             f"{'MISSING CONFIRMED' if report.missing_confirmed else 'NOT CONFIRMED'}",
             err=True,
         )

@@ -38,6 +38,9 @@ DEFAULT_TOL = 1e-9
 RANK_FLOOR = 1e-9
 # Residuals of chained products of validated factors carry every step's rounding.
 RESIDUAL_FLOOR = 1e-8
+# Squared norms above which a projective gate rescales its input: the fourth
+# power of a norm, as in the Pluecker norm of X(x)'s two columns, must not overflow.
+HUGE_NORM2 = 2.0 ** 500
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -65,6 +68,30 @@ def require(ok: np.ndarray, error: type[Exception], message) -> None:
         return
     index = tuple(int(i) for i in np.argwhere(~ok)[0])
     raise error(message(index, _at(index)))
+
+
+def _norm2(x: np.ndarray) -> np.ndarray:
+    """The squared norms |x|^2 (...) of checked rows, inf or (complex x)
+    NaN where they overflow, without a warning: np.vdot, which gives none,
+    on one row (with the same bits as vecdot), vecdot on a stack."""
+    if x.ndim == 1:
+        return np.vdot(x, x).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.vecdot(x, x).real
+
+
+def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked rows x (..., n) of a projective gate and their squared norms,
+    with each row whose squared norm exceeds HUGE_NORM2 or overflows divided
+    by the power of two that puts its largest real or imaginary part in
+    [0.5, 1): exactly, so it is the same class.  The other rows keep every bit."""
+    n2 = _norm2(x)
+    fits = n2 <= HUGE_NORM2  # False on NaN: a complex product can overflow to inf - inf
+    if not (fits.all() if fits.ndim else fits):
+        top = np.maximum(abs(x.real), abs(x.imag)).max(axis=-1)
+        x = x * np.ldexp(1.0, np.where(fits, 0, -np.frexp(top)[1]))[..., None]
+        n2 = _norm2(x)
+    return x, n2
 
 
 def as_vec6(x) -> np.ndarray:
@@ -166,7 +193,7 @@ class ProjectiveNullLine:
 
 
 def _null_gate(x: np.ndarray, tol: float) -> np.ndarray:
-    n2 = np.vecdot(x, x)
+    x, n2 = _rescaled(x)
     require(np.sqrt(n2) > tol, ZeroVector,
             lambda i, at: f"a null class needs a nonzero vector{at}")
     q = _q(x)
@@ -177,7 +204,9 @@ def _null_gate(x: np.ndarray, tol: float) -> np.ndarray:
 
 def as_null_vec6(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The input gate of every null-class operation: ZeroVector when
-    ||x|| <= tol, NotNull when |Q(x)| > tol * ||x||^2."""
+    ||x|| <= tol, NotNull when |Q(x)| > tol * ||x||^2.  Returns x, divided
+    by a power of two where ||x||^2 > HUGE_NORM2: the same class, whose
+    products no longer overflow."""
     return _null_gate(as_vec6(x), tol)
 
 

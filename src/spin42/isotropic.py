@@ -33,6 +33,7 @@ from .forms import (
     _q,
     _qb,
     _pivot,
+    _rescaled,
     as_null_vec6,
     as_spinor,
     as_vec6,
@@ -70,8 +71,9 @@ class IsotropicPlaneE:
 
 def _isotropic_gate(v: np.ndarray, tol: float) -> np.ndarray:
     """The input gate of a spinor line, on checked spinors: nonzero
-    (||v|| > tol) and isotropic (|(v|v)| <= tol ||v||^2)."""
-    n2 = np.vecdot(v, v).real
+    (||v|| > tol) and isotropic (|(v|v)| <= tol ||v||^2).  Returns v,
+    divided by a power of two where ||v||^2 > HUGE_NORM2 (the same line)."""
+    v, n2 = _rescaled(v)
     require(np.sqrt(n2) > tol, ZeroVector,
             lambda i, at: f"spinor line needs a nonzero representative{at}")
     vv = _g(v, v)
@@ -177,7 +179,13 @@ def partner_null_vector(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     The pairing value 1/2 is what makes the composite operators of x and y
     idempotent.
     """
-    return _partner(as_null_vec6(x, tol))
+    x = as_vec6(x)
+    g = _null_gate(x, tol)
+    if g is x:
+        return _partner(x)
+    # g is x times a power of two r, and x's partner is r times g's
+    k = abs(x).argmax()
+    return _partner(g) * (g[k] / x[k])
 
 
 def _spinor_plane(x: np.ndarray, tol: float) -> np.ndarray:
@@ -312,9 +320,10 @@ def idempotent_pair(x, y=None, tol: float = DEFAULT_TOL):
     (x, y) = 1/2; both are idempotent, sum to the identity, and have
     complex trace 2.  Returned as plain 4x4 matrices.  Without y, the
     partner is partner_null_vector(x, tol)."""
-    x = as_vec6(x)
-    y = _partner(_null_gate(x, tol)) if y is None else as_vec6(y)
-    return _idempotents(x, y)
+    if y is None:
+        x = as_null_vec6(x, tol)  # a rescaled x and its partner give the same P and Q
+        return _idempotents(x, _partner(x))
+    return _idempotents(as_vec6(x), as_vec6(y))
 
 
 def _gram_schmidt(x1: np.ndarray, x2: np.ndarray, tol: float):

@@ -1,10 +1,14 @@
-"""Factorisation oracles shared by the tests.
+"""Reference routines shared by the tests.
 
 The library builds every basis in closed form (Pluecker coordinates,
-Gram-Schmidt); these reference routines solve the same problems with
-numpy's SVD, QR and pseudo-inverse, so the closed forms are checked
-against an independent method.
+Gram-Schmidt); the factorisation oracles here solve the same problems
+with numpy's SVD, QR and pseudo-inverse, so the closed forms are checked
+against an independent method.  to_json_reference writes JSON one number
+at a time, the bytes the CLI's array-at-a-time serializer must match.
 """
+
+import json
+import math
 
 import numpy as np
 
@@ -35,3 +39,39 @@ def qr_pinv_four_idempotents(x1: np.ndarray, x2: np.ndarray):
     p1, c1 = _idempotents(q[..., 0], y[..., 0])
     p2, c2 = _idempotents(q[..., 1], y[..., 1])
     return p1 @ p2, p1 @ c2, c1 @ p2, c1 @ c2
+
+
+def _fmt_float(x: float) -> str:
+    x = float(x)
+    if not math.isfinite(x):
+        return json.dumps(x)  # NaN, Infinity, -Infinity: what json.loads reads
+    if x == 0.0:
+        x = 0.0  # collapse -0.0
+    return format(x, ".17g")
+
+
+def to_json_reference(obj) -> str:
+    """Compact JSON with sorted keys, 17-significant-digit floats, and
+    complex numbers as [re, im] pairs, one Python call per number."""
+    if isinstance(obj, dict):
+        items = ",".join(
+            f"{json.dumps(str(k))}:{to_json_reference(v)}" for k, v in sorted(obj.items())
+        )
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(to_json_reference(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return to_json_reference(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return f"[{_fmt_float(obj.real)},{_fmt_float(obj.imag)}]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj)!r}")

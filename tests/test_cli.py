@@ -5,7 +5,11 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
+from oracles import to_json_reference
 from spin42.cli import main, to_json
 from spin42.isotropic import same_span
 from spin42.suites import _isotropic_block, _suite, run_suites
@@ -35,6 +39,67 @@ def test_to_json_formatting():
     assert np.isnan(json.loads(text)[0]) and json.loads(text)[1:] == [np.inf, -np.inf]
     with pytest.raises(TypeError):
         to_json(object())
+    # inside arrays: a NaN falls back to the per-number form, -0.0 is 0
+    assert to_json(np.array([1.0, np.nan, -0.0])) == "[1,NaN,0]"
+    assert to_json(np.array([-0.0, 0.25])) == "[0,0.25]"
+    assert to_json(np.array([1 + 2j, -0.0 - 0.5j])) == "[[1,2],[0,-0.5]]"
+    assert to_json(np.array([[1.0, 2.0], [3.0, 0.1]])) == "[[1,2],[3,0.10000000000000001]]"
+    assert to_json(np.array([[np.inf, 1j]])) == "[[[Infinity,0],[0,1]]]"
+
+
+# Edge values: signed zeros, the smallest subnormal and a larger one, the
+# smallest normal, the largest float, 0.1, 2**53 + 1 (rounded to 2**53 in
+# float64) and the non-finite values.
+_EDGES64 = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.1, float(2**53 + 1),
+            np.inf, -np.inf, np.nan]
+_EDGES32 = [0.0, -0.0, 1e-45, 1e-40, 3.4028234663852886e38, 0.1, np.inf, -np.inf, np.nan]
+_F64 = st.sampled_from(_EDGES64) | st.floats()
+_F32 = st.sampled_from(_EDGES32) | st.floats(width=32)
+_C = st.builds(complex, _F64, _F64)
+
+
+@st.composite
+def _arrays(draw):
+    """float64, float32, complex128, complex64, int and bool arrays of 0 to
+    3 axes, empty axes included, as they are or as a strided view."""
+    shape = draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    n = int(np.prod(shape))
+    kind = draw(st.sampled_from(["f8", "f4", "c16", "c8", "i8", "bool"]))
+    entries = {"f8": _F64, "f4": _F32, "c16": _F64, "c8": _F32, "bool": st.booleans(),
+               "i8": st.integers(-2**63, 2**63 - 1)}[kind]
+    flat = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(2)]
+    if kind.startswith("c"):
+        a = np.empty(n, dtype=kind)
+        a.real, a.imag = flat  # complex(re, im) keeps an infinite part's partner
+    else:
+        a = np.array(flat[0], dtype=kind)
+    a = a.reshape(shape)
+    view = draw(st.sampled_from(["as is", "transposed", "every second", "reversed"]))
+    if view == "transposed" or a.ndim == 0:
+        return a.T
+    return a[::2] if view == "every second" else a[..., ::-1]
+
+
+_SCALARS = st.one_of(
+    _F64, _C, st.integers(), st.just(2**53 + 1), st.booleans(), st.none(), st.text(max_size=3),
+    st.builds(np.float64, _F64), st.builds(np.float32, _F32), st.builds(np.complex128, _C),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)), st.builds(np.bool_, st.booleans()),
+)
+_VALUES = st.recursive(
+    _SCALARS | _arrays() | st.lists(_C, min_size=1, max_size=4),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+def test_to_json_writes_the_bytes_of_the_per_number_reference(obj):
+    assert to_json(obj) == to_json_reference(obj)
+    with pytest.raises(TypeError):
+        to_json([obj, object()])
 
 
 def test_verify_clifford_at_zero_tolerance():
@@ -227,6 +292,37 @@ def test_verify_is_deterministic_across_processes():
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.count(b"\n") == 8  # header + 7 suites
+
+
+# The README's query examples and their stdout, byte for byte.
+_README_QUERIES = [
+    (["embed", '{"infinity": true}'], '{"class":[0,0,0,0,1,1],"null_residual":0}'),
+    (["embed", '{"point": [0, 0, 0]}'], '{"class":[0,0,0,0,1,-1],"null_residual":0}'),
+    (["embed", '{"sphere": {"center": [1,0,0], "radius": 2}}'],
+     '{"class":[0.5,0,0,1,-1,-0.5],"null_residual":0}'),
+    (["embed", '{"plane": {"normal": [0,0,1], "offset": 2}}'],
+     '{"class":[0,0,0.5,0.5,1,1],"null_residual":0}'),
+    (["invert", "[0, 0, 0, 0, 1, 1]"], '{"class":[0,0,0,0,1,-1],"null_residual":0}'),
+    (["invert", "[1, 0, 0, 1, 0, 0]"], '{"class":[1,0,0,1,0,0],"null_residual":0}'),
+    (["correspond", "null-to-plane", "[1, 0, 0, 1, 0, 0]"],
+     '{"basis":[[[0,0],[0,-0.70710678118654746],[0,0.70710678118654746],[0,0]],'
+     '[[0,0.70710678118654746],[0,0],[0,0],[0,-0.70710678118654746]]],'
+     '"isotropy_residual":2.2371143170757382e-17}'),
+    (["correspond", "plane-to-line", '{"basis": [[1,0,0,1,0,0],[0,1,0,0,0,1]]}'],
+     '{"isotropy_residual":0,"rep":[[0,0],[1,0],[-1,0],[0,0]]}'),
+    (["correspond", "line-to-plane", "[0, 1, -1, 0]"],
+     '{"basis":[[0,-0.5,0,0,0,-0.5],[0.5,0,0,0.5,0,0]],"isotropy_residual":0}'),
+    (["act", "[[[0,1],0,0,0],[0,[0,1],0,0],[0,0,[0,1],0],[0,0,0,[0,1]]]", "[1,2,3,4,5,6]"],
+     '{"covering":[[-1,0,0,0,0,0],[0,-1,0,0,0,0],[0,0,-1,0,0,0],[0,0,0,-1,0,0],'
+     '[0,0,0,0,-1,0],[0,0,0,0,0,-1]],"q_residual":0,"vector":[-1,-2,-3,-4,-5,-6]}'),
+]
+
+
+@pytest.mark.parametrize("args, stdout", _README_QUERIES)
+def test_readme_query_stdout_is_pinned(args, stdout):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.stdout == stdout + "\n"
 
 
 def test_embed_infinity():

@@ -9,10 +9,11 @@ from spin42.errors import (
     RankFailure,
     ZeroVector,
 )
-from spin42.forms import g_form, projectivize, q_bilinear, q_form
+from spin42.forms import _null_gate, g_form, projectivize, q_bilinear, q_form
 from spin42.isotropic import (
     IsotropicPlaneE,
     SpinorPlane,
+    _isotropic_gate,
     dual_isotropic_basis,
     four_idempotents,
     idempotent_pair,
@@ -363,3 +364,50 @@ def test_non_finite_input_raises(bad):
     for call in calls:
         with pytest.raises(InvalidEntity):
             call()
+
+
+# Above sqrt(DBL_MAX) ~ 1.34e154 a squared norm overflows, and from about
+# 1e77 the Pluecker norm of X(x)'s columns does.  The projective gates
+# divide such inputs by a power of two, which keeps every output bit.
+X0 = np.array([0.3, 0.4, 0.0, 0.5, 0.0, 0.0])
+V0 = np.array([0.6, 0.8j, -0.28 + 0.96j, 0.0])  # |v0|^2 + |v1|^2 = |v2|^2 + |v3|^2 = 1
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_huge_inputs_are_answered_as_their_class(scale):
+    assert np.array_equal(spinor_line_to_plane([scale, 0, scale, 0]).x1,
+                          spinor_line_to_plane([1, 0, 1, 0]).x1)
+    plane = null_to_spinor_plane([scale, 0, 0, scale, 0, 0])
+    assert np.allclose(plane.b1, null_to_spinor_plane(X1).b1, atol=1e-15)
+    assert projectivize([scale, 0, 0, scale, 0, 0]) == projectivize(X1)
+
+
+@pytest.mark.parametrize("power", [200, 300, 600, 1000])
+def test_power_of_two_rescaling_keeps_every_output_bit(power):
+    v, s = V0, 2.0 ** power
+    for a, b in ((spinor_line_to_plane(v * s), spinor_line_to_plane(v)),
+                 (null_to_spinor_plane(X0 * s), null_to_spinor_plane(X0))):
+        assert all(np.array_equal(p, q) for p, q in zip(vars(a).values(), vars(b).values()))
+    assert np.array_equal(spinor_line(v * s).rep, spinor_line(v).rep)
+    assert np.array_equal(projectivize(X0 * s).rep, projectivize(X0).rep)
+    for p, q in zip(idempotent_pair(X0 * s), idempotent_pair(X0)):
+        assert np.array_equal(p, q)
+    assert np.array_equal(partner_null_vector(X0 * s), partner_null_vector(X0) / s)
+
+
+def test_huge_rows_of_a_stack_are_rescaled_alone():
+    x = np.stack([X0, X0 * 2.0 ** 1000, X1])
+    gated = _null_gate(x, 1e-9)
+    assert np.array_equal(gated[[0, 2]], x[[0, 2]])
+    assert np.array_equal(gated[1], X0)  # its largest entry, 0.5, is in [0.5, 1)
+    v = np.stack([V0 * 2.0 ** 900, V0])
+    gated = _isotropic_gate(v, 1e-9)
+    assert np.array_equal(gated, np.stack([V0, V0]))
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_huge_non_null_inputs_are_refused_as_such(scale):
+    with pytest.raises(NotNull):
+        null_to_spinor_plane([scale, 0, 0, 0.1 * scale, 0, 0])
+    with pytest.raises(NotIsotropicSpinor):
+        spinor_line_to_plane([scale, 0, 0.1 * scale, 0])
