@@ -160,6 +160,10 @@ class _Commands(click.Group):
             sys.exit(3)
 
 
+def _spinor_json(v: np.ndarray):
+    return [complex(c) for c in v]
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -247,7 +251,7 @@ def correspond(direction, payload_json, tol):
             for v in (plane.b1, plane.b2)
         )
         _emit({
-            "basis": [plane.b1, plane.b2],
+            "basis": [_spinor_json(plane.b1), _spinor_json(plane.b2)],
             "isotropy_residual": residual,
         })
     elif direction == "plane-to-line":
@@ -257,7 +261,7 @@ def correspond(direction, payload_json, tol):
         x1, x2 = (_vec6_from_json(b) for b in basis)
         line = plane_to_spinor_line(isotropic_plane(x1, x2, tol), tol)
         _emit({
-            "rep": line.rep,
+            "rep": _spinor_json(line.rep),
             "isotropy_residual": abs(g_form(line.rep, line.rep)),
         })
     else:

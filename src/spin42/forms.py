@@ -70,27 +70,19 @@ def require(ok: np.ndarray, error: type[Exception], message) -> None:
     raise error(message(index, _at(index)))
 
 
-def _norm2(x: np.ndarray) -> np.ndarray:
-    """The squared norms |x|^2 (...) of checked rows, inf or (complex x)
-    NaN where they overflow, without a warning: np.vdot, which gives none,
-    on one row (with the same bits as vecdot), vecdot on a stack."""
-    if x.ndim == 1:
-        return np.vdot(x, x).real
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.vecdot(x, x).real
-
-
 def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked rows x (..., n) of a projective gate and their squared norms,
-    with each row whose squared norm exceeds HUGE_NORM2 or overflows divided
-    by the power of two that puts its largest real or imaginary part in
-    [0.5, 1): exactly, so it is the same class.  The other rows keep every bit."""
-    n2 = _norm2(x)
-    fits = n2 <= HUGE_NORM2  # False on NaN: a complex product can overflow to inf - inf
-    if not (fits.all() if fits.ndim else fits):
-        top = np.maximum(abs(x.real), abs(x.imag)).max(axis=-1)
-        x = x * np.ldexp(1.0, np.where(fits, 0, -np.frexp(top)[1]))[..., None]
-        n2 = _norm2(x)
+    without an overflow warning, with each row whose squared norm exceeds
+    HUGE_NORM2 or overflows divided by the power of two that puts its largest
+    real or imaginary part in [0.5, 1): exactly, so it is the same class.
+    The other rows keep every bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = np.vecdot(x, x).real
+        fits = n2 <= HUGE_NORM2  # False on NaN: a complex product can overflow to inf - inf
+        if not fits.all():
+            top = np.maximum(abs(x.real), abs(x.imag)).max(axis=-1)
+            x = x * np.ldexp(1.0, np.where(fits, 0, -np.frexp(top)[1]))[..., None]
+            n2 = np.vecdot(x, x).real
     return x, n2
 
 
@@ -193,7 +185,10 @@ class ProjectiveNullLine:
 
 
 def _null_gate(x: np.ndarray, tol: float) -> np.ndarray:
-    x, n2 = _rescaled(x)
+    # one row: np.vdot sets no overflow warning, so one comparison keeps it
+    n2 = np.vdot(x, x) if x.ndim == 1 else np.nan
+    if not n2 <= HUGE_NORM2:  # a stack, or a huge or overflowed row
+        x, n2 = _rescaled(x)
     require(np.sqrt(n2) > tol, ZeroVector,
             lambda i, at: f"a null class needs a nonzero vector{at}")
     q = _q(x)

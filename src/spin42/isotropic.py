@@ -23,6 +23,7 @@ from .errors import NotIsotropicSpinor, NotNull, RankFailure, ZeroVector
 from .exterior import _SIGMA_COEFFS
 from .forms import (
     DEFAULT_TOL,
+    HUGE_NORM2,
     Q_DIAG,
     RANK_FLOOR,
     RESIDUAL_FLOOR,
@@ -73,7 +74,9 @@ def _isotropic_gate(v: np.ndarray, tol: float) -> np.ndarray:
     """The input gate of a spinor line, on checked spinors: nonzero
     (||v|| > tol) and isotropic (|(v|v)| <= tol ||v||^2).  Returns v,
     divided by a power of two where ||v||^2 > HUGE_NORM2 (the same line)."""
-    v, n2 = _rescaled(v)
+    n2 = np.vdot(v, v).real if v.ndim == 1 else np.nan  # as forms._null_gate
+    if not n2 <= HUGE_NORM2:
+        v, n2 = _rescaled(v)
     require(np.sqrt(n2) > tol, ZeroVector,
             lambda i, at: f"spinor line needs a nonzero representative{at}")
     vv = _g(v, v)
@@ -181,9 +184,7 @@ def partner_null_vector(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     x = as_vec6(x)
     g = _null_gate(x, tol)
-    if g is x:
-        return _partner(x)
-    # g is x times a power of two r, and x's partner is r times g's
+    # g is x times a power of two r (often 1), and x's partner is r times g's
     k = abs(x).argmax()
     return _partner(g) * (g[k] / x[k])
 
