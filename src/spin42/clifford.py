@@ -21,6 +21,7 @@ from .errors import IndexOutOfRange, NotInGammaSpan
 from .forms import (
     DEFAULT_TOL,
     G4,
+    G_DIAG,
     Q_DIAG,
     _q,
     as_spinor,
@@ -41,15 +42,14 @@ SIGMA = np.array([
 ], dtype=complex)
 SIGMA.setflags(write=False)
 
-GAMMA = np.array([
-    [[0, 0, _i, 0], [0, 0, 0, -_i], [_i, 0, 0, 0], [0, -_i, 0, 0]],
-    [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
-    [[0, 0, 0, -_i], [0, 0, -_i, 0], [0, -_i, 0, 0], [-_i, 0, 0, 0]],
-    [[0, _i, 0, 0], [-_i, 0, 0, 0], [0, 0, 0, _i], [0, 0, -_i, 0]],
-    [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
-    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
-], dtype=complex)
+# Gamma_alpha = Sigma_alpha . G: G is diagonal, so column j of Sigma_alpha times G_j
+GAMMA = SIGMA * G_DIAG
 GAMMA.setflags(write=False)
+
+# the generators as rows of flattened matrices (6, 16), and the conjugate
+# transpose, which maps a flattened operator to its Frobenius pairings
+_GAMMA_ROWS = GAMMA.reshape(6, 16)
+_GAMMA_ROWS_H = np.ascontiguousarray(_GAMMA_ROWS.conj().T)
 
 
 @lru_cache(maxsize=None)
@@ -76,13 +76,6 @@ def _levi_civita4() -> np.ndarray:
 
 EPS4 = _levi_civita4()
 EPS4.setflags(write=False)
-
-
-def table_sum(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_alpha x^alpha table[alpha] for a 6x4x4 table, as one 2-D matmul
-    (a stacked x would run as a loop of one small matmul per stack entry);
-    x of shape (..., 6) gives (..., 4, 4)."""
-    return (x.reshape(-1, 6) @ table.reshape(6, 16)).reshape(*x.shape[:-1], 4, 4)
 
 
 @dataclass(frozen=True)
@@ -136,10 +129,16 @@ def antilinear_adjoint(a: AntilinearOp) -> AntilinearOp:
     return AntilinearOp(_adjoint(a.m))
 
 
+def _x_matrix(x: np.ndarray) -> np.ndarray:
+    """Kernel of x_matrix: 6-vectors (..., 6) to their operators (..., 4, 4),
+    as one 2-D matmul with the generator rows (a stacked x would run as a
+    loop of one small matmul per stack entry)."""
+    return (x.reshape(-1, 6) @ _GAMMA_ROWS).reshape(*x.shape[:-1], 4, 4)
+
+
 def x_matrix(x) -> AntilinearOp:
     """The antilinear operator of a 6-vector, X = sum_alpha x^alpha Gamma_alpha."""
-    x = as_vec6(x)
-    return AntilinearOp(table_sum(x, GAMMA))
+    return AntilinearOp(_x_matrix(as_vec6(x)))
 
 
 def vector_from_op(a: AntilinearOp, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -155,24 +154,15 @@ def vector_from_op(a: AntilinearOp, tol: float = DEFAULT_TOL) -> np.ndarray:
     return gamma_coeffs(check_finite(np.asarray(a.m), "operator"), tol)
 
 
-@lru_cache(maxsize=None)
-def _gamma_rows() -> tuple[np.ndarray, np.ndarray]:
-    """GAMMA as a 6 x 16 matrix of flattened generators, and its conjugate
-    transpose, which maps a flattened operator to its Frobenius pairings."""
-    rows = GAMMA.reshape(6, 16)
-    return rows, np.ascontiguousarray(rows.conj().T)
-
-
 def gamma_coeffs(ms: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """vector_from_op on a stack of operator matrices (..., 4, 4) at once,
     returning the (..., 6) coefficients.  Each matrix's residual is judged
     against its own scale, max(1, max |m|), and the error names the first
     matrix that fails."""
-    rows, rows_h = _gamma_rows()
     lead = ms.shape[:-2]
     flat = ms.reshape(-1, 16)
-    coeffs = (flat @ rows_h).real / 4.0
-    residual = np.abs(flat - coeffs @ rows).max(axis=1)
+    coeffs = (flat @ _GAMMA_ROWS_H).real / 4.0
+    residual = np.abs(flat - coeffs @ _GAMMA_ROWS).max(axis=1)
     ok = residual <= tol * np.maximum(1.0, np.abs(flat).max(axis=1))
     require(ok.reshape(lead), NotInGammaSpan,
             lambda i, at: f"operator{at} is not a real generator combination"
@@ -269,7 +259,7 @@ def check_x_reality(x, tol: float = 1e-12) -> CheckReport:
 def _det_identity(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kernel of det_identity over a stack of 6-vectors (..., 6): the
     complex det X(x) and Q(x)^2 of each."""
-    return _det4(table_sum(x, GAMMA)), _q(x) ** 2
+    return _det4(_x_matrix(x)), _q(x) ** 2
 
 
 def det_identity(x) -> tuple[float, float]:

@@ -61,6 +61,22 @@ _SQRT2 = np.sqrt(2.0)
 # the increasing index tuples of each grade, in storage order
 _COMBOS = tuple(tuple(itertools.combinations(range(4), k)) for k in range(5))
 
+# the index pairs i < j of spinors and of 6-vectors, in the same order (the
+# pairs of spinors are _COMBOS[2]), as all the i's, then all the j's
+_PAIRS = {n: np.array(list(itertools.combinations(range(n), 2))).T.ravel() for n in (4, 6)}
+
+
+def _pluecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pair coordinates a_i b_j - a_j b_i, i < j, of a ^ b (..., C(n, 2))
+    for stacks a, b (..., n), n = 4 or 6; for spinors they are the grade-2
+    coefficients of the wedge.  Over leading axes the result is strided;
+    a single row takes the cheaper plain gather."""
+    pairs = _PAIRS[a.shape[-1]]
+    k = len(pairs) // 2
+    a, b = (a[pairs], b[pairs]) if a.ndim == 1 else (a[..., pairs], b[..., pairs])
+    return a[..., :k] * b[..., k:] - a[..., k:] * b[..., :k]
+
+
 # the graded layout: the 16 monomials grade by grade, grade k's block
 # starting at slot _OFFSETS[k] and spanning the slots _BLOCKS[k]
 _SLOTS = tuple(itertools.chain.from_iterable(_COMBOS))
@@ -221,6 +237,11 @@ def herm_inner(a: KVector, b: KVector) -> complex:
 # row alpha: the coefficients of Sigma_alpha, its entries [i, j] with i < j
 _SIGMA_COEFFS = np.array([[sigma[combo] for combo in _COMBOS[2]] for sigma in SIGMA])
 _SIGMA_COEFFS.setflags(write=False)
+
+# _READ @ w = conj(S) w / 2, the generator coefficients of pair coordinates w:
+# the rows of S are orthogonal with S S^H = 2 I
+_READ = _SIGMA_COEFFS.conj() / 2.0
+_READ.setflags(write=False)
 
 
 def basis_bivector(alpha: int) -> KVector:

@@ -70,15 +70,15 @@ def require(ok: np.ndarray, error: type[Exception], message) -> None:
     raise error(message(index, _at(index)))
 
 
-def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rescaled(x: np.ndarray, bound: float = HUGE_NORM2) -> tuple[np.ndarray, np.ndarray]:
     """Checked rows x (..., n) of a projective gate and their squared norms,
     without an overflow warning, with each row whose squared norm exceeds
-    HUGE_NORM2 or overflows divided by the power of two that puts its largest
+    bound or overflows divided by the power of two that puts its largest
     real or imaginary part in [0.5, 1): exactly, so it is the same class.
     The other rows keep every bit."""
     with np.errstate(over="ignore", invalid="ignore"):
         n2 = np.vecdot(x, x).real
-        fits = n2 <= HUGE_NORM2  # False on NaN: a complex product can overflow to inf - inf
+        fits = n2 <= bound  # False on NaN: a complex product can overflow to inf - inf
         if not fits.all():
             top = np.maximum(abs(x.real), abs(x.imag)).max(axis=-1)
             x = x * np.ldexp(1.0, np.where(fits, 0, -np.frexp(top)[1]))[..., None]
@@ -121,7 +121,10 @@ def _g(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _null(x: np.ndarray, tol: float) -> np.ndarray:
-    return abs(_q(x)) <= tol * np.vecdot(x, x)
+    n2 = np.vdot(x, x) if x.ndim == 1 else np.nan  # as _null_gate
+    if not n2 <= HUGE_NORM2:
+        x, n2 = _rescaled(x)
+    return abs(_q(x)) <= tol * n2
 
 
 def _pivot(x: np.ndarray) -> np.ndarray:
@@ -155,7 +158,8 @@ def g_form(s, t) -> complex:
 
 def is_null(x, tol: float = DEFAULT_TOL) -> bool:
     """Nullity relative to the squared Euclidean norm, so rescaling a null
-    vector never flips its status."""
+    vector never flips its status: a vector whose squared norm would
+    overflow is judged divided by a power of two."""
     return bool(_null(as_vec6(x), tol))
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GAMMA, table_sum
+from .clifford import _x_matrix
 from .errors import NotIsotropicSpinor, NotNull, RankFailure, ZeroVector
-from .exterior import _SIGMA_COEFFS
+from .exterior import _READ, _pluecker
 from .forms import (
     DEFAULT_TOL,
     HUGE_NORM2,
@@ -114,19 +114,6 @@ def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:
     return SpinorLine(_spinor_line(as_spinor(v), tol))
 
 
-# the index pairs i < j of spinors and of 6-vectors, as i's then j's
-_PAIRS = {n: np.concatenate(np.triu_indices(n, 1)) for n in (4, 6)}
-
-
-def _pluecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The coordinates a_i b_j - a_j b_i, i < j, of a ^ b (..., n), in the
-    order of exterior's wedge; every rank and span decision here reads them."""
-    pairs = _PAIRS[a.shape[-1]]
-    k = len(pairs) // 2
-    a, b = a[..., pairs], b[..., pairs]
-    return a[..., :k] * b[..., k:] - a[..., k:] * b[..., :k]
-
-
 def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v).real)
 
@@ -147,8 +134,13 @@ def _independent(a: np.ndarray, b: np.ndarray, bound: float, what: str,
 def _isotropic_plane(x1: np.ndarray, x2: np.ndarray, tol: float) -> None:
     """The gate of a totally isotropic plane spanned by checked rows x1, x2
     (..., 6), at tol: nonzero, independent (|x1 ^ x2| > tol |x1| |x2|), and
-    every pairing within tol |x1| |x2|."""
-    scale = np.sqrt(np.vecdot(x1, x1) * np.vecdot(x2, x2))
+    every pairing within tol |x1| |x2|.  A row whose squared norm passes
+    HUGE_NORM2 is judged divided by its own power of two (the same plane)."""
+    # one row each: np.vdot sets no overflow warning, so one comparison keeps them
+    n1, n2 = (np.vdot(x1, x1), np.vdot(x2, x2)) if x1.ndim == 1 else (np.nan, np.nan)
+    if not n1 + n2 <= HUGE_NORM2:  # stacks, or a huge or overflowed row
+        (x1, n1), (x2, n2) = _rescaled(x1), _rescaled(x2)
+    scale = np.sqrt(n1 * n2)
     require(scale > tol, ZeroVector,
             lambda i, at: f"isotropic plane{at} needs nonzero basis vectors")
     _independent(x1, x2, tol, "isotropic plane basis", ("x1", "x2"))
@@ -195,7 +187,7 @@ def _spinor_plane(x: np.ndarray, tol: float) -> np.ndarray:
     They span the kernel as X(x) conj(X(x)) = Q(x) I, and by the tables
     they are orthogonal with norm |x|.  Post-conditions: the pair at
     max(tol, RANK_FLOOR), and |X(x) conj(b)| / |x| at max(tol, RESIDUAL_FLOOR)."""
-    m = table_sum(x, GAMMA)
+    m = _x_matrix(x)
     _independent(m[..., :, 0], m[..., :, 1], max(tol, RANK_FLOOR), "X(x) column pair",
                  ("c1", "c2"))
     m = m / _norm(x)[..., None, None]
@@ -216,10 +208,19 @@ def null_to_spinor_plane(x, tol: float = DEFAULT_TOL) -> SpinorPlane:
     return SpinorPlane(b1, b2)
 
 
+# the composite X(x1) conj(X(x2)) is quadratic in the basis, and the norms
+# of its wedges of degree eight: _plane_line rescales rows past this bound
+_COMPOSITE_NORM2 = np.sqrt(HUGE_NORM2)
+
+
 def _plane_line(x1: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of plane_to_spinor_line on plane bases (..., 6): the
-    canonical line representatives (..., 4)."""
-    cols = (table_sum(x1, GAMMA) @ np.conj(table_sum(x2, GAMMA))).mT
+    canonical line representatives (..., 4).  Where the squared norms of
+    all rows sum past _COMPOSITE_NORM2, each row past it is divided by its
+    own power of two, which leaves the plane and its line as they are."""
+    if not np.vdot(x1, x1) + np.vdot(x2, x2) <= _COMPOSITE_NORM2:
+        x1, x2 = _rescaled(x1, _COMPOSITE_NORM2)[0], _rescaled(x2, _COMPOSITE_NORM2)[0]
+    cols = (_x_matrix(x1) @ np.conj(_x_matrix(x2))).mT
     lengths = _norm(cols)
     line = np.take_along_axis(cols, lengths.argmax(axis=-1)[..., None, None], axis=-2)
     size = lengths.max(axis=-1)
@@ -243,7 +244,7 @@ def _line_bivector(v: np.ndarray, vbar: np.ndarray) -> np.ndarray:
     """The self-dual coordinates c = (v ^ w) conj(S)^T / 2 (..., 6) of
     v ^ w for w = (vbar_1, -vbar_0, 0, 0), bilinear in v and vbar (..., 4)."""
     w = vbar[..., [1, 0, 2, 3]] * np.array([1.0, -1.0, 0.0, 0.0])
-    return _pluecker(v, w) @ _SIGMA_COEFFS.conj().T / 2.0
+    return _pluecker(v, w) @ _READ.T
 
 
 # _line_bivector(v, conj(v)) as one (16, 6) table on v (x) conj(v)
@@ -292,7 +293,7 @@ def _spinor_plane_class(b: np.ndarray, tol: float) -> np.ndarray:
     plane that is no kernel of a null class)."""
     bound = max(tol, RANK_FLOOR)
     w = _independent(b[..., 0, :], b[..., 1, :], bound, "spinor plane basis", ("b1", "b2"))
-    c = w @ _SIGMA_COEFFS.conj().T
+    c = w @ _READ.T
     c = c / _pivot(c)
     residual = abs(c.imag).max(axis=-1)
     require(residual <= bound, RankFailure,
@@ -311,8 +312,8 @@ def plane_from_spinor_plane(p: SpinorPlane, tol: float = DEFAULT_TOL):
 
 
 def _idempotents(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xm = table_sum(x, GAMMA)
-    ym = table_sum(y, GAMMA)
+    xm = _x_matrix(x)
+    ym = _x_matrix(y)
     return xm @ np.conj(ym), ym @ np.conj(xm)
 
 

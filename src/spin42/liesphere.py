@@ -112,16 +112,24 @@ def _plane_rep(n: np.ndarray, h) -> np.ndarray:
     return rep
 
 
+def _sphere_embedding(c: np.ndarray, r: float) -> np.ndarray:
+    """_sphere_rep of one finite center and radius, refused where |c|^2 or
+    r^2 overflows, which would put an infinite slot into the embedding."""
+    if not (np.vdot(c, c) < np.inf and r * r < np.inf):  # np.vdot sets no overflow warning
+        raise InvalidEntity("center or radius too large: its square overflows")
+    return _sphere_rep(c, r)
+
+
 def embed_rep(ent: LieEntity) -> np.ndarray:
     """Raw (uncanonicalized) null 6-vector of an entity."""
     if isinstance(ent, Infinity):
         return np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
     if isinstance(ent, Point):
-        return _sphere_rep(ent.p, 0.0)
+        return _sphere_embedding(ent.p, 0.0)
     if isinstance(ent, Sphere):
         if not np.isfinite(ent.signed_radius) or ent.signed_radius == 0.0:
             raise InvalidEntity("sphere radius must be finite and nonzero")
-        return _sphere_rep(ent.center, ent.signed_radius)
+        return _sphere_embedding(ent.center, ent.signed_radius)
     if isinstance(ent, Plane):
         if abs(np.linalg.norm(ent.normal) - 1.0) > 1e-12:
             raise InvalidEntity("plane normal must be a unit vector")

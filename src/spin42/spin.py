@@ -10,11 +10,12 @@ with Sigma(x) = sum x^alpha Sigma_alpha,
 which preserves antisymmetry for any M and, for pseudo-unitary M, keeps
 X' inside the real generator span.  On the pair coordinates of an
 antisymmetric matrix (its entries [i, j], i < j) the map A -> M A M^T is
-Lambda^2 M, the 6x6 matrix of 2x2 minors of M, and the rows S_alpha of
-exterior._SIGMA_COEFFS are the pair coordinates of the Sigma_alpha, with
-S S^H = 2 I (the paper's identification of the 6-space with the
-self-dual bivectors).  So the coefficients of X' are
-Re(conj(S) . Lambda^2 M . S^T x) / 2, and the 6x6 matrix
+Lambda^2 M, the 6x6 matrix of 2x2 minors of M (exterior._pluecker of M's
+row pairs), and the rows S_alpha of exterior._SIGMA_COEFFS are the pair
+coordinates of the Sigma_alpha, with S S^H = 2 I (the paper's
+identification of the 6-space with the self-dual bivectors).  So the
+coefficients of X' are Re(conj(S) . Lambda^2 M . S^T x) / 2, read back
+through exterior._READ = conj(S) / 2, and the 6x6 matrix
 
     L(M) = Re(conj(S) . Lambda^2 M . S^T) / 2
 
@@ -29,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GAMMA, _det4, table_sum
+from .clifford import _det4, _x_matrix
 from .errors import ActionLeavesSpan, NotNormalized
-from .exterior import _COMBOS, _SIGMA_COEFFS
+from .exterior import _PAIRS, _READ, _SIGMA_COEFFS, _pluecker
 from .forms import (
     DEFAULT_TOL,
     G4,
@@ -88,7 +89,7 @@ def _composites(v: np.ndarray, tol: float) -> np.ndarray:
     q = _q(v)
     require((abs(abs(q) - 1.0) <= tol).all(axis=-1), NotNormalized,
             lambda i, at: f"|Q| must be 1 on both vectors{at} (got {q[i][0]:g}, {q[i][1]:g})")
-    xs = table_sum(v, GAMMA)
+    xs = _x_matrix(v)
     return xs[..., 0, :, :] @ np.conj(xs[..., 1, :, :])
 
 
@@ -141,23 +142,13 @@ def spin_generate(pairs, tol: float = DEFAULT_TOL) -> SpinElement:
     return SpinElement(_generate(check_finite(v, "6-vector"), tol))
 
 
-# Lambda^2 M: the minor M[i, k] M[j, l] - M[i, l] M[j, k] of rows i < j and
-# columns k < l, in exterior's pair order; the four factors of all 36
-# minors are gathered from the flattened M in one take
-_PAIR_I, _PAIR_J = np.array(_COMBOS[2]).T[:, :, None]
-_MINOR_FACTORS = np.concatenate([4 * _PAIR_I + _PAIR_I.T, 4 * _PAIR_J + _PAIR_J.T,
-                                 4 * _PAIR_I + _PAIR_J.T, 4 * _PAIR_J + _PAIR_I.T], axis=None)
-
-
 def _minors(m: np.ndarray) -> np.ndarray:
-    """Lambda^2 M of a stack (..., 4, 4), as (..., 6, 6)."""
-    lead = m.shape[:-2]
-    f = np.take(m.reshape(*lead, 16), _MINOR_FACTORS, axis=-1).reshape(*lead, 4, 6, 6)
-    return f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
-
-
-# _READ @ w = conj(S) w / 2, the generator coefficients of pair coordinates w
-_READ = _SIGMA_COEFFS.conj() / 2.0
+    """Lambda^2 M of a stack (..., 4, 4), as (..., 6, 6): row (i, j) holds
+    the pair coordinates of M's rows i ^ j, the minors M[i, k] M[j, l] -
+    M[i, l] M[j, k] over the column pairs k < l.  C-contiguous, as the
+    products downstream round differently on a strided operand."""
+    rows = m.take(_PAIRS[4], -2)
+    return np.ascontiguousarray(_pluecker(rows[..., :6, :], rows[..., 6:, :]))
 
 
 def _read_back(w: np.ndarray, lead: tuple, floor: float) -> np.ndarray:

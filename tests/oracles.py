@@ -5,8 +5,13 @@ Gram-Schmidt); the factorisation oracles here solve the same problems
 with numpy's SVD, QR and pseudo-inverse, so the closed forms are checked
 against an independent method.  to_json_reference writes JSON one number
 at a time, the bytes the CLI's array-at-a-time serializer must match.
+GAMMA_TABLE is the paper's Gamma table typed out entry by entry, which the
+library derives as Sigma G, and minors_reference gathers the 2x2 minors
+of Lambda^2 M from the flattened matrix, which the library reads off the
+Pluecker coordinates of M's row pairs.
 """
 
+import itertools
 import json
 import math
 
@@ -15,6 +20,31 @@ import numpy as np
 from spin42.errors import RankFailure
 from spin42.forms import DEFAULT_TOL, Q_DIAG, RANK_FLOOR
 from spin42.isotropic import _idempotents
+
+_i = 1j
+
+GAMMA_TABLE = np.array([
+    [[0, 0, _i, 0], [0, 0, 0, -_i], [_i, 0, 0, 0], [0, -_i, 0, 0]],
+    [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+    [[0, 0, 0, -_i], [0, 0, -_i, 0], [0, -_i, 0, 0], [-_i, 0, 0, 0]],
+    [[0, _i, 0, 0], [-_i, 0, 0, 0], [0, 0, 0, _i], [0, 0, -_i, 0]],
+    [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+], dtype=complex)
+
+# the minor M[i, k] M[j, l] - M[i, l] M[j, k] of rows i < j and columns
+# k < l, pairs in itertools.combinations order; the four factors of all 36
+# minors are gathered from the flattened M in one take
+_PAIR_I, _PAIR_J = np.array(list(itertools.combinations(range(4), 2))).T[:, :, None]
+_MINOR_FACTORS = np.concatenate([4 * _PAIR_I + _PAIR_I.T, 4 * _PAIR_J + _PAIR_J.T,
+                                 4 * _PAIR_I + _PAIR_J.T, 4 * _PAIR_J + _PAIR_I.T], axis=None)
+
+
+def minors_reference(m: np.ndarray) -> np.ndarray:
+    """Lambda^2 M of a stack (..., 4, 4), as (..., 6, 6), by one flat gather."""
+    lead = m.shape[:-2]
+    f = np.take(m.reshape(*lead, 16), _MINOR_FACTORS, axis=-1).reshape(*lead, 4, 6, 6)
+    return f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
 
 
 def image_basis(m: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -366,6 +366,20 @@ def test_embed_contract_violations():
     assert result.exit_code == 3
 
 
+def test_huge_inputs_get_their_answers_or_the_overflow_named():
+    plane = '{"basis": [[1e200,0,0,1e200,0,0],[0,1e200,0,0,0,1e200]]}'
+    result = runner.invoke(main, ["correspond", "plane-to-line", plane])
+    assert result.exit_code == 0
+    assert result.stdout == '{"isotropy_residual":0,"rep":[[0,0],[1,0],[-1,0],[0,0]]}\n'
+    for entity in ('{"point": [1e200, 0, 0]}', '{"sphere": {"center": [0,0,0], "radius": 1e200}}'):
+        result = runner.invoke(main, ["embed", entity])
+        assert result.exit_code == 3
+        assert result.stderr == ("contract violation: InvalidEntity: center or radius"
+                                 " too large: its square overflows\n")
+    result = runner.invoke(main, ["embed", '{"point": [1e100, 0, 0]}'])
+    assert result.stdout == '{"class":[2e-100,0,0,0,1,1],"null_residual":0}\n'
+
+
 def test_embed_tol_gates_nullity():
     sphere = '{"sphere": {"center": [0.1,0.2,0.3], "radius": 0.7}}'
     # the raw embedding rounds to Q = -6.05e-17, null at the default

@@ -23,6 +23,8 @@ from spin42.clifford import (
 from spin42.errors import IndexOutOfRange, NotInGammaSpan
 from spin42.forms import G4, Q_DIAG, g_form, q_form
 
+from oracles import GAMMA_TABLE
+
 E6 = np.eye(6)
 
 
@@ -41,6 +43,12 @@ def test_sigma_antisymmetric_exact():
 def test_gamma_is_sigma_times_g():
     for a in range(6):
         assert np.array_equal(GAMMA[a], SIGMA[a] @ G4)
+
+
+def test_derived_gamma_is_the_typed_table():
+    # GAMMA = SIGMA G_DIAG, the paper's table entry for entry, and read-only
+    assert np.array_equal(GAMMA, GAMMA_TABLE)
+    assert not GAMMA.flags.writeable
 
 
 def test_gamma_two_and_six_printed_entries():

@@ -158,3 +158,14 @@ def test_null_flag_on_both_sides_of_the_threshold(seed, tol, side):
     z = x + d * e
     assert abs(q_form(z)) / np.dot(z, z) == pytest.approx(side * tol, rel=0.01)
     assert is_null(z, tol) == (side < 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_is_null_judges_huge_vectors_as_their_class(scale):
+    # Q(x) and |x|^2 overflow to inf here, and inf <= tol * inf would call
+    # every vector null; the pytest configuration makes any overflow
+    # warning an error
+    assert not is_null([scale, 0, 0, 0, 0, 0])
+    assert is_null([scale, 0, 0, scale, 0, 0])
+    assert not is_null([scale, 0, 0, 0.5 * scale, 0, 0])
+    assert is_null([0, scale, 0, 0, 0, -scale])

@@ -395,6 +395,27 @@ def test_power_of_two_rescaling_keeps_every_output_bit(power):
     assert np.array_equal(partner_null_vector(X0 * s), partner_null_vector(X0) / s)
 
 
+@pytest.mark.parametrize("scale", [1e50, 1e77, 1e155, 1e200, 2.0 ** 1000])
+def test_huge_plane_bases_give_the_line_of_the_plane_at_scale_one(scale):
+    # the composite overflows in its wedges from about 1e50 and the gate's
+    # norms from about 1e154; each row is rescaled on its own inside the
+    # kernels, and the plane keeps the caller's vectors
+    plane = isotropic_plane(scale * X1, scale * X2)
+    assert np.array_equal(plane.x1, scale * X1) and np.array_equal(plane.x2, scale * X2)
+    assert np.array_equal(plane_to_spinor_line(plane).rep,
+                          plane_to_spinor_line(isotropic_plane(X1, X2)).rep)
+
+
+@pytest.mark.parametrize("power", [170, 300, 600, 1000])
+def test_power_of_two_plane_bases_keep_every_line_bit(power):
+    rng = np.random.default_rng(387)
+    s = 2.0 ** power
+    for x1, x2 in random_isotropic_plane(rng, 8):
+        want = plane_to_spinor_line(isotropic_plane(x1, x2)).rep
+        assert np.array_equal(plane_to_spinor_line(isotropic_plane(s * x1, s * x2)).rep, want)
+        assert np.array_equal(plane_to_spinor_line(IsotropicPlaneE(s * x1, x2)).rep, want)
+
+
 def test_huge_rows_of_a_stack_are_rescaled_alone():
     x = np.stack([X0, X0 * 2.0 ** 1000, X1])
     gated = _null_gate(x, 1e-9)

@@ -46,7 +46,7 @@ from spin42.clifford import (
     gamma_coeffs,
     perm_table,
     reality_residual,
-    table_sum,
+    _x_matrix,
     x_matrix,
 )
 from spin42.errors import ActionLeavesSpan, NotInGammaSpan, NotIsotropicSpinor, ZeroVector
@@ -58,6 +58,7 @@ from spin42.exterior import (
     _herm16,
     _phi,
     _phi_inverse,
+    _pluecker,
     _star16,
     _star_signs16,
     _wedge16,
@@ -100,7 +101,6 @@ from spin42.isotropic import (
     _line_plane,
     _partner,
     _plane_line,
-    _pluecker,
     _pluecker_gap,
     _spinor_line,
     _spinor_plane,
@@ -141,6 +141,7 @@ from spin42.spin import (
     SpinElement,
     _covering,
     _generate,
+    _minors,
     _so_plus,
     _su22_devs,
     _vector_action,
@@ -160,7 +161,7 @@ from spin42.suites import (
     _spin_block,
 )
 
-from oracles import qr_pinv_four_idempotents
+from oracles import minors_reference, qr_pinv_four_idempotents
 
 
 def _parity_sign(perm) -> int:
@@ -453,6 +454,18 @@ def test_span_residual_is_judged_per_matrix():
     assert np.array_equal(gamma_coeffs(ops[:1], 1e-9), [[1e6, 0, 0, 0, 0, 0]])
 
 
+@pytest.mark.parametrize("lead", [(), (1,), (65,), (3, 5)])
+def test_minors_are_the_flat_gather_bit_for_bit_and_c_contiguous(lead):
+    # the products of _vector_action and _covering round differently on a
+    # strided operand, so the layout is part of the contract
+    rng = np.random.default_rng(386)
+    m = rng.normal(size=(*lead, 4, 4)) + 1j * rng.normal(size=(*lead, 4, 4))
+    got = _minors(m)
+    assert got.flags.c_contiguous
+    assert got.shape == (*lead, 6, 6)
+    assert np.array_equal(got, minors_reference(m))
+
+
 def _operator_stack_covering(m: np.ndarray) -> np.ndarray:
     """L(M) as the generator coefficients of the (..., 6, 4, 4) operator
     stack M Sigma_b M^T G, read back column by column by gamma_coeffs."""
@@ -461,7 +474,7 @@ def _operator_stack_covering(m: np.ndarray) -> np.ndarray:
 
 
 def _operator_stack_action(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return gamma_coeffs(m @ table_sum(x, SIGMA) @ m.mT @ G4, RESIDUAL_FLOOR)
+    return gamma_coeffs(m @ np.tensordot(x, SIGMA, axes=(-1, 0)) @ m.mT @ G4, RESIDUAL_FLOOR)
 
 
 def _lattice_elements(rng, n):
@@ -930,7 +943,7 @@ def test_the_first_two_columns_of_x_are_orthogonal_with_norm_x():
     e = np.eye(6)
     pairs = [e[a] + e[b] for a, b in itertools.combinations(range(6), 2)]
     for x in list(e) + pairs:
-        m = table_sum(x, GAMMA)
+        m = _x_matrix(x)
         gram = np.conj(m.T) @ m
         assert gram[0, 1] == 0.0 and np.array_equal(np.diag(gram), np.full(4, x @ x))
 
@@ -942,7 +955,7 @@ def test_spinor_plane_column_pair_spans_the_svd_kernel():
     x = np.vstack([_null_rows(np.random.default_rng(360)), [[1.0, 0, 0, 1, 0, 0]]])
     kernel = _spinor_plane(x, 1e-9)
     # the null rows of the SVD of X(x / |x|), the kernel basis before the column pair
-    _, s, vh = np.linalg.svd(table_sum(x / np.linalg.norm(x, axis=-1, keepdims=True), GAMMA))
+    _, s, vh = np.linalg.svd(_x_matrix(x / np.linalg.norm(x, axis=-1, keepdims=True)))
     assert (s[:, 1] > 0.5).all() and (s[:, 2] <= 1e-14).all()
     want = vh[:, 2:]
     gap = _pluecker_gap(_pluecker(kernel[:, 0], kernel[:, 1]), _pluecker(want[:, 0], want[:, 1]))
@@ -954,7 +967,7 @@ def test_spinor_plane_column_pair_spans_the_svd_kernel():
 def test_plane_line_is_the_leading_left_singular_vector():
     x1, x2 = _plane_rows(np.random.default_rng(370))
     line = _plane_line(x1, x2, 1e-9)
-    u, s, _ = np.linalg.svd(table_sum(x1, GAMMA) @ np.conj(table_sum(x2, GAMMA)))
+    u, s, _ = np.linalg.svd(_x_matrix(x1) @ np.conj(_x_matrix(x2)))
     assert (s[:, 1] <= 1e-12 * s[:, 0]).all()
     assert _pluecker_gap(line, u[:, :, 0]).max() <= 1e-12
 
@@ -989,7 +1002,7 @@ def test_line_plane_spans_the_annihilator_svd_plane(kind):
     size = np.linalg.norm(_pluecker(x1, x2), axis=-1)
     assert size.min() >= 0.125 * (1.0 - 1e-12)
     assert np.max(np.abs(size / np.linalg.norm(unit, axis=-1) ** 4 - 0.125)) <= 1e-14
-    residual = np.stack([table_sum(x, GAMMA) @ np.conj(unit)[..., None] for x in (x1, x2)])
+    residual = np.stack([_x_matrix(x) @ np.conj(unit)[..., None] for x in (x1, x2)])
     if kind == "lattice":
         assert len(v) > 100 and not residual.any()
     else:
@@ -1053,14 +1066,13 @@ def test_spinor_line_of_one_spinor_is_its_row_of_the_stack():
 
 
 def test_table_sum_is_the_stacked_product_bit_for_bit():
-    # one 2-D product over the flattened leading axes, the same bits as the
-    # stacked matmul it replaced
+    # _x_matrix is one 2-D product over the flattened leading axes, the
+    # same bits as the stacked matmul it replaced
     rng = np.random.default_rng(384)
     for shape in [(6,), (1, 6), (7, 6), (3, 5, 6), (40, 2, 2, 6)] * 40:
         x = rng.normal(size=shape)
-        for table in (GAMMA, SIGMA):
-            want = (x @ table.reshape(6, 16)).reshape(*shape[:-1], 4, 4)
-            assert np.array_equal(table_sum(x, table), want)
+        want = (x @ GAMMA.reshape(6, 16)).reshape(*shape[:-1], 4, 4)
+        assert np.array_equal(_x_matrix(x), want)
 
 
 def test_four_idempotents_match_the_pseudo_inverse_dual_basis():
@@ -1101,7 +1113,7 @@ def test_clifford_audit_kernels_match_the_public_audits_on_the_generators():
     e = np.eye(6)
     adjoint = _adjoint(GAMMA)
     twice = _adjoint(adjoint)
-    residual = _reality_residual(table_sum(e, GAMMA))
+    residual = _reality_residual(_x_matrix(e))
     d, q2 = _det_identity(e)
     for a in range(6):
         g = gamma(a + 1)
@@ -1116,7 +1128,7 @@ def test_clifford_audit_kernel_rows_match_the_public_audits():
     x = np.random.default_rng(330).normal(size=(ROWS, 6))
     m = _complex_rows(np.random.default_rng(331), ROWS, 4, 4)
     adjoint = _adjoint(m)
-    residual = _reality_residual(table_sum(x, GAMMA))
+    residual = _reality_residual(_x_matrix(x))
     d, q2 = _det_identity(x)
     for i in range(ROWS):
         assert np.array_equal(adjoint[i], antilinear_adjoint(AntilinearOp(m[i])).m)

@@ -291,3 +291,21 @@ def test_extract_edge_beyond_two_over_tol():
     with pytest.raises(Unclassifiable):
         lie_extract(lie_embed(Sphere([0, 1e5, 0], -1e-3)))
     assert isinstance(lie_extract(lie_embed(Sphere([4.5e4, 0, 0], 10.0))), Plane)
+
+
+@pytest.mark.parametrize("ent", [
+    Point([1e200, 0, 0]), Point([1e160, 0, 0]), Point([1e154, 1e154, 1e154]),
+    Sphere([0, 0, 0], 1e200), Sphere([1, 2, 3], -1e160)])
+def test_embedding_refuses_a_center_or_radius_whose_square_overflows(ent):
+    # refused before the embedding is built, so with no overflow warning
+    # (the pytest configuration makes one an error)
+    for call in (lambda: embed_rep(ent), lambda: lie_embed(ent),
+                 lambda: oriented_contact(ent, Point([0, 0, 0]))):
+        with pytest.raises(InvalidEntity, match="square overflows"):
+            call()
+
+
+def test_embedding_answers_the_largest_squares_as_before():
+    assert np.array_equal(lie_embed(Point([1e100, 0, 0])).rep, [2e-100, 0, 0, 0, 1, 1])
+    assert np.array_equal(lie_embed(Point([1e154, 0, 0])).rep, [2e-154, 0, 0, 0, 1, 1])
+    assert lie_embed(Sphere([1, 2, 3], 1e154)).rep[3] == -2e-154
