@@ -69,11 +69,13 @@ _PAIRS = {n: np.array(list(itertools.combinations(range(n), 2))).T.ravel() for n
 def _pluecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The pair coordinates a_i b_j - a_j b_i, i < j, of a ^ b (..., C(n, 2))
     for stacks a, b (..., n), n = 4 or 6; for spinors they are the grade-2
-    coefficients of the wedge.  Over leading axes the result is strided;
-    a single row takes the cheaper plain gather."""
+    coefficients of the wedge.  Each factor is gathered along the first
+    axis of its transpose: one take for every shape, cheaper than
+    a[..., pairs] and, over one leading axis, with its strided layout, by
+    which the products downstream round."""
     pairs = _PAIRS[a.shape[-1]]
     k = len(pairs) // 2
-    a, b = (a[pairs], b[pairs]) if a.ndim == 1 else (a[..., pairs], b[..., pairs])
+    a, b = a.T.take(pairs, 0).T, b.T.take(pairs, 0).T
     return a[..., :k] * b[..., k:] - a[..., k:] * b[..., :k]
 
 

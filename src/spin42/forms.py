@@ -71,11 +71,17 @@ def require(ok: np.ndarray, error: type[Exception], message) -> None:
 
 
 def _rescaled(x: np.ndarray, bound: float = HUGE_NORM2) -> tuple[np.ndarray, np.ndarray]:
-    """Checked rows x (..., n) of a projective gate and their squared norms,
-    without an overflow warning, with each row whose squared norm exceeds
-    bound or overflows divided by the power of two that puts its largest
-    real or imaginary part in [0.5, 1): exactly, so it is the same class.
-    The other rows keep every bit."""
+    """The overflow policy of every projective gate: checked rows x (..., n)
+    and their squared norms, without an overflow warning, with each row
+    whose squared norm exceeds bound or overflows divided by the power of
+    two that puts its largest real or imaginary part in [0.5, 1): exactly,
+    so it is the same class.  The other rows keep every bit.  One row in
+    range pays one np.vdot (not a ufunc, so it sets no overflow warning)
+    and one comparison."""
+    if x.ndim == 1:
+        n2 = np.vdot(x, x).real
+        if n2 <= bound:  # False on NaN and on an overflowed row
+            return x, n2
     with np.errstate(over="ignore", invalid="ignore"):
         n2 = np.vecdot(x, x).real
         fits = n2 <= bound  # False on NaN: a complex product can overflow to inf - inf
@@ -121,9 +127,7 @@ def _g(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _null(x: np.ndarray, tol: float) -> np.ndarray:
-    n2 = np.vdot(x, x) if x.ndim == 1 else np.nan  # as _null_gate
-    if not n2 <= HUGE_NORM2:
-        x, n2 = _rescaled(x)
+    x, n2 = _rescaled(x)
     return abs(_q(x)) <= tol * n2
 
 
@@ -189,10 +193,7 @@ class ProjectiveNullLine:
 
 
 def _null_gate(x: np.ndarray, tol: float) -> np.ndarray:
-    # one row: np.vdot sets no overflow warning, so one comparison keeps it
-    n2 = np.vdot(x, x) if x.ndim == 1 else np.nan
-    if not n2 <= HUGE_NORM2:  # a stack, or a huge or overflowed row
-        x, n2 = _rescaled(x)
+    x, n2 = _rescaled(x)
     require(np.sqrt(n2) > tol, ZeroVector,
             lambda i, at: f"a null class needs a nonzero vector{at}")
     q = _q(x)

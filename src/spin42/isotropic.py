@@ -74,9 +74,7 @@ def _isotropic_gate(v: np.ndarray, tol: float) -> np.ndarray:
     """The input gate of a spinor line, on checked spinors: nonzero
     (||v|| > tol) and isotropic (|(v|v)| <= tol ||v||^2).  Returns v,
     divided by a power of two where ||v||^2 > HUGE_NORM2 (the same line)."""
-    n2 = np.vdot(v, v).real if v.ndim == 1 else np.nan  # as forms._null_gate
-    if not n2 <= HUGE_NORM2:
-        v, n2 = _rescaled(v)
+    v, n2 = _rescaled(v)
     require(np.sqrt(n2) > tol, ZeroVector,
             lambda i, at: f"spinor line needs a nonzero representative{at}")
     vv = _g(v, v)
@@ -133,22 +131,19 @@ def _independent(a: np.ndarray, b: np.ndarray, bound: float, what: str,
 
 def _isotropic_plane(x1: np.ndarray, x2: np.ndarray, tol: float) -> None:
     """The gate of a totally isotropic plane spanned by checked rows x1, x2
-    (..., 6), at tol: nonzero, independent (|x1 ^ x2| > tol |x1| |x2|), and
-    every pairing within tol |x1| |x2|.  A row whose squared norm passes
-    HUGE_NORM2 is judged divided by its own power of two (the same plane)."""
-    # one row each: np.vdot sets no overflow warning, so one comparison keeps them
-    n1, n2 = (np.vdot(x1, x1), np.vdot(x2, x2)) if x1.ndim == 1 else (np.nan, np.nan)
-    if not n1 + n2 <= HUGE_NORM2:  # stacks, or a huge or overflowed row
-        (x1, n1), (x2, n2) = _rescaled(x1), _rescaled(x2)
-    scale = np.sqrt(n1 * n2)
-    require(scale > tol, ZeroVector,
+    (..., 6), at tol: nonzero rows (|x_i| > tol), independent (|x1 ^ x2| >
+    tol |x1| |x2|), and each pairing (x_i, x_j) within tol |x_i| |x_j|.  A
+    row whose squared norm passes HUGE_NORM2 is judged divided by its own
+    power of two (the same plane), which no verdict can tell apart."""
+    (x1, n1), (x2, n2) = _rescaled(x1), _rescaled(x2)
+    r1, r2 = np.sqrt(n1), np.sqrt(n2)
+    require(np.minimum(r1, r2) > tol, ZeroVector,
             lambda i, at: f"isotropic plane{at} needs nonzero basis vectors")
     _independent(x1, x2, tol, "isotropic plane basis", ("x1", "x2"))
-    basis = np.stack([x1, x2], axis=-2)
-    # Gram matrix of the pairings: Q(x1), (x1, x2), (x2, x1), Q(x2)
-    dev = abs(basis @ (Q_DIAG * basis).mT).max(axis=(-2, -1))
-    require(dev <= tol * scale, NotNull,
-            lambda i, at: f"plane{at} is not totally isotropic (largest pairing {dev[i]:g})")
+    dev = np.maximum(np.maximum(abs(_q(x1)) / n1, abs(_q(x2)) / n2), abs(_qb(x1, x2)) / (r1 * r2))
+    require(dev <= tol, NotNull,
+            lambda i, at: f"plane{at} is not totally isotropic"
+                          f" (largest pairing over the norms of its rows {dev[i]:g})")
 
 
 def isotropic_plane(x1, x2, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
@@ -215,11 +210,10 @@ _COMPOSITE_NORM2 = np.sqrt(HUGE_NORM2)
 
 def _plane_line(x1: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of plane_to_spinor_line on plane bases (..., 6): the
-    canonical line representatives (..., 4).  Where the squared norms of
-    all rows sum past _COMPOSITE_NORM2, each row past it is divided by its
-    own power of two, which leaves the plane and its line as they are."""
-    if not np.vdot(x1, x1) + np.vdot(x2, x2) <= _COMPOSITE_NORM2:
-        x1, x2 = _rescaled(x1, _COMPOSITE_NORM2)[0], _rescaled(x2, _COMPOSITE_NORM2)[0]
+    canonical line representatives (..., 4).  Each row whose squared norm
+    passes _COMPOSITE_NORM2 is divided by its own power of two, which
+    leaves the plane and its line as they are."""
+    x1, x2 = _rescaled(x1, _COMPOSITE_NORM2)[0], _rescaled(x2, _COMPOSITE_NORM2)[0]
     cols = (_x_matrix(x1) @ np.conj(_x_matrix(x2))).mT
     lengths = _norm(cols)
     line = np.take_along_axis(cols, lengths.argmax(axis=-1)[..., None, None], axis=-2)

@@ -395,11 +395,13 @@ def test_power_of_two_rescaling_keeps_every_output_bit(power):
     assert np.array_equal(partner_null_vector(X0 * s), partner_null_vector(X0) / s)
 
 
-@pytest.mark.parametrize("scale", [1e50, 1e77, 1e155, 1e200, 2.0 ** 1000])
+@pytest.mark.parametrize("scale", [1e50, 1e77, 7.1e153, 1e155, 1e200, 2.0 ** 1000])
 def test_huge_plane_bases_give_the_line_of_the_plane_at_scale_one(scale):
     # the composite overflows in its wedges from about 1e50 and the gate's
-    # norms from about 1e154; each row is rescaled on its own inside the
-    # kernels, and the plane keeps the caller's vectors
+    # norms from about 1e154 (at 7.1e153 each row's squared norm, about
+    # 1.0e308, is finite, and only their sum would overflow); each row is
+    # rescaled on its own inside the kernels, and the plane keeps the
+    # caller's vectors
     plane = isotropic_plane(scale * X1, scale * X2)
     assert np.array_equal(plane.x1, scale * X1) and np.array_equal(plane.x2, scale * X2)
     assert np.array_equal(plane_to_spinor_line(plane).rep,
@@ -414,6 +416,24 @@ def test_power_of_two_plane_bases_keep_every_line_bit(power):
         want = plane_to_spinor_line(isotropic_plane(x1, x2)).rep
         assert np.array_equal(plane_to_spinor_line(isotropic_plane(s * x1, s * x2)).rep, want)
         assert np.array_equal(plane_to_spinor_line(IsotropicPlaneE(s * x1, x2)).rep, want)
+
+
+def test_plane_gate_verdicts_do_not_depend_on_the_scale_of_one_row():
+    # each pairing (x_i, x_j) is judged against tol |x_i| |x_j| and each row
+    # against tol on its own, so neither scaling one row nor rescaling it
+    # past HUGE_NORM2 flips a verdict
+    plane = random_isotropic_plane(np.random.default_rng(5))
+    x1, x2 = plane.x1, plane.x2
+    bent = x2 + 1e-6 * np.eye(6)[0]
+    for power in (-20, 0, 23, 100, 240, 250, 260, 500, 1000):
+        s = 2.0 ** power
+        for a, b in ((s * x1, x2), (x1, s * x2)):
+            assert np.array_equal(isotropic_plane(a, b).x1, a)
+        for a, b in ((s * x1, bent), (bent, s * x1), (x1, s * bent)):
+            with pytest.raises(NotNull, match="is not totally isotropic"):
+                isotropic_plane(a, b)
+        with pytest.raises(ZeroVector, match="needs nonzero basis vectors"):
+            isotropic_plane(2.0 ** -40 * x1, s * x2)
 
 
 def test_huge_rows_of_a_stack_are_rescaled_alone():
