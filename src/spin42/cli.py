@@ -44,30 +44,56 @@ _GENERATOR = "numpy-pcg64/v3"
 # deterministic JSON
 
 
+def _numbers(obj):
+    """obj written by one "%.17g" format nested as its shape when it is a
+    float or complex array of at least one axis, a list of Python complex
+    numbers, or a list of such arrays and lists; None for anything else,
+    an empty list too.  A complex number is written as its [re, im] pair,
+    -0.0 as "-0" and a non-finite number as nan, inf or -inf."""
+    kind = type(obj)
+    if kind is np.ndarray:
+        dtype = obj.dtype
+        if dtype.kind not in "fc" or not obj.ndim:
+            return None
+        flat, shape = obj.ravel(), obj.shape
+        if dtype.kind == "c":  # as (..., 2) real pairs
+            flat, shape = flat.view(flat.real.dtype), shape + (2,)
+        text = "%.17g"
+        for n in reversed(shape):
+            text = "[" + ((text + ",") * n)[:-1] + "]"
+        return text % tuple(flat.tolist())
+    if kind is not list or not obj:
+        return None
+    first = type(obj[0])
+    if first is complex:
+        if not all(type(z) is complex for z in obj):
+            return None
+        text = "[" + ("[%.17g,%.17g]," * len(obj))[:-1] + "]"
+        return text % tuple([v for z in obj for v in (z.real, z.imag)])
+    if first is not list and first is not np.ndarray:
+        return None
+    parts = [_numbers(v) for v in obj]
+    return None if None in parts else "[" + ",".join(parts) + "]"
+
+
 def to_json(obj) -> str:
     """Compact JSON with sorted keys, 17-significant-digit floats, and
-    complex numbers as [re, im] pairs.  A float or complex array, or a list
-    of complex numbers, is written by one "%.17g" format nested as its
-    shape, in the bytes of writing each entry on its own; non-finite
-    entries as NaN, Infinity and -Infinity, which json.loads reads."""
+    complex numbers as [re, im] pairs.  A float or complex array, a list of
+    complex numbers, or a list of such arrays and lists, is written by one
+    "%.17g" format nested as its shape, in the bytes of writing each entry
+    on its own; non-finite entries as NaN, Infinity and -Infinity, which
+    json.loads reads."""
     if isinstance(obj, dict):
         items = ",".join(
             f"{_json_str(str(k))}:{to_json(v)}" for k, v in sorted(obj.items())
         )
         return "{" + items + "}"
+    text = _numbers(obj)
+    # a finite entry is written in digits, "-", ".", "e" and "+" only, and
+    # -0.0 as "-0", the one token to start "-0" and end at "," or "]"
+    if text and "n" not in text:
+        return text.replace("-0,", "0,").replace("-0]", "0]")
     kind = type(obj)
-    if (kind is np.ndarray and obj.dtype.kind in "fc"
-            or kind is list and obj and all(type(v) is complex for v in obj)):
-        a = np.asarray(obj)
-        if a.dtype.kind == "c":  # the (..., 2) real view: a unit axis views any strides
-            a = a[..., None].view(a.real.dtype)
-        a = a + 0.0  # collapse -0.0
-        text = "%.17g"
-        for n in reversed(a.shape):
-            text = "[" + ",".join([text] * n) + "]"
-        text %= tuple(a.ravel().tolist())
-        # a finite entry is written in digits, "-", ".", "e" and "+" only
-        return to_json(a.tolist()) if "n" in text else text
     if kind is float or kind is np.float64:
         text = "%.17g" % (obj + 0.0)
         return json.dumps(float(obj)) if "n" in text else text

@@ -43,9 +43,23 @@ RESIDUAL_FLOOR = 1e-8
 HUGE_NORM2 = 2.0 ** 500
 
 
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every entry of arr is finite: the verdict of check_finite,
+    for gates that answer False rather than raise."""
+    return np.vdot(arr, arr).real < np.inf or np.isfinite(arr).all()
+
+
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    """Return arr, or raise InvalidEntity if any entry is NaN or infinite."""
-    if not np.isfinite(arr).all():
+    """Return arr, or raise InvalidEntity if any entry is NaN or infinite.
+
+    One np.vdot judges a finite input: its sum of squares |a_i|^2 is
+    finite only if every entry is, since an infinite entry makes its term
+    inf and a NaN makes it NaN, and no term is negative, so nothing can
+    cancel an inf.  A sum that reads inf or NaN may also come from finite
+    entries whose squares overflow (1e200, or a complex product's
+    inf - inf), so only then is every entry asked.  np.vdot is not a
+    ufunc and sets no overflow warning."""
+    if not _finite(arr):
         raise InvalidEntity(f"non-finite components in {what}")
     return arr
 
@@ -58,13 +72,19 @@ def _at(index: tuple) -> str:
     return f" at row {index[0]}" if len(index) == 1 else f" at index {index}"
 
 
+def _every(ok: np.ndarray) -> bool:
+    """Whether the mask ok holds on every row.  A single object's 0-d mask
+    is read without a reduction, which costs about as much as a small
+    kernel; an empty stack passes."""
+    return ok.all() if ok.ndim else ok
+
+
 def require(ok: np.ndarray, error: type[Exception], message) -> None:
     """The row gate of every kernel: nothing when the pass mask ok holds on
-    every row (a single object's 0-d mask is read without a reduction, and
-    an empty stack passes); otherwise raise error(message(index, _at(index)))
+    every row (_every); otherwise raise error(message(index, _at(index)))
     for the first failing index.  A NaN comparison is False, so it fails
     the gate."""
-    if ok.all() if ok.ndim else ok:
+    if _every(ok):
         return
     index = tuple(int(i) for i in np.argwhere(~ok)[0])
     raise error(message(index, _at(index)))
@@ -86,10 +106,17 @@ def _rescaled(x: np.ndarray, bound: float = HUGE_NORM2) -> tuple[np.ndarray, np.
         n2 = np.vecdot(x, x).real
         fits = n2 <= bound  # False on NaN: a complex product can overflow to inf - inf
         if not fits.all():
-            top = np.maximum(abs(x.real), abs(x.imag)).max(axis=-1)
-            x = x * np.ldexp(1.0, np.where(fits, 0, -np.frexp(top)[1]))[..., None]
+            x = x * _halvings(x, fits)[..., None]
             n2 = np.vecdot(x, x).real
     return x, n2
+
+
+def _halvings(x: np.ndarray, fits: np.ndarray) -> np.ndarray:
+    """The factors (...) by which _rescaled multiplies rows x (..., n): 1
+    where fits, else the power of two that puts the row's largest real or
+    imaginary part in [0.5, 1)."""
+    top = np.maximum(abs(x.real), abs(x.imag)).max(axis=-1)
+    return np.ldexp(1.0, np.where(fits, 0, -np.frexp(top)[1]))
 
 
 def as_vec6(x) -> np.ndarray:

@@ -116,12 +116,13 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v).real)
 
 
-def _independent(a: np.ndarray, b: np.ndarray, bound: float, what: str,
+def _independent(a: np.ndarray, b: np.ndarray, scale: np.ndarray, bound: float, what: str,
                  names: tuple[str, str]) -> np.ndarray:
-    """The rank gate of pairs a, b (..., n): |a ^ b| > bound |a| |b| on every
-    row, with a and b called names in the message; returns a ^ b."""
+    """The rank gate of pairs a, b (..., n) whose norm products |a| |b| the
+    caller gives as scale: |a ^ b| > bound |a| |b| on every row, with a and
+    b called names in the message; returns a ^ b."""
     w = _pluecker(a, b)
-    size, scale = _norm(w), _norm(a) * _norm(b)
+    size = _norm(w)
     p, q = names
     require(size > bound * scale, RankFailure,
             lambda i, at: f"{what}{at} is zero or dependent"
@@ -137,13 +138,14 @@ def _isotropic_plane(x1: np.ndarray, x2: np.ndarray, tol: float) -> None:
     power of two (the same plane), which no verdict can tell apart."""
     (x1, n1), (x2, n2) = _rescaled(x1), _rescaled(x2)
     r1, r2 = np.sqrt(n1), np.sqrt(n2)
-    require(np.minimum(r1, r2) > tol, ZeroVector,
+    require((r1 > tol) & (r2 > tol), ZeroVector,
             lambda i, at: f"isotropic plane{at} needs nonzero basis vectors")
-    _independent(x1, x2, tol, "isotropic plane basis", ("x1", "x2"))
-    dev = np.maximum(np.maximum(abs(_q(x1)) / n1, abs(_q(x2)) / n2), abs(_qb(x1, x2)) / (r1 * r2))
-    require(dev <= tol, NotNull,
-            lambda i, at: f"plane{at} is not totally isotropic"
-                          f" (largest pairing over the norms of its rows {dev[i]:g})")
+    scale = r1 * r2
+    _independent(x1, x2, scale, tol, "isotropic plane basis", ("x1", "x2"))
+    d1, d2, d12 = abs(_q(x1)) / n1, abs(_q(x2)) / n2, abs(_qb(x1, x2)) / scale
+    require((d1 <= tol) & (d2 <= tol) & (d12 <= tol), NotNull,
+            lambda i, at: f"plane{at} is not totally isotropic (largest pairing over the"
+                          f" norms of its rows {np.maximum(np.maximum(d1, d2), d12)[i]:g})")
 
 
 def isotropic_plane(x1, x2, tol: float = DEFAULT_TOL) -> IsotropicPlaneE:
@@ -183,7 +185,8 @@ def _spinor_plane(x: np.ndarray, tol: float) -> np.ndarray:
     they are orthogonal with norm |x|.  Post-conditions: the pair at
     max(tol, RANK_FLOOR), and |X(x) conj(b)| / |x| at max(tol, RESIDUAL_FLOOR)."""
     m = _x_matrix(x)
-    _independent(m[..., :, 0], m[..., :, 1], max(tol, RANK_FLOOR), "X(x) column pair",
+    c1, c2 = m[..., :, 0], m[..., :, 1]
+    _independent(c1, c2, _norm(c1) * _norm(c2), max(tol, RANK_FLOOR), "X(x) column pair",
                  ("c1", "c2"))
     m = m / _norm(x)[..., None, None]
     b = m[..., :, :2].mT
@@ -216,13 +219,13 @@ def _plane_line(x1: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
     x1, x2 = _rescaled(x1, _COMPOSITE_NORM2)[0], _rescaled(x2, _COMPOSITE_NORM2)[0]
     cols = (_x_matrix(x1) @ np.conj(_x_matrix(x2))).mT
     lengths = _norm(cols)
-    line = np.take_along_axis(cols, lengths.argmax(axis=-1)[..., None, None], axis=-2)
-    size = lengths.max(axis=-1)
-    wedge = _norm(_pluecker(cols, line)).max(axis=-1)
+    largest = (*np.indices(lengths.shape[:-1], sparse=True), lengths.argmax(axis=-1))
+    line, size = cols[largest], lengths[largest]
+    wedge = _norm(_pluecker(cols, line[..., None, :])).max(axis=-1)
     require((size > tol) & (wedge <= max(tol, RANK_FLOOR) * size * size), RankFailure,
             lambda i, at: f"composite operator{at} is not of rank 1"
                           f" (largest column {size[i]:g}, largest wedge with it {wedge[i]:g})")
-    return _spinor_line(line[..., 0, :], tol)
+    return _spinor_line(line, tol)
 
 
 def plane_to_spinor_line(n: IsotropicPlaneE, tol: float = DEFAULT_TOL) -> SpinorLine:
@@ -286,7 +289,8 @@ def _spinor_plane_class(b: np.ndarray, tol: float) -> np.ndarray:
     max(tol, RANK_FLOOR): the basis, and the imaginary residual left (a
     plane that is no kernel of a null class)."""
     bound = max(tol, RANK_FLOOR)
-    w = _independent(b[..., 0, :], b[..., 1, :], bound, "spinor plane basis", ("b1", "b2"))
+    b1, b2 = b[..., 0, :], b[..., 1, :]
+    w = _independent(b1, b2, _norm(b1) * _norm(b2), bound, "spinor plane basis", ("b1", "b2"))
     c = w @ _READ.T
     c = c / _pivot(c)
     residual = abs(c.imag).max(axis=-1)
@@ -328,8 +332,10 @@ def _gram_schmidt(x1: np.ndarray, x2: np.ndarray, tol: float):
     R's entries r11 = |x1|, r12 = q1.x2 and r22 = |x2 - r12 q1|.  One pass
     leaves q1.q2 of order eps kappa; a second ("twice is enough") leaves q
     orthonormal to rounding."""
-    _independent(x1, x2, max(tol, RANK_FLOOR), "isotropic plane basis", ("x1", "x2"))
-    r11 = _norm(x1)[..., None]
+    r11 = _norm(x1)
+    _independent(x1, x2, r11 * _norm(x2), max(tol, RANK_FLOOR), "isotropic plane basis",
+                 ("x1", "x2"))
+    r11 = r11[..., None]
     q1 = x1 / r11
     r12 = np.vecdot(q1, x2)[..., None]
     u = x2 - r12 * q1

@@ -22,6 +22,7 @@ measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -75,7 +76,10 @@ class Plane:
 
 LieEntity = Union[Point, Infinity, Sphere, Plane]
 
-INVERSION_MATRIX = np.diag([1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
+# the inversion negates slot 5: its signs, and its matrix
+_INVERSION_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
+_INVERSION_SIGNS.setflags(write=False)
+INVERSION_MATRIX = np.diag(_INVERSION_SIGNS)
 INVERSION_MATRIX.setflags(write=False)
 
 
@@ -127,13 +131,14 @@ def embed_rep(ent: LieEntity) -> np.ndarray:
     if isinstance(ent, Point):
         return _sphere_embedding(ent.p, 0.0)
     if isinstance(ent, Sphere):
-        if not np.isfinite(ent.signed_radius) or ent.signed_radius == 0.0:
+        if not math.isfinite(ent.signed_radius) or ent.signed_radius == 0.0:
             raise InvalidEntity("sphere radius must be finite and nonzero")
         return _sphere_embedding(ent.center, ent.signed_radius)
     if isinstance(ent, Plane):
-        if abs(np.linalg.norm(ent.normal) - 1.0) > 1e-12:
+        # the root of the dot product is np.linalg.norm's, without its wrapper
+        if abs(math.sqrt(ent.normal.dot(ent.normal)) - 1.0) > 1e-12:
             raise InvalidEntity("plane normal must be a unit vector")
-        if not np.isfinite(ent.offset):
+        if not math.isfinite(ent.offset):
             raise InvalidEntity("plane offset must be finite")
         return _plane_rep(ent.normal, ent.offset)
     raise InvalidEntity(f"not a geometric entity: {ent!r}")
@@ -162,8 +167,13 @@ def _extract(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
             lambda i, at: f"class{at} at infinity with no radius slot: no entity normal form fits")
     # the sphere/point gauge rescales so slot6 - slot5 = 1
     coords = a / np.where(at_inf, np.where(finite_zero, 1.0, a[..., 3]), gap)[..., None]
-    kind = np.where(at_inf, np.where(finite_zero, INFINITY, PLANE),
-                    np.where(abs(coords[..., 3]) <= tol, POINT, SPHERE))
+    # at infinity, slot 4 in this gauge is within tol of 0 exactly when the
+    # finite block is: the gauge 1 leaves it at most the block's largest
+    # entry, and a plane's gauge makes it a4 / a4 = 1, while its block,
+    # canonical so at most 1, exceeds tol.  With the kinds in the order of
+    # range(4), a row's kind is SPHERE, less 2 at infinity, less 1 where
+    # slot 4 is within tol of 0
+    kind = SPHERE - 2 * at_inf - (abs(coords[..., 3]) <= tol)
     return kind, coords
 
 
@@ -172,6 +182,7 @@ def lie_extract(p: ProjectiveNullLine, tol: float = DEFAULT_TOL) -> LieEntity:
     representative (whose largest component is 1, so the tolerances are
     absolute)."""
     kind, b = _extract(p.rep, tol)
+    kind = int(kind)
     if kind == INFINITY:
         return Infinity()
     if kind == PLANE:
@@ -183,7 +194,7 @@ def lie_extract(p: ProjectiveNullLine, tol: float = DEFAULT_TOL) -> LieEntity:
 
 def _inversion(rep: np.ndarray) -> np.ndarray:
     """Kernel of conformal_inversion on class representatives (..., 6)."""
-    return _projective(rep @ INVERSION_MATRIX, DEFAULT_TOL)
+    return _projective(rep * _INVERSION_SIGNS, DEFAULT_TOL)
 
 
 def conformal_inversion(p: ProjectiveNullLine) -> ProjectiveNullLine:

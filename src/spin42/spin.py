@@ -37,9 +37,14 @@ from .forms import (
     DEFAULT_TOL,
     G4,
     G_DIAG,
+    HUGE_NORM2,
     Q6,
+    Q_DIAG,
     RESIDUAL_FLOOR,
     _at,
+    _every,
+    _finite,
+    _halvings,
     _q,
     as_vec6,
     check_finite,
@@ -61,13 +66,30 @@ class ConformalMatrix6:
     l: np.ndarray
 
 
+# max |m_ij| past which _su22_devs rescales a matrix: s^4 and the terms of
+# det m, products of four entries, must not overflow
+_HUGE_ENTRY = np.sqrt(HUGE_NORM2)
+
+
 def _su22_devs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix deviations of a finite stack (..., 4, 4) from the group,
     relative to the scale s = max(1, max |m_ij|) at which their rounding
-    grows: max |m G m^dagger - G| / s^2 and |det m - 1| / s^4."""
-    s2 = np.maximum(1.0, abs(m).max(axis=(-2, -1))) ** 2
-    gdev = abs((m * G_DIAG) @ m.mT.conj() - G4).max(axis=(-2, -1))
-    ddev = abs(_det4(m) - 1.0)
+    grows: max |m G m^dagger - G| / s^2 and |det m - 1| / s^4.  A matrix
+    with max |m_ij| > _HUGE_ENTRY is judged as r m, r the power of two of
+    forms._rescaled, against r^2 G and r^4 at the scale r s: the same
+    deviations, without an overflow.  The other matrices keep every bit."""
+    a = abs(m).max(axis=(-2, -1))
+    fits = a <= _HUGE_ENTRY
+    # the targets of m G m^dagger and det m, and the 1 in s, scaled with m
+    g, det, unit = G4, 1.0, 1.0
+    if not _every(fits):
+        r = _halvings(m.reshape(*m.shape[:-2], 16), fits)
+        m = m * r[..., None, None]
+        a = abs(m).max(axis=(-2, -1))
+        g, det, unit = G4 * (r * r)[..., None, None], r ** 4, r
+    s2 = np.maximum(unit, a) ** 2
+    gdev = abs((m * G_DIAG) @ m.mT.conj() - g).max(axis=(-2, -1))
+    ddev = abs(_det4(m) - det)
     return gdev / s2, ddev / (s2 * s2)
 
 
@@ -76,7 +98,7 @@ def is_su22(m, tol: float = DEFAULT_TOL) -> bool:
     tol * s^2 and det m = 1 at tol * s^4, s = max(1, max |m_ij|), so a
     genuine strong boost is not rejected for its rounding."""
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4) or not np.isfinite(m).all():
+    if m.shape != (4, 4) or not _finite(m):
         return False
     gdev, ddev = _su22_devs(m)
     return bool(gdev <= tol and ddev <= tol)
@@ -161,11 +183,11 @@ def _read_back(w: np.ndarray, lead: tuple, floor: float) -> np.ndarray:
     means the acting matrix was never a group element.  The error names the
     first failing column by its index in lead."""
     c = _READ @ w
-    residual = abs(_SIGMA_COEFFS.T @ c.imag).max(axis=0).reshape(lead)
-    size = abs(w).max(axis=0).reshape(lead)
-    require(residual <= floor * np.maximum(1.0, size), ActionLeavesSpan,
+    residual = abs(_SIGMA_COEFFS.T @ c.imag).max(axis=0)
+    ok = residual <= floor * np.maximum(1.0, abs(w).max(axis=0))
+    require(ok.reshape(lead), ActionLeavesSpan,
             lambda i, at: f"operator{at} is not a real generator combination"
-                          f" (residual {residual[i]:g})")
+                          f" (residual {residual.reshape(lead)[i]:g})")
     return c.real
 
 
@@ -192,8 +214,9 @@ def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def _q_devs(l: np.ndarray) -> np.ndarray:
-    """max |l Q l^T - Q| of each matrix of a stack (..., 6, 6)."""
-    return abs(l @ Q6 @ l.mT - Q6).max(axis=(-2, -1))
+    """max |l Q l^T - Q| of each matrix of a stack (..., 6, 6); l Q is
+    l's columns times Q's diagonal."""
+    return abs((l * Q_DIAG) @ l.mT - Q6).max(axis=(-2, -1))
 
 
 def _covering(m: np.ndarray, tol: float) -> np.ndarray:
@@ -254,6 +277,6 @@ def is_so_plus(l, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(l, ConformalMatrix6):
         l = l.l
     l = np.asarray(l, dtype=float)
-    if l.shape != (6, 6) or not np.isfinite(l).all():
+    if l.shape != (6, 6) or not _finite(l):
         return False
     return bool(_so_plus(l, tol))

@@ -60,12 +60,13 @@ _C = st.builds(complex, _F64, _F64)
 
 
 @st.composite
-def _arrays(draw):
-    """float64, float32, complex128, complex64, int and bool arrays of 0 to
-    3 axes, empty axes included, as they are or as a strided view."""
-    shape = draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+def _arrays(draw, kinds=("f8", "f4", "c16", "c8", "i8", "bool"), min_dims=0):
+    """float64, float32, complex128, complex64, int and bool arrays (or
+    those of kinds) of min_dims to 3 axes, empty axes included, as they are
+    or as a strided view."""
+    shape = draw(array_shapes(min_dims=min_dims, max_dims=3, min_side=0, max_side=4))
     n = int(np.prod(shape))
-    kind = draw(st.sampled_from(["f8", "f4", "c16", "c8", "i8", "bool"]))
+    kind = draw(st.sampled_from(kinds))
     entries = {"f8": _F64, "f4": _F32, "c16": _F64, "c8": _F32, "bool": st.booleans(),
                "i8": st.integers(-2**63, 2**63 - 1)}[kind]
     flat = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(2)]
@@ -86,8 +87,13 @@ _SCALARS = st.one_of(
     st.builds(np.float64, _F64), st.builds(np.float32, _F32), st.builds(np.complex128, _C),
     st.builds(np.int64, st.integers(-2**63, 2**63 - 1)), st.builds(np.bool_, st.booleans()),
 )
+_COMPLEX_LISTS = st.lists(_C, min_size=1, max_size=4)
+# what the CLI's commands emit, each written by one format: lists of Python
+# complex numbers, lists of such lists, and lists of float arrays
+_NUMBER_LISTS = (_COMPLEX_LISTS | st.lists(_COMPLEX_LISTS, min_size=1, max_size=3)
+                 | st.lists(_arrays(("f8", "f4", "c16", "c8"), min_dims=1), min_size=1, max_size=3))
 _VALUES = st.recursive(
-    _SCALARS | _arrays() | st.lists(_C, min_size=1, max_size=4),
+    _SCALARS | _arrays() | _NUMBER_LISTS,
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
                    | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
     max_leaves=12,
@@ -100,6 +106,32 @@ def test_to_json_writes_the_bytes_of_the_per_number_reference(obj):
     assert to_json(obj) == to_json_reference(obj)
     with pytest.raises(TypeError):
         to_json([obj, object()])
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("obj, text", [
+    ([complex(-0.0, 1.0), complex(2.0, -0.0)], "[[0,1],[2,0]]"),
+    ([[complex(-0.0, -0.0)], [complex(0.5, -1.0)]], "[[[0,0]],[[0.5,-1]]]"),
+    ([[complex(_NAN, 1.0), complex(1.0, _INF)], [complex(-_INF, -0.0)]],
+     "[[[NaN,1],[1,Infinity]],[[-Infinity,0]]]"),
+    ([np.array([-0.0, 1.5]), np.array([[0.1, -0.0]])], "[[0,1.5],[[0.10000000000000001,0]]]"),
+    ([np.array([_INF, -_INF, _NAN]), np.array([-0.0])], "[[Infinity,-Infinity,NaN],[0]]"),
+    ([[complex(1.0, 2.0)], np.array([-0.0 - 0.0j])], "[[[1,2]],[[0,0]]]"),
+    ([], "[]"),
+    ([[], []], "[[],[]]"),
+    ([np.zeros((2, 0))], "[[[],[]]]"),
+    ([complex(1.0, 0.0), 1.0], "[[1,0],1]"),
+    ([[complex(1.0, 0.0)], [1.0]], "[[[1,0]],[1]]"),
+])
+def test_to_json_number_lists_by_example(obj, text):
+    assert to_json(obj) == to_json_reference(obj) == text
+
+
+def test_to_json_writes_verify_results_in_the_per_number_bytes():
+    for result in run_suites("all", seed=3, count=4, tol=1e-9):
+        assert to_json(vars(result)) == to_json_reference(vars(result))
 
 
 def test_verify_clifford_at_zero_tolerance():
@@ -378,6 +410,15 @@ def test_huge_inputs_get_their_answers_or_the_overflow_named():
                                  " too large: its square overflows\n")
     result = runner.invoke(main, ["embed", '{"point": [1e100, 0, 0]}'])
     assert result.stdout == '{"class":[2e-100,0,0,0,1,1],"null_residual":0}\n'
+
+
+@pytest.mark.parametrize("entry", ["1e200", "NaN"])
+def test_act_refuses_a_huge_or_nan_matrix_as_a_contract_violation(entry):
+    # the pytest configuration makes any RuntimeWarning an error
+    matrix = f"[[{entry},0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+    result = runner.invoke(main, ["act", matrix, "[1,2,3,4,5,6]"])
+    assert result.exit_code == 3
+    assert result.stderr == "contract violation: NotNormalized: matrix fails the membership test\n"
 
 
 def test_embed_tol_gates_nullity():

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spin42.errors import NotNull, ZeroVector
+from spin42.errors import InvalidEntity, NotNull, ZeroVector
 from spin42.forms import (
     Q_DIAG,
     ProjectiveNullLine,
+    as_spinor,
+    as_vec6,
     canonicalize,
+    check_finite,
     g_form,
     is_null,
     projectivize,
@@ -169,3 +172,52 @@ def test_is_null_judges_huge_vectors_as_their_class(scale):
     assert is_null([scale, 0, 0, scale, 0, 0])
     assert not is_null([scale, 0, 0, 0.5 * scale, 0, 0])
     assert is_null([0, scale, 0, 0, 0, -scale])
+
+
+# Finite parts up to 1.7e308, whose squares and sums overflow, the
+# non-finite values, and in a complex entry either part non-finite.
+_HUGE = [1.7e308, -1.7e308, 1e200, 1e155, 1.35e154, 5e-324, 0.0, -0.0]
+_PART = (st.sampled_from(_HUGE) | st.floats(-1.7e308, 1.7e308)
+         | st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+@st.composite
+def _checked_arrays(draw):
+    """The shapes the library validates, of float, complex, int or bool
+    entries."""
+    shape = draw(st.sampled_from([(6,), (4,), (4, 4), (2, 6)]))
+    n = int(np.prod(shape))
+    kind = draw(st.sampled_from(["float", "complex", "int", "bool"]))
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))).reshape(shape)
+    if kind == "int":
+        ints = st.integers(-2**63, 2**63 - 1)
+        return np.array(draw(st.lists(ints, min_size=n, max_size=n))).reshape(shape)
+    re = draw(st.lists(_PART, min_size=n, max_size=n))
+    if kind == "float":
+        return np.array(re).reshape(shape)
+    a = np.empty(n, dtype=complex)
+    a.real, a.imag = re, draw(st.lists(_PART, min_size=n, max_size=n))
+    return a.reshape(shape)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_checked_arrays())
+def test_check_finite_gives_the_entrywise_verdict(arr):
+    # the one-dot test reads an overflowed sum as inf or NaN and then asks
+    # every entry; the pytest configuration makes any RuntimeWarning an error
+    if np.isfinite(arr).all():
+        assert check_finite(arr, "input") is arr
+    else:
+        with pytest.raises(InvalidEntity, match=r"^non-finite components in input$"):
+            check_finite(arr, "input")
+
+
+def test_finite_inputs_whose_squared_norm_overflows_are_accepted():
+    assert as_vec6([1e200] * 6).tolist() == [1e200] * 6
+    assert as_spinor([1e200j] * 4).tolist() == [1e200j] * 4
+    assert as_spinor([1.7e308 + 1.7e308j] * 4).tolist() == [1.7e308 + 1.7e308j] * 4
+    with pytest.raises(InvalidEntity):
+        as_vec6([1e200] * 5 + [np.inf])
+    with pytest.raises(InvalidEntity):
+        as_spinor([1.7e308 + 1.7e308j] * 3 + [complex(1.0, np.nan)])

@@ -85,6 +85,14 @@ def test_extract_inverts_embed():
     assert isinstance(lie_extract(lie_embed(Infinity())), Infinity)
 
 
+@pytest.mark.parametrize("ent", [Infinity(), Point([1.0, 2.0, 3.0]),
+                                 Sphere([1.0, 0.0, 0.0], 2.0), Plane([0.0, 0.0, 1.0], 2.0)])
+def test_extract_reads_each_kind_at_tolerance_zero(ent):
+    # exactly null embeddings: a point's radius slot and a class's slot
+    # gap at infinity are exactly 0, which tol = 0 still counts as zero
+    assert type(lie_extract(lie_embed(ent, 0.0), 0.0)) is type(ent)
+
+
 def test_extract_worked_plane_class():
     cls = projectivize(np.array([0.0, 0, 1, 1, 2, 2]))
     ent = lie_extract(cls)

@@ -8,6 +8,7 @@ from spin42.sampling import random_spin_element, random_unit_q_vec6
 from spin42.spin import (
     ConformalMatrix6,
     SpinElement,
+    _su22_devs,
     covering_matrix,
     is_so_plus,
     is_su22,
@@ -28,6 +29,47 @@ def test_is_su22_examples():
     assert not is_su22(np.diag([1, 1, 1, -1.0]))  # det -1
     assert not is_su22(np.eye(3))
     assert not is_su22(np.full((4, 4), np.nan))
+
+
+def _boost(rapidity: float) -> np.ndarray:
+    """The element of SU(2,2) that boosts spinor slots 1 and 3 against
+    each other: a member at every rapidity, with max |m| = cosh t."""
+    m = I4.copy()
+    m[0, 0] = m[2, 2] = np.cosh(rapidity)
+    m[0, 2] = m[2, 0] = np.sinh(rapidity)
+    return m
+
+
+@pytest.mark.parametrize("entry", [1e77, 1e155, 1e200, 1.7e308, 1.7e308 + 1.7e308j])
+def test_is_su22_refuses_huge_matrices_without_an_overflow(entry):
+    # past max |m| = 2^250 the deviations are those of m over a power of
+    # two; the pytest configuration makes any RuntimeWarning an error
+    m = I4.copy()
+    m[0, 0] = entry
+    assert not is_su22(m)
+    assert not is_su22(m[[1, 0, 2, 3]])
+
+
+def test_su22_deviations_keep_their_bits_below_the_rescaling_bound():
+    # boosts from max |m| of 1e69 to 5e303 stay members across 2^250 ~ 1.8e75
+    for rapidity in (160.0, 176.0, 177.0, 178.0, 200.0, 400.0, 700.0):
+        gdev, ddev = _su22_devs(_boost(rapidity))
+        assert gdev <= 1e-15 and ddev <= 1e-15
+        assert is_su22(_boost(rapidity))
+    # rows in range read the same bits in a stack with rescaled rows as
+    # alone, and as the formula without rescaling
+    rng = np.random.default_rng(26)
+    small = np.stack([random_spin_element(rng).m for _ in range(4)] + [2.0 * I4])
+    stack = np.concatenate([small, [_boost(300.0), 1e200 * I4]])
+    gdev, ddev = _su22_devs(stack)
+    s2 = np.maximum(1.0, abs(small).max(axis=(-2, -1))) ** 2
+    want_g = abs((small * np.diag(G4)) @ small.mT.conj() - G4).max(axis=(-2, -1)) / s2
+    want_d = abs(np.array([np.linalg.det(m) for m in small]) - 1.0) / (s2 * s2)
+    assert np.array_equal(gdev[:5], want_g) and np.array_equal(gdev[:5], _su22_devs(small)[0])
+    assert np.array_equal(ddev[:5], _su22_devs(small)[1])
+    assert np.allclose(ddev[:5], want_d, rtol=0, atol=1e-15)
+    assert gdev[5] <= 1e-15 and ddev[5] <= 1e-15
+    assert gdev[6] > 0.1
 
 
 def test_pair_of_equal_vectors_gives_scalar():
