@@ -5,15 +5,21 @@ All machine output is JSON on stdout with a fixed key order (sorted) and
 floats printed with 17 significant digits, so identical seeds and flags
 produce byte-identical output; diagnostics go to stderr.  Exit codes:
 0 pass, 1 check failure, 2 usage error, 3 contract violation.
+
+Each command's flags are parsed by a standard-library argparse parser,
+built the first time the command runs, so importing this module loads
+no argument parser.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
+from typing import Callable, NamedTuple
 
-import click
 import numpy as np
 
 from . import errata
@@ -116,22 +122,34 @@ def to_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+class UsageError(Exception):
+    """A command line, or an argument's content, that the CLI refuses:
+    exit 2, after the usage of the command."""
+
+
+def _echo(text: str, stream=None) -> None:
+    """One line to stdout, or to stream, flushed at once."""
+    stream = stream or sys.stdout
+    stream.write(text + "\n")
+    stream.flush()
+
+
 def _emit(obj) -> None:
-    click.echo(to_json(obj))
+    _echo(to_json(obj))
 
 
 def _parse_json(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"malformed JSON: {exc}") from exc
+        raise UsageError(f"malformed JSON: {exc}") from exc
 
 
 def _vec6_from_json(obj) -> np.ndarray:
     try:
         return as_vec6(obj)
     except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"not a 6-vector: {exc}") from exc
+        raise UsageError(f"not a 6-vector: {exc}") from exc
 
 
 def _complex_array(obj, shape) -> np.ndarray:
@@ -151,7 +169,7 @@ def _complex_array(obj, shape) -> np.ndarray:
     try:
         return np.array(entries(obj, shape), dtype=complex).reshape(shape)
     except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad complex array: {exc}") from exc
+        raise UsageError(f"bad complex array: {exc}") from exc
 
 
 def _entity_from_json(obj):
@@ -175,50 +193,209 @@ def _entity_from_json(obj):
     raise InvalidEntity(f"unknown entity kind {kind!r}")
 
 
-class _Commands(click.Group):
-    """Every command's library contract violation exits 3."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except Spin42Error as exc:
-            click.echo(f"contract violation: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(3)
-
-
 def _spinor_json(v: np.ndarray):
     return [complex(c) for c in v]
+
+
+# ---------------------------------------------------------------------------
+# parameters: each converter reads one command-line string, and the text of
+# its ValueError follows "Invalid value for '<name>': "
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid integer range.") from None
+        if value < low:
+            raise ValueError(f"{value} is not in the range x>={low}.")
+        return value
+    return integer
+
+
+def _one_of(choices: list[str]) -> Callable[[str], str]:
+    def choice(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
+        return text
+    return choice
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid float.") from None
+    # one comparison refuses a negative value and NaN alike
+    if not value >= 0.0:
+        raise ValueError(f"{value} is not a number >= 0")
+    return value
+
+
+class _Param(NamedTuple):
+    """One flag or argument of a command.  name is how usage and errors
+    show it ("--seed", or an argument's metavar); dest is the keyword it
+    fills.  convert reads its text, and None takes the text as it is (an
+    argument) or makes an on/off switch (a flag).  An absent flag takes the
+    environment variable env when that is set and not empty, else
+    default."""
+
+    name: str
+    dest: str
+    convert: Callable[[str], object] | None = None
+    default: object = None
+    help: str | None = None
+    env: str | None = None
+
+    def value(self, text):
+        if text is None and self.env:
+            text = os.environ.get(self.env) or None
+        if text is None:
+            return self.default
+        if self.convert is None:
+            return text
+        try:
+            return self.convert(text)
+        except ValueError as exc:
+            raise UsageError(f"Invalid value for '{self.name}': {exc}") from None
+
+
+_TOL = _Param("--tol", "tol", _tolerance, DEFAULT_TOL,
+              "Deviation tolerance, >= 0 (CMK_TOL env var; the flag wins).", env="CMK_TOL")
+_JSON = _Param("--json", "json_only", help="Suppress the stderr summary.")
+_SEED = _Param("--seed", "seed", _at_least(0), 0, "Generator seed, an integer >= 0.")
+_DIRECTIONS = ["null-to-plane", "plane-to-line", "line-to-plane"]
+
+# command name -> (function, parameters)
+_COMMANDS: dict[str, tuple[Callable, tuple[_Param, ...]]] = {}
+
+
+def _command(*params: _Param, name: str | None = None):
+    def register(fn):
+        _COMMANDS[name or fn.__name__] = (fn, params)
+        return fn
+    return register
+
+
+@lru_cache(maxsize=None)
+def _parser(command: str):
+    """The argparse parser of one command, built on its first use."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # argparse's "argument --tol: expected one argument", in the
+            # words of the converters' messages
+            if message.startswith("argument "):
+                name, _, detail = message[len("argument "):].partition(": ")
+                message = f"Invalid value for '{name}': {detail}"
+            raise UsageError(message)
+
+    fn, params = _COMMANDS[command]
+    parser = Parser(description=fn.__doc__, add_help=False, allow_abbrev=False)
+    for p in params:
+        if not p.name.startswith("--"):
+            parser.add_argument(p.dest, metavar=p.name)
+        elif p.convert is None:
+            parser.add_argument(p.name, dest=p.dest, action="store_true", help=p.help)
+        else:
+            parser.add_argument(p.name, dest=p.dest, metavar=p.dest.upper(),
+                                help=f"{p.help}  [default: {p.default}]")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+_DESCRIPTION = ("Spinorial model of the conformal compactification: verification "
+                "suites and geometric queries.")
+
+
+def _overview(prog: str) -> str:
+    """The help of the program: its usage, and one line per command."""
+    import textwrap
+
+    lines = [f"usage: {prog} COMMAND [ARGS]...", "", *textwrap.wrap(_DESCRIPTION, 78), "",
+             "commands:"]
+    for name, (fn, _) in sorted(_COMMANDS.items()):
+        summary = textwrap.shorten(" ".join(fn.__doc__.split()), 62, placeholder="...")
+        lines.append(f"  {name:<13}{summary}")
+    lines += ["", f"Run '{prog} COMMAND --help' for the flags of a command."]
+    return "\n".join(lines)
+
+
+def _run(args: list[str], prog: str) -> None:
+    """Parse args and run the command they name.  A refused command line
+    exits 2 and a library contract violation 3, each with one message on
+    stderr."""
+    command = args[0] if args else None
+    entry = _COMMANDS.get(command)
+    parser = None
+    try:
+        if entry is None:
+            if command is None or command == "--help":
+                _echo(_overview(prog), sys.stdout if command else sys.stderr)
+                sys.exit(0 if command else 2)
+            what = "option" if command.startswith("-") else "command"
+            raise UsageError(f"No such {what} {command!r}.")
+        fn, params = entry
+        parser = _parser(command)
+        parser.prog = f"{prog} {command}"
+        given = vars(parser.parse_args(args[1:]))
+        fn(**{p.dest: p.value(given[p.dest]) for p in params})
+    except UsageError as exc:
+        usage = f"usage: {prog} COMMAND [ARGS]...\n"
+        if parser is not None:
+            usage, prog = parser.format_usage(), parser.prog
+        _echo(f"{usage}Try '{prog} --help' for help.\n\nError: {exc}", sys.stderr)
+        sys.exit(2)
+    except Spin42Error as exc:
+        _echo(f"contract violation: {type(exc).__name__}: {exc}", sys.stderr)
+        sys.exit(3)
+
+
+class _Main:
+    """The `spin42` program.  main() runs it on sys.argv;
+    main.main(args, prog_name=..., standalone_mode=...) on a given list,
+    which is how click.testing.CliRunner calls it too.  Standalone, an
+    interrupt exits 1 after "Aborted!" and a closed stdout exits 1 quietly;
+    otherwise both propagate."""
+
+    name = "spin42"
+
+    def __call__(self, args=None, prog_name: str | None = None, standalone_mode: bool = True):
+        return self.main(args, prog_name, standalone_mode)
+
+    def main(self, args=None, prog_name: str | None = None, standalone_mode: bool = True):
+        args = sys.argv[1:] if args is None else list(args)
+        prog = prog_name or os.path.basename(sys.argv[0])
+        try:
+            _run(args, prog)
+        except KeyboardInterrupt:
+            if not standalone_mode:
+                raise
+            _echo("\nAborted!", sys.stderr)
+            sys.exit(1)
+        except BrokenPipeError:
+            if not standalone_mode:
+                raise
+            # the reader is gone: send what is still buffered nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+
+
+main = _Main()
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _nonnegative(ctx, param, value: float) -> float:
-    # one comparison refuses a negative value and NaN alike (click's
-    # FloatRange lets NaN through)
-    if not value >= 0.0:
-        raise click.BadParameter(f"{value} is not a number >= 0")
-    return value
-
-
-_tol_option = click.option(
-    "--tol", type=float, default=DEFAULT_TOL, show_default=True, envvar="CMK_TOL",
-    callback=_nonnegative, help="Deviation tolerance, >= 0 (CMK_TOL env var; the flag wins).")
-
-
-@click.group(cls=_Commands)
-def main():
-    """Spinorial model of the conformal compactification: verification
-    suites and geometric queries."""
-
-
-@main.command()
-@click.option("--suite", type=click.Choice(SUITE_ORDER + ["all"]), default="all")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--count", type=click.IntRange(min=1), default=200, show_default=True)
-@_tol_option
-@click.option("--json", "json_only", is_flag=True, help="Suppress the stderr summary.")
+@_command(
+    _Param("--suite", "suite", _one_of(SUITE_ORDER + ["all"]), "all",
+           f"The suite to run: one of {', '.join(SUITE_ORDER)}, or all."),
+    _SEED,
+    _Param("--count", "count", _at_least(1), 200, "Samples per suite, an integer >= 1."),
+    _TOL, _JSON)
 def verify(suite, seed, count, tol, json_only):
     """Run identity suites with a seeded generator; one JSON result per
     suite on stdout; exit 0 iff every suite passed."""
@@ -230,18 +407,16 @@ def verify(suite, seed, count, tol, json_only):
         _emit(vars(r))
         if not json_only:
             status = "PASS" if r.passed else "FAIL"
-            click.echo(
+            _echo(
                 f"{r.suite_name}: {r.checks_run} checks, "
                 f"max deviation {to_json(r.max_deviation)} -> {status}",
-                err=True,
+                sys.stderr,
             )
         all_passed = all_passed and r.passed
     sys.exit(0 if all_passed else 1)
 
 
-@main.command()
-@click.argument("entity_json")
-@_tol_option
+@_command(_Param("ENTITY_JSON", "entity_json"), _TOL)
 def embed(entity_json, tol):
     """Map an entity (point/sphere/plane/infinity JSON) to its canonical
     projective null class."""
@@ -249,9 +424,7 @@ def embed(entity_json, tol):
     _emit({"class": cls.rep, "null_residual": abs(q_form(cls.rep))})
 
 
-@main.command()
-@click.argument("line_json")
-@_tol_option
+@_command(_Param("LINE_JSON", "line_json"), _TOL)
 def invert(line_json, tol):
     """Conformal inversion of a projective null class (6-array JSON)."""
     x = _vec6_from_json(_parse_json(line_json))
@@ -259,11 +432,8 @@ def invert(line_json, tol):
     _emit({"class": cls.rep, "null_residual": abs(q_form(cls.rep))})
 
 
-@main.command()
-@click.argument("direction",
-                type=click.Choice(["null-to-plane", "plane-to-line", "line-to-plane"]))
-@click.argument("payload_json")
-@_tol_option
+@_command(_Param("{" + "|".join(_DIRECTIONS) + "}", "direction", _one_of(_DIRECTIONS)),
+          _Param("PAYLOAD_JSON", "payload_json"), _TOL)
 def correspond(direction, payload_json, tol):
     """Correspondences: null 6-vector -> spinor plane; isotropic plane ->
     spinor line; spinor line -> isotropic plane."""
@@ -283,7 +453,7 @@ def correspond(direction, payload_json, tol):
     elif direction == "plane-to-line":
         basis = payload.get("basis") if isinstance(payload, dict) else None
         if not (isinstance(basis, list) and len(basis) == 2):
-            raise click.UsageError('payload must be {"basis": [vec6, vec6]}')
+            raise UsageError('payload must be {"basis": [vec6, vec6]}')
         x1, x2 = (_vec6_from_json(b) for b in basis)
         line = plane_to_spinor_line(isotropic_plane(x1, x2, tol), tol)
         _emit({
@@ -303,10 +473,7 @@ def correspond(direction, payload_json, tol):
         })
 
 
-@main.command()
-@click.argument("matrix_json")
-@click.argument("vec6_json")
-@_tol_option
+@_command(_Param("MATRIX_JSON", "matrix_json"), _Param("VEC6_JSON", "vec6_json"), _TOL)
 def act(matrix_json, vec6_json, tol):
     """Act on a 6-vector by a group element (4x4 complex matrix JSON,
     entries as numbers or [re, im] pairs); also returns the 6x6 covering
@@ -324,11 +491,9 @@ def act(matrix_json, vec6_json, tol):
     })
 
 
-@main.command(name="myth-report")
-@click.option("--samples", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@_tol_option
-@click.option("--json", "json_only", is_flag=True, help="Suppress the stderr summary.")
+@_command(_Param("--samples", "samples", _at_least(1), 100,
+                 "Points sampled on the invariant 2-sphere, an integer >= 1."),
+          _SEED, _TOL, _JSON, name="myth-report")
 def myth_report(samples, seed, tol, json_only):
     """Probe conformal infinity: the inversion-invariant 2-sphere of
     classes (n, 1, 0, 0) is confirmed fixed and absent from the inverted
@@ -344,13 +509,13 @@ def myth_report(samples, seed, tol, json_only):
     })
     passed = report.missing_confirmed and report.fixed_sphere_max_drift <= tol
     if not json_only:
-        click.echo(
+        _echo(
             f"invariant 2-sphere: {report.sample_count} samples, "
             f"max inversion drift {to_json(report.fixed_sphere_max_drift)}, "
             f"light-cone matching residual >= "
             f"{to_json(report.min_matching_residual)} -> "
             f"{'MISSING CONFIRMED' if report.missing_confirmed else 'NOT CONFIRMED'}",
-            err=True,
+            sys.stderr,
         )
     sys.exit(0 if passed else 1)
 

@@ -66,26 +66,48 @@ class ConformalMatrix6:
     l: np.ndarray
 
 
-# max |m_ij| past which _su22_devs rescales a matrix: s^4 and the terms of
-# det m, products of four entries, must not overflow
+# Entry bounds past which a kernel rescales a matrix (_fitted), so that no
+# product of entries it forms passes HUGE_NORM2^2 = 2^1000: four entries of
+# M in det M; twelve in det L(M), whose entries are quadratic in M's; six
+# entries of a 6x6 matrix in its determinant
 _HUGE_ENTRY = np.sqrt(HUGE_NORM2)
+_HUGE_COVERED = HUGE_NORM2 ** (1 / 6)
+_HUGE_ENTRY6 = HUGE_NORM2 ** (1 / 3)
+
+
+def _fitted(m: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The overflow policy of forms._rescaled for a stack of matrices
+    (..., n, n): (m, r, a), where each matrix whose max |m_ij| exceeds
+    bound is multiplied by the power of two r of forms._halvings, exactly,
+    and a is max |m_ij| afterwards.  The other matrices keep every bit, and
+    r is None when every matrix fits, at the cost of one reduction."""
+    a = abs(m).max(axis=(-2, -1))
+    fits = a <= bound
+    if _every(fits):
+        return m, None, a
+    r = _halvings(m.reshape(*m.shape[:-2], -1), fits)
+    m = m * r[..., None, None]
+    return m, r, abs(m).max(axis=(-2, -1))
+
+
+def _unscaled(x: np.ndarray, r: np.ndarray, what: str) -> np.ndarray:
+    """x / r^2 for results x quadratic in matrices that _fitted scaled by r
+    (broadcast against x), divided by r twice, as r^2 may underflow;
+    InvalidEntity where the quotient leaves the float range."""
+    with np.errstate(over="ignore"):
+        return check_finite(x / r / r, what)
 
 
 def _su22_devs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix deviations of a finite stack (..., 4, 4) from the group,
     relative to the scale s = max(1, max |m_ij|) at which their rounding
     grows: max |m G m^dagger - G| / s^2 and |det m - 1| / s^4.  A matrix
-    with max |m_ij| > _HUGE_ENTRY is judged as r m, r the power of two of
-    forms._rescaled, against r^2 G and r^4 at the scale r s: the same
-    deviations, without an overflow.  The other matrices keep every bit."""
-    a = abs(m).max(axis=(-2, -1))
-    fits = a <= _HUGE_ENTRY
+    with max |m_ij| > _HUGE_ENTRY is judged as r m (_fitted) against r^2 G
+    and r^4 at the scale r s: the same deviations, without an overflow."""
+    m, r, a = _fitted(m, _HUGE_ENTRY)
     # the targets of m G m^dagger and det m, and the 1 in s, scaled with m
     g, det, unit = G4, 1.0, 1.0
-    if not _every(fits):
-        r = _halvings(m.reshape(*m.shape[:-2], 16), fits)
-        m = m * r[..., None, None]
-        a = abs(m).max(axis=(-2, -1))
+    if r is not None:
         g, det, unit = G4 * (r * r)[..., None, None], r ** 4, r
     s2 = np.maximum(unit, a) ** 2
     gdev = abs((m * G_DIAG) @ m.mT.conj() - g).max(axis=(-2, -1))
@@ -173,33 +195,44 @@ def _minors(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_pluecker(rows[..., :6, :], rows[..., 6:, :]))
 
 
-def _read_back(w: np.ndarray, lead: tuple, floor: float) -> np.ndarray:
+def _span_bound(floor: float, r, a: np.ndarray) -> np.ndarray:
+    """The span gate of matrices M with max |m_ij| = a, after _fitted
+    scaled them by r: floor * s^2, s = max(1, a) scaled with M.  M's 2x2
+    minors round at eps s^2 when its entries cancel in them, as a strong
+    boost's do, however small the transformed operator comes out."""
+    return floor * np.maximum(1.0 if r is None else r, a) ** 2
+
+
+def _read_back(w: np.ndarray, lead: tuple, bound: np.ndarray) -> np.ndarray:
     """Re c for the generator coefficients c = conj(S) w / 2 of transformed
     operators M Sigma M^T, given their pair coordinates as the columns of
     w (6, k), k = prod(lead).  Each column first passes the span gate: as
     S^T conj(S) = 2 I, S^T c = w, so w - S^T Re c = i S^T Im c is what
     reading the real coefficients back leaves, and max |S^T Im c| must be
-    within floor * max(1, max |w|); an operator off the real generator span
-    means the acting matrix was never a group element.  The error names the
-    first failing column by its index in lead."""
+    within bound (_span_bound, broadcast against lead); an operator off the
+    real generator span means the acting matrix was never a group element.
+    The error names the first failing column by its index in lead."""
     c = _READ @ w
-    residual = abs(_SIGMA_COEFFS.T @ c.imag).max(axis=0)
-    ok = residual <= floor * np.maximum(1.0, abs(w).max(axis=0))
-    require(ok.reshape(lead), ActionLeavesSpan,
+    residual = abs(_SIGMA_COEFFS.T @ c.imag).max(axis=0).reshape(lead)
+    require(residual <= bound, ActionLeavesSpan,
             lambda i, at: f"operator{at} is not a real generator combination"
-                          f" (residual {residual.reshape(lead)[i]:g})")
+                          f" (residual {residual[i]:g})")
     return c.real
 
 
 def _vector_action(m: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of vector_action: finite stacks m (..., 4, 4) and x (..., 6)
     whose leading axes broadcast, to the images (..., 6), span residuals
-    judged at max(tol, RESIDUAL_FLOOR).  M Sigma(x) M^T has the pair
-    coordinates w = Lambda^2 M . S^T x."""
+    judged per matrix at max(tol, RESIDUAL_FLOOR) (_span_bound).
+    M Sigma(x) M^T has the pair coordinates w = Lambda^2 M . S^T x.  A
+    matrix past _HUGE_COVERED acts as r m (_fitted), its images divided by
+    r^2."""
+    m, r, a = _fitted(m, _HUGE_COVERED)
     w = (_minors(m) @ (x @ _SIGMA_COEFFS)[..., None])[..., 0]
     lead = w.shape[:-1]
-    c = _read_back(w.reshape(-1, 6).T, lead, max(tol, RESIDUAL_FLOOR))
-    return c.T.reshape(*lead, 6)
+    c = _read_back(w.reshape(-1, 6).T, lead, _span_bound(max(tol, RESIDUAL_FLOOR), r, a))
+    c = c.T.reshape(*lead, 6)
+    return c if r is None else _unscaled(c, r[..., None], "vector image")
 
 
 def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -213,35 +246,44 @@ def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _vector_action(m, x, tol)
 
 
-def _q_devs(l: np.ndarray) -> np.ndarray:
-    """max |l Q l^T - Q| of each matrix of a stack (..., 6, 6); l Q is
+def _q_devs(l: np.ndarray, q: np.ndarray = Q6) -> np.ndarray:
+    """max |l Q l^T - q| of each matrix of a stack (..., 6, 6); l Q is
     l's columns times Q's diagonal."""
-    return abs((l * Q_DIAG) @ l.mT - Q6).max(axis=(-2, -1))
+    return abs((l * Q_DIAG) @ l.mT - q).max(axis=(-2, -1))
 
 
 def _covering(m: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of covering_matrix: a finite stack (..., 4, 4) to the 6x6
     matrices L(M) (..., 6, 6).  Column b of L(M) reads back
-    w_b = Lambda^2 M . S_b.  Span residuals are judged per column and the
-    quadric invariants per matrix, both at max(tol, RESIDUAL_FLOOR); the
-    error names the first failure."""
+    w_b = Lambda^2 M . S_b.  Span residuals (_span_bound) and the quadric
+    invariants are judged per matrix, at max(tol, RESIDUAL_FLOOR); the
+    error names the first failure.  A matrix past _HUGE_COVERED is judged
+    as r m (_fitted), whose covering r^2 L(M) must meet r^4 Q and r^12,
+    and L(M) is that divided by r^2."""
     lead = m.shape[:-2]
     floor = max(tol, RESIDUAL_FLOOR)
+    m, r, a = _fitted(m, _HUGE_COVERED)
     # rows (matrix, i) times S^T, regrouped as columns (matrix, b).  Every
     # product has a 6x6 factor, so no BLAS call is large enough to go
     # multithreaded: a threaded call stalls whole suites on a busy 2-vCPU host
     w = (_minors(m).reshape(-1, 6) @ _SIGMA_COEFFS.T).reshape(-1, 6, 6)
-    c = _read_back(w.transpose(1, 0, 2).reshape(6, -1), (*lead, 6), floor)
+    bound = _span_bound(floor, r, a)[..., None]
+    c = _read_back(w.transpose(1, 0, 2).reshape(6, -1), (*lead, 6), bound)
     l = c.reshape(6, -1, 6).transpose(1, 0, 2).reshape(*lead, 6, 6)
+    # the targets of l Q l^T and det l, and the 1 in the scale, scaled with l
+    q, det, unit = Q6, 1.0, 1.0
+    if r is not None:
+        r2 = r * r
+        q, det, unit = Q6 * (r2 * r2)[..., None, None], r2 ** 6, r2
     # gates are relative to the matrix scale: strong boosts legitimately
     # amplify rounding in l Q l^T without being any less orthogonal
-    scale = np.maximum(1.0, abs(l).max(axis=(-2, -1))) ** 2
-    qdev = _q_devs(l)
-    ddev = abs(np.linalg.det(l) - 1.0)
+    scale = np.maximum(unit, abs(l).max(axis=(-2, -1))) ** 2
+    qdev = _q_devs(l, q)
+    ddev = abs(np.linalg.det(l) - det)
     require((qdev <= floor * scale) & (ddev <= floor * scale ** 3), ActionLeavesSpan,
             lambda i, at: f"action matrix{at} violates the quadric invariants"
                           f" (Q dev {qdev[i]:g}, det dev {ddev[i]:g})")
-    return l
+    return l if r is None else _unscaled(l, r[..., None, None], "covering matrix")
 
 
 def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix6:
@@ -252,9 +294,9 @@ def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix
     w_b = Lambda^2 M . S_b, so L = Re(conj(S) . Lambda^2 M . S^T) / 2, read
     off the 2x2 minors of M by two 6x6 products.  Each column's span
     residual, max |S^T Im c_b| with c_b = conj(S) w_b / 2, is checked
-    against that column's own scale max(1, max |w_b|), exactly as
-    vector_action checks one image, and raises ActionLeavesSpan; the span
-    and quadric residuals are post-conditions.
+    against M's scale max(1, max |m_ij|)^2, at which the minors round,
+    exactly as vector_action checks one image, and raises ActionLeavesSpan;
+    the span and quadric residuals are post-conditions.
     """
     m = check_finite(s.m, "group element")
     return ConformalMatrix6(_covering(m, tol))
@@ -265,8 +307,15 @@ _NEGATIVE_PLANE = (Ellipsis, *np.ix_([3, 5], [3, 5]))
 
 
 def _so_plus(l: np.ndarray, tol: float) -> np.ndarray:
-    """Kernel of is_so_plus over a finite real stack (..., 6, 6)."""
-    return ((_q_devs(l) <= tol) & (abs(np.linalg.det(l) - 1.0) <= tol)
+    """Kernel of is_so_plus over a finite real stack (..., 6, 6).  A matrix
+    past _HUGE_ENTRY6 is judged as r l (_fitted): against r^2 Q at tol r^2
+    and r^6 at tol r^6."""
+    l, r, _ = _fitted(l, _HUGE_ENTRY6)
+    q, det, unit = Q6, 1.0, 1.0
+    if r is not None:
+        r2 = r * r
+        q, det, unit = Q6 * r2[..., None, None], r2 ** 3, r2
+    return ((_q_devs(l, q) <= tol * unit) & (abs(np.linalg.det(l) - det) <= tol * unit ** 3)
             & (np.linalg.det(l[_NEGATIVE_PLANE]) > 0.0))
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
 from oracles import to_json_reference
+import spin42.cli
 from spin42.cli import main, to_json
 from spin42.isotropic import same_span
 from spin42.suites import _isotropic_block, _suite, run_suites
@@ -618,3 +620,129 @@ def test_myth_report_deterministic():
     a = runner.invoke(main, ["myth-report", "--samples", "15", "--seed", "3", "--json"])
     b = runner.invoke(main, ["myth-report", "--samples", "15", "--seed", "3", "--json"])
     assert a.stdout == b.stdout and a.exit_code == 0
+
+
+# Each command's flags and the default its --help states.
+_HELP = {
+    "verify": {"--suite": "all", "--seed": "0", "--count": "200", "--tol": "1e-09",
+               "--json": None},
+    "embed": {"--tol": "1e-09"},
+    "invert": {"--tol": "1e-09"},
+    "correspond": {"--tol": "1e-09"},
+    "act": {"--tol": "1e-09"},
+    "myth-report": {"--samples": "100", "--seed": "0", "--tol": "1e-09", "--json": None},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP))
+def test_help_names_every_flag_and_its_default(command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0 and result.stderr == ""
+    text = " ".join(result.stdout.split())  # the help wraps at the terminal width
+    assert "--help" in text and "CMK_TOL" in text
+    for flag, default in _HELP[command].items():
+        assert flag in text
+        if default is not None:
+            assert f"[default: {default}]" in text
+
+
+def test_program_help_lists_every_command():
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    assert all(command in result.stdout for command in _HELP)
+    # no command prints the same list to stderr, as a usage error
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert all(command in result.stderr for command in _HELP)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--sui", "clifford"],  # no abbreviated flags
+    ["verify", "--nosuch"],
+    ["embed", "--suite", "all", '{"infinity": true}'],
+    ["--nosuch"],
+    ["nosuch"],
+    ["verify", "extra"],
+    ["embed"],
+    ["verify", "--json=1"],
+])
+def test_unknown_abbreviated_or_missing_arguments_exit_2(args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stdout == "" and "Error: " in result.stderr
+
+
+@pytest.mark.parametrize("args, env", [
+    (["--tol", "-inf"], {}),
+    (["--tol", "-1e-9"], {}),
+    (["--tol=-1"], {}),
+    (["--tol"], {}),
+    ([], {"CMK_TOL": "nan"}),
+    ([], {"CMK_TOL": "abc"}),
+])
+def test_tol_forms_argparse_reads_as_missing_are_invalid_values(args, env):
+    # a value that starts with "-" and is not a plain number is read as a
+    # missing value, and still named an invalid value of --tol
+    result = runner.invoke(main, ["verify", "--suite", "clifford", *args], env=env)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "Invalid value for '--tol'" in result.output
+
+
+def test_empty_cmk_tol_takes_the_default():
+    result = runner.invoke(main, ["verify", "--suite", "clifford", "--count", "5", "--json"],
+                           env={"CMK_TOL": ""})
+    assert result.exit_code == 0 and _lines(result)[0]["tol"] == 1e-9
+
+
+def test_usage_error_outside_standalone_mode_raises_system_exit_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main.main(["verify", "--count", "0"], prog_name="spin42", standalone_mode=False)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spin42 verify ")
+    assert err.endswith("Error: Invalid value for '--count': 0 is not in the range x>=1.\n")
+    with pytest.raises(SystemExit) as info:
+        main.main(["embed", "{not json"], prog_name="spin42", standalone_mode=False)
+    assert info.value.code == 2
+
+
+def test_importing_the_cli_loads_no_argument_parser():
+    code = ("import sys, spin42.cli; "
+            "print(sorted({'argparse', 'click'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader of stdout is gone before the first line is written
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spin42", "invert", "[1, 0, 0, 1, 0, 0]"],
+                              stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1 and proc.stderr == b""
+
+
+def test_interrupt_exits_1_standalone_and_propagates_otherwise(monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(spin42.cli, "run_suites", interrupted)
+    with pytest.raises(SystemExit) as info:
+        main.main(["verify", "--json"], prog_name="spin42")
+    assert info.value.code == 1 and capsys.readouterr().err == "\nAborted!\n"
+    with pytest.raises(KeyboardInterrupt):
+        main.main(["verify", "--json"], prog_name="spin42", standalone_mode=False)
+
+
+def test_act_accepts_a_strong_boost():
+    # a boost whose 2x2 minors cancel to eps max|m|^2: a member the span
+    # gate once refused (ActionLeavesSpan, residual 9.5e-07)
+    c, a = repr(float(np.sqrt(1 + 1e10))), "100000.0"
+    matrix = f"[[{c},0,{a},0],[0,1,0,0],[{a},0,{c},0],[0,0,0,1]]"
+    result = runner.invoke(main, ["act", matrix, "[1,2,3,4,5,6]"])
+    assert result.exit_code == 0, result.output
+    assert np.isfinite(json.loads(result.stdout)["covering"]).all()

@@ -5,10 +5,14 @@ from spin42.clifford import AntilinearOp, vector_from_op
 from spin42.errors import ActionLeavesSpan, InvalidEntity, NotNormalized
 from spin42.forms import G4, Q6, q_form
 from spin42.sampling import random_spin_element, random_unit_q_vec6
+from spin42.exterior import _READ, _SIGMA_COEFFS
 from spin42.spin import (
     ConformalMatrix6,
     SpinElement,
+    _covering,
+    _minors,
     _su22_devs,
+    _vector_action,
     covering_matrix,
     is_so_plus,
     is_su22,
@@ -70,6 +74,89 @@ def test_su22_deviations_keep_their_bits_below_the_rescaling_bound():
     assert np.allclose(ddev[:5], want_d, rtol=0, atol=1e-15)
     assert gdev[5] <= 1e-15 and ddev[5] <= 1e-15
     assert gdev[6] > 0.1
+
+
+def _spinor_boost(a: float, i: int = 0, j: int = 2) -> np.ndarray:
+    """The member of SU(2,2) that boosts spinor slots i and j against each
+    other with off-diagonal entry a, as a caller writes it."""
+    m = I4.copy()
+    m[i, i] = m[j, j] = np.sqrt(1.0 + a * a)
+    m[i, j] = m[j, i] = a
+    return m
+
+
+def test_span_residual_grows_with_the_square_of_the_entries():
+    # the 2x2 minors of a boost cancel, so the span residual of a column is
+    # eps s^2, s = max |m|, however small the column's operator comes out;
+    # boosts of every plane, alone and between two random members
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    worst_matrix, worst_column = 0.0, 0.0
+    for a in np.logspace(0, 6, 25):
+        for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)):
+            u = random_spin_element(rng, n=2)
+            for m in (_spinor_boost(a, i, j), u[0] @ _spinor_boost(a, i, j) @ u[1]):
+                w = _minors(m) @ _SIGMA_COEFFS.T
+                residual = abs(_SIGMA_COEFFS.T @ (_READ @ w).imag).max(axis=0)
+                s = max(1.0, abs(m).max())
+                worst_matrix = max(worst_matrix, residual.max() / (eps * s * s))
+                worst_column = max(worst_column,
+                                   (residual / (eps * np.maximum(1.0, abs(w).max(axis=0)))).max())
+    assert worst_matrix <= 64.0
+    assert worst_column >= 1e9
+
+
+@pytest.mark.parametrize("a", [1e4, 1e5, 3e5, 1e6])
+def test_strong_boost_passes_the_span_gate(a):
+    m = _spinor_boost(a)
+    assert is_su22(m)
+    s = SpinElement(m)
+    l = covering_matrix(s).l
+    for b, e in enumerate(E6):
+        assert np.array_equal(vector_action(s, e), l[:, b])
+
+
+def test_span_gate_still_refuses_non_members():
+    rng = np.random.default_rng(10)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    with pytest.raises(ActionLeavesSpan, match="real generator combination"):
+        covering_matrix(SpinElement(m))
+    # a phase off the real line leaves the span at the strong boost's scale
+    with pytest.raises(ActionLeavesSpan, match="real generator combination"):
+        covering_matrix(SpinElement(np.exp(1e-3j) * _spinor_boost(1e5)))
+    with pytest.raises(ActionLeavesSpan, match="quadric invariants"):
+        covering_matrix(SpinElement(2.0 * I4))
+
+
+def test_huge_matrices_answer_or_raise_without_an_overflow():
+    # the pytest configuration makes any RuntimeWarning an error
+    with pytest.raises(ActionLeavesSpan):
+        covering_matrix(SpinElement(np.diag([1e155, 1e155, 1, 1]).astype(complex)))
+    assert not is_so_plus(np.diag([1e200, 1, 1, 1, 1, 1]))
+    assert not is_so_plus(np.diag([1e200, 1e-200, 1, 1, 1, 1]))
+    # two boosts in disjoint planes: L(M) has entries up to 2 a^2 + 1, past
+    # the rescaling bound as at 1e3, and beyond the float range at 1e160
+    for a in (1e3, 1e30, 1e100):
+        m = _spinor_boost(a, 0, 2) @ _spinor_boost(a, 1, 3)
+        assert is_su22(m)
+        assert abs(abs(covering_matrix(SpinElement(m)).l).max() - (2 * a * a + 1)) <= 1e-12 * a * a
+        assert np.isfinite(vector_action(SpinElement(m), E6[0])).all()
+    huge = I4.copy()
+    huge[[0, 1, 2, 3, 0, 2, 1, 3], [0, 1, 2, 3, 2, 0, 3, 1]] = 1e160
+    with pytest.raises(InvalidEntity, match="covering matrix"):
+        covering_matrix(SpinElement(huge))
+
+
+def test_covering_rows_in_range_keep_their_bits_beside_rescaled_rows():
+    rng = np.random.default_rng(27)
+    small = random_spin_element(rng, n=3)
+    big = _spinor_boost(1e40, 0, 2) @ _spinor_boost(1e40, 1, 3)
+    l = _covering(np.concatenate([small, big[None]]), 1e-9)
+    assert np.array_equal(l[:3], _covering(small, 1e-9))
+    assert np.array_equal(l[3], covering_matrix(SpinElement(big)).l)
+    x = rng.normal(size=6)
+    images = _vector_action(np.concatenate([small, big[None]]), x, 1e-9)
+    assert np.array_equal(images[:3], _vector_action(small, x, 1e-9))
 
 
 def test_pair_of_equal_vectors_gives_scalar():
