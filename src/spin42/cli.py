@@ -6,9 +6,9 @@ floats printed with 17 significant digits, so identical seeds and flags
 produce byte-identical output; diagnostics go to stderr.  Exit codes:
 0 pass, 1 check failure, 2 usage error, 3 contract violation.
 
-Each command's flags are parsed by a standard-library argparse parser,
-built the first time the command runs, so importing this module loads
-no argument parser.
+The command line is parsed by one standard-library argparse parser, with
+a subparser per command, built the first time main runs, so importing
+this module loads no argument parser.
 """
 
 from __future__ import annotations
@@ -124,7 +124,11 @@ def to_json(obj) -> str:
 
 class UsageError(Exception):
     """A command line, or an argument's content, that the CLI refuses:
-    exit 2, after the usage of the command."""
+    exit 2, after the usage of parser, or of the command that raised it."""
+
+    def __init__(self, message: str, parser=None):
+        super().__init__(message)
+        self.parser = parser
 
 
 def _echo(text: str, stream=None) -> None:
@@ -198,8 +202,14 @@ def _spinor_json(v: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# parameters: each converter reads one command-line string, and the text of
-# its ValueError follows "Invalid value for '<name>': "
+# parameters: each converter reads one command-line string for argparse,
+# and the text of its ArgumentTypeError follows "Invalid value for '<name>': "
+
+
+def _invalid(message: str) -> Exception:
+    import argparse  # loaded already: converters run inside parse_args
+
+    return argparse.ArgumentTypeError(message)
 
 
 def _at_least(low: int) -> Callable[[str], int]:
@@ -207,9 +217,9 @@ def _at_least(low: int) -> Callable[[str], int]:
         try:
             value = int(text)
         except ValueError:
-            raise ValueError(f"{text!r} is not a valid integer range.") from None
+            raise _invalid(f"{text!r} is not a valid integer range.") from None
         if value < low:
-            raise ValueError(f"{value} is not in the range x>={low}.")
+            raise _invalid(f"{value} is not in the range x>={low}.")
         return value
     return integer
 
@@ -217,7 +227,7 @@ def _at_least(low: int) -> Callable[[str], int]:
 def _one_of(choices: list[str]) -> Callable[[str], str]:
     def choice(text: str) -> str:
         if text not in choices:
-            raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
+            raise _invalid(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
         return text
     return choice
 
@@ -226,43 +236,29 @@ def _tolerance(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"{text!r} is not a valid float.") from None
+        raise _invalid(f"{text!r} is not a valid float.") from None
     # one comparison refuses a negative value and NaN alike
     if not value >= 0.0:
-        raise ValueError(f"{value} is not a number >= 0")
+        raise _invalid(f"{value} is not a number >= 0")
     return value
 
 
 class _Param(NamedTuple):
     """One flag or argument of a command.  name is how usage and errors
     show it ("--seed", or an argument's metavar); dest is the keyword it
-    fills.  convert reads its text, and None takes the text as it is (an
-    argument) or makes an on/off switch (a flag).  An absent flag takes the
-    environment variable env when that is set and not empty, else
-    default."""
+    fills.  type reads its text, and None takes the text as it is (an
+    argument) or makes an on/off switch (a flag)."""
 
     name: str
     dest: str
-    convert: Callable[[str], object] | None = None
+    type: Callable[[str], object] | None = None
     default: object = None
     help: str | None = None
-    env: str | None = None
-
-    def value(self, text):
-        if text is None and self.env:
-            text = os.environ.get(self.env) or None
-        if text is None:
-            return self.default
-        if self.convert is None:
-            return text
-        try:
-            return self.convert(text)
-        except ValueError as exc:
-            raise UsageError(f"Invalid value for '{self.name}': {exc}") from None
 
 
+# the default of --tol is read from CMK_TOL at each call (_run)
 _TOL = _Param("--tol", "tol", _tolerance, DEFAULT_TOL,
-              "Deviation tolerance, >= 0 (CMK_TOL env var; the flag wins).", env="CMK_TOL")
+              "Deviation tolerance, >= 0 (CMK_TOL env var; the flag wins).")
 _JSON = _Param("--json", "json_only", help="Suppress the stderr summary.")
 _SEED = _Param("--seed", "seed", _at_least(0), 0, "Generator seed, an integer >= 0.")
 _DIRECTIONS = ["null-to-plane", "plane-to-line", "line-to-plane"]
@@ -278,9 +274,14 @@ def _command(*params: _Param, name: str | None = None):
     return register
 
 
+_DESCRIPTION = ("Spinorial model of the conformal compactification: verification "
+                "suites and geometric queries.")
+
+
 @lru_cache(maxsize=None)
-def _parser(command: str):
-    """The argparse parser of one command, built on its first use."""
+def _parser(prog: str):
+    """The argparse parser of the program run as prog, and its command
+    parsers by name; built on first use."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -290,63 +291,48 @@ def _parser(command: str):
             if message.startswith("argument "):
                 name, _, detail = message[len("argument "):].partition(": ")
                 message = f"Invalid value for '{name}': {detail}"
-            raise UsageError(message)
+            raise UsageError(message, self)
 
-    fn, params = _COMMANDS[command]
-    parser = Parser(description=fn.__doc__, add_help=False, allow_abbrev=False)
-    for p in params:
-        if not p.name.startswith("--"):
-            parser.add_argument(p.dest, metavar=p.name)
-        elif p.convert is None:
-            parser.add_argument(p.name, dest=p.dest, action="store_true", help=p.help)
-        else:
-            parser.add_argument(p.name, dest=p.dest, metavar=p.dest.upper(),
-                                help=f"{p.help}  [default: {p.default}]")
+    parser = Parser(prog=prog, description=_DESCRIPTION, add_help=False, allow_abbrev=False)
     parser.add_argument("--help", action="help", help="Show this message and exit.")
-    return parser
-
-
-_DESCRIPTION = ("Spinorial model of the conformal compactification: verification "
-                "suites and geometric queries.")
-
-
-def _overview(prog: str) -> str:
-    """The help of the program: its usage, and one line per command."""
-    import textwrap
-
-    lines = [f"usage: {prog} COMMAND [ARGS]...", "", *textwrap.wrap(_DESCRIPTION, 78), "",
-             "commands:"]
-    for name, (fn, _) in sorted(_COMMANDS.items()):
-        summary = textwrap.shorten(" ".join(fn.__doc__.split()), 62, placeholder="...")
-        lines.append(f"  {name:<13}{summary}")
-    lines += ["", f"Run '{prog} COMMAND --help' for the flags of a command."]
-    return "\n".join(lines)
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+    for name, (fn, params) in sorted(_COMMANDS.items()):
+        doc = " ".join(fn.__doc__.split())
+        sub = commands.add_parser(name, help=doc.split("; ")[0], description=doc,
+                                  add_help=False, allow_abbrev=False)
+        for p in params:
+            if not p.name.startswith("--"):
+                sub.add_argument(p.dest, metavar=p.name, type=p.type)
+            elif p.type is None:
+                sub.add_argument(p.name, dest=p.dest, action="store_true", help=p.help)
+            else:
+                sub.add_argument(p.name, dest=p.dest, type=p.type, default=p.default,
+                                 metavar=p.dest.upper(), help=f"{p.help}  [default: {p.default}]")
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser, commands.choices
 
 
 def _run(args: list[str], prog: str) -> None:
     """Parse args and run the command they name.  A refused command line
     exits 2 and a library contract violation 3, each with one message on
     stderr."""
-    command = args[0] if args else None
-    entry = _COMMANDS.get(command)
-    parser = None
+    parser, commands = _parser(prog)
+    # argparse converts a string default as it would the flag's text
+    tol = os.environ.get("CMK_TOL") or str(DEFAULT_TOL)
+    for command in commands.values():
+        command.set_defaults(tol=tol)
     try:
-        if entry is None:
-            if command is None or command == "--help":
-                _echo(_overview(prog), sys.stdout if command else sys.stderr)
-                sys.exit(0 if command else 2)
-            what = "option" if command.startswith("-") else "command"
-            raise UsageError(f"No such {what} {command!r}.")
-        fn, params = entry
-        parser = _parser(command)
-        parser.prog = f"{prog} {command}"
-        given = vars(parser.parse_args(args[1:]))
-        fn(**{p.dest: p.value(given[p.dest]) for p in params})
+        namespace, extra = parser.parse_known_args(args)
+        given = vars(namespace)
+        name = given.pop("command")
+        if extra:
+            commands[name].error(f"unrecognized arguments: {' '.join(extra)}")
+        _COMMANDS[name][0](**given)
     except UsageError as exc:
-        usage = f"usage: {prog} COMMAND [ARGS]...\n"
-        if parser is not None:
-            usage, prog = parser.format_usage(), parser.prog
-        _echo(f"{usage}Try '{prog} --help' for help.\n\nError: {exc}", sys.stderr)
+        # argparse names the parser that refused; a command, itself
+        at = exc.parser or commands[name]
+        _echo(f"{at.format_usage()}Try '{at.prog} --help' for help.\n\nError: {exc}",
+              sys.stderr)
         sys.exit(2)
     except Spin42Error as exc:
         _echo(f"contract violation: {type(exc).__name__}: {exc}", sys.stderr)

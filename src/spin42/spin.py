@@ -66,10 +66,11 @@ class ConformalMatrix6:
     l: np.ndarray
 
 
-# Entry bounds past which a kernel rescales a matrix (_fitted), so that no
-# product of entries it forms passes HUGE_NORM2^2 = 2^1000: four entries of
-# M in det M; twelve in det L(M), whose entries are quadratic in M's; six
-# entries of a 6x6 matrix in its determinant
+# Entry bounds past which no product of entries that a kernel forms may
+# pass HUGE_NORM2^2 = 2^1000: four entries of M in det M and twelve in
+# det L(M), whose entries are quadratic in M's, where the kernel rescales M
+# (_fitted); six entries of a 6x6 matrix in its determinant, where
+# _so_plus answers False
 _HUGE_ENTRY = np.sqrt(HUGE_NORM2)
 _HUGE_COVERED = HUGE_NORM2 ** (1 / 6)
 _HUGE_ENTRY6 = HUGE_NORM2 ** (1 / 3)
@@ -240,7 +241,10 @@ def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     coefficients back; preserves Q.  Raises ActionLeavesSpan when the
     transformed operator leaves the real generator span, which signals a
     matrix that was never a group element (the span residual is a
-    post-condition), and InvalidEntity on non-finite input."""
+    post-condition), and InvalidEntity on non-finite input.  The image is
+    read off M's 2x2 minors, so each coordinate is known only to about
+    eps * max(1, max |m_ij|)^2 |x| in absolute terms, which passes |x|
+    near max |m_ij| = 7e7."""
     x = as_vec6(x)
     m = check_finite(s.m, "group element")
     return _vector_action(m, x, tol)
@@ -257,9 +261,12 @@ def _covering(m: np.ndarray, tol: float) -> np.ndarray:
     matrices L(M) (..., 6, 6).  Column b of L(M) reads back
     w_b = Lambda^2 M . S_b.  Span residuals (_span_bound) and the quadric
     invariants are judged per matrix, at max(tol, RESIDUAL_FLOOR); the
-    error names the first failure.  A matrix past _HUGE_COVERED is judged
-    as r m (_fitted), whose covering r^2 L(M) must meet r^4 Q and r^12,
-    and L(M) is that divided by r^2."""
+    error names the first failure.  A matrix past _HUGE_COVERED is read as
+    r m (_fitted), whose covering is l = r^2 L(M), and its invariants are
+    judged, and reported, on n = l / 2^d, the power of two
+    2^d >= r^2 max(1, max |L(M)|): max |n| <= 1, and r^2 / 2^d <= 1 stands
+    for the 1 in the targets and the scale, so no deviation or scale can
+    underflow into a pass.  L(M) is l divided by r^2."""
     lead = m.shape[:-2]
     floor = max(tol, RESIDUAL_FLOOR)
     m, r, a = _fitted(m, _HUGE_COVERED)
@@ -270,16 +277,19 @@ def _covering(m: np.ndarray, tol: float) -> np.ndarray:
     bound = _span_bound(floor, r, a)[..., None]
     c = _read_back(w.transpose(1, 0, 2).reshape(6, -1), (*lead, 6), bound)
     l = c.reshape(6, -1, 6).transpose(1, 0, 2).reshape(*lead, 6, 6)
-    # the targets of l Q l^T and det l, and the 1 in the scale, scaled with l
-    q, det, unit = Q6, 1.0, 1.0
+    # the matrix judged, the targets of n Q n^T and det n, and the 1 in the scale
+    n, q, det, unit = l, Q6, 1.0, 1.0
     if r is not None:
-        r2 = r * r
-        q, det, unit = Q6 * (r2 * r2)[..., None, None], r2 ** 6, r2
+        log_r2 = 2 * (np.frexp(r)[1] - 1)
+        top = abs(l).max(axis=(-2, -1))
+        d = np.maximum(np.where(top > 0.0, np.frexp(top)[1], log_r2), log_r2)
+        n, unit = np.ldexp(l, -d[..., None, None]), np.ldexp(1.0, log_r2 - d)
+        q, det = Q6 * (unit * unit)[..., None, None], unit ** 6
     # gates are relative to the matrix scale: strong boosts legitimately
     # amplify rounding in l Q l^T without being any less orthogonal
-    scale = np.maximum(unit, abs(l).max(axis=(-2, -1))) ** 2
-    qdev = _q_devs(l, q)
-    ddev = abs(np.linalg.det(l) - det)
+    scale = np.maximum(unit, abs(n).max(axis=(-2, -1))) ** 2
+    qdev = _q_devs(n, q)
+    ddev = abs(np.linalg.det(n) - det)
     require((qdev <= floor * scale) & (ddev <= floor * scale ** 3), ActionLeavesSpan,
             lambda i, at: f"action matrix{at} violates the quadric invariants"
                           f" (Q dev {qdev[i]:g}, det dev {ddev[i]:g})")
@@ -296,7 +306,9 @@ def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix
     residual, max |S^T Im c_b| with c_b = conj(S) w_b / 2, is checked
     against M's scale max(1, max |m_ij|)^2, at which the minors round,
     exactly as vector_action checks one image, and raises ActionLeavesSpan;
-    the span and quadric residuals are post-conditions.
+    the span and quadric residuals are post-conditions.  Like the image of
+    vector_action, each entry of L is known only to about
+    eps * max(1, max |m_ij|)^2 in absolute terms.
     """
     m = check_finite(s.m, "group element")
     return ConformalMatrix6(_covering(m, tol))
@@ -308,14 +320,13 @@ _NEGATIVE_PLANE = (Ellipsis, *np.ix_([3, 5], [3, 5]))
 
 def _so_plus(l: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of is_so_plus over a finite real stack (..., 6, 6).  A matrix
-    past _HUGE_ENTRY6 is judged as r l (_fitted): against r^2 Q at tol r^2
-    and r^6 at tol r^6."""
-    l, r, _ = _fitted(l, _HUGE_ENTRY6)
-    q, det, unit = Q6, 1.0, 1.0
-    if r is not None:
-        r2 = r * r
-        q, det, unit = Q6 * r2[..., None, None], r2 ** 3, r2
-    return ((_q_devs(l, q) <= tol * unit) & (abs(np.linalg.det(l) - det) <= tol * unit ** 3)
+    with an entry past _HUGE_ENTRY6 answers False without forming a product
+    of its entries: tol is absolute, and its l Q l^T has terms past 2^333,
+    each known only to 2^281."""
+    fits = abs(l).max(axis=(-2, -1)) <= _HUGE_ENTRY6
+    if not _every(fits):
+        l = np.where(fits[..., None, None], l, 0.0)
+    return (fits & (_q_devs(l) <= tol) & (abs(np.linalg.det(l) - 1.0) <= tol)
             & (np.linalg.det(l[_NEGATIVE_PLANE]) > 0.0))
 
 

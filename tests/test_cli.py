@@ -746,3 +746,12 @@ def test_act_accepts_a_strong_boost():
     result = runner.invoke(main, ["act", matrix, "[1,2,3,4,5,6]"])
     assert result.exit_code == 0, result.output
     assert np.isfinite(json.loads(result.stdout)["covering"]).all()
+
+
+def test_act_refuses_a_huge_matrix_whose_covering_is_zero():
+    # every 2x2 minor of a constant matrix is 0: its covering is 0, which
+    # the quadric gate refuses however far the rescaling shrinks its targets
+    row = "[" + ",".join(["1e100"] * 4) + "]"
+    result = runner.invoke(main, ["act", "[" + ",".join([row] * 4) + "]", "[1,2,3,4,5,6]"])
+    assert result.exit_code == 3 and result.stdout == ""
+    assert "ActionLeavesSpan" in result.stderr

@@ -134,6 +134,16 @@ def test_huge_matrices_answer_or_raise_without_an_overflow():
         covering_matrix(SpinElement(np.diag([1e155, 1e155, 1, 1]).astype(complex)))
     assert not is_so_plus(np.diag([1e200, 1, 1, 1, 1, 1]))
     assert not is_so_plus(np.diag([1e200, 1e-200, 1, 1, 1, 1]))
+    # rank 2, with null rows e0 + e3 and e1 + e5: l Q l^T and det l are 0,
+    # and the negative-plane minor is positive
+    null_rows = np.zeros((6, 6))
+    null_rows[3, [0, 3]] = null_rows[5, [1, 5]] = 1.0
+    assert not is_so_plus(1e200 * null_rows)
+    # every 2x2 minor is 0, so L(M) = 0, whose Q dev is 1 however far the
+    # rescaling of M shrinks the targets (r^4 underflows from about 5e80 on)
+    for c in (1e30, 1e100, 1e300):
+        with pytest.raises(ActionLeavesSpan, match="quadric invariants"):
+            covering_matrix(SpinElement(np.full((4, 4), c, dtype=complex)))
     # two boosts in disjoint planes: L(M) has entries up to 2 a^2 + 1, past
     # the rescaling bound as at 1e3, and beyond the float range at 1e160
     for a in (1e3, 1e30, 1e100):
@@ -154,6 +164,8 @@ def test_covering_rows_in_range_keep_their_bits_beside_rescaled_rows():
     l = _covering(np.concatenate([small, big[None]]), 1e-9)
     assert np.array_equal(l[:3], _covering(small, 1e-9))
     assert np.array_equal(l[3], covering_matrix(SpinElement(big)).l)
+    with pytest.raises(ActionLeavesSpan, match="matrix at row 3 violates"):
+        _covering(np.concatenate([small, np.full((1, 4, 4), 1e100, dtype=complex)]), 1e-9)
     x = rng.normal(size=6)
     images = _vector_action(np.concatenate([small, big[None]]), x, 1e-9)
     assert np.array_equal(images[:3], _vector_action(small, x, 1e-9))
