@@ -6,17 +6,18 @@ floats printed with 17 significant digits, so identical seeds and flags
 produce byte-identical output; diagnostics go to stderr.  Exit codes:
 0 pass, 1 check failure, 2 usage error, 3 contract violation.
 
-The command line is parsed by one standard-library argparse parser, with
-a subparser per command, built the first time main runs, so importing
-this module loads no argument parser.
+Each command's flags and arguments are one table of _Param records, from
+which its command line is parsed and its usage and --help text rendered;
+no argument-parsing library is loaded.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
-from functools import lru_cache
+import textwrap
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 from typing import Callable, NamedTuple
 
@@ -124,11 +125,8 @@ def to_json(obj) -> str:
 
 class UsageError(Exception):
     """A command line, or an argument's content, that the CLI refuses:
-    exit 2, after the usage of parser, or of the command that raised it."""
-
-    def __init__(self, message: str, parser=None):
-        super().__init__(message)
-        self.parser = parser
+    exit 2, after the usage of the command, or of the program when no
+    command was named."""
 
 
 def _echo(text: str, stream=None) -> None:
@@ -202,14 +200,8 @@ def _spinor_json(v: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# parameters: each converter reads one command-line string for argparse,
-# and the text of its ArgumentTypeError follows "Invalid value for '<name>': "
-
-
-def _invalid(message: str) -> Exception:
-    import argparse  # loaded already: converters run inside parse_args
-
-    return argparse.ArgumentTypeError(message)
+# parameters: each converter reads one command-line string, and the text of
+# its ValueError follows "Invalid value for '<name>': "
 
 
 def _at_least(low: int) -> Callable[[str], int]:
@@ -217,9 +209,9 @@ def _at_least(low: int) -> Callable[[str], int]:
         try:
             value = int(text)
         except ValueError:
-            raise _invalid(f"{text!r} is not a valid integer range.") from None
+            raise ValueError(f"{text!r} is not a valid integer range.") from None
         if value < low:
-            raise _invalid(f"{value} is not in the range x>={low}.")
+            raise ValueError(f"{value} is not in the range x>={low}.")
         return value
     return integer
 
@@ -227,7 +219,7 @@ def _at_least(low: int) -> Callable[[str], int]:
 def _one_of(choices: list[str]) -> Callable[[str], str]:
     def choice(text: str) -> str:
         if text not in choices:
-            raise _invalid(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
+            raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
         return text
     return choice
 
@@ -236,10 +228,10 @@ def _tolerance(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise _invalid(f"{text!r} is not a valid float.") from None
+        raise ValueError(f"{text!r} is not a valid float.") from None
     # one comparison refuses a negative value and NaN alike
     if not value >= 0.0:
-        raise _invalid(f"{value} is not a number >= 0")
+        raise ValueError(f"{value} is not a number >= 0")
     return value
 
 
@@ -256,20 +248,21 @@ class _Param(NamedTuple):
     help: str | None = None
 
 
-# the default of --tol is read from CMK_TOL at each call (_run)
+# the default of --tol is read from CMK_TOL at each call (_parse)
 _TOL = _Param("--tol", "tol", _tolerance, DEFAULT_TOL,
               "Deviation tolerance, >= 0 (CMK_TOL env var; the flag wins).")
-_JSON = _Param("--json", "json_only", help="Suppress the stderr summary.")
+_JSON = _Param("--json", "json_only", default=False, help="Suppress the stderr summary.")
 _SEED = _Param("--seed", "seed", _at_least(0), 0, "Generator seed, an integer >= 0.")
+_HELP = _Param("--help", "help", help="Show this message and exit.")
 _DIRECTIONS = ["null-to-plane", "plane-to-line", "line-to-plane"]
 
-# command name -> (function, parameters)
+# command name -> (function, its parameters and then --help)
 _COMMANDS: dict[str, tuple[Callable, tuple[_Param, ...]]] = {}
 
 
 def _command(*params: _Param, name: str | None = None):
     def register(fn):
-        _COMMANDS[name or fn.__name__] = (fn, params)
+        _COMMANDS[name or fn.__name__] = (fn, params + (_HELP,))
         return fn
     return register
 
@@ -277,61 +270,132 @@ def _command(*params: _Param, name: str | None = None):
 _DESCRIPTION = ("Spinorial model of the conformal compactification: verification "
                 "suites and geometric queries.")
 
+# a negative number: an argument that fills a slot although it starts with
+# "-" (matched through re's cache, so importing compiles nothing)
+_NEGATIVE = r"-\d+$|-\d*\.\d+$"
 
-@lru_cache(maxsize=None)
-def _parser(prog: str):
-    """The argparse parser of the program run as prog, and its command
-    parsers by name; built on first use."""
-    import argparse
 
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):
-            # argparse's "argument --tol: expected one argument", in the
-            # words of the converters' messages
-            if message.startswith("argument "):
-                name, _, detail = message[len("argument "):].partition(": ")
-                message = f"Invalid value for '{name}': {detail}"
-            raise UsageError(message, self)
+def _value(p: _Param, text: str):
+    try:
+        return p.type(text)
+    except ValueError as exc:
+        raise UsageError(f"Invalid value for '{p.name}': {exc}") from None
 
-    parser = Parser(prog=prog, description=_DESCRIPTION, add_help=False, allow_abbrev=False)
-    parser.add_argument("--help", action="help", help="Show this message and exit.")
-    commands = parser.add_subparsers(title="commands", dest="command", required=True)
-    for name, (fn, params) in sorted(_COMMANDS.items()):
-        doc = " ".join(fn.__doc__.split())
-        sub = commands.add_parser(name, help=doc.split("; ")[0], description=doc,
-                                  add_help=False, allow_abbrev=False)
-        for p in params:
-            if not p.name.startswith("--"):
-                sub.add_argument(p.dest, metavar=p.name, type=p.type)
-            elif p.type is None:
-                sub.add_argument(p.name, dest=p.dest, action="store_true", help=p.help)
+
+def _parse(prog: str, command: str, args: list[str]) -> dict:
+    """The keyword arguments of command for its arguments args, read by
+    walking its _Param records left to right.  Flags match exactly, and
+    --flag=value splits at the first "="; a valued flag takes the next
+    argument whatever it starts with; "--" ends the flags, and the other
+    arguments fill the argument slots in order.  Values are converted, and
+    --help answered, where they stand; then an unset --tol reads CMK_TOL
+    when it is not empty, and a missing or unrecognized argument is
+    refused."""
+    params = _COMMANDS[command][1]
+    flags = {p.name: p for p in params if p.name[0] == "-"}
+    slots = [p for p in params if p.name[0] != "-"]
+    kwargs, extra = {}, []
+    flags_ended = False
+    rest = iter(args)
+    for arg in rest:
+        name, eq, text = arg.partition("=")
+        p = None if flags_ended else flags.get(name)
+        if p is None:
+            if (flags_ended or arg[:1] != "-" or arg == "-" or " " in arg
+                    or re.match(_NEGATIVE, arg)):
+                if slots:
+                    p = slots.pop(0)
+                    kwargs[p.dest] = _value(p, arg) if p.type else arg
+                else:
+                    extra.append(arg)
+            elif arg == "--":
+                flags_ended = True
             else:
-                sub.add_argument(p.name, dest=p.dest, type=p.type, default=p.default,
-                                 metavar=p.dest.upper(), help=f"{p.help}  [default: {p.default}]")
-        sub.add_argument("--help", action="help", help="Show this message and exit.")
-    return parser, commands.choices
+                extra.append(arg)
+        elif p.type is None and eq:
+            raise UsageError(f"Invalid value for '{name}': ignored explicit argument {text!r}")
+        elif p is _HELP:
+            _echo(_help(prog, command))
+            sys.exit(0)
+        elif p.type is None:
+            kwargs[p.dest] = True
+        else:
+            if not eq:
+                text = next(rest, None)
+                if text is None:
+                    raise UsageError(f"Invalid value for '{name}': expected one argument")
+            kwargs[p.dest] = _value(p, text)
+    for p in params:
+        if p.name[0] == "-" and p.dest not in kwargs and p is not _HELP:
+            env = os.environ.get("CMK_TOL") if p is _TOL else None
+            kwargs[p.dest] = _value(p, env) if env else p.default
+    if slots:
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(p.name for p in slots))
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return kwargs
+
+
+def _usage(prog: str, command: str | None) -> str:
+    """The usage line of command, or of the program when command is None."""
+    if command is None:
+        return f"usage: {prog} [--help] {{{','.join(sorted(_COMMANDS))}}} ...\n"
+    params = _COMMANDS[command][1]
+    words = [f"[{p.name} {p.dest.upper()}]" if p.type else f"[{p.name}]"
+             for p in params if p.name[0] == "-"]
+    words += [p.name for p in params if p.name[0] != "-"]
+    return f"usage: {prog} {command} {' '.join(words)}\n"
+
+
+def _help(prog: str, command: str | None) -> str:
+    """The --help text of command, or of the program when command is None:
+    its usage, description and one row per command or parameter."""
+    if command is None:
+        description = _DESCRIPTION
+        sections = {
+            "options": [(_HELP.name, _HELP.help)],
+            "commands": [(name, " ".join(fn.__doc__.split()).split("; ")[0])
+                         for name, (fn, _) in sorted(_COMMANDS.items())],
+        }
+    else:
+        fn, params = _COMMANDS[command]
+        description = " ".join(fn.__doc__.split())
+        sections = {
+            "positional arguments": [(p.name, "") for p in params if p.name[0] != "-"],
+            "options": [(f"{p.name} {p.dest.upper()}", f"{p.help} [default: {p.default}]")
+                        if p.type else (p.name, p.help)
+                        for p in params if p.name[0] == "-"],
+        }
+    lines = [_usage(prog, command) + "\n" + textwrap.fill(description, 79)]
+    for title, rows in sections.items():
+        if rows:
+            indent = max(len(name) for name, _ in rows) + 4
+            lines.append(f"\n{title}:")
+            lines += [textwrap.fill(text, 79, initial_indent=f"  {name}".ljust(indent),
+                                    subsequent_indent=" " * indent) or f"  {name}"
+                      for name, text in rows]
+    return "\n".join(lines)
 
 
 def _run(args: list[str], prog: str) -> None:
-    """Parse args and run the command they name.  A refused command line
-    exits 2 and a library contract violation 3, each with one message on
-    stderr."""
-    parser, commands = _parser(prog)
-    # argparse converts a string default as it would the flag's text
-    tol = os.environ.get("CMK_TOL") or str(DEFAULT_TOL)
-    for command in commands.values():
-        command.set_defaults(tol=tol)
+    """Run the command args name.  A refused command line exits 2 and a
+    library contract violation 3, each with one message on stderr."""
+    command = None
     try:
-        namespace, extra = parser.parse_known_args(args)
-        given = vars(namespace)
-        name = given.pop("command")
-        if extra:
-            commands[name].error(f"unrecognized arguments: {' '.join(extra)}")
-        _COMMANDS[name][0](**given)
+        if args[:1] == ["--help"]:
+            _echo(_help(prog, None))
+            sys.exit(0)
+        if not args:
+            raise UsageError("the following arguments are required: command")
+        if args[0] not in _COMMANDS:
+            raise UsageError(f"Invalid value for 'command': invalid choice: {args[0]!r} "
+                             f"(choose from {', '.join(map(repr, sorted(_COMMANDS)))})")
+        command = args[0]
+        _COMMANDS[command][0](**_parse(prog, command, args[1:]))
     except UsageError as exc:
-        # argparse names the parser that refused; a command, itself
-        at = exc.parser or commands[name]
-        _echo(f"{at.format_usage()}Try '{at.prog} --help' for help.\n\nError: {exc}",
+        at = f"{prog} {command}" if command else prog
+        _echo(f"{_usage(prog, command)}Try '{at} --help' for help.\n\nError: {exc}",
               sys.stderr)
         sys.exit(2)
     except Spin42Error as exc:

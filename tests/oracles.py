@@ -8,12 +8,15 @@ at a time, the bytes the CLI's array-at-a-time serializer must match.
 GAMMA_TABLE is the paper's Gamma table typed out entry by entry, which the
 library derives as Sigma G, and minors_reference gathers the 2x2 minors
 of Lambda^2 M from the flattened matrix, which the library reads off the
-Pluecker coordinates of M's row pairs.
+Pluecker coordinates of M's row pairs.  argparse_reference is the
+command-line parse the CLI once made with argparse, against which its
+table-driven parse is checked.
 """
 
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 
@@ -105,3 +108,72 @@ def to_json_reference(obj) -> str:
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+class ReferenceUsageError(Exception):
+    """A command line the argparse reference refuses, in the words the CLI
+    printed after "Error: "."""
+
+
+def argparse_reference(prog: str):
+    """The command-line parse the CLI made with the standard library's
+    argparse: one parser with a subparser per command, built from the
+    _Param records of spin42.cli._COMMANDS, whose error() rewords argparse's
+    "argument --tol: ..." as "Invalid value for '--tol': ...".  Returns
+    parse(args) -> (command, keyword arguments), which raises
+    ReferenceUsageError for a refused line and prints the help of --help,
+    then exits 0."""
+    import argparse
+
+    from spin42.cli import _COMMANDS, _DESCRIPTION, _HELP
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            if message.startswith("argument "):
+                name, _, detail = message[len("argument "):].partition(": ")
+                message = f"Invalid value for '{name}': {detail}"
+            raise ReferenceUsageError(message)
+
+    def argparse_type(convert):
+        # the converters' ValueError text, as argparse prints an
+        # ArgumentTypeError's
+        def read(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return read
+
+    parser = Parser(prog=prog, description=_DESCRIPTION, add_help=False, allow_abbrev=False)
+    parser.add_argument("--help", action="help", help=_HELP.help)
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+    for name, (fn, params) in sorted(_COMMANDS.items()):
+        doc = " ".join(fn.__doc__.split())
+        sub = commands.add_parser(name, help=doc.split("; ")[0], description=doc,
+                                  add_help=False, allow_abbrev=False)
+        for p in params:
+            if p is _HELP:
+                continue
+            kind = p.type and argparse_type(p.type)
+            if not p.name.startswith("--"):
+                sub.add_argument(p.dest, metavar=p.name, type=kind)
+            elif p.type is None:
+                sub.add_argument(p.name, dest=p.dest, action="store_true", help=p.help)
+            else:
+                sub.add_argument(p.name, dest=p.dest, type=kind, default=p.default,
+                                 metavar=p.dest.upper(), help=f"{p.help}  [default: {p.default}]")
+        sub.add_argument("--help", action="help", help=_HELP.help)
+
+    def parse(args):
+        # argparse converts a string default as it would the flag's text
+        tol = os.environ.get("CMK_TOL") or str(DEFAULT_TOL)
+        for command in commands.choices.values():
+            command.set_defaults(tol=tol)
+        namespace, extra = parser.parse_known_args(args)
+        given = vars(namespace)
+        name = given.pop("command")
+        if extra:
+            raise ReferenceUsageError(f"unrecognized arguments: {' '.join(extra)}")
+        return name, given
+
+    return parse

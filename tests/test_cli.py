@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
-from oracles import to_json_reference
+from oracles import ReferenceUsageError, argparse_reference, to_json_reference
 import spin42.cli
 from spin42.cli import main, to_json
 from spin42.isotropic import same_span
@@ -755,3 +758,179 @@ def test_act_refuses_a_huge_matrix_whose_covering_is_zero():
     result = runner.invoke(main, ["act", "[" + ",".join([row] * 4) + "]", "[1,2,3,4,5,6]"])
     assert result.exit_code == 3 and result.stdout == ""
     assert "ActionLeavesSpan" in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# the command-line table and its parse
+
+
+def _flags(params):
+    return [p for p in params if p.name.startswith("-")]
+
+
+def _slots(params):
+    return [p for p in params if not p.name.startswith("-")]
+
+
+@pytest.mark.parametrize("command", sorted(spin42.cli._COMMANDS))
+def test_each_command_names_its_flags_and_arguments_once(command):
+    params = spin42.cli._COMMANDS[command][1]
+    flags = [p.name for p in _flags(params)]
+    slots = [p.name for p in _slots(params)]
+    assert len(set(flags)) == len(flags) and flags[-1] == "--help"
+    assert len(set(slots)) == len(slots)
+    assert len({p.dest for p in params}) == len(params)
+
+
+@pytest.mark.parametrize("command", sorted(spin42.cli._COMMANDS))
+def test_every_default_passes_its_own_converter(command):
+    # so the [default: X] that --help prints is the value a bare call gets
+    for p in _flags(spin42.cli._COMMANDS[command][1]):
+        if p.type is not None:
+            assert p.type(str(p.default)) == p.default, p.name
+
+
+def test_running_commands_loads_no_argument_parser():
+    code = ("import sys, runpy\n"
+            "try:\n"
+            "    runpy.run_module('spin42', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(sorted({'argparse', 'click'} & set(sys.modules)), file=sys.stderr)\n")
+    for args in (["embed", '{"infinity": true}'],
+                 ["verify", "--suite", "clifford", "--count", "5", "--json"]):
+        proc = subprocess.run([sys.executable, "-c", code, *args],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout and proc.stderr.endswith("[]\n"), proc.stderr
+
+
+# values a flag or argument is given: the converters' edges, which a
+# valued flag takes as its value however they start, and the texts that
+# start with "-" and still fill an argument slot ("-" alone, text with a
+# space, a negative number)
+_EDGE_VALUES = ["-1", "-0", "-inf", "-1e-9", "-x", "", "-", "-x y"]
+_GOOD_VALUES = {
+    "--suite": ["clifford", "all"], "--seed": ["0", "3"], "--count": ["1", "7"],
+    "--samples": ["1", "20"], "--tol": ["0", "1e-9", "inf", "0.5"],
+    "{null-to-plane|plane-to-line|line-to-plane}": ["null-to-plane", "line-to-plane"],
+}
+_PAYLOADS = ['{"infinity": true}', "[1, 0, 0, 1, 0, 0]", "x"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and its arguments, drawn from the command's _Param records:
+    its flags in any order, repeated or as --flag=value, its arguments
+    (after "--" too), and maybe unknown or abbreviated flags, a valued
+    flag without its value, an extra or a missing argument, or --help."""
+    command = draw(st.sampled_from(sorted(spin42.cli._COMMANDS)))
+    params = spin42.cli._COMMANDS[command][1]
+
+    def value(p):
+        edge = draw(st.integers(0, 3)) == 0
+        return draw(st.sampled_from(_EDGE_VALUES if edge else _GOOD_VALUES.get(p.name, _PAYLOADS)))
+
+    def flag(p):
+        if p.type is None:
+            return [p.name]
+        if draw(st.booleans()):
+            return [f"{p.name}={value(p)}"]
+        return [p.name, value(p)]
+
+    def unknown(p):
+        return draw(st.sampled_from([
+            [p.name[:-1]], [p.name[:-1], value(p)], ["--nosuch"], ["--nosuch=1"],
+            [p.name + "=" + value(p)] if p.type is None else [p.name],
+        ]))
+
+    options = [p for p in _flags(params) if p.name != "--help"]
+    pieces = [[value(p)] for p in _slots(params)]
+    pieces += [flag(p) for p in draw(st.lists(st.sampled_from(options), max_size=5))]
+    if draw(st.booleans()):
+        pieces.append(["--"])
+    pieces = draw(st.permutations(pieces))
+    for _ in range(draw(st.integers(0, 2))):
+        noise = draw(st.sampled_from(["unknown", "extra", "missing", "--help", "--", "end"]))
+        at = draw(st.integers(0, len(pieces)))
+        if noise == "unknown":
+            pieces.insert(at, unknown(draw(st.sampled_from(options))))
+        elif noise == "extra":
+            pieces.insert(at, [value(params[0])])
+        elif noise == "missing" and pieces:
+            pieces.pop(at % len(pieces))
+        elif noise in ("--help", "--"):
+            pieces.insert(at, [noise])
+        else:  # a valued flag with its value missing
+            pieces.append([draw(st.sampled_from(options)).name])
+    env = draw(st.sampled_from([None, "", "0", "1e-3", "-1", "abc"]))
+    return command, [arg for piece in pieces for arg in piece], env
+
+
+def _outcome(parse):
+    """("ok", result), ("exit", code) or, from the reference, ("error",
+    message) of parse(), and its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return ("ok", parse()), out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return ("exit", exc.code), out.getvalue(), err.getvalue()
+        except ReferenceUsageError as exc:
+            return ("error", str(exc)), out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+def test_table_parse_agrees_with_the_argparse_reference(line):
+    command, args, env = line
+    reference_parse = argparse_reference("spin42")
+    fn, params = spin42.cli._COMMANDS[command]
+    seen = []
+
+    def record(**kwargs):
+        seen.append(kwargs)
+
+    record.__doc__ = fn.__doc__
+    # Two readings argparse made are not kept.  A "--" that ends the line
+    # ends nothing, and argparse refused it unless an argument's text took
+    # it in ("verify --" was "unrecognized arguments: --"); the reference
+    # reads the line without it.  And a "--" given as an argument's text
+    # after the separator ("act -- [] --") argparse stripped to [].
+    ref_args = args[:-1] if "--" in args and args.index("--") == len(args) - 1 else args
+    environ = {} if env is None else {"CMK_TOL": env}
+    with mock.patch.dict(os.environ, environ), \
+            mock.patch.dict(spin42.cli._COMMANDS, {command: (record, params)}):
+        if env is None:
+            os.environ.pop("CMK_TOL", None)
+        reference, _, _ = _outcome(lambda: reference_parse([command, *ref_args]))
+        (kind, code), out, err = _outcome(
+            lambda: main.main([command, *args], prog_name="spin42", standalone_mode=False))
+    if reference[0] == "ok":
+        expected = {k: "--" if v == [] else v for k, v in reference[1][1].items()}
+        assert (kind, seen) == ("ok", [expected])
+    elif reference == ("exit", 0):  # --help
+        assert (kind, code, err, seen) == ("exit", 0, "", [])
+        assert out.startswith(f"usage: spin42 {command} ") and "--help" in out
+    else:
+        assert (kind, code, out, seen) == ("exit", 2, "", [])
+        assert "\n\nError: " in err, err
+        message = reference[1]
+        if message.startswith("Invalid value for '"):
+            assert "Error: " + message.split(":")[0] in err, (message, err)
+
+
+def test_lines_the_argparse_parse_read_otherwise():
+    # a trailing "--" ends nothing (argparse: "unrecognized arguments: --")
+    result = runner.invoke(main, ["verify", "--suite", "clifford", "--count", "1", "--json", "--"])
+    assert result.exit_code == 0, result.output
+    # a valued flag takes a dash text that converts (argparse: "expected one
+    # argument"); -0e0 reads as 0
+    result = runner.invoke(main, ["verify", "--suite", "clifford", "--count", "1", "--json",
+                                  "--tol", "-0e0"])
+    assert result.exit_code == 0 and _lines(result)[0]["tol"] == 0
+    # "--" as an argument's text after the separator stays "--" and is
+    # malformed JSON; argparse passed [] and json.loads raised TypeError
+    identity = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+    result = runner.invoke(main, ["act", identity, "--", "--"])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "Error: malformed JSON" in result.stderr
