@@ -56,8 +56,9 @@ class NotNormalized(Spin42Error):
 
 
 class ActionLeavesSpan(Spin42Error):
-    """A transformed operator left the real generator span; the input
-    matrix was not a genuine group element."""
+    """A transformed operator left the real generator span, so the input
+    matrix was not a genuine group element, or the matrix has an entry past
+    forms.SCALE_MAX, where the covering keeps no stated accuracy."""
 
 
 class InvalidEntity(Spin42Error):

@@ -41,6 +41,12 @@ RESIDUAL_FLOOR = 1e-8
 # Squared norms above which a projective gate rescales its input: the fourth
 # power of a norm, as in the Pluecker norm of X(x)'s two columns, must not overflow.
 HUGE_NORM2 = 2.0 ** 500
+# Entry scale s = max(1, max |m_ij|) up to which the SU(2,2) kernels of
+# `spin` answer.  They read their answers off M's 2x2 minors, which cancel
+# under a strong boost and round at eps s^2, so eps * SCALE_MAX^2 = 2^-12
+# is their stated absolute accuracy; past it is_su22 answers False and the
+# covering kernels raise.  Below it no product of entries overflows.
+SCALE_MAX = 2.0 ** 20
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -106,17 +112,10 @@ def _rescaled(x: np.ndarray, bound: float = HUGE_NORM2) -> tuple[np.ndarray, np.
         n2 = np.vecdot(x, x).real
         fits = n2 <= bound  # False on NaN: a complex product can overflow to inf - inf
         if not fits.all():
-            x = x * _halvings(x, fits)[..., None]
+            top = np.maximum(abs(x.real), abs(x.imag)).max(axis=-1)
+            x = x * np.ldexp(1.0, np.where(fits, 0, -np.frexp(top)[1]))[..., None]
             n2 = np.vecdot(x, x).real
     return x, n2
-
-
-def _halvings(x: np.ndarray, fits: np.ndarray) -> np.ndarray:
-    """The factors (...) by which _rescaled multiplies rows x (..., n): 1
-    where fits, else the power of two that puts the row's largest real or
-    imaginary part in [0.5, 1)."""
-    top = np.maximum(abs(x.real), abs(x.imag)).max(axis=-1)
-    return np.ldexp(1.0, np.where(fits, 0, -np.frexp(top)[1]))
 
 
 def as_vec6(x) -> np.ndarray:

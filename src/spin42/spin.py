@@ -41,10 +41,10 @@ from .forms import (
     Q6,
     Q_DIAG,
     RESIDUAL_FLOOR,
+    SCALE_MAX,
     _at,
     _every,
     _finite,
-    _halvings,
     _q,
     as_vec6,
     check_finite,
@@ -66,60 +66,33 @@ class ConformalMatrix6:
     l: np.ndarray
 
 
-# Entry bounds past which no product of entries that a kernel forms may
-# pass HUGE_NORM2^2 = 2^1000: four entries of M in det M and twelve in
-# det L(M), whose entries are quadratic in M's, where the kernel rescales M
-# (_fitted); six entries of a 6x6 matrix in its determinant, where
-# _so_plus answers False
-_HUGE_ENTRY = np.sqrt(HUGE_NORM2)
-_HUGE_COVERED = HUGE_NORM2 ** (1 / 6)
+# Entry bound past which _so_plus answers False: no product of six entries
+# of a 6x6 matrix, as in its determinant, may pass HUGE_NORM2^2 = 2^1000
 _HUGE_ENTRY6 = HUGE_NORM2 ** (1 / 3)
-
-
-def _fitted(m: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The overflow policy of forms._rescaled for a stack of matrices
-    (..., n, n): (m, r, a), where each matrix whose max |m_ij| exceeds
-    bound is multiplied by the power of two r of forms._halvings, exactly,
-    and a is max |m_ij| afterwards.  The other matrices keep every bit, and
-    r is None when every matrix fits, at the cost of one reduction."""
-    a = abs(m).max(axis=(-2, -1))
-    fits = a <= bound
-    if _every(fits):
-        return m, None, a
-    r = _halvings(m.reshape(*m.shape[:-2], -1), fits)
-    m = m * r[..., None, None]
-    return m, r, abs(m).max(axis=(-2, -1))
-
-
-def _unscaled(x: np.ndarray, r: np.ndarray, what: str) -> np.ndarray:
-    """x / r^2 for results x quadratic in matrices that _fitted scaled by r
-    (broadcast against x), divided by r twice, as r^2 may underflow;
-    InvalidEntity where the quotient leaves the float range."""
-    with np.errstate(over="ignore"):
-        return check_finite(x / r / r, what)
 
 
 def _su22_devs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix deviations of a finite stack (..., 4, 4) from the group,
     relative to the scale s = max(1, max |m_ij|) at which their rounding
     grows: max |m G m^dagger - G| / s^2 and |det m - 1| / s^4.  A matrix
-    with max |m_ij| > _HUGE_ENTRY is judged as r m (_fitted) against r^2 G
-    and r^4 at the scale r s: the same deviations, without an overflow."""
-    m, r, a = _fitted(m, _HUGE_ENTRY)
-    # the targets of m G m^dagger and det m, and the 1 in s, scaled with m
-    g, det, unit = G4, 1.0, 1.0
-    if r is not None:
-        g, det, unit = G4 * (r * r)[..., None, None], r ** 4, r
-    s2 = np.maximum(unit, a) ** 2
-    gdev = abs((m * G_DIAG) @ m.mT.conj() - g).max(axis=(-2, -1))
-    ddev = abs(_det4(m) - det)
+    past SCALE_MAX reads NaN, which fails every gate, and no product of its
+    entries is formed."""
+    a = abs(m).max(axis=(-2, -1))
+    fits = a <= SCALE_MAX
+    if not _every(fits):
+        m = np.where(fits[..., None, None], m, np.nan)
+        a = np.where(fits, a, np.nan)
+    s2 = np.maximum(1.0, a) ** 2
+    gdev = abs((m * G_DIAG) @ m.mT.conj() - G4).max(axis=(-2, -1))
+    ddev = abs(_det4(m) - 1.0)
     return gdev / s2, ddev / (s2 * s2)
 
 
 def is_su22(m, tol: float = DEFAULT_TOL) -> bool:
     """Membership of the pseudo-unitary group: m G m^dagger = G judged at
     tol * s^2 and det m = 1 at tol * s^4, s = max(1, max |m_ij|), so a
-    genuine strong boost is not rejected for its rounding."""
+    genuine strong boost is not rejected for its rounding.  False past
+    s = SCALE_MAX, where covering_matrix and vector_action refuse."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4) or not _finite(m):
         return False
@@ -140,7 +113,7 @@ def _composites(v: np.ndarray, tol: float) -> np.ndarray:
 
 def _members(m: np.ndarray, tol: float) -> np.ndarray:
     """Post-condition membership of computed matrices (..., 4, 4) at
-    max(tol, RESIDUAL_FLOOR), relative to their scale as in is_su22."""
+    max(tol, RESIDUAL_FLOOR), judged as in is_su22 (False past SCALE_MAX)."""
     gdev, ddev = _su22_devs(m)
     bound = max(tol, RESIDUAL_FLOOR)
     return (gdev <= bound) & (ddev <= bound)
@@ -152,8 +125,8 @@ def _generate(v: np.ndarray, tol: float) -> np.ndarray:
     on (the identity when k = 0).  The membership of each composite and of
     the product is a post-condition judged on one stack; the error names
     the first failing composite, or the product, and its element.  For
-    unit-Q pairs a composite fails only when its pair's Q-signs differ:
-    then m G m^dagger = -G, which no rescaling repairs."""
+    unit-Q pairs a composite within SCALE_MAX fails only when its pair's
+    Q-signs differ: then m G m^dagger = -G, which no rescaling repairs."""
     k = v.shape[-3]
     c = _composites(v, tol)
     m = c[..., 0, :, :] if k else np.eye(4) + np.zeros(c.shape[:-3] + (4, 4), complex)
@@ -164,6 +137,8 @@ def _generate(v: np.ndarray, tol: float) -> np.ndarray:
         element, j = _at(index[:-1]), index[-1]
         if j == k:
             return f"product{element} failed the membership checks"
+        if abs(c[index]).max() > SCALE_MAX:
+            return f"composite {j}{element} is past the stated scale SCALE_MAX = 2^20"
         return f"composite {j}{element} is not pseudo-unitary; the Q-signs of its pair must agree"
     require(_members(np.concatenate([c, m[..., None, :, :]], axis=-3), tol),
             NotNormalized, failed)
@@ -196,12 +171,18 @@ def _minors(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_pluecker(rows[..., :6, :], rows[..., 6:, :]))
 
 
-def _span_bound(floor: float, r, a: np.ndarray) -> np.ndarray:
-    """The span gate of matrices M with max |m_ij| = a, after _fitted
-    scaled them by r: floor * s^2, s = max(1, a) scaled with M.  M's 2x2
-    minors round at eps s^2 when its entries cancel in them, as a strong
-    boost's do, however small the transformed operator comes out."""
-    return floor * np.maximum(1.0 if r is None else r, a) ** 2
+def _scale(m: np.ndarray) -> np.ndarray:
+    """s = max(1, max |m_ij|) of each matrix of a finite stack (..., 4, 4):
+    M's 2x2 minors round at eps s^2 when its entries cancel in them, as a
+    strong boost's do, however small the transformed operator comes out.
+    The covering kernels answer up to s = SCALE_MAX: ActionLeavesSpan names
+    the first matrix past it.  A NaN matrix passes, to fail the span gate."""
+    a = abs(m).max(axis=(-2, -1))
+    if not _every(a <= SCALE_MAX):
+        require(~(a > SCALE_MAX), ActionLeavesSpan,
+                lambda i, at: f"group element{at} is past the stated scale"
+                              f" (max |m_ij| {a[i]:g} > SCALE_MAX = 2^20)")
+    return np.maximum(1.0, a)
 
 
 def _read_back(w: np.ndarray, lead: tuple, bound: np.ndarray) -> np.ndarray:
@@ -210,9 +191,10 @@ def _read_back(w: np.ndarray, lead: tuple, bound: np.ndarray) -> np.ndarray:
     w (6, k), k = prod(lead).  Each column first passes the span gate: as
     S^T conj(S) = 2 I, S^T c = w, so w - S^T Re c = i S^T Im c is what
     reading the real coefficients back leaves, and max |S^T Im c| must be
-    within bound (_span_bound, broadcast against lead); an operator off the
-    real generator span means the acting matrix was never a group element.
-    The error names the first failing column by its index in lead."""
+    within bound (floor * s^2, s of _scale, broadcast against lead); an
+    operator off the real generator span means the acting matrix was never
+    a group element.  The error names the first failing column by its
+    index in lead."""
     c = _READ @ w
     residual = abs(_SIGMA_COEFFS.T @ c.imag).max(axis=0).reshape(lead)
     require(residual <= bound, ActionLeavesSpan,
@@ -223,17 +205,14 @@ def _read_back(w: np.ndarray, lead: tuple, bound: np.ndarray) -> np.ndarray:
 
 def _vector_action(m: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of vector_action: finite stacks m (..., 4, 4) and x (..., 6)
-    whose leading axes broadcast, to the images (..., 6), span residuals
-    judged per matrix at max(tol, RESIDUAL_FLOOR) (_span_bound).
-    M Sigma(x) M^T has the pair coordinates w = Lambda^2 M . S^T x.  A
-    matrix past _HUGE_COVERED acts as r m (_fitted), its images divided by
-    r^2."""
-    m, r, a = _fitted(m, _HUGE_COVERED)
+    whose leading axes broadcast, to the images (..., 6), after the scale
+    gate (_scale) and span residuals judged per matrix at
+    max(tol, RESIDUAL_FLOOR) s^2.  M Sigma(x) M^T has the pair coordinates
+    w = Lambda^2 M . S^T x."""
+    bound = max(tol, RESIDUAL_FLOOR) * _scale(m) ** 2
     w = (_minors(m) @ (x @ _SIGMA_COEFFS)[..., None])[..., 0]
     lead = w.shape[:-1]
-    c = _read_back(w.reshape(-1, 6).T, lead, _span_bound(max(tol, RESIDUAL_FLOOR), r, a))
-    c = c.T.reshape(*lead, 6)
-    return c if r is None else _unscaled(c, r[..., None], "vector image")
+    return _read_back(w.reshape(-1, 6).T, lead, bound).T.reshape(*lead, 6)
 
 
 def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -243,57 +222,46 @@ def vector_action(s: SpinElement, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     matrix that was never a group element (the span residual is a
     post-condition), and InvalidEntity on non-finite input.  The image is
     read off M's 2x2 minors, so each coordinate is known only to about
-    eps * max(1, max |m_ij|)^2 |x| in absolute terms, which passes |x|
-    near max |m_ij| = 7e7."""
+    eps * s^2 |x| in absolute terms, s = max(1, max |m_ij|); past
+    s = SCALE_MAX = 2^20, where that reaches 2^-12 |x|, ActionLeavesSpan
+    refuses the element."""
     x = as_vec6(x)
     m = check_finite(s.m, "group element")
     return _vector_action(m, x, tol)
 
 
-def _q_devs(l: np.ndarray, q: np.ndarray = Q6) -> np.ndarray:
-    """max |l Q l^T - q| of each matrix of a stack (..., 6, 6); l Q is
+def _q_devs(l: np.ndarray) -> np.ndarray:
+    """max |l Q l^T - Q| of each matrix of a stack (..., 6, 6); l Q is
     l's columns times Q's diagonal."""
-    return abs((l * Q_DIAG) @ l.mT - q).max(axis=(-2, -1))
+    return abs((l * Q_DIAG) @ l.mT - Q6).max(axis=(-2, -1))
 
 
 def _covering(m: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of covering_matrix: a finite stack (..., 4, 4) to the 6x6
     matrices L(M) (..., 6, 6).  Column b of L(M) reads back
-    w_b = Lambda^2 M . S_b.  Span residuals (_span_bound) and the quadric
-    invariants are judged per matrix, at max(tol, RESIDUAL_FLOOR); the
-    error names the first failure.  A matrix past _HUGE_COVERED is read as
-    r m (_fitted), whose covering is l = r^2 L(M), and its invariants are
-    judged, and reported, on n = l / 2^d, the power of two
-    2^d >= r^2 max(1, max |L(M)|): max |n| <= 1, and r^2 / 2^d <= 1 stands
-    for the 1 in the targets and the scale, so no deviation or scale can
-    underflow into a pass.  L(M) is l divided by r^2."""
+    w_b = Lambda^2 M . S_b.  The scale gate (_scale), then span residuals
+    and the quadric invariants are judged per matrix, the last two at
+    max(tol, RESIDUAL_FLOOR); the error names the first failure.  Below
+    SCALE_MAX no product overflows: det L(M) has terms of twelve entries
+    of M, at most 2^240."""
     lead = m.shape[:-2]
     floor = max(tol, RESIDUAL_FLOOR)
-    m, r, a = _fitted(m, _HUGE_COVERED)
+    bound = (floor * _scale(m) ** 2)[..., None]
     # rows (matrix, i) times S^T, regrouped as columns (matrix, b).  Every
     # product has a 6x6 factor, so no BLAS call is large enough to go
     # multithreaded: a threaded call stalls whole suites on a busy 2-vCPU host
     w = (_minors(m).reshape(-1, 6) @ _SIGMA_COEFFS.T).reshape(-1, 6, 6)
-    bound = _span_bound(floor, r, a)[..., None]
     c = _read_back(w.transpose(1, 0, 2).reshape(6, -1), (*lead, 6), bound)
     l = c.reshape(6, -1, 6).transpose(1, 0, 2).reshape(*lead, 6, 6)
-    # the matrix judged, the targets of n Q n^T and det n, and the 1 in the scale
-    n, q, det, unit = l, Q6, 1.0, 1.0
-    if r is not None:
-        log_r2 = 2 * (np.frexp(r)[1] - 1)
-        top = abs(l).max(axis=(-2, -1))
-        d = np.maximum(np.where(top > 0.0, np.frexp(top)[1], log_r2), log_r2)
-        n, unit = np.ldexp(l, -d[..., None, None]), np.ldexp(1.0, log_r2 - d)
-        q, det = Q6 * (unit * unit)[..., None, None], unit ** 6
     # gates are relative to the matrix scale: strong boosts legitimately
     # amplify rounding in l Q l^T without being any less orthogonal
-    scale = np.maximum(unit, abs(n).max(axis=(-2, -1))) ** 2
-    qdev = _q_devs(n, q)
-    ddev = abs(np.linalg.det(n) - det)
+    scale = np.maximum(1.0, abs(l).max(axis=(-2, -1))) ** 2
+    qdev = _q_devs(l)
+    ddev = abs(np.linalg.det(l) - 1.0)
     require((qdev <= floor * scale) & (ddev <= floor * scale ** 3), ActionLeavesSpan,
             lambda i, at: f"action matrix{at} violates the quadric invariants"
                           f" (Q dev {qdev[i]:g}, det dev {ddev[i]:g})")
-    return l if r is None else _unscaled(l, r[..., None, None], "covering matrix")
+    return l
 
 
 def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix6:
@@ -304,11 +272,12 @@ def covering_matrix(s: SpinElement, tol: float = DEFAULT_TOL) -> ConformalMatrix
     w_b = Lambda^2 M . S_b, so L = Re(conj(S) . Lambda^2 M . S^T) / 2, read
     off the 2x2 minors of M by two 6x6 products.  Each column's span
     residual, max |S^T Im c_b| with c_b = conj(S) w_b / 2, is checked
-    against M's scale max(1, max |m_ij|)^2, at which the minors round,
-    exactly as vector_action checks one image, and raises ActionLeavesSpan;
-    the span and quadric residuals are post-conditions.  Like the image of
-    vector_action, each entry of L is known only to about
-    eps * max(1, max |m_ij|)^2 in absolute terms.
+    against M's scale s = max(1, max |m_ij|) squared, at which the minors
+    round, exactly as vector_action checks one image, and raises
+    ActionLeavesSpan; the span and quadric residuals are post-conditions.
+    Like the image of vector_action, each entry of L is known only to
+    about eps * s^2 in absolute terms, and past s = SCALE_MAX = 2^20, where
+    that reaches 2^-12, ActionLeavesSpan refuses the element.
     """
     m = check_finite(s.m, "group element")
     return ConformalMatrix6(_covering(m, tol))

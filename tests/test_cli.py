@@ -752,12 +752,12 @@ def test_act_accepts_a_strong_boost():
 
 
 def test_act_refuses_a_huge_matrix_whose_covering_is_zero():
-    # every 2x2 minor of a constant matrix is 0: its covering is 0, which
-    # the quadric gate refuses however far the rescaling shrinks its targets
+    # every 2x2 minor of a constant matrix is 0, so its covering is 0; past
+    # SCALE_MAX the membership test refuses it before any minor is formed
     row = "[" + ",".join(["1e100"] * 4) + "]"
     result = runner.invoke(main, ["act", "[" + ",".join([row] * 4) + "]", "[1,2,3,4,5,6]"])
     assert result.exit_code == 3 and result.stdout == ""
-    assert "ActionLeavesSpan" in result.stderr
+    assert "NotNormalized" in result.stderr
 
 
 # ---------------------------------------------------------------------------

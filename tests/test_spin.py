@@ -3,13 +3,14 @@ import pytest
 
 from spin42.clifford import AntilinearOp, vector_from_op
 from spin42.errors import ActionLeavesSpan, InvalidEntity, NotNormalized
-from spin42.forms import G4, Q6, q_form
+from spin42.forms import G4, Q6, SCALE_MAX, q_form
 from spin42.sampling import random_spin_element, random_unit_q_vec6
 from spin42.exterior import _READ, _SIGMA_COEFFS
 from spin42.spin import (
     ConformalMatrix6,
     SpinElement,
     _covering,
+    _members,
     _minors,
     _su22_devs,
     _vector_action,
@@ -54,14 +55,15 @@ def test_is_su22_refuses_huge_matrices_without_an_overflow(entry):
     assert not is_su22(m[[1, 0, 2, 3]])
 
 
-def test_su22_deviations_keep_their_bits_below_the_rescaling_bound():
-    # boosts from max |m| of 1e69 to 5e303 stay members across 2^250 ~ 1.8e75
+def test_su22_deviations_keep_their_bits_below_the_scale_bound():
+    # boosts from max |m| of 1e69 to 5e303 are past SCALE_MAX: their
+    # deviations read NaN, formed from no product of their entries
     for rapidity in (160.0, 176.0, 177.0, 178.0, 200.0, 400.0, 700.0):
         gdev, ddev = _su22_devs(_boost(rapidity))
-        assert gdev <= 1e-15 and ddev <= 1e-15
-        assert is_su22(_boost(rapidity))
-    # rows in range read the same bits in a stack with rescaled rows as
-    # alone, and as the formula without rescaling
+        assert np.isnan(gdev) and np.isnan(ddev)
+        assert not is_su22(_boost(rapidity))
+    # rows in range read the same bits in a stack with refused rows as
+    # alone, and as the formula
     rng = np.random.default_rng(26)
     small = np.stack([random_spin_element(rng).m for _ in range(4)] + [2.0 * I4])
     stack = np.concatenate([small, [_boost(300.0), 1e200 * I4]])
@@ -72,8 +74,7 @@ def test_su22_deviations_keep_their_bits_below_the_rescaling_bound():
     assert np.array_equal(gdev[:5], want_g) and np.array_equal(gdev[:5], _su22_devs(small)[0])
     assert np.array_equal(ddev[:5], _su22_devs(small)[1])
     assert np.allclose(ddev[:5], want_d, rtol=0, atol=1e-15)
-    assert gdev[5] <= 1e-15 and ddev[5] <= 1e-15
-    assert gdev[6] > 0.1
+    assert np.isnan(gdev[5:]).all() and np.isnan(ddev[5:]).all()
 
 
 def _spinor_boost(a: float, i: int = 0, j: int = 2) -> np.ndarray:
@@ -139,36 +140,130 @@ def test_huge_matrices_answer_or_raise_without_an_overflow():
     null_rows = np.zeros((6, 6))
     null_rows[3, [0, 3]] = null_rows[5, [1, 5]] = 1.0
     assert not is_so_plus(1e200 * null_rows)
-    # every 2x2 minor is 0, so L(M) = 0, whose Q dev is 1 however far the
-    # rescaling of M shrinks the targets (r^4 underflows from about 5e80 on)
+    # every 2x2 minor is 0, so L(M) = 0; past SCALE_MAX no minor is formed
     for c in (1e30, 1e100, 1e300):
-        with pytest.raises(ActionLeavesSpan, match="quadric invariants"):
+        with pytest.raises(ActionLeavesSpan, match="past the stated scale"):
             covering_matrix(SpinElement(np.full((4, 4), c, dtype=complex)))
-    # two boosts in disjoint planes: L(M) has entries up to 2 a^2 + 1, past
-    # the rescaling bound as at 1e3, and beyond the float range at 1e160
+    # two boosts in disjoint planes: L(M) has entries up to 2 a^2 + 1; a
+    # boost is answered at 1e3 and refused past SCALE_MAX
     for a in (1e3, 1e30, 1e100):
         m = _spinor_boost(a, 0, 2) @ _spinor_boost(a, 1, 3)
-        assert is_su22(m)
-        assert abs(abs(covering_matrix(SpinElement(m)).l).max() - (2 * a * a + 1)) <= 1e-12 * a * a
-        assert np.isfinite(vector_action(SpinElement(m), E6[0])).all()
+        if a < SCALE_MAX:
+            assert is_su22(m)
+            assert abs(abs(covering_matrix(SpinElement(m)).l).max() - (2 * a * a + 1)) <= 1e-12 * a * a
+            assert np.isfinite(vector_action(SpinElement(m), E6[0])).all()
+            continue
+        assert not is_su22(m)
+        with pytest.raises(ActionLeavesSpan, match="past the stated scale"):
+            covering_matrix(SpinElement(m))
+        with pytest.raises(ActionLeavesSpan, match="past the stated scale"):
+            vector_action(SpinElement(m), E6[0])
     huge = I4.copy()
     huge[[0, 1, 2, 3, 0, 2, 1, 3], [0, 1, 2, 3, 2, 0, 3, 1]] = 1e160
-    with pytest.raises(InvalidEntity, match="covering matrix"):
+    with pytest.raises(ActionLeavesSpan, match=r"past the stated scale \(max \|m_ij\| 1e\+160"):
         covering_matrix(SpinElement(huge))
 
 
-def test_covering_rows_in_range_keep_their_bits_beside_rescaled_rows():
+def test_covering_rows_in_range_keep_their_bits_beside_refused_rows():
     rng = np.random.default_rng(27)
     small = random_spin_element(rng, n=3)
     big = _spinor_boost(1e40, 0, 2) @ _spinor_boost(1e40, 1, 3)
-    l = _covering(np.concatenate([small, big[None]]), 1e-9)
-    assert np.array_equal(l[:3], _covering(small, 1e-9))
-    assert np.array_equal(l[3], covering_matrix(SpinElement(big)).l)
-    with pytest.raises(ActionLeavesSpan, match="matrix at row 3 violates"):
+    stack = np.concatenate([small, big[None]])
+    with pytest.raises(ActionLeavesSpan, match="group element at row 3 is past the stated scale"):
+        _covering(stack, 1e-9)
+    with pytest.raises(ActionLeavesSpan, match="group element at row 3 is past the stated scale"):
         _covering(np.concatenate([small, np.full((1, 4, 4), 1e100, dtype=complex)]), 1e-9)
     x = rng.normal(size=6)
-    images = _vector_action(np.concatenate([small, big[None]]), x, 1e-9)
-    assert np.array_equal(images[:3], _vector_action(small, x, 1e-9))
+    with pytest.raises(ActionLeavesSpan, match="group element at row 3 is past the stated scale"):
+        _vector_action(stack, x, 1e-9)
+    # the rows in range keep their bits beside the refused row, as in a
+    # stack of the same length in range (the determinant's signed sum
+    # rounds with the stack's length)
+    gdev, ddev = _su22_devs(stack)
+    want_g, want_d = _su22_devs(np.concatenate([small, small[:1]]))
+    assert np.array_equal(gdev[:3], want_g[:3]) and np.array_equal(ddev[:3], want_d[:3])
+    assert list(_members(stack, 1e-9)) == [True, True, True, False]
+    for i in range(3):
+        assert np.array_equal(_covering(small, 1e-9)[i], covering_matrix(SpinElement(small[i])).l)
+
+
+def _boost_at(top: float) -> np.ndarray:
+    """The single-plane boost whose largest entry is top: m[0, 0] = m[2, 2]
+    = top and m[0, 2] = m[2, 0] = sqrt(top^2 - 1)."""
+    m = I4.copy()
+    m[0, 0] = m[2, 2] = top
+    m[0, 2] = m[2, 0] = np.sqrt(top * top - 1.0)
+    return m
+
+
+def test_every_kernel_answers_at_the_scale_bound_and_refuses_past_it():
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=6)
+    small = random_spin_element(rng, n=3)
+    at = _boost_at(SCALE_MAX)
+    assert abs(at).max() == SCALE_MAX
+    s = SpinElement(at)
+    assert is_su22(at) and _members(at, 1e-9)
+    l = covering_matrix(s).l
+    assert np.array_equal(vector_action(s, x), _vector_action(at, x, 1e-9))
+    assert np.array_equal(l, _covering(at, 1e-9))
+    stack = np.concatenate([small, at[None]])
+    assert np.array_equal(_covering(stack, 1e-9)[3], l)
+    assert _members(stack, 1e-9).all()
+
+    past = _boost_at(np.nextafter(SCALE_MAX, np.inf))
+    assert not is_su22(past) and not _members(past, 1e-9)
+    message = r"group element is past the stated scale \(max \|m_ij\| 1\.04858e\+06 > SCALE_MAX = 2\^20\)"
+    with pytest.raises(ActionLeavesSpan, match=message):
+        covering_matrix(SpinElement(past))
+    with pytest.raises(ActionLeavesSpan, match=message):
+        vector_action(SpinElement(past), x)
+    stack = np.concatenate([small, past[None], small])
+    with pytest.raises(ActionLeavesSpan, match="group element at row 3 is past the stated scale"):
+        _covering(stack, 1e-9)
+    with pytest.raises(ActionLeavesSpan, match="group element at row 3 is past the stated scale"):
+        _vector_action(stack, x, 1e-9)
+    assert list(_members(stack, 1e-9)) == [True] * 3 + [False] + [True] * 3
+    with pytest.raises(ActionLeavesSpan, match=r"group element at index \(1, 0\) is past"):
+        _covering(stack[:6].reshape(2, 3, 4, 4), 1e-9)
+
+
+def test_a_product_past_the_scale_bound_is_not_generated():
+    # x = (c, 0, 0, s, 0, 0) with c^2 - s^2 = 1 exactly: the composite of
+    # (e1, x) has max |m| just past 2^(n - 1)
+    def pair(n):
+        c, s = (2.0 ** n + 2.0 ** -n) / 2, (2.0 ** n - 2.0 ** -n) / 2
+        return E6[0], np.array([c, 0.0, 0.0, s, 0.0, 0.0])
+    assert abs(spin_generate([pair(10)] * 2).m).max() <= SCALE_MAX
+    with pytest.raises(NotNormalized, match="product failed the membership checks"):
+        spin_generate([pair(11)] * 2)
+    with pytest.raises(NotNormalized, match="composite 0 is past the stated scale"):
+        spin_generate([pair(21)])
+
+
+def test_single_plane_boosts_are_accurate_to_eps_s_squared_up_to_the_bound():
+    # the exact covering of a boost in spinor plane (i, j), entries c =
+    # sqrt(1 + a^2) and a, is I plus boosts (c - 1, +-a) in two coordinate
+    # planes; its entries round at eps s^2 through M's cancelling minors,
+    # s = c, which is 2^-12 at SCALE_MAX.  The law held with a ratio up to
+    # 1.0 on these boosts, and a = 2^26 (refused) would read 0.5 e1 for e1
+    eps = np.finfo(float).eps
+    top = np.sqrt(SCALE_MAX ** 2 - 1.0)
+    for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)):
+        pattern = covering_matrix(SpinElement(_spinor_boost(0.75, i, j))).l
+        stretched = np.diag(np.diag(pattern) == 1.25)
+        sign = np.round((pattern - np.diag(np.diag(pattern))) / 0.75)
+        for a in np.append(np.logspace(-2, np.log10(top), 60), top):
+            m = _spinor_boost(a, i, j)
+            c = m[i, i].real
+            assert c <= SCALE_MAX
+            exact = E6 + (c - 1.0) * stretched + a * sign
+            law = 2.0 * eps * max(1.0, c) ** 2
+            assert abs(covering_matrix(SpinElement(m)).l - exact).max() <= law
+            for b in np.flatnonzero(~stretched.diagonal()):
+                assert abs(vector_action(SpinElement(m), E6[b]) - E6[b]).max() <= law
+        with pytest.raises(ActionLeavesSpan, match="past the stated scale"):
+            vector_action(SpinElement(_spinor_boost(2.0 ** 26, i, j)), E6[0])
 
 
 def test_pair_of_equal_vectors_gives_scalar():
