@@ -12,7 +12,6 @@ lattice, so the structural identities hold with zero floating-point error.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +22,7 @@ from .forms import (
     G4,
     G_DIAG,
     Q_DIAG,
+    Record,
     _q,
     as_spinor,
     as_vec6,
@@ -78,15 +78,16 @@ EPS4 = _levi_civita4()
 EPS4.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class AntilinearOp:
+class AntilinearOp(Record):
     """Matrix m of an antilinear map v -> m . conj(v)."""
 
-    m: np.ndarray
+    __match_args__ = ("m",)
+
+    def __init__(self, m: np.ndarray):
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class LinearOp:
+class LinearOp(Record):
     """Matrix m of a complex-linear map v -> m . v.
 
     Kept as a separate type from AntilinearOp: the composite of two
@@ -94,7 +95,10 @@ class LinearOp:
     main notational hazard of this construction.
     """
 
-    m: np.ndarray
+    __match_args__ = ("m",)
+
+    def __init__(self, m: np.ndarray):
+        object.__setattr__(self, "m", m)
 
 
 def gamma(alpha: int) -> AntilinearOp:
@@ -192,13 +196,15 @@ def det4(m) -> complex:
     return complex(_det4(check_finite(m, "matrix")))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one identity audit."""
 
-    checks_run: int
-    max_deviation: float
-    passed: bool
+    __match_args__ = ("checks_run", "max_deviation", "passed")
+
+    def __init__(self, checks_run: int, max_deviation: float, passed: bool):
+        object.__setattr__(self, "checks_run", checks_run)
+        object.__setattr__(self, "max_deviation", max_deviation)
+        object.__setattr__(self, "passed", passed)
 
 
 def check_clifford_relations(tol: float = 0.0, gamma_table=None) -> CheckReport:

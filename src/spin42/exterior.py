@@ -38,7 +38,6 @@ stated and tested with it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, sqrt
 from types import MappingProxyType
@@ -53,7 +52,7 @@ from .errors import (
     NotRealCombination,
     NotSelfDual,
 )
-from .forms import DEFAULT_TOL, G_DIAG, as_vec6, check_finite, require
+from .forms import DEFAULT_TOL, G_DIAG, Record, as_vec6, check_finite, require
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -100,23 +99,22 @@ def _reorderings(k: int) -> MappingProxyType:
         for pos, combo in enumerate(_COMBOS[k]) for perm, sign in zip(perms, signs)})
 
 
-@dataclass(frozen=True, eq=False)
-class KVector:
+class KVector(Record):
     """Grade-k element stored as its C(4,k) complex coefficients on the
     increasing-index monomials e_I, I in itertools.combinations(range(4), k)
     order (grade 0 has one coefficient).  == is exact equality of grade and
     coefficients; a KVector is not hashable."""
 
-    k: int
-    coeffs: np.ndarray
+    __match_args__ = ("k", "coeffs")
 
-    def __post_init__(self):
-        if self.k not in range(5):
-            raise ValueError(f"grade {self.k} outside 0..4")
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (comb(4, self.k),):
-            raise ValueError(f"grade-{self.k} coefficients of shape {coeffs.shape},"
-                             f" not ({comb(4, self.k)},)")
+    def __init__(self, k: int, coeffs: np.ndarray):
+        if k not in range(5):
+            raise ValueError(f"grade {k} outside 0..4")
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape != (comb(4, k),):
+            raise ValueError(f"grade-{k} coefficients of shape {coeffs.shape},"
+                             f" not ({comb(4, k)},)")
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __eq__(self, other):

@@ -9,8 +9,6 @@ over these two forms, so their conventions are frozen here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidEntity, NotNull, ZeroVector
@@ -47,6 +45,41 @@ HUGE_NORM2 = 2.0 ** 500
 # is their stated absolute accuracy; past it is_su22 answers False and the
 # covering kernels raise.  Below it no product of entries overflows.
 SCALE_MAX = 2.0 ** 20
+
+
+class Record:
+    """Base of the package's frozen records: a class names its fields, in
+    order, in __match_args__, and its own __init__ sets them through
+    object.__setattr__, since assigning to or deleting an attribute raises
+    dataclasses.FrozenInstanceError.  repr, == (between instances of the
+    same class) and hash go field by field, as a frozen dataclass's do; a
+    record holding an array is not hashable, and a class that defines its
+    own __eq__ is not hashable at all."""
+
+    __match_args__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -199,12 +232,16 @@ def canonicalize(x) -> np.ndarray:
     return _canon(as_vec6(x))
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectiveNullLine:
+class ProjectiveNullLine(Record):
     """A point of the projective null quadric: the class of a null 6-vector
-    modulo nonzero real scale, stored via its canonical representative."""
+    modulo nonzero real scale, stored via its canonical representative.
+    == compares classes at DEFAULT_TOL; a ProjectiveNullLine is not
+    hashable."""
 
-    rep: np.ndarray
+    __match_args__ = ("rep",)
+
+    def __init__(self, rep: np.ndarray):
+        object.__setattr__(self, "rep", rep)
 
     def same_class(self, other, tol: float = DEFAULT_TOL) -> bool:
         if isinstance(other, ProjectiveNullLine):

@@ -14,8 +14,6 @@ idempotent) serve as executable cross-checks throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .clifford import _x_matrix
@@ -28,6 +26,7 @@ from .forms import (
     RANK_FLOOR,
     RESIDUAL_FLOOR,
     ProjectiveNullLine,
+    Record,
     _g,
     _null_gate,
     _projective,
@@ -42,27 +41,33 @@ from .forms import (
 )
 
 
-@dataclass(frozen=True)
-class SpinorPlane:
+class SpinorPlane(Record):
     """Two independent spinors spanning a totally isotropic plane."""
 
-    b1: np.ndarray
-    b2: np.ndarray
+    __match_args__ = ("b1", "b2")
+
+    def __init__(self, b1: np.ndarray, b2: np.ndarray):
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b2", b2)
 
 
-@dataclass(frozen=True)
-class SpinorLine:
+class SpinorLine(Record):
     """An isotropic spinor modulo complex scale."""
 
-    rep: np.ndarray
+    __match_args__ = ("rep",)
+
+    def __init__(self, rep: np.ndarray):
+        object.__setattr__(self, "rep", rep)
 
 
-@dataclass(frozen=True)
-class IsotropicPlaneE:
+class IsotropicPlaneE(Record):
     """Two independent 6-vectors spanning a maximal Q-isotropic plane."""
 
-    x1: np.ndarray
-    x2: np.ndarray
+    __match_args__ = ("x1", "x2")
+
+    def __init__(self, x1: np.ndarray, x2: np.ndarray):
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
 
 
 # The kernels below take checked arrays with any leading axes: spinors
@@ -104,12 +109,6 @@ def _spinor_line(v: np.ndarray, tol: float) -> np.ndarray:
     p = _pivot(v)
     re, im = _over_pivot(v.real, v.imag, p.real, p.imag)
     return re + 1j * im
-
-
-def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:
-    """Validate (at tol exactly) and canonicalize an isotropic spinor
-    representative (largest-magnitude component scaled to 1)."""
-    return SpinorLine(_spinor_line(as_spinor(v), tol))
 
 
 def _norm(v: np.ndarray) -> np.ndarray:

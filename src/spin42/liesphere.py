@@ -23,7 +23,6 @@ measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import InvalidEntity, Unclassifiable
 from .forms import (
     DEFAULT_TOL,
     ProjectiveNullLine,
+    Record,
     _projective,
     _qb,
     as_vec6,
@@ -41,37 +41,31 @@ from .forms import (
 )
 
 
-@dataclass(frozen=True)
-class Point:
-    p: np.ndarray
+class Point(Record):
+    __match_args__ = ("p",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _vec3(self.p))
+    def __init__(self, p: np.ndarray):
+        object.__setattr__(self, "p", _vec3(p))
 
 
-@dataclass(frozen=True)
-class Infinity:
+class Infinity(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Sphere:
-    center: np.ndarray
-    signed_radius: float
+class Sphere(Record):
+    __match_args__ = ("center", "signed_radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", _vec3(self.center))
-        object.__setattr__(self, "signed_radius", float(self.signed_radius))
+    def __init__(self, center: np.ndarray, signed_radius: float):
+        object.__setattr__(self, "center", _vec3(center))
+        object.__setattr__(self, "signed_radius", float(signed_radius))
 
 
-@dataclass(frozen=True)
-class Plane:
-    normal: np.ndarray
-    offset: float
+class Plane(Record):
+    __match_args__ = ("normal", "offset")
 
-    def __post_init__(self):
-        object.__setattr__(self, "normal", _vec3(self.normal))
-        object.__setattr__(self, "offset", float(self.offset))
+    def __init__(self, normal: np.ndarray, offset: float):
+        object.__setattr__(self, "normal", _vec3(normal))
+        object.__setattr__(self, "offset", float(offset))
 
 
 LieEntity = Union[Point, Infinity, Sphere, Plane]
@@ -207,15 +201,20 @@ def is_at_infinity(p: ProjectiveNullLine, tol: float = DEFAULT_TOL) -> bool:
     return bool(abs(p.rep[4] - p.rep[5]) <= tol)
 
 
-@dataclass(frozen=True)
-class InfinityReport:
+class InfinityReport(Record):
     """Outcome of the invariant-2-sphere probe."""
 
-    sample_count: int
-    fixed_sphere_max_drift: float
-    missing_confirmed: bool
-    min_matching_residual: float
-    lightcone_image_class: str
+    __match_args__ = ("sample_count", "fixed_sphere_max_drift", "missing_confirmed",
+                      "min_matching_residual", "lightcone_image_class")
+
+    def __init__(self, sample_count: int, fixed_sphere_max_drift: float,
+                 missing_confirmed: bool, min_matching_residual: float,
+                 lightcone_image_class: str):
+        object.__setattr__(self, "sample_count", sample_count)
+        object.__setattr__(self, "fixed_sphere_max_drift", fixed_sphere_max_drift)
+        object.__setattr__(self, "missing_confirmed", missing_confirmed)
+        object.__setattr__(self, "min_matching_residual", min_matching_residual)
+        object.__setattr__(self, "lightcone_image_class", lightcone_image_class)
 
 
 def _lightcone_match_residual(a: np.ndarray) -> np.ndarray:

@@ -26,8 +26,6 @@ acting trivially on vectors are {+1,-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .clifford import _det4, _x_matrix
@@ -42,6 +40,7 @@ from .forms import (
     Q_DIAG,
     RESIDUAL_FLOOR,
     SCALE_MAX,
+    Record,
     _at,
     _every,
     _finite,
@@ -52,18 +51,22 @@ from .forms import (
 )
 
 
-@dataclass(frozen=True)
-class SpinElement:
+class SpinElement(Record):
     """A 4x4 complex matrix with m G m^dagger = G and det m = 1."""
 
-    m: np.ndarray
+    __match_args__ = ("m",)
+
+    def __init__(self, m: np.ndarray):
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class ConformalMatrix6:
+class ConformalMatrix6(Record):
     """A real 6x6 matrix with l Q l^T = Q and det l = 1."""
 
-    l: np.ndarray
+    __match_args__ = ("l",)
+
+    def __init__(self, l: np.ndarray):
+        object.__setattr__(self, "l", l)
 
 
 # Entry bound past which _so_plus answers False: no product of six entries

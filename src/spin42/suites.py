@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +54,7 @@ from .forms import (
     Q6,
     Q_DIAG,
     RESIDUAL_FLOOR,
+    Record,
     _canon,
     _g,
     _null_gate,
@@ -100,13 +100,22 @@ from .spin import (
 )
 
 
-@dataclass
-class SuiteResult:
-    suite_name: str
-    checks_run: int
-    max_deviation: float
-    passed: bool
-    errata_notes: list = field(default_factory=list)
+class SuiteResult(Record):
+    """Outcome of one suite: the one record whose fields can be assigned,
+    so it is not hashable."""
+
+    __match_args__ = ("suite_name", "checks_run", "max_deviation", "passed", "errata_notes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, suite_name: str, checks_run: int, max_deviation: float, passed: bool,
+                 errata_notes: list | None = None):
+        self.suite_name = suite_name
+        self.checks_run = checks_run
+        self.max_deviation = max_deviation
+        self.passed = passed
+        self.errata_notes = [] if errata_notes is None else errata_notes
 
 
 def _suite(checks):

@@ -10,7 +10,8 @@ library derives as Sigma G, and minors_reference gathers the 2x2 minors
 of Lambda^2 M from the flattened matrix, which the library reads off the
 Pluecker coordinates of M's row pairs.  argparse_reference is the
 command-line parse the CLI once made with argparse, against which its
-table-driven parse is checked.
+table-driven parse is checked.  spinor_line is the one-spinor wrapper of
+the kernel isotropic._spinor_line, which no library function needs.
 """
 
 import itertools
@@ -21,8 +22,8 @@ import os
 import numpy as np
 
 from spin42.errors import RankFailure
-from spin42.forms import DEFAULT_TOL, Q_DIAG, RANK_FLOOR
-from spin42.isotropic import _idempotents
+from spin42.forms import DEFAULT_TOL, Q_DIAG, RANK_FLOOR, as_spinor
+from spin42.isotropic import SpinorLine, _idempotents, _spinor_line
 
 _i = 1j
 
@@ -48,6 +49,12 @@ def minors_reference(m: np.ndarray) -> np.ndarray:
     lead = m.shape[:-2]
     f = np.take(m.reshape(*lead, 16), _MINOR_FACTORS, axis=-1).reshape(*lead, 4, 6, 6)
     return f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
+
+
+def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:
+    """Validate (at tol exactly) and canonicalize an isotropic spinor
+    representative (largest-magnitude component scaled to 1)."""
+    return SpinorLine(_spinor_line(as_spinor(v), tol))
 
 
 def image_basis(m: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:

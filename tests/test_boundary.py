@@ -65,7 +65,6 @@ from spin42.isotropic import (
     partner_null_vector,
     plane_from_spinor_plane,
     plane_to_spinor_line,
-    spinor_line,
     spinor_line_to_plane,
 )
 from spin42.liesphere import _contact, _extract, conformal_inversion, lie_extract
@@ -82,6 +81,8 @@ from spin42.spin import (
     spin_generate,
     vector_action,
 )
+
+from oracles import spinor_line
 
 X1 = np.array([1.0, 0, 0, 1, 0, 0])
 X2 = np.array([0.0, 1, 0, 0, 0, 1])

@@ -23,7 +23,6 @@ from spin42.isotropic import (
     plane_from_spinor_plane,
     plane_to_spinor_line,
     same_span,
-    spinor_line,
     spinor_line_to_plane,
 )
 from spin42.sampling import (
@@ -32,7 +31,7 @@ from spin42.sampling import (
     random_null_vec6,
 )
 
-from oracles import image_basis
+from oracles import image_basis, spinor_line
 
 E6 = np.eye(6)
 I4 = np.eye(4)

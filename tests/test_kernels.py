@@ -113,7 +113,6 @@ from spin42.isotropic import (
     plane_from_spinor_plane,
     plane_to_spinor_line,
     same_span,
-    spinor_line,
     spinor_line_to_plane,
 )
 from spin42.liesphere import (
@@ -161,7 +160,7 @@ from spin42.suites import (
     _spin_block,
 )
 
-from oracles import minors_reference, qr_pinv_four_idempotents
+from oracles import minors_reference, qr_pinv_four_idempotents, spinor_line
 
 
 def _parity_sign(perm) -> int:
