@@ -405,15 +405,9 @@ def _run(args: list[str], prog: str) -> None:
 
 class _Main:
     """The `spin42` program.  main() runs it on sys.argv;
-    main.main(args, prog_name=..., standalone_mode=...) on a given list,
-    which is how click.testing.CliRunner calls it too.  Standalone, an
-    interrupt exits 1 after "Aborted!" and a closed stdout exits 1 quietly;
-    otherwise both propagate."""
-
-    name = "spin42"
-
-    def __call__(self, args=None, prog_name: str | None = None, standalone_mode: bool = True):
-        return self.main(args, prog_name, standalone_mode)
+    main.main(args, prog_name=..., standalone_mode=...) on a given list.
+    Standalone, an interrupt exits 1 after "Aborted!" and a closed stdout
+    exits 1 quietly; otherwise both propagate."""
 
     def main(self, args=None, prog_name: str | None = None, standalone_mode: bool = True):
         args = sys.argv[1:] if args is None else list(args)
@@ -431,6 +425,8 @@ class _Main:
             # the reader is gone: send what is still buffered nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             sys.exit(1)
+
+    __call__ = main
 
 
 main = _Main()

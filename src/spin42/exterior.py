@@ -117,11 +117,6 @@ class KVector(Record):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __eq__(self, other):
-        if not isinstance(other, KVector):
-            return NotImplemented
-        return self.k == other.k and bool(np.array_equal(self.coeffs, other.coeffs))
-
     @property
     def comps(self) -> np.ndarray:
         """Read-only full antisymmetric array, k axes of length 4 (0-d at

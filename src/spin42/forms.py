@@ -52,9 +52,10 @@ class Record:
     order, in __match_args__, and its own __init__ sets them through
     object.__setattr__, since assigning to or deleting an attribute raises
     dataclasses.FrozenInstanceError.  repr, == (between instances of the
-    same class) and hash go field by field, as a frozen dataclass's do; a
-    record holding an array is not hashable, and a class that defines its
-    own __eq__ is not hashable at all."""
+    same class) and hash go field by field; == compares array fields by
+    value (np.array_equal) and every other field with ==.  A record holding
+    an array is not hashable, and a class that defines its own __eq__ is
+    not hashable at all."""
 
     __match_args__ = ()
 
@@ -76,7 +77,9 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        # identity first, as tuple == does: a record holding a NaN equals itself
+        return all(a is b or (np.array_equal(a, b) if type(a) is np.ndarray else a == b)
+                   for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

@@ -101,21 +101,17 @@ from .spin import (
 
 
 class SuiteResult(Record):
-    """Outcome of one suite: the one record whose fields can be assigned,
-    so it is not hashable."""
+    """Outcome of one suite; not hashable, since errata_notes is a list."""
 
     __match_args__ = ("suite_name", "checks_run", "max_deviation", "passed", "errata_notes")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, suite_name: str, checks_run: int, max_deviation: float, passed: bool,
                  errata_notes: list | None = None):
-        self.suite_name = suite_name
-        self.checks_run = checks_run
-        self.max_deviation = max_deviation
-        self.passed = passed
-        self.errata_notes = [] if errata_notes is None else errata_notes
+        object.__setattr__(self, "suite_name", suite_name)
+        object.__setattr__(self, "checks_run", checks_run)
+        object.__setattr__(self, "max_deviation", max_deviation)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "errata_notes", [] if errata_notes is None else errata_notes)
 
 
 def _suite(checks):

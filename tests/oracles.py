@@ -12,15 +12,21 @@ Pluecker coordinates of M's row pairs.  argparse_reference is the
 command-line parse the CLI once made with argparse, against which its
 table-driven parse is checked.  spinor_line is the one-spinor wrapper of
 the kernel isotropic._spinor_line, which no library function needs.
+invoke runs the CLI in process with its streams captured.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
+from spin42 import cli
 from spin42.errors import RankFailure
 from spin42.forms import DEFAULT_TOL, Q_DIAG, RANK_FLOOR, as_spinor
 from spin42.isotropic import SpinorLine, _idempotents, _spinor_line
@@ -184,3 +190,44 @@ def argparse_reference(prog: str):
         return name, given
 
     return parse
+
+
+class _Captured(io.StringIO):
+    """One captured stream, whose writes also go to log, the record of both
+    streams in the order they were written."""
+
+    def __init__(self, log: io.StringIO):
+        super().__init__()
+        self.log = log
+
+    def write(self, text):
+        self.log.write(text)
+        return super().write(text)
+
+
+class Invocation(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved as written
+    exception: BaseException | None  # the SystemExit of a nonzero exit, or the error
+
+
+def invoke(args, env=None, prog_name="spin42") -> Invocation:
+    """Run the CLI on the list args in this process, as
+    main.main(args, prog_name=..., standalone_mode=False), with stdout and
+    stderr captured and os.environ updated by env for the call.  An error
+    other than SystemExit is caught and counted as exit 1."""
+    output = io.StringIO()
+    out, err = _Captured(output), _Captured(output)
+    code, exception = 0, None
+    with mock.patch.dict(os.environ, env or {}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main.main(args, prog_name=prog_name, standalone_mode=False)
+        except SystemExit as exc:
+            code, exception = exc.code, exc
+        except Exception as exc:
+            code, exception = 1, exc
+    return Invocation(code, out.getvalue(), err.getvalue(), output.getvalue(),
+                      exception if code else None)

@@ -8,19 +8,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
-from oracles import ReferenceUsageError, argparse_reference, to_json_reference
+from oracles import ReferenceUsageError, argparse_reference, invoke, to_json_reference
 import spin42.cli
 from spin42.cli import main, to_json
 from spin42.isotropic import same_span
 from spin42.suites import _isotropic_block, _suite, run_suites
-
-runner = CliRunner()
-
 
 def _lines(result):
     return [json.loads(line) for line in result.stdout.strip().splitlines()]
@@ -140,8 +136,7 @@ def test_to_json_writes_verify_results_in_the_per_number_bytes():
 
 
 def test_verify_clifford_at_zero_tolerance():
-    result = runner.invoke(main, ["verify", "--suite", "clifford", "--tol", "0",
-                                  "--count", "50"])
+    result = invoke(["verify", "--suite", "clifford", "--tol", "0", "--count", "50"])
     assert result.exit_code == 0
     header, suite = _lines(result)
     assert header["suite"] == "clifford"
@@ -158,7 +153,7 @@ def test_verify_clifford_at_zero_tolerance():
 def test_negative_seed_is_a_usage_error(command):
     # numpy refuses a negative seed; the CLI refuses it first, as a usage
     # error (exit 2) and not as a failed check (exit 1)
-    result = runner.invoke(main, [*command, "--seed", "-1"])
+    result = invoke([*command, "--seed", "-1"])
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
     assert "Invalid value for '--seed'" in result.output
 
@@ -171,22 +166,21 @@ def test_negative_or_nan_tol_is_a_usage_error(command, tol):
     # and from CMK_TOL alike, as a usage error (exit 2) and not as a failed
     # check (exit 1) or a contract violation (exit 3)
     for args, env in (([*command, "--tol", tol], {}), (command, {"CMK_TOL": tol})):
-        result = runner.invoke(main, args, env=env)
+        result = invoke(args, env=env)
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
         assert "Invalid value for '--tol'" in result.output
 
 
 @pytest.mark.parametrize("tol", ["0", "inf"])
 def test_zero_and_infinite_tol_are_valid(tol):
-    result = runner.invoke(main, ["verify", "--suite", "clifford", "--tol", tol, "--json"])
+    result = invoke(["verify", "--suite", "clifford", "--tol", tol, "--json"])
     assert result.exit_code == 0
     header, suite = _lines(result)
     assert header["tol"] == float(tol) and suite["passed"] is True
 
 
 def test_verify_all_suites_pass():
-    result = runner.invoke(main, ["verify", "--suite", "all", "--seed", "7",
-                                  "--count", "60"])
+    result = invoke(["verify", "--suite", "all", "--seed", "7", "--count", "60"])
     assert result.exit_code == 0
     rows = _lines(result)
     names = [r["suite_name"] for r in rows[1:]]
@@ -196,18 +190,17 @@ def test_verify_all_suites_pass():
 
 
 def test_verify_unknown_suite_is_usage_error():
-    result = runner.invoke(main, ["verify", "--suite", "nosuch"])
+    result = invoke(["verify", "--suite", "nosuch"])
     assert result.exit_code == 2
 
 
 def test_verify_count_must_be_positive():
-    result = runner.invoke(main, ["verify", "--count", "0"])
+    result = invoke(["verify", "--count", "0"])
     assert result.exit_code == 2
 
 
 def test_verify_zero_tolerance_fails_float_suites():
-    result = runner.invoke(main, ["verify", "--suite", "liesphere", "--tol", "0",
-                                  "--count", "50"])
+    result = invoke(["verify", "--suite", "liesphere", "--tol", "0", "--count", "50"])
     assert result.exit_code == 1
     _, suite = _lines(result)
     assert suite["passed"] is False
@@ -215,28 +208,24 @@ def test_verify_zero_tolerance_fails_float_suites():
 
 def test_tol_env_var_and_flag_precedence():
     env = {"CMK_TOL": "0"}
-    result = runner.invoke(main, ["verify", "--suite", "liesphere", "--count", "30"],
-                           env=env)
+    result = invoke(["verify", "--suite", "liesphere", "--count", "30"], env=env)
     assert result.exit_code == 1
-    result = runner.invoke(main, ["verify", "--suite", "liesphere", "--count", "30",
-                                  "--tol", "1e-9"], env=env)
+    result = invoke(["verify", "--suite", "liesphere", "--count", "30", "--tol", "1e-9"], env=env)
     assert result.exit_code == 0
 
 
 def test_verify_json_flag_silences_summary():
-    result = runner.invoke(main, ["verify", "--suite", "clifford", "--count", "20",
-                                  "--json"])
+    result = invoke(["verify", "--suite", "clifford", "--count", "20", "--json"])
     assert result.exit_code == 0
     assert result.stderr == ""
-    result = runner.invoke(main, ["verify", "--suite", "clifford", "--count", "20"])
+    result = invoke(["verify", "--suite", "clifford", "--count", "20"])
     assert "clifford" in result.stderr and "PASS" in result.stderr
 
 
 def test_verify_checks_run_per_suite_is_unchanged():
     # the counts of the column-loop kernels; they follow from --count and
     # each suite's structure, and test_kernels pins the sampled draws
-    result = runner.invoke(main, ["verify", "--suite", "all", "--seed", "42",
-                                  "--count", "500", "--json"])
+    result = invoke(["verify", "--suite", "all", "--seed", "42", "--count", "500", "--json"])
     checks = {r["suite_name"]: r["checks_run"] for r in _lines(result)[1:]}
     assert checks == {"clifford": 74, "selfdual": 2078, "exterior": 903,
                       "hodge": 445, "spin": 815, "isotropic": 4750,
@@ -272,8 +261,8 @@ def test_verify_isotropic_ill_conditioned_seeds(seed, count, checks, ratio):
     _, planes, _ = _isotropic_block(np.random.default_rng(seed), count)
     s = np.linalg.svd(planes, compute_uv=False)
     assert (s[:, 1] / s[:, 0]).min() <= ratio
-    result = runner.invoke(main, ["verify", "--suite", "isotropic", "--seed",
-                                  str(seed), "--count", str(count), "--json"])
+    result = invoke(["verify", "--suite", "isotropic", "--seed",
+                     str(seed), "--count", str(count), "--json"])
     assert result.exit_code == 0
     _, suite = _lines(result)
     assert suite["passed"] is True and suite["checks_run"] == checks
@@ -283,8 +272,8 @@ def test_verify_all_suites_pass_on_seeds_0_to_49():
     # the benchmark's verify workload runs random seeds; a sampler or gate
     # that fails on an unlucky draw shows up on some seed of a sweep
     for seed in range(50):
-        result = runner.invoke(main, ["verify", "--suite", "all", "--seed", str(seed),
-                                      "--count", "100", "--json"])
+        result = invoke(["verify", "--suite", "all", "--seed", str(seed),
+                         "--count", "100", "--json"])
         assert result.exit_code == 0, (seed, result.stdout)
 
 
@@ -357,13 +346,13 @@ _README_QUERIES = [
 
 @pytest.mark.parametrize("args, stdout", _README_QUERIES)
 def test_readme_query_stdout_is_pinned(args, stdout):
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 0
     assert result.stdout == stdout + "\n"
 
 
 def test_embed_infinity():
-    result = runner.invoke(main, ["embed", '{"infinity": true}'])
+    result = invoke(["embed", '{"infinity": true}'])
     assert result.exit_code == 0
     out = json.loads(result.stdout)
     assert out["class"] == [0, 0, 0, 0, 1, 1]
@@ -371,49 +360,43 @@ def test_embed_infinity():
 
 
 def test_embed_origin():
-    result = runner.invoke(main, ["embed", '{"point": [0, 0, 0]}'])
+    result = invoke(["embed", '{"point": [0, 0, 0]}'])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["class"] == [0, 0, 0, 0, 1, -1]
 
 
 def test_embed_plane_class():
-    result = runner.invoke(
-        main, ["embed", '{"plane": {"normal": [0, 0, 1], "offset": 2}}']
-    )
+    result = invoke(["embed", '{"plane": {"normal": [0, 0, 1], "offset": 2}}'])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["class"] == [0, 0, 0.5, 0.5, 1, 1]
 
 
 def test_embed_sphere():
-    result = runner.invoke(
-        main, ["embed", '{"sphere": {"center": [1, 0, 0], "radius": 2}}']
-    )
+    result = invoke(["embed", '{"sphere": {"center": [1, 0, 0], "radius": 2}}'])
     assert result.exit_code == 0
     # raw rep (1,0,0,2,-2,-1) rescaled so the leading largest slot is 1
     assert json.loads(result.stdout)["class"] == [0.5, 0, 0, 1, -1, -0.5]
 
 
 def test_embed_contract_violations():
-    result = runner.invoke(
-        main, ["embed", '{"sphere": {"center": [0, 0, 0], "radius": 0}}']
-    )
+    result = invoke(["embed", '{"sphere": {"center": [0, 0, 0], "radius": 0}}'])
     assert result.exit_code == 3
     assert "contract violation" in result.stderr
-    result = runner.invoke(main, ["embed", '{"blob": 1}'])
+    result = invoke(["embed", '{"blob": 1}'])
     assert result.exit_code == 3
 
 
 def test_huge_inputs_get_their_answers_or_the_overflow_named():
     plane = '{"basis": [[1e200,0,0,1e200,0,0],[0,1e200,0,0,0,1e200]]}'
-    result = runner.invoke(main, ["correspond", "plane-to-line", plane])
+    result = invoke(["correspond", "plane-to-line", plane])
     assert result.exit_code == 0
     assert result.stdout == '{"isotropy_residual":0,"rep":[[0,0],[1,0],[-1,0],[0,0]]}\n'
     for entity in ('{"point": [1e200, 0, 0]}', '{"sphere": {"center": [0,0,0], "radius": 1e200}}'):
-        result = runner.invoke(main, ["embed", entity])
+        result = invoke(["embed", entity])
         assert result.exit_code == 3
         assert result.stderr == ("contract violation: InvalidEntity: center or radius"
                                  " too large: its square overflows\n")
-    result = runner.invoke(main, ["embed", '{"point": [1e100, 0, 0]}'])
+    result = invoke(["embed", '{"point": [1e100, 0, 0]}'])
     assert result.stdout == '{"class":[2e-100,0,0,0,1,1],"null_residual":0}\n'
 
 
@@ -421,7 +404,7 @@ def test_huge_inputs_get_their_answers_or_the_overflow_named():
 def test_act_refuses_a_huge_or_nan_matrix_as_a_contract_violation(entry):
     # the pytest configuration makes any RuntimeWarning an error
     matrix = f"[[{entry},0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
-    result = runner.invoke(main, ["act", matrix, "[1,2,3,4,5,6]"])
+    result = invoke(["act", matrix, "[1,2,3,4,5,6]"])
     assert result.exit_code == 3
     assert result.stderr == "contract violation: NotNormalized: matrix fails the membership test\n"
 
@@ -430,47 +413,47 @@ def test_embed_tol_gates_nullity():
     sphere = '{"sphere": {"center": [0.1,0.2,0.3], "radius": 0.7}}'
     # the raw embedding rounds to Q = -6.05e-17, null at the default
     # tolerance and not at tolerance 0
-    result = runner.invoke(main, ["embed", sphere])
+    result = invoke(["embed", sphere])
     assert result.exit_code == 0
     assert result.stdout == (
         '{"class":[0.14285714285714288,0.28571428571428575,0.4285714285714286,'
         '1,-0.9642857142857143,0.46428571428571441],'
         '"null_residual":3.3986419121178422e-18}\n'
     )
-    result = runner.invoke(main, ["embed", "--tol", "0", sphere])
+    result = invoke(["embed", "--tol", "0", sphere])
     assert result.exit_code == 3
     assert "NotNull" in result.stderr
 
 
 def test_embed_malformed_json_is_usage_error():
-    result = runner.invoke(main, ["embed", "{not json"])
+    result = invoke(["embed", "{not json"])
     assert result.exit_code == 2
 
 
 def test_invert_swaps_infinity_and_origin():
-    result = runner.invoke(main, ["invert", "[0, 0, 0, 0, 1, 1]"])
+    result = invoke(["invert", "[0, 0, 0, 0, 1, 1]"])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["class"] == [0, 0, 0, 0, 1, -1]
 
 
 def test_invert_fixed_class():
-    result = runner.invoke(main, ["invert", "[1, 0, 0, 1, 0, 0]"])
+    result = invoke(["invert", "[1, 0, 0, 1, 0, 0]"])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["class"] == [1, 0, 0, 1, 0, 0]
 
 
 def test_invert_rejects_non_null():
-    result = runner.invoke(main, ["invert", "[1, 0, 0, 0, 0, 0]"])
+    result = invoke(["invert", "[1, 0, 0, 0, 0, 0]"])
     assert result.exit_code == 3
 
 
 def test_invert_rejects_wrong_shape():
-    result = runner.invoke(main, ["invert", "[1, 2]"])
+    result = invoke(["invert", "[1, 2]"])
     assert result.exit_code == 2
 
 
 def test_correspond_null_to_plane():
-    result = runner.invoke(main, ["correspond", "null-to-plane", "[1, 0, 0, 1, 0, 0]"])
+    result = invoke(["correspond", "null-to-plane", "[1, 0, 0, 1, 0, 0]"])
     assert result.exit_code == 0
     out = json.loads(result.stdout)
     got = np.stack([_cvec(out["basis"][0]), _cvec(out["basis"][1])], axis=1)
@@ -481,7 +464,7 @@ def test_correspond_null_to_plane():
 
 def test_correspond_plane_to_line():
     payload = '{"basis": [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 1]]}'
-    result = runner.invoke(main, ["correspond", "plane-to-line", payload])
+    result = invoke(["correspond", "plane-to-line", payload])
     assert result.exit_code == 0
     out = json.loads(result.stdout)
     rep = _cvec(out["rep"])
@@ -492,7 +475,7 @@ def test_correspond_plane_to_line():
 
 
 def test_correspond_line_to_plane():
-    result = runner.invoke(main, ["correspond", "line-to-plane", "[0, 1, -1, 0]"])
+    result = invoke(["correspond", "line-to-plane", "[0, 1, -1, 0]"])
     assert result.exit_code == 0
     out = json.loads(result.stdout)
     got = np.stack([np.array(out["basis"][0]), np.array(out["basis"][1])], axis=1)
@@ -502,16 +485,15 @@ def test_correspond_line_to_plane():
 
 
 def test_correspond_contract_and_usage_errors():
-    result = runner.invoke(main, ["correspond", "null-to-plane", "[1, 0, 0, 0, 0, 0]"])
+    result = invoke(["correspond", "null-to-plane", "[1, 0, 0, 0, 0, 0]"])
     assert result.exit_code == 3
-    result = runner.invoke(main, ["correspond", "sideways", "[1, 0, 0, 1, 0, 0]"])
+    result = invoke(["correspond", "sideways", "[1, 0, 0, 1, 0, 0]"])
     assert result.exit_code == 2
-    result = runner.invoke(main, ["correspond", "plane-to-line", "[1, 2, 3]"])
+    result = invoke(["correspond", "plane-to-line", "[1, 2, 3]"])
     assert result.exit_code == 2
-    result = runner.invoke(main, ["correspond", "line-to-plane", "[1, 0, 0, 0]"])
+    result = invoke(["correspond", "line-to-plane", "[1, 0, 0, 0]"])
     assert result.exit_code == 3  # not isotropic
-    result = runner.invoke(main, ["correspond", "plane-to-line",
-                                  '{"basis": [[1, 0, 0, 1, 0, 0]]}'])
+    result = invoke(["correspond", "plane-to-line", '{"basis": [[1, 0, 0, 1, 0, 0]]}'])
     assert result.exit_code == 2
 
 
@@ -530,7 +512,7 @@ _IDENTITY = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
     ["embed", '{"plane": 5}'],
 ])
 def test_non_finite_or_incomplete_payload_is_contract_violation(args):
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr.startswith("contract violation") and result.stderr.count("\n") == 1
@@ -538,7 +520,7 @@ def test_non_finite_or_incomplete_payload_is_contract_violation(args):
 
 def test_act_identity():
     eye = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
-    result = runner.invoke(main, ["act", eye, "[1, 2, 3, 4, 5, 6]"])
+    result = invoke(["act", eye, "[1, 2, 3, 4, 5, 6]"])
     assert result.exit_code == 0
     out = json.loads(result.stdout)
     assert out["vector"] == [1, 2, 3, 4, 5, 6]
@@ -548,7 +530,7 @@ def test_act_identity():
 
 def test_act_scalar_i_negates():
     i4 = json.dumps([[[0, 1] if r == c else 0 for c in range(4)] for r in range(4)])
-    result = runner.invoke(main, ["act", i4, "[1, 2, 3, 4, 5, 6]"])
+    result = invoke(["act", i4, "[1, 2, 3, 4, 5, 6]"])
     assert result.exit_code == 0
     out = json.loads(result.stdout)
     assert out["vector"] == [-1, -2, -3, -4, -5, -6]
@@ -557,7 +539,7 @@ def test_act_scalar_i_negates():
 
 def test_act_rejects_non_member():
     two = "[[2,0,0,0],[0,2,0,0],[0,0,2,0],[0,0,0,2]]"
-    result = runner.invoke(main, ["act", two, "[1, 0, 0, 0, 0, 0]"])
+    result = invoke(["act", two, "[1, 0, 0, 0, 0, 0]"])
     assert result.exit_code == 3
     assert "membership" in result.stderr
 
@@ -568,16 +550,15 @@ def test_act_tol_gates_membership_exactly():
 
     # (1 + 3e-10) i I deviates by 6e-10 in m G m^dagger and 1.2e-9 in det
     near = scalar_i(1.0000000003)
-    result = runner.invoke(main, ["act", "--tol", "1e-12", near, "[1, 2, 3, 4, 5, 6]"])
+    result = invoke(["act", "--tol", "1e-12", near, "[1, 2, 3, 4, 5, 6]"])
     assert result.exit_code == 3
     assert "membership" in result.stderr
-    assert runner.invoke(main, ["act", near, "[1, 2, 3, 4, 5, 6]"]).exit_code == 3
-    result = runner.invoke(main, ["act", "--tol", "1e-8", near, "[1, 2, 3, 4, 5, 6]"])
+    assert invoke(["act", near, "[1, 2, 3, 4, 5, 6]"]).exit_code == 3
+    result = invoke(["act", "--tol", "1e-8", near, "[1, 2, 3, 4, 5, 6]"])
     assert result.exit_code == 0
     # --tol reaches the covering matrix and the action: their quadric
     # residual of 4e-5 passes at tol 1e-3
-    result = runner.invoke(main, ["act", "--tol", "1e-3", scalar_i(1.00001),
-                                  "[1, 2, 3, 4, 5, 6]"])
+    result = invoke(["act", "--tol", "1e-3", scalar_i(1.00001), "[1, 2, 3, 4, 5, 6]"])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["q_residual"] == pytest.approx(4e-5, rel=1e-3)
 
@@ -592,18 +573,18 @@ def test_act_tol_gates_membership_exactly():
 def test_complex_entries_written_all_as_pairs_read_as_the_mixed_form(mixed, pairs):
     # a payload whose every entry is a [re, im] pair is one axis deeper
     # than its shape; its entries are still read at the depth of the shape
-    want, got = runner.invoke(main, mixed), runner.invoke(main, pairs)
+    want, got = invoke(mixed), invoke(pairs)
     assert want.exit_code == got.exit_code == 0
     assert got.stdout == want.stdout
 
 
 def test_act_bad_matrix_shape_is_usage_error():
-    result = runner.invoke(main, ["act", "[[1,0],[0,1]]", "[1, 0, 0, 0, 0, 0]"])
+    result = invoke(["act", "[[1,0],[0,1]]", "[1, 0, 0, 0, 0, 0]"])
     assert result.exit_code == 2
 
 
 def test_myth_report():
-    result = runner.invoke(main, ["myth-report", "--samples", "20"])
+    result = invoke(["myth-report", "--samples", "20"])
     assert result.exit_code == 0
     out = json.loads(result.stdout)
     assert out["missing_confirmed"] is True
@@ -615,13 +596,13 @@ def test_myth_report():
 
 
 def test_myth_report_sample_validation():
-    result = runner.invoke(main, ["myth-report", "--samples", "0"])
+    result = invoke(["myth-report", "--samples", "0"])
     assert result.exit_code == 2
 
 
 def test_myth_report_deterministic():
-    a = runner.invoke(main, ["myth-report", "--samples", "15", "--seed", "3", "--json"])
-    b = runner.invoke(main, ["myth-report", "--samples", "15", "--seed", "3", "--json"])
+    a = invoke(["myth-report", "--samples", "15", "--seed", "3", "--json"])
+    b = invoke(["myth-report", "--samples", "15", "--seed", "3", "--json"])
     assert a.stdout == b.stdout and a.exit_code == 0
 
 
@@ -639,7 +620,7 @@ _HELP = {
 
 @pytest.mark.parametrize("command", sorted(_HELP))
 def test_help_names_every_flag_and_its_default(command):
-    result = runner.invoke(main, [command, "--help"])
+    result = invoke([command, "--help"])
     assert result.exit_code == 0 and result.stderr == ""
     text = " ".join(result.stdout.split())  # the help wraps at the terminal width
     assert "--help" in text and "CMK_TOL" in text
@@ -650,11 +631,11 @@ def test_help_names_every_flag_and_its_default(command):
 
 
 def test_program_help_lists_every_command():
-    result = runner.invoke(main, ["--help"])
+    result = invoke(["--help"])
     assert result.exit_code == 0
     assert all(command in result.stdout for command in _HELP)
     # no command prints the same list to stderr, as a usage error
-    result = runner.invoke(main, [])
+    result = invoke([])
     assert result.exit_code == 2 and result.stdout == ""
     assert all(command in result.stderr for command in _HELP)
 
@@ -670,7 +651,7 @@ def test_program_help_lists_every_command():
     ["verify", "--json=1"],
 ])
 def test_unknown_abbreviated_or_missing_arguments_exit_2(args):
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
     assert result.stdout == "" and "Error: " in result.stderr
 
@@ -686,14 +667,14 @@ def test_unknown_abbreviated_or_missing_arguments_exit_2(args):
 def test_tol_forms_argparse_reads_as_missing_are_invalid_values(args, env):
     # a value that starts with "-" and is not a plain number is read as a
     # missing value, and still named an invalid value of --tol
-    result = runner.invoke(main, ["verify", "--suite", "clifford", *args], env=env)
+    result = invoke(["verify", "--suite", "clifford", *args], env=env)
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
     assert "Invalid value for '--tol'" in result.output
 
 
 def test_empty_cmk_tol_takes_the_default():
-    result = runner.invoke(main, ["verify", "--suite", "clifford", "--count", "5", "--json"],
-                           env={"CMK_TOL": ""})
+    result = invoke(["verify", "--suite", "clifford", "--count", "5", "--json"],
+                    env={"CMK_TOL": ""})
     assert result.exit_code == 0 and _lines(result)[0]["tol"] == 1e-9
 
 
@@ -741,12 +722,49 @@ def test_interrupt_exits_1_standalone_and_propagates_otherwise(monkeypatch, caps
         main.main(["verify", "--json"], prog_name="spin42", standalone_mode=False)
 
 
+def test_console_script_runs_on_argv_under_its_own_name(monkeypatch, capsys):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["/usr/bin/spin42", "verify", "--seed", "-1"])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: spin42 verify ")
+
+
+# the README's examples, a help text and a usage error
+_README_EXAMPLES = [
+    ["verify", "--suite", "clifford", "--tol", "0"],
+    ["embed", '{"infinity": true}'],
+    ["embed", '{"point": [0, 0, 0]}'],
+    ["embed", '{"sphere": {"center": [1,0,0], "radius": 2}}'],
+    ["embed", '{"plane": {"normal": [0,0,1], "offset": 2}}'],
+    ["invert", "[0, 0, 0, 0, 1, 1]"],
+    ["invert", "[1, 0, 0, 1, 0, 0]"],
+    ["correspond", "null-to-plane", "[1, 0, 0, 1, 0, 0]"],
+    ["correspond", "plane-to-line", '{"basis": [[1,0,0,1,0,0],[0,1,0,0,0,1]]}'],
+    ["correspond", "line-to-plane", "[0, 1, -1, 0]"],
+    ["act", "[[[0,1],0,0,0],[0,[0,1],0,0],[0,0,[0,1],0],[0,0,0,[0,1]]]", "[1,2,3,4,5,6]"],
+    ["myth-report", "--samples", "100"],
+    ["verify", "--help"],
+    ["--help"],
+    ["verify", "--tol", "-1"],
+]
+
+
+@pytest.mark.parametrize("args", _README_EXAMPLES, ids=" ".join)
+def test_invoke_prints_what_a_fresh_process_prints(args):
+    proc = subprocess.run([sys.executable, "-m", "spin42", *args], capture_output=True)
+    result = invoke(args, prog_name="python -m spin42")
+    assert (result.exit_code, result.stdout.encode(), result.stderr.encode()) == (
+        proc.returncode, proc.stdout, proc.stderr)
+
+
 def test_act_accepts_a_strong_boost():
     # a boost whose 2x2 minors cancel to eps max|m|^2: a member the span
     # gate once refused (ActionLeavesSpan, residual 9.5e-07)
     c, a = repr(float(np.sqrt(1 + 1e10))), "100000.0"
     matrix = f"[[{c},0,{a},0],[0,1,0,0],[{a},0,{c},0],[0,0,0,1]]"
-    result = runner.invoke(main, ["act", matrix, "[1,2,3,4,5,6]"])
+    result = invoke(["act", matrix, "[1,2,3,4,5,6]"])
     assert result.exit_code == 0, result.output
     assert np.isfinite(json.loads(result.stdout)["covering"]).all()
 
@@ -755,7 +773,7 @@ def test_act_refuses_a_huge_matrix_whose_covering_is_zero():
     # every 2x2 minor of a constant matrix is 0, so its covering is 0; past
     # SCALE_MAX the membership test refuses it before any minor is formed
     row = "[" + ",".join(["1e100"] * 4) + "]"
-    result = runner.invoke(main, ["act", "[" + ",".join([row] * 4) + "]", "[1,2,3,4,5,6]"])
+    result = invoke(["act", "[" + ",".join([row] * 4) + "]", "[1,2,3,4,5,6]"])
     assert result.exit_code == 3 and result.stdout == ""
     assert "NotNormalized" in result.stderr
 
@@ -921,16 +939,15 @@ def test_table_parse_agrees_with_the_argparse_reference(line):
 
 def test_lines_the_argparse_parse_read_otherwise():
     # a trailing "--" ends nothing (argparse: "unrecognized arguments: --")
-    result = runner.invoke(main, ["verify", "--suite", "clifford", "--count", "1", "--json", "--"])
+    result = invoke(["verify", "--suite", "clifford", "--count", "1", "--json", "--"])
     assert result.exit_code == 0, result.output
     # a valued flag takes a dash text that converts (argparse: "expected one
     # argument"); -0e0 reads as 0
-    result = runner.invoke(main, ["verify", "--suite", "clifford", "--count", "1", "--json",
-                                  "--tol", "-0e0"])
+    result = invoke(["verify", "--suite", "clifford", "--count", "1", "--json", "--tol", "-0e0"])
     assert result.exit_code == 0 and _lines(result)[0]["tol"] == 0
     # "--" as an argument's text after the separator stays "--" and is
     # malformed JSON; argparse passed [] and json.loads raised TypeError
     identity = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
-    result = runner.invoke(main, ["act", identity, "--", "--"])
+    result = invoke(["act", identity, "--", "--"])
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
     assert "Error: malformed JSON" in result.stderr

@@ -1,10 +1,13 @@
 """The contract of the package's records, pinned as the frozen dataclasses
 they replaced behaved: construction by position and by keyword, the
-validation of KVector, Point, Sphere and Plane, repr, == and hash,
-FrozenInstanceError on assigning or deleting a field (SuiteResult stays
-mutable), vars() in field order, and copy, deepcopy and pickle round trips.
-The records are plain classes, so dataclasses.fields, asdict, replace and
-is_dataclass no longer apply to them.
+validation of KVector, Point, Sphere and Plane, repr, hash,
+FrozenInstanceError on assigning or deleting a field, vars() in field
+order, and copy, deepcopy and pickle round trips.  Two changes from the
+dataclasses: == compares array fields by value (a dataclass compared field
+tuples, which raised ValueError on two equal arrays), and SuiteResult is
+frozen like the others.  The records are plain classes, so
+dataclasses.fields, asdict, replace and is_dataclass no longer apply to
+them.
 """
 
 import copy
@@ -72,10 +75,12 @@ RECORDS = [
      " errata_notes=['note'])"),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
-FROZEN = [case for case in RECORDS if case[0] is not SuiteResult]
-# the records whose every field is hashable, and the two with their own ==
+# the records whose every field is hashable, the one with its own ==, and
+# the ones holding an array
 HASHABLE = (CheckReport, Infinity, InfinityReport)
-OWN_EQ = (KVector, ProjectiveNullLine)
+OWN_EQ = (ProjectiveNullLine,)
+ARRAYS = [case for case in RECORDS
+          if any(isinstance(v, np.ndarray) for v in vars(case[0](**case[1])).values())]
 
 
 def _same_fields(a, b) -> bool:
@@ -159,16 +164,28 @@ def test_equality_cases():
     assert line != ProjectiveNullLine(np.array([1.0, 0, 0, -1, 0, 0]))
     for cls in OWN_EQ:
         assert cls.__hash__ is None
-    # the other array records compare their field tuples, as a dataclass's
-    # == does: the same arrays are equal, equal copies are ambiguous
     assert Point([1, 2, 3]) != Infinity() and Infinity() != Point([1, 2, 3])
+    assert Point([1, 2, 3]) == Point([1.0, 2.0, 3.0])
     assert SuiteResult("a", 1, 0.0, True) == SuiteResult("a", 1, 0.0, True)
     assert SuiteResult("a", 1, 0.0, True) != SuiteResult("b", 1, 0.0, True)
-    with pytest.raises(ValueError, match="ambiguous"):
-        Point([1, 2, 3]) == Point([1, 2, 3])
+    # fields are compared by identity first, as in a tuple, so a record
+    # holding a NaN equals itself and its copies
+    worst = SuiteResult("a", 1, float("nan"), False)
+    assert worst == worst == copy.copy(worst)
 
 
-@pytest.mark.parametrize("cls, fields, text", FROZEN, ids=[case[0].__name__ for case in FROZEN])
+@pytest.mark.parametrize("cls, fields, text", ARRAYS, ids=[case[0].__name__ for case in ARRAYS])
+def test_array_records_compare_by_value(cls, fields, text):
+    record = cls(**fields)
+    assert record == copy.deepcopy(record)
+    for name, value in vars(record).items():
+        if isinstance(value, np.ndarray):
+            changed = value.copy()
+            changed.flat[0] += 1
+            assert record != cls(**{**vars(record), name: changed}), name
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
 def test_frozen_records_refuse_assignment_and_deletion(cls, fields, text):
     record = cls(*fields.values())
     before = repr(record)
@@ -180,16 +197,6 @@ def test_frozen_records_refuse_assignment_and_deletion(cls, fields, text):
             delattr(record, name)
         assert str(info.value) == f"cannot delete field {name!r}"
     assert repr(record) == before
-
-
-def test_suite_result_is_mutable():
-    result = SuiteResult("spin", 1, 0.0, True)
-    result.passed = False
-    result.errata_notes.append("note")
-    assert repr(result) == ("SuiteResult(suite_name='spin', checks_run=1, max_deviation=0.0,"
-                            " passed=False, errata_notes=['note'])")
-    del result.errata_notes
-    assert list(vars(result)) == ["suite_name", "checks_run", "max_deviation", "passed"]
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
