@@ -8,7 +8,9 @@ produce byte-identical output; diagnostics go to stderr.  Exit codes:
 
 Each command's flags and arguments are one table of _Param records, from
 which its command line is parsed and its usage and --help text rendered;
-no argument-parsing library is loaded.
+no argument-parsing library is loaded.  The package registers its layers
+lazily, and the commands call them through their modules, so a command
+runs only the layers it calls.
 """
 
 from __future__ import annotations
@@ -23,26 +25,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import errata
+from . import errata, isotropic, liesphere, spin, suites
 from .errors import InvalidEntity, NotNormalized, Spin42Error
 from .forms import DEFAULT_TOL, as_vec6, g_form, projectivize, q_bilinear, q_form
-from .isotropic import (
-    isotropic_plane,
-    null_to_spinor_plane,
-    plane_to_spinor_line,
-    spinor_line_to_plane,
-)
-from .liesphere import (
-    Infinity,
-    Plane,
-    Point,
-    Sphere,
-    conformal_inversion,
-    fixed_sphere_probe,
-    lie_embed,
-)
-from .spin import SpinElement, _q_devs, covering_matrix, is_su22, vector_action
-from .suites import SUITE_ORDER, run_suites
 
 _GENERATOR = "numpy-pcg64/v3"
 
@@ -183,13 +168,15 @@ def _entity_from_json(obj):
     ((kind, body),) = obj.items()
     try:
         if kind == "infinity":
-            return Infinity()
+            return liesphere.Infinity()
         if kind == "point":
-            return Point(np.asarray(body, dtype=float))
+            return liesphere.Point(np.asarray(body, dtype=float))
         if kind == "sphere":
-            return Sphere(np.asarray(body["center"], dtype=float), float(body["radius"]))
+            return liesphere.Sphere(np.asarray(body["center"], dtype=float),
+                                    float(body["radius"]))
         if kind == "plane":
-            return Plane(np.asarray(body["normal"], dtype=float), float(body["offset"]))
+            return liesphere.Plane(np.asarray(body["normal"], dtype=float),
+                                   float(body["offset"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidEntity(f"malformed {kind}: {type(exc).__name__}: {exc}") from exc
     raise InvalidEntity(f"unknown entity kind {kind!r}")
@@ -255,6 +242,9 @@ _JSON = _Param("--json", "json_only", default=False, help="Suppress the stderr s
 _SEED = _Param("--seed", "seed", _at_least(0), 0, "Generator seed, an integer >= 0.")
 _HELP = _Param("--help", "help", help="Show this message and exit.")
 _DIRECTIONS = ["null-to-plane", "plane-to-line", "line-to-plane"]
+# the names of suites.SUITE_ORDER, written out so that parsing and help do
+# not run the suites module
+_SUITES = ["clifford", "selfdual", "exterior", "hodge", "spin", "isotropic", "liesphere"]
 
 # command name -> (function, its parameters and then --help)
 _COMMANDS: dict[str, tuple[Callable, tuple[_Param, ...]]] = {}
@@ -437,8 +427,8 @@ main = _Main()
 
 
 @_command(
-    _Param("--suite", "suite", _one_of(SUITE_ORDER + ["all"]), "all",
-           f"The suite to run: one of {', '.join(SUITE_ORDER)}, or all."),
+    _Param("--suite", "suite", _one_of(_SUITES + ["all"]), "all",
+           f"The suite to run: one of {', '.join(_SUITES)}, or all."),
     _SEED,
     _Param("--count", "count", _at_least(1), 200, "Samples per suite, an integer >= 1."),
     _TOL, _JSON)
@@ -447,7 +437,7 @@ def verify(suite, seed, count, tol, json_only):
     suite on stdout; exit 0 iff every suite passed."""
     _emit({"generator": _GENERATOR, "seed": seed, "count": count,
            "tol": tol, "suite": suite})
-    results = run_suites(suite, seed=seed, count=count, tol=tol)
+    results = suites.run_suites(suite, seed=seed, count=count, tol=tol)
     all_passed = True
     for r in results:
         _emit(vars(r))
@@ -466,7 +456,7 @@ def verify(suite, seed, count, tol, json_only):
 def embed(entity_json, tol):
     """Map an entity (point/sphere/plane/infinity JSON) to its canonical
     projective null class."""
-    cls = lie_embed(_entity_from_json(_parse_json(entity_json)), tol)
+    cls = liesphere.lie_embed(_entity_from_json(_parse_json(entity_json)), tol)
     _emit({"class": cls.rep, "null_residual": abs(q_form(cls.rep))})
 
 
@@ -474,7 +464,7 @@ def embed(entity_json, tol):
 def invert(line_json, tol):
     """Conformal inversion of a projective null class (6-array JSON)."""
     x = _vec6_from_json(_parse_json(line_json))
-    cls = conformal_inversion(projectivize(x, tol))
+    cls = liesphere.conformal_inversion(projectivize(x, tol))
     _emit({"class": cls.rep, "null_residual": abs(q_form(cls.rep))})
 
 
@@ -486,7 +476,7 @@ def correspond(direction, payload_json, tol):
     payload = _parse_json(payload_json)
     if direction == "null-to-plane":
         x = _vec6_from_json(payload)
-        plane = null_to_spinor_plane(x, tol)
+        plane = isotropic.null_to_spinor_plane(x, tol)
         residual = max(
             abs(g_form(u, v))
             for u in (plane.b1, plane.b2)
@@ -501,14 +491,14 @@ def correspond(direction, payload_json, tol):
         if not (isinstance(basis, list) and len(basis) == 2):
             raise UsageError('payload must be {"basis": [vec6, vec6]}')
         x1, x2 = (_vec6_from_json(b) for b in basis)
-        line = plane_to_spinor_line(isotropic_plane(x1, x2, tol), tol)
+        line = isotropic.plane_to_spinor_line(isotropic.isotropic_plane(x1, x2, tol), tol)
         _emit({
             "rep": _spinor_json(line.rep),
             "isotropy_residual": abs(g_form(line.rep, line.rep)),
         })
     else:
         v = _complex_array(payload, (4,))
-        plane = spinor_line_to_plane(v, tol)
+        plane = isotropic.spinor_line_to_plane(v, tol)
         residual = max(
             abs(q_form(plane.x1)), abs(q_form(plane.x2)),
             abs(q_bilinear(plane.x1, plane.x2)),
@@ -526,14 +516,14 @@ def act(matrix_json, vec6_json, tol):
     matrix and its Q-residual.  tol judges the matrix's membership."""
     m = _complex_array(_parse_json(matrix_json), (4, 4))
     x = _vec6_from_json(_parse_json(vec6_json))
-    if not is_su22(m, tol):
+    if not spin.is_su22(m, tol):
         raise NotNormalized("matrix fails the membership test")
-    s = SpinElement(m)
-    l = covering_matrix(s, tol)
+    s = spin.SpinElement(m)
+    l = spin.covering_matrix(s, tol)
     _emit({
-        "vector": vector_action(s, x, tol),
+        "vector": spin.vector_action(s, x, tol),
         "covering": l.l,
-        "q_residual": float(_q_devs(l.l)),
+        "q_residual": float(spin._q_devs(l.l)),
     })
 
 
@@ -544,7 +534,7 @@ def myth_report(samples, seed, tol, json_only):
     """Probe conformal infinity: the inversion-invariant 2-sphere of
     classes (n, 1, 0, 0) is confirmed fixed and absent from the inverted
     light-cone image."""
-    report = fixed_sphere_probe(samples, rng=np.random.default_rng(seed))
+    report = liesphere.fixed_sphere_probe(samples, rng=np.random.default_rng(seed))
     _emit({
         "sample_count": report.sample_count,
         "fixed_sphere_max_drift": report.fixed_sphere_max_drift,

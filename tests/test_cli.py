@@ -714,7 +714,7 @@ def test_interrupt_exits_1_standalone_and_propagates_otherwise(monkeypatch, caps
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(spin42.cli, "run_suites", interrupted)
+    monkeypatch.setattr(spin42.suites, "run_suites", interrupted)
     with pytest.raises(SystemExit) as info:
         main.main(["verify", "--json"], prog_name="spin42")
     assert info.value.code == 1 and capsys.readouterr().err == "\nAborted!\n"
@@ -820,6 +820,37 @@ def test_running_commands_loads_no_argument_parser():
         proc = subprocess.run([sys.executable, "-c", code, *args],
                               capture_output=True, text=True, check=True)
         assert proc.stdout and proc.stderr.endswith("[]\n"), proc.stderr
+
+
+# the modules a command runs: the package registers its layers lazily, and a
+# registered module that has not run is an importlib.util._LazyModule, which
+# type() reads without running it
+_RUN_AT_IMPORT = {"spin42", "spin42.cli", "spin42.errors", "spin42.forms"}
+_QUERY_LAYERS = [
+    (["embed", '{"infinity": true}'], {"liesphere"}),
+    (["invert", "[0, 0, 0, 0, 1, 1]"], {"liesphere"}),
+    (["correspond", "null-to-plane", "[1, 0, 0, 1, 0, 0]"],
+     {"clifford", "exterior", "isotropic"}),
+    (["act", "[[[0,1],0,0,0],[0,[0,1],0,0],[0,0,[0,1],0],[0,0,0,[0,1]]]", "[1,2,3,4,5,6]"],
+     {"clifford", "exterior", "spin"}),
+    (["--help"], set()),
+]
+
+
+@pytest.mark.parametrize("args, layers", _QUERY_LAYERS, ids=[a[0] for a, _ in _QUERY_LAYERS])
+def test_a_command_runs_only_the_layers_it_calls(args, layers):
+    code = ("import sys, runpy, types\n"
+            "try:\n"
+            "    runpy.run_module('spin42', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(*sorted(n for n, m in sys.modules.items()\n"
+            "              if n.startswith('spin42') and type(m) is types.ModuleType),\n"
+            "      file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, check=True)
+    ran = set(proc.stderr.splitlines()[-1].split())
+    assert proc.stdout and ran == _RUN_AT_IMPORT | {f"spin42.{n}" for n in layers}, ran
 
 
 # values a flag or argument is given: the converters' edges, which a

@@ -214,11 +214,20 @@ def test_copy_deepcopy_and_pickle_keep_every_field(cls, fields, text):
 
 
 def test_importing_the_cli_loads_no_dataclasses_and_every_layer():
-    # the benchmark's tracer imports spin42.cli to reach every layer module
-    code = "import sys, spin42.cli; print(*sys.modules)"
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True).stdout.split()
-    assert "dataclasses" not in loaded
-    for name in ("suites", "exterior", "spin", "clifford", "isotropic", "liesphere", "forms",
-                 "sampling", "cli"):
-        assert f"spin42.{name}" in loaded
+    # the benchmark's tracer imports spin42.cli to reach every layer module;
+    # a layer registered lazily runs on its first attribute access, so every
+    # one is run before dataclasses is looked for
+    layers = ("suites", "exterior", "spin", "clifford", "isotropic", "liesphere", "forms",
+              "sampling", "errata", "errors", "cli")
+    code = ("import sys, types, spin42.cli\n"
+            "print(*sys.modules)\n"
+            f"for name in {layers!r}:\n"
+            "    module = sys.modules[f'spin42.{name}']\n"
+            "    module.__name__\n"
+            "    assert type(module) is types.ModuleType, name\n"
+            "print(*sys.modules)\n")
+    registered, loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                        text=True, check=True).stdout.splitlines()
+    assert "dataclasses" not in loaded.split()
+    for name in layers:
+        assert f"spin42.{name}" in registered.split()
