@@ -168,6 +168,8 @@ def _entity_from_json(obj):
     ((kind, body),) = obj.items()
     try:
         if kind == "infinity":
+            if body is not True:
+                raise ValueError(f"the body must be true, not {json.dumps(body)}")
             return liesphere.Infinity()
         if kind == "point":
             return liesphere.Point(np.asarray(body, dtype=float))

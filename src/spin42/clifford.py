@@ -174,15 +174,48 @@ def gamma_coeffs(ms: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return coeffs.reshape(*lead, 6)
 
 
+# the index pairs i < j of spinors and of 6-vectors, in
+# itertools.combinations order (the pairs of spinors are the grade-2
+# monomials of exterior), as all the i's, then all the j's
+_PAIRS = {n: np.array(list(itertools.combinations(range(n), 2))).T.ravel() for n in (4, 6)}
+
+
+def _pluecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pair coordinates a_i b_j - a_j b_i, i < j, of a ^ b (..., C(n, 2))
+    for stacks a, b (..., n), n = 4 or 6; for spinors they are the grade-2
+    coefficients of the wedge.  Each factor is gathered along the first
+    axis of its transpose: one take for every shape, cheaper than
+    a[..., pairs] and, over one leading axis, with its strided layout, by
+    which the products downstream round."""
+    pairs = _PAIRS[a.shape[-1]]
+    k = len(pairs) // 2
+    a, b = a.T.take(pairs, 0).T, b.T.take(pairs, 0).T
+    return a[..., :k] * b[..., k:] - a[..., k:] * b[..., :k]
+
+
+def _volume(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The e1234 coefficient of p ^ q for spinor bivector coefficients p, q
+    (..., 6) in _PAIRS[4] order, whose leading axes broadcast:
+    p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02 + p23 q01.  The six
+    products are summed elementwise in that fixed order, so a row rounds
+    alike alone and wherever it sits in a stack, and the pairing is exact
+    while its products and partial sums are Gaussian integers below 2^53."""
+    t = p * q[..., ::-1]
+    return t[..., 0] - t[..., 1] + t[..., 2] + t[..., 3] - t[..., 4] + t[..., 5]
+
+
 def _det4(m: np.ndarray) -> np.ndarray:
-    """Kernel of det4 over a stack (..., 4, 4): one gather of the 24
-    diagonals m[r, perm(r)] per matrix, their products, and one signed sum."""
-    perms, signs = perm_table(4)
-    return m[..., np.arange(4), perms].prod(axis=-1) @ signs
+    """Kernel of det4 over a stack (..., 4, 4): the Laplace expansion along
+    rows (0, 1 | 2, 3), det m e1234 = (m0 ^ m1) ^ (m2 ^ m3), as the Pluecker
+    pairing of the coordinates of the two row pairs, both read off the
+    even and the odd rows in one _pluecker call."""
+    p = _pluecker(m[..., 0::2, :], m[..., 1::2, :])
+    return _volume(p[..., 0, :], p[..., 1, :])
 
 
 def det4(m) -> complex:
-    """4x4 determinant by the Leibniz expansion over the permutation table.
+    """4x4 determinant as the Pluecker pairing of the row pairs (0, 1) and
+    (2, 3), the Laplace expansion along rows.
 
     Exact on the {0,+-1,+-i} lattice of the generator tables (every
     product and partial sum is a small Gaussian integer, so there is no

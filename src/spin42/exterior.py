@@ -20,7 +20,10 @@ over the 81 disjoint monomial pairs (I, J), each pair giving the single
 monomial e_{I u J} with a sign, times one (81, 16) sign table built on
 first use.  Each operation has this one graded kernel: a grade-k element
 enters it through its block (`_graded`), and the grade-wise functions
-read their result off the block of the result's grade.
+read their result off the block of the result's grade.  The one
+exception is b ^ b for a bivector b (is_decomposable): its single e1234
+coefficient is the Pluecker pairing of six products (clifford._volume),
+the pairing det4 reads off a matrix's row pairs.
 
 On bivectors the star squares to +1 and splits the space into real
 6-dimensional eigenspaces; the fixed one is the real span of six basis
@@ -44,7 +47,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .clifford import SIGMA, perm_table
+# the spinor wedges that det4 shares, vector ^ vector (_pluecker, also read
+# from here) and bivector ^ bivector (_volume), live in clifford
+from .clifford import SIGMA, _pluecker, _volume, perm_table
 from .errors import (
     GradeMismatch,
     GradeOverflow,
@@ -59,24 +64,6 @@ _SQRT2 = np.sqrt(2.0)
 
 # the increasing index tuples of each grade, in storage order
 _COMBOS = tuple(tuple(itertools.combinations(range(4), k)) for k in range(5))
-
-# the index pairs i < j of spinors and of 6-vectors, in the same order (the
-# pairs of spinors are _COMBOS[2]), as all the i's, then all the j's
-_PAIRS = {n: np.array(list(itertools.combinations(range(n), 2))).T.ravel() for n in (4, 6)}
-
-
-def _pluecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The pair coordinates a_i b_j - a_j b_i, i < j, of a ^ b (..., C(n, 2))
-    for stacks a, b (..., n), n = 4 or 6; for spinors they are the grade-2
-    coefficients of the wedge.  Each factor is gathered along the first
-    axis of its transpose: one take for every shape, cheaper than
-    a[..., pairs] and, over one leading axis, with its strided layout, by
-    which the products downstream round."""
-    pairs = _PAIRS[a.shape[-1]]
-    k = len(pairs) // 2
-    a, b = a.T.take(pairs, 0).T, b.T.take(pairs, 0).T
-    return a[..., :k] * b[..., k:] - a[..., k:] * b[..., :k]
-
 
 # the graded layout: the 16 monomials grade by grade, grade k's block
 # starting at slot _OFFSETS[k] and spanning the slots _BLOCKS[k]
@@ -339,10 +326,10 @@ def phi_inverse(b: KVector, tol: float = DEFAULT_TOL) -> np.ndarray:
 def _decomposable(b: np.ndarray, tol: float) -> np.ndarray:
     """Kernel of is_decomposable on finite bivector coefficients (..., 6):
     kv_norm(b ^ b) <= tol kv_norm(b)^2 per row, and every zero row; b ^ b
-    is the volume slot 15 of the graded wedge."""
+    is the Pluecker pairing of b with itself, its one e1234 coefficient."""
     n2 = 2.0 * np.vecdot(b, b).real
-    g = _graded(2, b)
-    ww = sqrt(factorial(4)) * abs(_wedge16(g, g)[..., 15])
+    # np.abs rounds one row as the array loop rounds a stack's (spin._su22_devs)
+    ww = sqrt(factorial(4)) * np.abs(_volume(b, b))
     return (n2 == 0.0) | (ww <= tol * n2)
 
 

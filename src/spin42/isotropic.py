@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import _x_matrix
+from .clifford import _pluecker, _x_matrix
 from .errors import NotIsotropicSpinor, NotNull, RankFailure, ZeroVector
-from .exterior import _READ, _pluecker
+from .exterior import _READ
 from .forms import (
     DEFAULT_TOL,
     HUGE_NORM2,
@@ -83,7 +83,8 @@ def _isotropic_gate(v: np.ndarray, tol: float) -> np.ndarray:
     require(np.sqrt(n2) > tol, ZeroVector,
             lambda i, at: f"spinor line needs a nonzero representative{at}")
     vv = _g(v, v)
-    require(abs(vv) <= tol * n2, NotIsotropicSpinor,
+    # np.abs rounds one row as the array loop rounds a stack's (spin._su22_devs)
+    require(np.abs(vv) <= tol * n2, NotIsotropicSpinor,
             lambda i, at: f"(v|v){at} = {vv[i]:g} is not zero")
     return v
 
@@ -417,9 +418,10 @@ def _pluecker_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     (..., k): the angle between their spans to first order; inf where p or
     q is zero or they are orthogonal."""
     ip = np.vecdot(q, p)
-    lp, lq = _norm(p), _norm(q)
-    diff = _norm((lq * abs(ip))[..., None] * p - (lp * ip)[..., None] * q)
-    den = lp * lq * abs(ip)
+    # np.abs rounds one row as the array loop rounds a stack's (spin._su22_devs)
+    lp, lq, mod = _norm(p), _norm(q), np.abs(ip)
+    diff = _norm((lq * mod)[..., None] * p - (lp * ip)[..., None] * q)
+    den = lp * lq * mod
     return np.divide(diff, den, out=np.full(np.shape(den), np.inf), where=den > 0)
 
 

@@ -10,7 +10,7 @@ with Sigma(x) = sum x^alpha Sigma_alpha,
 which preserves antisymmetry for any M and, for pseudo-unitary M, keeps
 X' inside the real generator span.  On the pair coordinates of an
 antisymmetric matrix (its entries [i, j], i < j) the map A -> M A M^T is
-Lambda^2 M, the 6x6 matrix of 2x2 minors of M (exterior._pluecker of M's
+Lambda^2 M, the 6x6 matrix of 2x2 minors of M (clifford._pluecker of M's
 row pairs), and the rows S_alpha of exterior._SIGMA_COEFFS are the pair
 coordinates of the Sigma_alpha, with S S^H = 2 I (the paper's
 identification of the 6-space with the self-dual bivectors).  So the
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import _det4, _x_matrix
+from .clifford import _PAIRS, _det4, _pluecker, _x_matrix
 from .errors import ActionLeavesSpan, NotNormalized
-from .exterior import _PAIRS, _READ, _SIGMA_COEFFS, _pluecker
+from .exterior import _READ, _SIGMA_COEFFS
 from .forms import (
     DEFAULT_TOL,
     G4,
@@ -87,7 +87,9 @@ def _su22_devs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = np.where(fits, a, np.nan)
     s2 = np.maximum(1.0, a) ** 2
     gdev = abs((m * G_DIAG) @ m.mT.conj() - G4).max(axis=(-2, -1))
-    ddev = abs(_det4(m) - 1.0)
+    # np.abs, not abs: for one matrix the builtin takes the complex scalar
+    # through libm's hypot, which rounds apart from numpy's array loop
+    ddev = np.abs(_det4(m) - 1.0)
     return gdev / s2, ddev / (s2 * s2)
 
 

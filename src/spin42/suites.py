@@ -27,6 +27,7 @@ from .clifford import (
     SIGMA,
     _adjoint,
     _det_identity,
+    _pluecker,
     _reality_residual,
     _x_matrix,
     check_clifford_relations,
@@ -39,7 +40,6 @@ from .exterior import (
     _herm16,
     _phi,
     _phi_inverse,
-    _pluecker,
     _star16,
     _wedge16,
     _wedge_table16,

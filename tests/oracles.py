@@ -8,7 +8,9 @@ at a time, the bytes the CLI's array-at-a-time serializer must match.
 GAMMA_TABLE is the paper's Gamma table typed out entry by entry, which the
 library derives as Sigma G, and minors_reference gathers the 2x2 minors
 of Lambda^2 M from the flattened matrix, which the library reads off the
-Pluecker coordinates of M's row pairs.  argparse_reference is the
+Pluecker coordinates of M's row pairs.  det4_leibniz is the determinant
+as the Leibniz sum over the 24 permutations, against which the Pluecker
+pairing of clifford._det4 is checked.  argparse_reference is the
 command-line parse the CLI once made with argparse, against which its
 table-driven parse is checked.  spinor_line is the one-spinor wrapper of
 the kernel isotropic._spinor_line, which no library function needs.
@@ -55,6 +57,20 @@ def minors_reference(m: np.ndarray) -> np.ndarray:
     lead = m.shape[:-2]
     f = np.take(m.reshape(*lead, 16), _MINOR_FACTORS, axis=-1).reshape(*lead, 4, 6, 6)
     return f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
+
+
+# the 24 permutations of range(4) and their signs, by counting inversions
+# here rather than through the package's permutation table
+_PERMS4 = np.array(list(itertools.permutations(range(4))))
+_SIGNS4 = np.array([(-1.0) ** sum(p[a] > p[b] for a, b in itertools.combinations(range(4), 2))
+                    for p in _PERMS4])
+
+
+def det4_leibniz(m: np.ndarray) -> np.ndarray:
+    """det of a stack (..., 4, 4) by the Leibniz expansion: one gather of
+    the 24 diagonals m[r, perm(r)] per matrix, their products, and one
+    signed sum."""
+    return m[..., np.arange(4), _PERMS4].prod(axis=-1) @ _SIGNS4
 
 
 def spinor_line(v, tol: float = DEFAULT_TOL) -> SpinorLine:

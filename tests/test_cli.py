@@ -359,6 +359,15 @@ def test_embed_infinity():
     assert out["null_residual"] == 0
 
 
+@pytest.mark.parametrize("body", ["false", "1", "null", "{}", '"true"', "[true]"])
+def test_embed_refuses_an_infinity_body_other_than_true(body):
+    result = invoke(["embed", f'{{"infinity": {body}}}'])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == ("contract violation: InvalidEntity: malformed infinity:"
+                             f" ValueError: the body must be true, not {body}\n")
+
+
 def test_embed_origin():
     result = invoke(["embed", '{"point": [0, 0, 0]}'])
     assert result.exit_code == 0

@@ -4,14 +4,15 @@ Each kernel is checked against a direct, loop-based construction written
 here: the n!-transpose antisymmetrizer for the wedge, the full-tensor
 formulas for the Hermitian form and the norm, the star solved from its
 defining relation for the closed-form Hodge star, the per-column vector
-action for the covering matrix, numpy's LU determinant and the exact
-identity det X(x) = Q(x)^2 for det4, two chained least-squares solves
-for the closed-form dual isotropic basis, the operator stack
-M Sigma_b M^T G read back through gamma_coeffs for the covering and the
-vector action read off the 2x2 minors, and the SVD null space of the
-8 x 6 annihilator system for the Klein-correspondence plane of a spinor
-line.  Permutation signs in the references come from counting inversions
-in this file, independently of the package's permutation table.
+action for the covering matrix, numpy's LU determinant, the Leibniz sum
+of tests/oracles.py and the exact identity det X(x) = Q(x)^2 for det4,
+two chained least-squares solves for the closed-form dual isotropic
+basis, the operator stack M Sigma_b M^T G read back through gamma_coeffs
+for the covering and the vector action read off the 2x2 minors, and the
+SVD null space of the 8 x 6 annihilator system for the
+Klein-correspondence plane of a spinor line.  Permutation signs in the
+references come from counting inversions in these files, independently
+of the package's permutation table.
 
 The array kernels behind the public functions run over leading axes;
 each is checked row by row against its public scalar function on stacks
@@ -39,6 +40,7 @@ from spin42.clifford import (
     _det4,
     _det_identity,
     _reality_residual,
+    _volume,
     antilinear_adjoint,
     det4,
     det_identity,
@@ -53,6 +55,7 @@ from spin42.errors import ActionLeavesSpan, NotInGammaSpan, NotIsotropicSpinor, 
 from spin42.exterior import (
     KVector,
     _BLOCKS,
+    _SIGMA_COEFFS,
     _decomposable,
     _graded,
     _herm16,
@@ -160,7 +163,7 @@ from spin42.suites import (
     _spin_block,
 )
 
-from oracles import minors_reference, qr_pinv_four_idempotents, spinor_line
+from oracles import det4_leibniz, minors_reference, qr_pinv_four_idempotents, spinor_line
 
 
 def _parity_sign(perm) -> int:
@@ -385,6 +388,25 @@ def test_det4_is_exact_on_integer_vectors():
         assert d == complex(q_form(x) ** 2)
 
 
+def test_det4_equals_the_leibniz_sum_on_gaussian_integer_matrices():
+    # every product and partial sum of either expansion is a Gaussian
+    # integer far below 2^53, so both are exact
+    rng = np.random.default_rng(9)
+    m = rng.integers(-9, 10, size=(500, 4, 4)) + 1j * rng.integers(-9, 10, size=(500, 4, 4))
+    want = det4_leibniz(m)
+    assert np.array_equal(_det4(m), want)
+    assert all(det4(m[i]) == want[i] for i in range(len(m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=12, max_size=12))
+def test_volume_of_sigma_coefficients_is_minus_twice_the_pairing(entries):
+    # phi(x) ^ phi(y) = -(x, y) e1234 with phi(x) = x S / sqrt(2), exact on
+    # integer vectors, whose coefficients x S are Gaussian integers
+    x, y = np.array(entries, dtype=float).reshape(2, 6)
+    assert _volume(x @ _SIGMA_COEFFS, y @ _SIGMA_COEFFS) == -2.0 * _qb(x, y)
+
+
 def _boost_pair(rng, rapidity):
     """Unit-Q pair (x, x') with x = cosh(t) a + sinh(t) b for unit a in
     the positive directions and unit b in the negative ones; the
@@ -607,7 +629,7 @@ def test_det4_kernel_rows_match_det4():
     m = _complex_rows(np.random.default_rng(150), ROWS, 4, 4)
     out = _det4(m)
     for i in range(ROWS):
-        assert _rel_dev(out[i], det4(m[i])) <= 1e-14
+        assert np.complex128(det4(m[i])).tobytes() == out[i].tobytes()
 
 
 def test_su22_devs_rows_match_single_matrices_and_is_su22():
